@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,10 +52,15 @@ class RunReport:
 
 
 def rational_entry(label: str, value: Fraction) -> dict:
+    """An exact value; its ``decimal`` is None past the float range."""
+    try:
+        decimal = float(value)
+    except OverflowError:
+        decimal = None
     return {
         "label": label,
         "rational": f"{value.numerator}/{value.denominator}",
-        "decimal": float(value),
+        "decimal": decimal,
     }
 
 
@@ -93,9 +97,9 @@ def report_table(report: RunReport) -> str:
         )
     for entry in report.results:
         if "rational" in entry:
-            lines.append(
-                f"  {entry['label']} = {entry['rational']} ({entry['decimal']:g})"
-            )
+            decimal = entry["decimal"]
+            approx = "" if decimal is None else f" ({decimal:g})"
+            lines.append(f"  {entry['label']} = {entry['rational']}{approx}")
         else:
             lines.append(f"  {entry['label']} = {entry['value']}")
     for row in report.checks:
@@ -195,8 +199,7 @@ def handle_general(args) -> RunReport:
 def handle_verify(args) -> RunReport:
     budget = args.oracle_budget
     if budget is None:
-        env = os.environ.get(oracle.ENV_BUDGET)
-        budget = int(env) if env else checks.DEFAULT_ORACLE_BUDGET
+        budget = oracle.default_exact_budget(checks.DEFAULT_ORACLE_BUDGET)
     rows = checks.run_verification(
         max_urns=args.max_urns, max_balls=args.max_balls, oracle_budget=budget
     )
@@ -306,6 +309,16 @@ def handle_simulate(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _budget_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive state count, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urnwalk",
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-urns", type=int, default=checks.DEFAULT_MAX_URNS)
     sp.add_argument("--max-balls", type=int, default=checks.DEFAULT_MAX_BALLS)
     sp.add_argument(
-        "--oracle-budget", type=int, default=None,
+        "--oracle-budget", type=_budget_flag, default=None,
         help="state-count cap for oracle solves "
         f"(default: ${oracle.ENV_BUDGET} or {checks.DEFAULT_ORACLE_BUDGET})",
     )
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact dense-solve hitting time")
     common(sp, pair=True)
     sp.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_budget_flag, default=None,
         help=f"exact-solve state budget (default: ${oracle.ENV_BUDGET} or "
         f"{oracle.DEFAULT_EXACT_BUDGET})",
     )

@@ -8,8 +8,9 @@ verification rather than circularity.
 
 Exact solves are gated by a state budget (default 4096 states, overridable
 per call or through the ``URNWALK_ORACLE_BUDGET`` environment variable).
-Beyond the budget, :func:`expected_hitting_time_float` offers a sparse
-floating-point fallback up to ~20000 states that reports its residual.
+Beyond the budget, :func:`expected_hitting_time_float` offers a
+floating-point fallback by conjugate gradient up to ~20000 states that
+reports its residual.
 """
 
 from __future__ import annotations
@@ -43,10 +44,15 @@ DEFAULT_EXACT_BUDGET = 4096
 FLOAT_FALLBACK_LIMIT = 20_000
 
 
-def default_exact_budget() -> int:
+def default_exact_budget(default: int = DEFAULT_EXACT_BUDGET) -> int:
+    """The state budget set by ``URNWALK_ORACLE_BUDGET``, or ``default`` when unset.
+
+    The one parser of the variable: a value that is not a positive integer
+    raises ValueError.
+    """
     raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_EXACT_BUDGET
+    if not raw:
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -151,18 +157,18 @@ def build_absorbing_system(
 
     transients = tuple(g for g in range(total) if g not in absorbing)
     position = {g: i for i, g in enumerate(transients)}
-    step = Fraction(1, params.degree)
+    # a state's neighbours are distinct, so each off-diagonal entry is one -1/degree
+    diagonal, off_diagonal = Fraction(1), Fraction(-1, params.degree)
     rows: list[dict[int, Fraction]] = []
     edges: list[tuple[int, ...]] = []
     for g in transients:
-        i = position[g]
-        row: dict[int, Fraction] = {i: Fraction(1)}
+        row: dict[int, Fraction] = {position[g]: diagonal}
         hit: list[int] = []
         for nb in adjacency[g]:
             if nb in absorbing:
                 hit.append(nb)
             else:
-                row[position[nb]] = row.get(position[nb], Fraction(0)) - step
+                row[position[nb]] = off_diagonal
         rows.append(row)
         edges.append(tuple(hit))
     return AbsorbingSystem(

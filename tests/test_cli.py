@@ -66,6 +66,30 @@ class TestExactCommand:
         assert "error" in err
 
 
+class TestPastFloatRange:
+    # at 5 urns the values leave the float range from 442 balls on
+    def test_exact_keeps_rational_and_nulls_decimal(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--urns", "5", "--balls", "442")
+        assert code == 0
+        rows = results_by_label(parse_json(out))
+        from urnwalk.model import ModelParams
+
+        total = exact.full_transfer_time(ModelParams(5, 442))
+        assert Fraction(rows["transfer_time"]["rational"]) == total
+        assert rows["transfer_time"]["decimal"] is None
+        assert rows["increment_0"]["decimal"] == float(
+            Fraction(rows["increment_0"]["rational"])
+        )
+
+    def test_general_at_full_distance(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "general", "--urns", "5", "--balls", "442",
+            "--hamming", "442", "--format", "table",
+        )
+        assert code == 0
+        assert "hitting_time = " in out
+
+
 class TestGeneralCommand:
     def test_pair(self, capsys):
         code, out, _ = run_cli(
@@ -232,6 +256,42 @@ class TestVerifyCommand:
         payload = parse_json(out)
         assert payload["ok"] is False
         assert any(not row["passed"] for row in payload["checks"])
+
+
+class TestBudgetValidation:
+    def test_nonpositive_env_budget_rejected(self, capsys, monkeypatch):
+        from urnwalk import oracle
+
+        for raw in ("-5", "0", "many"):
+            monkeypatch.setenv(oracle.ENV_BUDGET, raw)
+            code, out, err = run_cli(
+                capsys, "verify", "--max-urns", "2", "--max-balls", "1",
+            )
+            assert code == 2
+            assert out == ""
+            assert oracle.ENV_BUDGET in err
+            code, _, _ = run_cli(capsys, "oracle", "--urns", "2", "--balls", "2")
+            assert code == 2
+
+    def test_nonpositive_flag_budget_rejected(self, capsys):
+        for value in ("0", "-5"):
+            code, out, _ = run_cli(capsys, "verify", "--oracle-budget", value)
+            assert (code, out) == (2, "")
+            code, out, _ = run_cli(
+                capsys, "oracle", "--urns", "2", "--balls", "2", "--budget", value,
+            )
+            assert (code, out) == (2, "")
+
+    def test_env_budget_reaches_verify(self, capsys, monkeypatch):
+        from urnwalk import checks, oracle
+
+        monkeypatch.setenv(oracle.ENV_BUDGET, "9")
+        code, out, _ = run_cli(capsys, "verify", "--max-urns", "3", "--max-balls", "2")
+        assert code == 0
+        assert parse_json(out)["params"]["oracle_budget"] == 9
+        monkeypatch.delenv(oracle.ENV_BUDGET)
+        code, out, _ = run_cli(capsys, "verify", "--max-urns", "3", "--max-balls", "2")
+        assert parse_json(out)["params"]["oracle_budget"] == checks.DEFAULT_ORACLE_BUDGET
 
 
 class TestFormats:

@@ -146,6 +146,61 @@ class TestFloatSnapPath:
         assert abs(values[0] - 1 / 11) < 1e-12
 
 
+@st.composite
+def symmetric_dominant_system(draw, min_size=65, max_size=200):
+    """Sparse symmetric, diagonally dominant integer system with a known solution.
+
+    Past the dense limit, so ``solve_exact`` takes the refinement path.
+    """
+    size = draw(st.integers(min_size, max_size))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [{} for _ in range(size)]
+    for i in range(size):
+        for j in rng.sample(range(size), rng.randint(0, 4)):
+            if j != i:
+                rows[i][j] = rows[j][i] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    for i, row in enumerate(rows):
+        row[i] = 1 + sum(abs(c) for j, c in row.items() if j != i)
+    solution = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)]
+    rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
+    return rows, solution, rhs
+
+
+class TestRefinementPath:
+    @given(symmetric_dominant_system())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_modular_path(self, system):
+        rows, solution, rhs = system
+        sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
+        int_rows, int_rhs = linsolve._integer_rows(sparse_rows, rhs)
+        refined = linsolve._solve_refined(int_rows, int_rhs)
+        assert refined is not None
+        assert refined == linsolve._solve_modular(int_rows, int_rhs) == solution
+        assert linsolve.solve_exact(sparse_rows, rhs) == solution
+
+    def test_singular_symmetric_system_detected(self):
+        # a path graph's Laplacian: symmetric, every row sum zero, so singular
+        size = 70
+        rows = []
+        for i in range(size):
+            row = {i: Fraction(2 - (i in (0, size - 1)))}
+            if i > 0:
+                row[i - 1] = Fraction(-1)
+            if i < size - 1:
+                row[i + 1] = Fraction(-1)
+            rows.append(row)
+        # consistent right-hand side: every x + t (1, ..., 1) solves it
+        x = [Fraction(i * i) for i in range(size)]
+        rhs = [sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows]
+        with pytest.raises(SingularSystemError):
+            linsolve.solve_exact(rows, rhs)
+
+    def test_solve_float_rejects_nonsymmetric_matrix(self):
+        rows = dense_to_sparse([[4, 1], [2, 3]])
+        with pytest.raises(ValueError):
+            linsolve.solve_float(rows, [Fraction(1), Fraction(2)])
+
+
 class TestPrimePool:
     def test_primes_are_prime_and_distinct(self):
         primes = linsolve._PRIMES

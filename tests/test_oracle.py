@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from urnwalk import exact, oracle
+from urnwalk import exact, linsolve, oracle
 from urnwalk.errors import BudgetExceededError, DomainError
 from urnwalk.model import ModelParams, config_at
 
@@ -72,6 +73,32 @@ class TestExpectedHittingTime:
             oracle.expected_hitting_time(params, (1, 1), (2, 2))
         monkeypatch.setenv(oracle.ENV_BUDGET, "9")
         assert oracle.expected_hitting_time(params, (1, 1), (2, 2)) == 10
+
+
+class TestRefinedSolves:
+    def test_two_urns_twelve_balls(self):
+        params = ModelParams(2, 12)  # 4096 states, the default budget
+        value = oracle.expected_hitting_time(params, (1,) * 12, (2,) * 12)
+        assert value == exact.full_transfer_time(params)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_absorbing_sets_match_modular_path(self, seed):
+        rng = random.Random(seed)
+        params = ModelParams(2, 9)
+        absorbing = frozenset(rng.sample(range(params.state_count), 4))
+        goal = frozenset({min(absorbing)})
+        system = oracle.build_absorbing_system(params, absorbing)
+        step = Fraction(1, params.degree)
+        for solved, rhs in (
+            (system.hitting_time_vector(), [Fraction(1)] * len(system.rows)),
+            (
+                system.absorption_probability_vector(goal),
+                [step * sum(s in goal for s in e) for e in system.absorbing_edges],
+            ),
+        ):
+            assert max(v.denominator for v in solved) > 10**6
+            int_rows, int_rhs = linsolve._integer_rows(system.rows, rhs)
+            assert solved == linsolve._solve_modular(int_rows, int_rhs)
 
 
 class TestFloatFallback:
