@@ -59,9 +59,21 @@ def rational_entry(label: str, value: Fraction) -> dict:
         decimal = None
     return {
         "label": label,
-        "rational": f"{value.numerator}/{value.denominator}",
+        "rational": f"{_digits(value.numerator)}/{_digits(value.denominator)}",
         "decimal": decimal,
     }
+
+
+def _digits(value: int) -> str:
+    """``str(value)`` at any size, past the interpreter's int-to-str digit limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.11
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def scalar_entry(label: str, value) -> dict:

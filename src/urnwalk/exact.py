@@ -16,11 +16,19 @@ Main quantities, for ``n`` urns and ``M`` balls:
   first reaching k+1; their total over k is the full transfer time, and a
   partial sum over the top L indices gives the expected hitting time
   between any two placements that differ in exactly L balls.
+
+The closed form of ``e[k]`` is ``(n-1)**(k+1) / C(M-1, k)`` times
+``sum(C(M, j) / (n-1)**j for j in 0..k)``.  It is evaluated as
+``(n-1) * t[k] / C(M-1, k)`` with the integer ``t[k] = (n-1) * t[k-1] + C(M, k)``
+(Horner's rule), so all M increments cost O(M) integer steps and one
+``Fraction`` each.  The forward recursion :func:`passage_increments` is a
+separate route; the checks compare the two, so neither calls the other.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,13 +80,30 @@ def full_transfer_time_by_ball_induction(params: ModelParams) -> Fraction:
     return s
 
 
+def _closed_form_increments(params: ModelParams, start: int = 0) -> Iterator[Fraction]:
+    """Yield the closed-form increments e[start], ..., e[M-1], in order.
+
+    The binomials and the Horner sum ``t[k]`` advance by one integer step per
+    index; only the yielded terms become a ``Fraction``.
+    """
+    r, m = params.urns - 1, params.balls
+    t = 0
+    c_m = c_m1 = 1  # C(M, k) and C(M-1, k)
+    for k in range(m):
+        if k:
+            c_m = c_m * (m - k + 1) // k
+            c_m1 = c_m1 * (m - k) // k
+        t = r * t + c_m
+        if k >= start:
+            yield Fraction(r * t, c_m1)
+
+
 def passage_increment(params: ModelParams, k: int) -> Fraction:
     """Closed form for the k-th occupancy passage increment, 0 <= k < balls."""
-    n, m = params.urns, params.balls
+    m = params.balls
     if not 0 <= k <= m - 1:
         raise DomainError(f"increment index {k} outside 0..{m - 1}")
-    inner = sum(Fraction(binomial(m, j), (n - 1) ** j) for j in range(k + 1))
-    return Fraction((n - 1) ** (k + 1), binomial(m - 1, k)) * inner
+    return next(_closed_form_increments(params, start=k))
 
 
 def passage_increments(params: ModelParams) -> list[Fraction]:
@@ -135,11 +160,8 @@ def general_hitting_time(query: HittingQuery) -> Fraction:
     Equals the sum of the top L passage increments; with L equal to the
     ball count it collapses to :func:`full_transfer_time`.
     """
-    m, distance = query.params.balls, query.hamming_distance
-    return sum(
-        (passage_increment(query.params, k) for k in range(m - distance, m)),
-        Fraction(0),
-    )
+    start = query.params.balls - query.hamming_distance
+    return sum(_closed_form_increments(query.params, start), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -167,7 +189,7 @@ class SumIdentityReport:
 
 def sum_identity_report(params: ModelParams) -> SumIdentityReport:
     n, m = params.urns, params.balls
-    left_terms = tuple(passage_increment(params, k) for k in range(m))
+    left_terms = tuple(_closed_form_increments(params))
     scale = Fraction((n - 1) * m, n)
     right_terms = tuple(scale * Fraction(n ** (k + 1), k + 1) for k in range(m))
     return SumIdentityReport(

@@ -15,8 +15,9 @@ costs correctness:
    solution.  Continued fractions then recover one common denominator
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
 3. a modular path for everything else, or when refinement stalls: eliminate
-   over several word-sized prime fields, combine by the Chinese remainder
-   theorem and lift each residue back to a rational.
+   over word-sized prime fields, as many as the Hadamard bound requires,
+   combine by the Chinese remainder theorem and lift each residue back to
+   a rational.
 
 Paths 2 and 3 accept a candidate ``y = n / d`` only through one exact
 integer gate, ``A n == d b``.  A verified candidate is the unique solution
@@ -31,9 +32,10 @@ floating-point operations on the same input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -346,19 +348,18 @@ def _is_prime(candidate: int) -> bool:
     return True
 
 
-def _prime_sequence(count: int = 24) -> list[int]:
-    primes = []
-    candidate = 2**30 - 1
-    while len(primes) < count:
-        if candidate < _PRIME_FLOOR:
-            raise InternalCheckError("prime pool exhausted")
+def _descending_primes(below: int = 2**30) -> Iterator[int]:
+    """The primes under ``below`` in descending order, down to ``_PRIME_FLOOR``."""
+    candidate = below - 1 if below % 2 == 0 else below - 2
+    while candidate >= _PRIME_FLOOR:
         if _is_prime(candidate):
-            primes.append(candidate)
+            yield candidate
         candidate -= 2
-    return primes
+    raise InternalCheckError("prime pool exhausted")
 
 
-_PRIMES = _prime_sequence()
+# The head of the sequence, found once; most solves need no more.
+_PRIMES = tuple(itertools.islice(_descending_primes(), 24))
 
 
 def _solve_mod_prime(
@@ -420,10 +421,19 @@ def _rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
 def _solve_modular(
     int_rows: list[dict[int, int]], int_rhs: list[int]
 ) -> list[Fraction]:
+    """Solve modulo successive word-sized primes and lift by the CRT.
+
+    Every reduced solution entry has numerator and denominator at most the
+    Hadamard bound H of the augmented rows, so rational reconstruction is
+    certain once the modulus exceeds ``2 H**2``; the primes run out only then.
+    """
+    limit = 2 * math.prod(
+        sum(c * c for c in row.values()) + b * b for row, b in zip(int_rows, int_rhs)
+    )
     residues: list[int] | None = None
     modulus = 0
     singular_primes = 0
-    for p in _PRIMES:
+    for p in itertools.chain(_PRIMES, _descending_primes(below=_PRIMES[-1])):
         solution = _solve_mod_prime(int_rows, int_rhs, p)
         if solution is None:
             # could be an unlucky prime dividing the determinant; three in a
@@ -445,12 +455,16 @@ def _solve_modular(
             ]
             modulus *= p
         candidate = [_rational_reconstruct(r, modulus) for r in residues]
-        if any(entry is None for entry in candidate):
-            continue
-        den = math.lcm(*(entry.denominator for entry in candidate))
-        numerators = [entry.numerator * (den // entry.denominator) for entry in candidate]
-        if _satisfies(int_rows, int_rhs, numerators, den):
-            return candidate  # type: ignore[return-value]
+        if all(entry is not None for entry in candidate):
+            den = math.lcm(*(entry.denominator for entry in candidate))
+            numerators = [
+                entry.numerator * (den // entry.denominator) for entry in candidate
+            ]
+            if _satisfies(int_rows, int_rhs, numerators, den):
+                return candidate  # type: ignore[return-value]
+        if modulus > limit:
+            break
     raise InternalCheckError(
-        "modular solve exhausted its prime pool without a verified solution"
+        "modular solve passed twice the squared Hadamard bound without a "
+        "verified solution"
     )

@@ -198,9 +198,9 @@ def build_automorphism(
 class TransitionMatrix:
     """Dense row-stochastic matrix of exact rationals.
 
-    Used for the small chains (the occupancy chain and the class-lumped
-    chain); the full walk's kernel is only ever handled implicitly through
-    adjacency because it would not fit densely.
+    Used for the class-lumped chain; the occupancy chain keeps only its
+    three bands, and the full walk's kernel is only ever handled implicitly
+    through adjacency because it would not fit densely.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]

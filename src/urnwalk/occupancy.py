@@ -9,6 +9,11 @@ on {0, ..., M} that moves by at most one ball per step:
 
 :func:`aggregation_matches_full_walk` certifies, state by state, that the
 full walk really does aggregate to these rates.
+
+The chain is stored as its three bands, each a tuple of M+1 exact rates
+indexed by the current occupancy, so building, validating and solving it
+all take O(M) rational operations.  Nothing here reads the closed forms of
+:mod:`urnwalk.exact`; the two routes are compared by the checks.
 """
 
 from __future__ import annotations
@@ -16,32 +21,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
-from .model import TARGET_URN, ModelParams, TransitionMatrix, neighbors
+from .errors import BudgetExceededError, ValidationError
+from .model import TARGET_URN, ModelParams, neighbors
 
 DEFAULT_AGGREGATION_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
 class OccupancyChain:
+    """The occupancy kernel by bands: from occupancy k the chain moves to
+    k-1, k and k+1 with probabilities ``down[k]``, ``stay[k]`` and ``up[k]``.
+
+    Validated like a dense :class:`~urnwalk.model.TransitionMatrix`: every
+    rate lies in [0, 1], every row sums to exactly 1, and no rate leaves
+    {0, ..., M}.
+    """
+
     params: ModelParams
-    kernel: TransitionMatrix
+    down: tuple[Fraction, ...]
+    stay: tuple[Fraction, ...]
+    up: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        size = self.params.balls + 1
+        if not len(self.down) == len(self.stay) == len(self.up) == size:
+            raise ValidationError(f"each band must hold {size} rates")
+        if self.down[0] != 0 or self.up[-1] != 0:
+            raise ValidationError("a rate leaves the occupancy range")
+        for row in zip(self.down, self.stay, self.up):
+            for entry in row:
+                if entry < 0 or entry > 1:
+                    raise ValidationError(f"probability {entry} outside [0, 1]")
+            if sum(row) != 1:
+                raise ValidationError(f"row sums to {sum(row)}, expected exactly 1")
 
 
 def build_occupancy_chain(params: ModelParams) -> OccupancyChain:
     """Tridiagonal kernel of the occupancy count, exact rationals."""
     n, m = params.urns, params.balls
     degree = params.degree
-    rows = []
-    for k in range(m + 1):
-        row = [Fraction(0)] * (m + 1)
-        if k >= 1:
-            row[k - 1] = Fraction(k, m)
-        row[k] = Fraction((n - 2) * (m - k), degree)
-        if k <= m - 1:
-            row[k + 1] = Fraction(m - k, degree)
-        rows.append(row)
-    return OccupancyChain(params=params, kernel=TransitionMatrix.from_rows(rows))
+    occupancies = range(m + 1)
+    return OccupancyChain(
+        params=params,
+        down=tuple(Fraction(k, m) for k in occupancies),
+        stay=tuple(Fraction((n - 2) * (m - k), degree) for k in occupancies),
+        up=tuple(Fraction(m - k, degree) for k in occupancies),
+    )
 
 
 def passage_increments_by_solve(chain: OccupancyChain) -> list[Fraction]:
@@ -52,14 +77,11 @@ def passage_increments_by_solve(chain: OccupancyChain) -> list[Fraction]:
     as e[k] = (1 + down * e[k-1]) / up.  Independent of the closed forms
     in :mod:`urnwalk.exact`, which it must reproduce exactly.
     """
-    m = chain.params.balls
-    kernel = chain.kernel
     out: list[Fraction] = []
-    for k in range(m):
-        up = kernel[k][k + 1]
-        down = kernel[k][k - 1] if k >= 1 else Fraction(0)
-        previous = out[k - 1] if k >= 1 else Fraction(0)
-        out.append((1 + down * previous) / up)
+    previous = Fraction(0)
+    for k in range(chain.params.balls):
+        previous = (1 + chain.down[k] * previous) / chain.up[k]
+        out.append(previous)
     return out
 
 
@@ -95,16 +117,16 @@ def aggregation_matches_full_walk(
         raise BudgetExceededError(
             params.state_count, max_states, what="exhaustive aggregation check"
         )
-    kernel = build_occupancy_chain(params).kernel
+    chain = build_occupancy_chain(params)
     degree = params.degree
     for config in itertools.product(range(1, n + 1), repeat=m):
-        occupancy = config.count(TARGET_URN)
+        k = config.count(TARGET_URN)
         moves_to: dict[int, int] = {}
         for destination in neighbors(config, params):
             j = destination.count(TARGET_URN)
             moves_to[j] = moves_to.get(j, 0) + 1
-        row = kernel[occupancy]
-        for j in range(m + 1):
-            if Fraction(moves_to.get(j, 0), degree) != row[j]:
-                return False
+        bands = zip((k - 1, k, k + 1), (chain.down[k], chain.stay[k], chain.up[k]))
+        row = {j: rate for j, rate in bands if rate}
+        if {j: Fraction(c, degree) for j, c in moves_to.items()} != row:
+            return False
     return True

@@ -215,8 +215,10 @@ def run(plan: SimulationPlan) -> HittingEstimate:
 
     mean = hit_sum / completed
     if completed >= 2:
-        variance = (hit_sumsq - hit_sum * hit_sum / completed) / (completed - 1)
-        variance = max(variance, 0.0)
+        # exact integers until the one division: no cancellation, never negative
+        variance = (completed * hit_sumsq - hit_sum * hit_sum) / (
+            completed * (completed - 1)
+        )
     else:
         variance = 0.0
     std_error = math.sqrt(variance / completed)

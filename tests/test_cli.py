@@ -90,6 +90,29 @@ class TestPastFloatRange:
         assert "hitting_time = " in out
 
 
+class TestPastDigitLimit:
+    # the transfer time at 5 urns and 7000 balls has more than 4300 digits,
+    # the interpreter's default limit for converting an int to a string
+    def test_exact_prints_every_digit(self, capsys):
+        import sys
+
+        from urnwalk.model import ModelParams
+
+        code, out, _ = run_cli(capsys, "exact", "--urns", "5", "--balls", "7000")
+        assert code == 0
+        rational = results_by_label(parse_json(out))["transfer_time"]["rational"]
+        assert len(rational) > 4300
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        try:
+            parsed = Fraction(rational)
+        finally:
+            if hasattr(sys, "set_int_max_str_digits"):
+                sys.set_int_max_str_digits(limit)
+        assert parsed == exact.full_transfer_time(ModelParams(5, 7000))
+
+
 class TestGeneralCommand:
     def test_pair(self, capsys):
         code, out, _ = run_cli(
@@ -244,6 +267,29 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert parse_json(out)["ok"] is True
+
+    def test_empty_grid_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-urns", "1")
+        assert code == 1
+        payload = parse_json(out)
+        assert payload["ok"] is False
+        for row in payload["checks"]:
+            assert row["passed"] is (row["name"] == "termwise-witness")
+
+    def test_rows_emptied_by_the_budget_fail(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--oracle-budget", "1",
+            "--max-urns", "3", "--max-balls", "2",
+        )
+        assert code == 1
+        rows = {row["name"]: row for row in parse_json(out)["checks"]}
+        oracle_rows = ["oracle-transfer", "oracle-distance",
+                       "first-visit-triple", "fiber-checks"]
+        for name in oracle_rows:
+            assert rows[name]["passed"] is False
+            assert rows[name]["detail"].startswith("0 cells")
+        others = [row for name, row in rows.items() if name not in oracle_rows]
+        assert all(row["passed"] for row in others)
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urnwalk import exact, oracle
+from urnwalk import exact, occupancy, oracle
 from urnwalk.errors import (
     DomainError,
     IdenticalConfigurationsError,
@@ -217,3 +217,34 @@ class TestClassicalTwoUrnReduction:
         assert exact.full_transfer_time(params) == oracle.expected_hitting_time(
             params, (1,) * balls, (2,) * balls
         )
+
+
+class TestLinearTimeRoutes:
+    """The closed form, the forward recursion and the occupancy solve are
+    three separate O(M) routes to the same increments."""
+
+    @given(st.integers(2, 9), st.integers(1, 60), st.data())
+    def test_routes_agree(self, urns, balls, data):
+        params = ModelParams(urns, balls)
+        recursion = exact.passage_increments(params)
+        distance = data.draw(st.integers(1, balls))
+        query = exact.HittingQuery(params=params, hamming_distance=distance)
+        assert exact.general_hitting_time(query) == sum(
+            recursion[balls - distance :], Fraction(0)
+        )
+        assert [exact.passage_increment(params, k) for k in range(balls)] == recursion
+        chain = occupancy.build_occupancy_chain(params)
+        for row in zip(chain.down, chain.stay, chain.up):
+            assert sum(row, Fraction(0)) == 1
+        assert occupancy.passage_increments_by_solve(chain) == recursion
+
+    def test_thousand_balls(self):
+        params = ModelParams(5, 1000)
+        recursion = exact.passage_increments(params)
+        closed = exact.sum_identity_report(params).left_terms
+        assert list(closed) == recursion
+        chain = occupancy.build_occupancy_chain(params)
+        assert occupancy.passage_increments_by_solve(chain) == recursion
+        query = exact.HittingQuery(params=params, hamming_distance=1000)
+        assert exact.general_hitting_time(query) == exact.full_transfer_time(params)
+        assert exact.passage_increment(params, 999) == recursion[999]

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,3 +211,30 @@ class TestPrimePool:
             assert p > 2**29
             for q in range(2, 2000):
                 assert p % q != 0 or p == q
+
+    def test_modular_path_draws_primes_past_the_pool_head(self):
+        # A non-symmetric system goes to the modular path.  Its solution has
+        # denominators above 400 bits, so reconstruction needs a modulus of
+        # more than 800 bits: more than the 24 precomputed primes provide.
+        rng = random.Random(3)
+        size = 120
+        rows = []
+        for i in range(size):
+            row = {
+                j: rng.randint(-9, 9) or 1
+                for j in rng.sample(range(size), 4)
+                if j != i
+            }
+            row[i] = sum(abs(v) for v in row.values()) + rng.randint(1, 5)
+            rows.append({j: Fraction(c) for j, c in row.items()})
+        den = rng.getrandbits(420) | 1 << 419 | 1
+        solution = [
+            Fraction(rng.getrandbits(420) - (1 << 419), den) for _ in range(size)
+        ]
+        assert min(x.denominator for x in solution).bit_length() > 400
+        rhs = [
+            sum((c * solution[j] for j, c in row.items()), Fraction(0))
+            for row in rows
+        ]
+        assert math.prod(linsolve._PRIMES).bit_length() < 800
+        assert linsolve.solve_exact(rows, rhs) == solution

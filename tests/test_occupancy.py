@@ -3,29 +3,51 @@ from fractions import Fraction
 import pytest
 
 from urnwalk import exact, occupancy, oracle
-from urnwalk.errors import BudgetExceededError
+from urnwalk.errors import BudgetExceededError, ValidationError
 from urnwalk.model import ModelParams
 
 
 class TestKernel:
     def test_three_urns_two_balls_middle_row(self):
         chain = occupancy.build_occupancy_chain(ModelParams(3, 2))
-        assert chain.kernel[1] == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        row = (chain.down[1], chain.stay[1], chain.up[1])
+        assert row == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
     def test_two_urns_has_no_self_loops(self):
         chain = occupancy.build_occupancy_chain(ModelParams(2, 4))
         for k in range(5):
-            assert chain.kernel[k][k] == 0
+            assert chain.stay[k] == 0
 
     def test_large_chain_row_sums(self):
         chain = occupancy.build_occupancy_chain(ModelParams(6, 10))
-        for row in chain.kernel.rows:
+        for row in zip(chain.down, chain.stay, chain.up):
             assert sum(row, Fraction(0)) == 1
 
     def test_top_state_reflects(self):
         chain = occupancy.build_occupancy_chain(ModelParams(4, 3))
-        assert chain.kernel[3][2] == 1
-        assert chain.kernel[3][3] == 0
+        assert chain.down[3] == 1
+        assert chain.stay[3] == 0
+
+    def test_bands_are_validated(self):
+        good = occupancy.build_occupancy_chain(ModelParams(3, 2))
+        half, zero = Fraction(1, 2), Fraction(0)
+        bad_bands = [
+            # a row that sums to 5/4
+            (good.down, good.stay, (half, half, zero)),
+            # a negative rate, with the row still summing to 1
+            (
+                good.down,
+                (Fraction(-1, 4),) + good.stay[1:],
+                (Fraction(5, 4),) + good.up[1:],
+            ),
+            # a band one rate short
+            (good.down[:2], good.stay, good.up),
+            # a move below occupancy 0
+            ((half,) + good.down[1:], (zero,) + good.stay[1:], good.up),
+        ]
+        for down, stay, up in bad_bands:
+            with pytest.raises(ValidationError):
+                occupancy.OccupancyChain(good.params, down, stay, up)
 
 
 class TestPassageIncrementsBySolve:
@@ -59,7 +81,7 @@ class TestStationaryDistribution:
         pi = occupancy.stationary_distribution(chain)
         assert sum(pi, Fraction(0)) == 1
         for k in range(balls):
-            assert pi[k] * chain.kernel[k][k + 1] == pi[k + 1] * chain.kernel[k + 1][k]
+            assert pi[k] * chain.up[k] == pi[k + 1] * chain.down[k + 1]
 
 
 class TestAggregation:

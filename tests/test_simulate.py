@@ -202,6 +202,19 @@ class TestRun:
         z = (estimate.mean - expected) / estimate.std_error
         assert abs(z) < 3
 
+    def test_constant_steps_give_zero_std_error(self):
+        # with 2 urns and 1 ball every move reaches the other urn at once
+        plan = simulate.SimulationPlan(
+            params=ModelParams(2, 1),
+            start=(1,),
+            target=(2,),
+            replications=1000,
+            seed=9,
+        )
+        estimate = simulate.run(plan)
+        assert estimate.mean == 1.0
+        assert estimate.std_error == 0.0
+
     def test_all_truncated_raises(self):
         # a distance-3 target cannot be reached in two moves
         plan = simulate.SimulationPlan(
