@@ -32,12 +32,9 @@ from .exact import (
     sum_identity_report,
 )
 from .model import (
-    Automorphism,
     Configuration,
-    LumpClass,
     ModelParams,
     TransitionMatrix,
-    build_automorphism,
     lump_class_of,
     lumped_kernel,
     neighbors,

@@ -4,33 +4,39 @@ Each function certifies one family of identities over a parameter grid by
 comparing values produced through genuinely different routes (closed form,
 recursion, exact linear solve, exhaustive aggregation).  All comparisons
 are exact equality of rationals; there are no tolerances anywhere in this
-module.  The CLI's ``verify`` command and the acceptance test suite are
-both thin layers over these functions.
+module.  A row runs its identity on every cell and names the first cell
+that fails.  Both aggregation rows go through the one certifier,
+:func:`urnwalk.model.is_exactly_lumpable`, each with its own
+classification and kernel.  The CLI's ``verify`` command and the
+acceptance test suite are both thin layers over these functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 from . import exact, occupancy, oracle
 from .errors import InternalCheckError
 from .model import (
+    SOURCE_URN,
+    TARGET_URN,
     ModelParams,
+    all_in_urn,
     config_at,
+    is_exactly_lumpable,
     lump_class_of,
     lumped_kernel,
-    neighbors,
-    transition_probability,
 )
 
 DEFAULT_MAX_URNS = 6
 DEFAULT_MAX_BALLS = 8
 DEFAULT_ORACLE_BUDGET = 1024
-DEFAULT_OCCUPANCY_BUDGET = 10_000
-DEFAULT_LUMPING_BUDGET = 2_048
+OCCUPANCY_STATE_LIMIT = 10_000
+LUMPING_STATE_LIMIT = 2_048
+PAIRS_PER_CLASS = 3
 
 
 @dataclass(frozen=True)
@@ -61,65 +67,57 @@ def grid_cells(
     return cells
 
 
-def formula_route_agreement(cells: list[ModelParams]) -> CheckResult:
-    """Closed form, ball-count induction, and summed increments all agree."""
-    bad = []
-    for params in cells:
-        closed = exact.full_transfer_time(params)
-        inducted = exact.full_transfer_time_by_ball_induction(params)
-        summed = sum(exact.passage_increments(params), Fraction(0))
-        if not closed == inducted == summed:
-            bad.append(params)
+def _sweep(
+    name: str, cells: list[ModelParams], holds: Callable[[ModelParams], bool]
+) -> CheckResult:
+    """One row: ``holds`` on every cell, naming the first cell that fails."""
+    bad = [params for params in cells if not holds(params)]
     return CheckResult(
-        name="transfer-time-routes",
+        name=name,
         passed=not bad,
         detail=f"{len(cells)} cells" + (f", first failure {bad[0]}" if bad else ""),
         cells=len(cells),
     )
 
 
+def formula_route_agreement(cells: list[ModelParams]) -> CheckResult:
+    """Closed form, ball-count induction, and summed increments all agree."""
+
+    def holds(params: ModelParams) -> bool:
+        closed = exact.full_transfer_time(params)
+        inducted = exact.full_transfer_time_by_ball_induction(params)
+        summed = sum(exact.passage_increments(params), Fraction(0))
+        return closed == inducted == summed
+
+    return _sweep("transfer-time-routes", cells, holds)
+
+
 def increment_recursion_agreement(cells: list[ModelParams]) -> CheckResult:
     """Recursion and closed form give the same increment at every index."""
-    bad = []
-    for params in cells:
+
+    def holds(params: ModelParams) -> bool:
         by_recursion = exact.passage_increments(params)
-        by_formula = [exact.passage_increment(params, k) for k in range(params.balls)]
-        if by_recursion != by_formula:
-            bad.append(params)
-    return CheckResult(
-        name="increment-routes",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+        return by_recursion == [
+            exact.passage_increment(params, k) for k in range(params.balls)
+        ]
+
+    return _sweep("increment-routes", cells, holds)
 
 
 def distance_formula_collapse(cells: list[ModelParams]) -> CheckResult:
     """At full distance the pairwise formula equals the transfer time."""
-    bad = []
-    for params in cells:
+
+    def holds(params: ModelParams) -> bool:
         query = exact.HittingQuery(params=params, hamming_distance=params.balls)
-        if exact.general_hitting_time(query) != exact.full_transfer_time(params):
-            bad.append(params)
-    return CheckResult(
-        name="distance-collapse",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+        return exact.general_hitting_time(query) == exact.full_transfer_time(params)
+
+    return _sweep("distance-collapse", cells, holds)
 
 
 def sum_identity(cells: list[ModelParams]) -> CheckResult:
     """Both closed-form totals agree exactly on every cell."""
-    bad = []
-    for params in cells:
-        if not exact.sum_identity_report(params).matches:
-            bad.append(params)
-    return CheckResult(
-        name="sum-identity",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
+    return _sweep(
+        "sum-identity", cells, lambda params: exact.sum_identity_report(params).matches
     )
 
 
@@ -139,42 +137,35 @@ def oracle_transfer_agreement(
     cells: list[ModelParams], budget: int | None = None
 ) -> CheckResult:
     """Dense solve of the full walk reproduces the closed-form transfer time."""
-    from .model import SOURCE_URN, TARGET_URN, all_in_urn
 
-    bad = []
-    for params in cells:
+    def holds(params: ModelParams) -> bool:
         solved = oracle.expected_hitting_time(
             params,
             all_in_urn(params, SOURCE_URN),
             all_in_urn(params, TARGET_URN),
             budget=budget,
         )
-        if solved != exact.full_transfer_time(params):
-            bad.append(params)
-    return CheckResult(
-        name="oracle-transfer",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+        return solved == exact.full_transfer_time(params)
+
+    return _sweep("oracle-transfer", cells, holds)
 
 
 def distance_agreement(
-    params: ModelParams, budget: int | None = None, pairs_per_class: int = 3
+    params: ModelParams, budget: int | None = None
 ) -> tuple[bool, int]:
     """Solve the full walk against the pairwise formula at every distance.
 
     Targets are taken in state-index order, each contributing one exact
     solve that yields the hitting time from every start; starts are also
     scanned in index order.  Per distance the check covers
-    ``pairs_per_class`` distinct (start, target) pairs, or every existing
+    ``PAIRS_PER_CLASS`` distinct (start, target) pairs, or every existing
     pair when fewer exist.  Returns (all pairs agreed, pairs checked).
     """
     n, m = params.urns, params.balls
     total_by_distance = {
         L: params.state_count * math.comb(m, L) * (n - 1) ** L for L in range(1, m + 1)
     }
-    quota = {L: min(pairs_per_class, total) for L, total in total_by_distance.items()}
+    quota = {L: min(PAIRS_PER_CLASS, total) for L, total in total_by_distance.items()}
     counts = {L: 0 for L in quota}
     expected = {
         L: exact.general_hitting_time(
@@ -206,50 +197,39 @@ def distance_agreement(
 
 
 def oracle_distance_agreement(
-    cells: list[ModelParams], budget: int | None = None, pairs_per_class: int = 3
+    cells: list[ModelParams], budget: int | None = None
 ) -> CheckResult:
-    bad = []
     pairs = 0
-    for params in cells:
-        ok, checked = distance_agreement(
-            params, budget=budget, pairs_per_class=pairs_per_class
-        )
+
+    def holds(params: ModelParams) -> bool:
+        nonlocal pairs
+        agreed, checked = distance_agreement(params, budget=budget)
         pairs += checked
-        if not ok:
-            bad.append(params)
-    return CheckResult(
-        name="oracle-distance",
-        passed=not bad,
-        detail=f"{len(cells)} cells, {pairs} pairs",
-        cells=len(cells),
-    )
+        return agreed
+
+    row = _sweep("oracle-distance", cells, holds)
+    return replace(row, detail=f"{row.detail}, {pairs} pairs")
 
 
 def first_visit_triple_agreement(
     cells: list[ModelParams], budget: int | None = None
 ) -> CheckResult:
     """Closed form, lumped solve, and full-graph harmonic solve coincide."""
-    bad = []
-    used = [params for params in cells if params.balls >= 2]
-    for params in used:
+
+    def holds(params: ModelParams) -> bool:
         formula = exact.first_visit_probability(params)
         lumped = oracle.lumped_first_visit_probs(params)[0]
         harmonic = oracle.first_visit_success_prob(params, budget=budget)
-        if not formula == lumped == harmonic:
-            bad.append(params)
-    return CheckResult(
-        name="first-visit-triple",
-        passed=not bad,
-        detail=f"{len(used)} cells",
-        cells=len(used),
-    )
+        return formula == lumped == harmonic
+
+    used = [params for params in cells if params.balls >= 2]
+    return _sweep("first-visit-triple", used, holds)
 
 
 def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckResult:
     """Fiber segment time, stationary return gap, and escape ratio."""
-    bad = []
-    used = [params for params in cells if params.balls >= 2]
-    for params in used:
+
+    def holds(params: ModelParams) -> bool:
         n, k = params.urns, params.balls
         shrunk = ModelParams(urns=n, balls=k - 1)
         segment = oracle.expected_time_to_target_fiber(params, budget=budget)
@@ -258,94 +238,51 @@ def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckRe
         try:
             ratio = exact.fiber_escape_ratio(params).ratio
         except InternalCheckError:
-            bad.append(params)
-            continue
-        if segment != want_segment or gap != n ** (k - 1) or ratio != n - 1:
-            bad.append(params)
-    return CheckResult(
-        name="fiber-checks",
-        passed=not bad,
-        detail=f"{len(used)} cells",
-        cells=len(used),
-    )
+            return False
+        return segment == want_segment and gap == n ** (k - 1) and ratio == n - 1
+
+    used = [params for params in cells if params.balls >= 2]
+    return _sweep("fiber-checks", used, holds)
 
 
 def lumping_is_exact(params: ModelParams) -> bool:
-    """Exhaustively confirm the class partition aggregates the full walk.
-
-    For every state, the summed transition probability into each class must
-    equal the lumped kernel entry of the state's own class.
-    """
+    """The 2k classes lump the full walk exactly onto :func:`lumped_kernel`."""
     kernel = lumped_kernel(params)
-    size = 2 * params.balls
-    for config in product(range(1, params.urns + 1), repeat=params.balls):
-        own = lump_class_of(config, params).index
-        sums = [Fraction(0)] * size
-        for destination in neighbors(config, params):
-            sums[lump_class_of(destination, params).index - 1] += (
-                transition_probability(config, destination, params)
-            )
-        if tuple(sums) != kernel[own - 1]:
-            return False
-    return True
+    return is_exactly_lumpable(
+        params,
+        lambda config: lump_class_of(config, params),
+        lambda label: dict(enumerate(kernel[label - 1], start=1)),
+    )
 
 
 def lumping_exactness(cells: list[ModelParams]) -> CheckResult:
-    bad = [params for params in cells if not lumping_is_exact(params)]
-    return CheckResult(
-        name="lump-aggregation",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+    return _sweep("lump-aggregation", cells, lumping_is_exact)
 
 
-def occupancy_aggregation(
-    cells: list[ModelParams], budget: int = DEFAULT_OCCUPANCY_BUDGET
-) -> CheckResult:
-    bad = [
-        params
-        for params in cells
-        if not occupancy.aggregation_matches_full_walk(params, max_states=budget)
-    ]
-    return CheckResult(
-        name="occupancy-aggregation",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+def occupancy_aggregation(cells: list[ModelParams]) -> CheckResult:
+    return _sweep("occupancy-aggregation", cells, occupancy.aggregation_matches_full_walk)
 
 
 def occupancy_route_agreement(cells: list[ModelParams]) -> CheckResult:
     """Occupancy-chain solve equals the formulas; detailed balance holds."""
-    bad = []
-    for params in cells:
+
+    def holds(params: ModelParams) -> bool:
         chain = occupancy.build_occupancy_chain(params)
-        solved = occupancy.passage_increments_by_solve(chain)
-        if solved != exact.passage_increments(params):
-            bad.append(params)
-            continue
+        if occupancy.passage_increments_by_solve(chain) != exact.passage_increments(params):
+            return False
         pi = occupancy.stationary_distribution(chain)
-        balanced = all(
+        return all(
             pi[k] * chain.up[k] == pi[k + 1] * chain.down[k + 1]
             for k in range(params.balls)
         )
-        if not balanced:
-            bad.append(params)
-    return CheckResult(
-        name="occupancy-routes",
-        passed=not bad,
-        detail=f"{len(cells)} cells",
-        cells=len(cells),
-    )
+
+    return _sweep("occupancy-routes", cells, holds)
 
 
 def run_verification(
     max_urns: int = DEFAULT_MAX_URNS,
     max_balls: int = DEFAULT_MAX_BALLS,
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-    occupancy_budget: int = DEFAULT_OCCUPANCY_BUDGET,
-    lumping_budget: int = DEFAULT_LUMPING_BUDGET,
 ) -> list[CheckResult]:
     """The full invariant suite over the given grid.
 
@@ -357,8 +294,8 @@ def run_verification(
     distance_cells = grid_cells(
         max_urns, max_balls, state_limit=min(512, oracle_budget)
     )
-    occupancy_cells = grid_cells(max_urns, max_balls, state_limit=occupancy_budget)
-    lumping_cells = grid_cells(max_urns, max_balls, state_limit=lumping_budget)
+    occupancy_cells = grid_cells(max_urns, max_balls, state_limit=OCCUPANCY_STATE_LIMIT)
+    lumping_cells = grid_cells(max_urns, max_balls, state_limit=LUMPING_STATE_LIMIT)
 
     witness = ModelParams(urns=5, balls=3)
     results = [
@@ -368,7 +305,7 @@ def run_verification(
         sum_identity(cells),
         termwise_difference_witness(witness),
         occupancy_route_agreement(cells),
-        occupancy_aggregation(occupancy_cells, budget=occupancy_budget),
+        occupancy_aggregation(occupancy_cells),
         lumping_exactness(lumping_cells),
         oracle_transfer_agreement(oracle_cells, budget=oracle_budget),
         oracle_distance_agreement(distance_cells, budget=oracle_budget),

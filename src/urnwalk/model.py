@@ -8,9 +8,13 @@ the other ``urns - 1`` urns uniformly at random, so every state has exactly
 
 By convention urn 1 is the "source" urn and urn 2 the "target" urn: the
 quantities computed elsewhere in the package concern the walk travelling
-from all-balls-in-urn-1 to all-balls-in-urn-2.  The walk itself is fully
-symmetric under urn relabelling, which is what the automorphisms built
-here express.
+from all-balls-in-urn-1 to all-balls-in-urn-2.
+
+This module owns the state-index encoding (:func:`index_of`,
+:func:`config_at` and the index adjacency :func:`neighbor_indices`) and
+the one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
+the occupancy chain and the 2k-class lumped chain are both checked by.
+Each of those two keeps its own classification and its own kernel.
 
 Everything in this module is a pure function of immutable values and is
 safe for unrestricted concurrent use.
@@ -18,13 +22,17 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import BudgetExceededError, ConfigurationError, ValidationError
 
 SOURCE_URN = 1
 TARGET_URN = 2
+LUMPABILITY_BUDGET = 100_000
 
 Configuration = tuple[int, ...]
 
@@ -134,6 +142,37 @@ def neighbors(config: Configuration, params: ModelParams) -> list[Configuration]
     return out
 
 
+def neighbor_indices(params: ModelParams) -> list[list[int]]:
+    """Adjacency lists over state indices, each in ascending order.
+
+    Entry ``g`` holds the indices of ``neighbors(config_at(g, params))``,
+    built by digit arithmetic: moving ball ``i`` from urn digit ``d`` to
+    ``u`` changes the index by ``(u - d) * urns**i``.
+    """
+    return list(_adjacency(params))
+
+
+def _adjacency(params: ModelParams) -> Iterator[list[int]]:
+    """The lists of :func:`neighbor_indices`, one state at a time, so that a
+    single pass over a large space need not hold them all."""
+    n, m = params.urns, params.balls
+    powers = [n**i for i in range(m)]
+    # Index shifts of moving one ball out of urn digit d, by ball: the moves
+    # to lower digits (highest ball first) and to higher digits (lowest ball
+    # first).  A move of ball i shifts the index by less than urns**(i+1),
+    # so the lowering shifts then the raising shifts, in these orders, ascend.
+    lower = [[[(u - d) * p for u in range(d)] for d in range(n)] for p in reversed(powers)]
+    higher = [[[(u - d) * p for u in range(d + 1, n)] for d in range(n)] for p in powers]
+    # the index digits of each state in turn, highest ball first
+    for state, top_first in enumerate(product(range(n), repeat=m)):
+        shifts: list[int] = []
+        for table, digit in zip(lower, top_first):
+            shifts += table[digit]
+        for table, digit in zip(higher, reversed(top_first)):
+            shifts += table[digit]
+        yield [state + shift for shift in shifts]
+
+
 def transition_probability(
     source: Configuration, destination: Configuration, params: ModelParams
 ) -> Fraction:
@@ -143,55 +182,6 @@ def transition_probability(
     if hamming_distance(source, destination) == 1:
         return Fraction(1, params.degree)
     return Fraction(0)
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A self-inverse relabelling of the state space.
-
-    Coordinate ``i`` applies the transposition that swaps urn 1 with urn
-    ``swap_partners[i]`` and fixes every other urn.  Since no partner is
-    urn 2, the map fixes the all-in-urn-2 state, sends the all-in-urn-1
-    state to ``tuple(swap_partners)``, and preserves the neighbor relation.
-    """
-
-    params: ModelParams
-    swap_partners: Configuration
-
-    def __call__(self, config: Configuration) -> Configuration:
-        check_configuration(config, self.params)
-        out = []
-        for entry, partner in zip(config, self.swap_partners):
-            if entry == SOURCE_URN:
-                out.append(partner)
-            elif entry == partner:
-                out.append(SOURCE_URN)
-            else:
-                out.append(entry)
-        return tuple(out)
-
-    def index_map(self) -> list[int]:
-        """The induced permutation of state indices (small state spaces only)."""
-        return [
-            index_of(self(config_at(g, self.params)), self.params)
-            for g in range(self.params.state_count)
-        ]
-
-
-def build_automorphism(
-    target_avoiding: Configuration, params: ModelParams
-) -> Automorphism:
-    """Automorphism fixing all-in-urn-2 and sending all-in-urn-1 to the given state.
-
-    The given placement must avoid urn 2 entirely; otherwise the coordinate
-    transpositions would move the all-in-urn-2 state.
-    """
-    check_configuration(target_avoiding, params)
-    if any(entry == TARGET_URN for entry in target_avoiding):
-        raise DomainError(
-            "automorphism target must avoid urn 2 in every coordinate"
-        )
-    return Automorphism(params=params, swap_partners=tuple(target_avoiding))
 
 
 @dataclass(frozen=True)
@@ -231,34 +221,17 @@ class TransitionMatrix:
         return self.rows[i]
 
 
-@dataclass(frozen=True)
-class LumpClass:
-    """One block of the 2k-class partition used for first-visit analysis.
+def lump_class_of(config: Configuration, params: ModelParams) -> int:
+    """Label of the one block of the 2k-class partition that holds the placement.
 
-    A placement with ``prefix_twos`` of its first ``balls - 1`` balls in
-    urn 2 belongs to class ``2 * prefix_twos + 1`` when its last ball is
-    elsewhere and to class ``2 * prefix_twos + 2`` when its last ball is
-    also in urn 2.  Class labels run 1..2k and the blocks partition the
-    whole state space.
+    A placement with ``p`` of its first ``balls - 1`` balls in urn 2 belongs
+    to class ``2p + 1`` when its last ball is elsewhere and to class
+    ``2p + 2`` when its last ball is also in urn 2.  Labels run 1..2k and
+    the blocks partition the whole state space.
     """
-
-    index: int
-    prefix_twos: int
-    last_is_two: bool
-
-    @property
-    def level(self) -> int:
-        """1-based pair number: classes 2i-1 and 2i share level i."""
-        return self.prefix_twos + 1
-
-
-def lump_class_of(config: Configuration, params: ModelParams) -> LumpClass:
-    """The unique partition class containing the placement."""
     check_configuration(config, params)
-    prefix_twos = sum(1 for entry in config[:-1] if entry == TARGET_URN)
-    last_is_two = config[-1] == TARGET_URN
-    index = 2 * prefix_twos + (2 if last_is_two else 1)
-    return LumpClass(index=index, prefix_twos=prefix_twos, last_is_two=last_is_two)
+    prefix_twos = config[:-1].count(TARGET_URN)
+    return 2 * prefix_twos + (2 if config[-1] == TARGET_URN else 1)
 
 
 def lumped_kernel(params: ModelParams) -> TransitionMatrix:
@@ -291,3 +264,38 @@ def lumped_kernel(params: ModelParams) -> TransitionMatrix:
         at(even, even, Fraction((k - i) * (n - 2), k * (n - 1)))
         at(odd, odd, Fraction((k - i + 1) * (n - 2), k * (n - 1)))
     return TransitionMatrix.from_rows(q)
+
+
+def is_exactly_lumpable(
+    params: ModelParams,
+    classify: Callable[[Configuration], Hashable],
+    row_of: Callable[[Hashable], Mapping[Hashable, Fraction]],
+) -> bool:
+    """Whether the walk aggregates exactly onto a smaller chain.
+
+    ``classify`` maps each placement to its class label and ``row_of``
+    gives a class's kernel row as ``{label: probability}`` (zero entries
+    may be left out).  By the Kemeny-Snell criterion (*Finite Markov
+    Chains*, 1960, section 6.3) the classes lump the walk onto that kernel
+    exactly when every state's one-step mass into each class equals its own
+    class's row.  Checked state by state over the index adjacency of
+    :func:`neighbor_indices`; False at the first state that differs.
+    Raises BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before
+    anything is built.
+    """
+    if params.state_count > LUMPABILITY_BUDGET:
+        raise BudgetExceededError(
+            params.state_count, LUMPABILITY_BUDGET, what="exhaustive lumpability check"
+        )
+    degree = params.degree
+    labels = [classify(config_at(g, params)) for g in range(params.state_count)]
+    rows: dict[Hashable, dict[Hashable, Fraction]] = {}
+    for g, adjacent in enumerate(_adjacency(params)):
+        own = labels[g]
+        if own not in rows:
+            rows[own] = {label: p for label, p in row_of(own).items() if p}
+        moved = Counter(labels[h] for h in adjacent)
+        mass = {label: Fraction(count, degree) for label, count in moved.items()}
+        if mass != rows[own]:
+            return False
+    return True

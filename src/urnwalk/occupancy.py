@@ -8,7 +8,9 @@ on {0, ..., M} that moves by at most one ball per step:
 * up:   (M-k) / ((n-1)M) (another ball is picked, lands in urn 2).
 
 :func:`aggregation_matches_full_walk` certifies, state by state, that the
-full walk really does aggregate to these rates.
+full walk really does aggregate to these rates, through the certifier
+:func:`urnwalk.model.is_exactly_lumpable` with this module's own
+classification (the urn-2 count) and kernel (the three bands).
 
 The chain is stored as its three bands, each a tuple of M+1 exact rates
 indexed by the current occupancy, so building, validating and solving it
@@ -21,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ValidationError
-from .model import TARGET_URN, ModelParams, neighbors
-
-DEFAULT_AGGREGATION_BUDGET = 100_000
+from .errors import ValidationError
+from .model import TARGET_URN, ModelParams, is_exactly_lumpable
 
 
 @dataclass(frozen=True)
@@ -100,33 +100,16 @@ def stationary_distribution(chain: OccupancyChain) -> list[Fraction]:
     return [Fraction(w, total) for w in weights]
 
 
-def aggregation_matches_full_walk(
-    params: ModelParams, max_states: int = DEFAULT_AGGREGATION_BUDGET
-) -> bool:
-    """Exhaustively certify the occupancy rates against the full walk.
+def aggregation_matches_full_walk(params: ModelParams) -> bool:
+    """Certify, state by state, that the urn-2 count lumps the full walk
+    exactly onto the three bands.
 
-    For every placement, group its one-move destinations by their urn-2
-    occupancy and compare the summed transition probabilities with the
-    kernel row of the placement's own occupancy.  True means every state
-    matched.  Raises when the state space exceeds ``max_states``.
+    Raises BudgetExceededError past the certifier's state budget
+    (:data:`~urnwalk.model.LUMPABILITY_BUDGET`).
     """
-    import itertools
-
-    n, m = params.urns, params.balls
-    if params.state_count > max_states:
-        raise BudgetExceededError(
-            params.state_count, max_states, what="exhaustive aggregation check"
-        )
     chain = build_occupancy_chain(params)
-    degree = params.degree
-    for config in itertools.product(range(1, n + 1), repeat=m):
-        k = config.count(TARGET_URN)
-        moves_to: dict[int, int] = {}
-        for destination in neighbors(config, params):
-            j = destination.count(TARGET_URN)
-            moves_to[j] = moves_to.get(j, 0) + 1
-        bands = zip((k - 1, k, k + 1), (chain.down[k], chain.stay[k], chain.up[k]))
-        row = {j: rate for j, rate in bands if rate}
-        if {j: Fraction(c, degree) for j, c in moves_to.items()} != row:
-            return False
-    return True
+    return is_exactly_lumpable(
+        params,
+        lambda config: config.count(TARGET_URN),
+        lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]},
+    )

@@ -37,6 +37,7 @@ from .model import (
     check_configuration,
     index_of,
     lumped_kernel,
+    neighbor_indices,
 )
 
 ENV_BUDGET = "URNWALK_ORACLE_BUDGET"
@@ -66,27 +67,6 @@ def _check_budget(params: ModelParams, budget: int | None, what: str) -> None:
     limit = default_exact_budget() if budget is None else budget
     if params.state_count > limit:
         raise BudgetExceededError(params.state_count, limit, what=what)
-
-
-def _neighbor_indices(params: ModelParams) -> list[list[int]]:
-    """Adjacency lists over state indices, built by digit arithmetic."""
-    n, m = params.urns, params.balls
-    powers = [n**i for i in range(m)]
-    out: list[list[int]] = []
-    for state in range(params.state_count):
-        digits = []
-        rest = state
-        for _ in range(m):
-            rest, digit = divmod(rest, n)
-            digits.append(digit)
-        adjacent = []
-        for i in range(m):
-            base = state - digits[i] * powers[i]
-            for urn_digit in range(n):
-                if urn_digit != digits[i]:
-                    adjacent.append(base + urn_digit * powers[i])
-        out.append(adjacent)
-    return out
 
 
 @dataclass(frozen=True)
@@ -136,7 +116,7 @@ def build_absorbing_system(
     total = params.state_count
     if not absorbing and total > 0:
         raise SingularSystemError("absorbing set is empty")
-    adjacency = _neighbor_indices(params)
+    adjacency = neighbor_indices(params)
 
     # reachability certificate: the walk's graph is connected, so a breadth
     # first search from the absorbing set must cover every state
@@ -241,10 +221,10 @@ def expected_hitting_time_float(
 
 def _fiber_indices(params: ModelParams) -> frozenset[int]:
     """States whose first balls - 1 coordinates are all urn 2."""
-    n, m = params.urns, params.balls
-    target_digit = TARGET_URN - 1
-    base = sum(target_digit * n**i for i in range(m - 1))
-    return frozenset(base + last * n ** (m - 1) for last in range(n))
+    front = (TARGET_URN,) * (params.balls - 1)
+    return frozenset(
+        index_of(front + (last,), params) for last in range(1, params.urns + 1)
+    )
 
 
 @lru_cache(maxsize=16)
@@ -302,7 +282,7 @@ def mean_return_gap_to_target_fiber(
     _check_budget(params, budget, "exact solve")
     fiber = sorted(_fiber_indices(params))
     times = _fiber_hitting_vector(params.urns, params.balls)
-    adjacency = _neighbor_indices(params)
+    adjacency = neighbor_indices(params)
     total = Fraction(0)
     for state in fiber:
         for nb in adjacency[state]:

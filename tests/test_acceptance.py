@@ -72,48 +72,35 @@ def test_criterion_5_pairwise_formula_vs_dense_solve():
         cells = checks.grid_cells(GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=1024)
         assert cells
         for params in cells:
-            agreed, pairs = checks.distance_agreement(
-                params, budget=1024, pairs_per_class=3
-            )
+            agreed, pairs = checks.distance_agreement(params, budget=1024)
             assert agreed, f"mismatch at {params}"
             assert pairs >= min(3, params.balls)
 
 
+def two_ball_cells():
+    return [
+        params
+        for params in checks.grid_cells(GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=1024)
+        if params.balls >= 2
+    ]
+
+
 def test_criterion_6_first_visit_triple_agreement():
     with criterion("first-visit-triple", 30.0):
-        cells = [
-            params
-            for params in checks.grid_cells(
-                GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=1024
-            )
-            if params.balls >= 2
-        ]
+        cells = two_ball_cells()
         assert cells
-        for params in cells:
-            formula = exact.first_visit_probability(params)
-            lumped = oracle.lumped_first_visit_probs(params)[0]
-            harmonic = oracle.first_visit_success_prob(params, budget=1024)
-            assert formula == lumped == harmonic, f"mismatch at {params}"
+        result = checks.first_visit_triple_agreement(cells, budget=1024)
+        assert result.passed, result.detail
+        assert result.cells == len(cells)
 
 
 def test_criterion_7_fiber_segment_gap_and_ratio():
     with criterion("fiber-segment-gap-ratio", 30.0):
-        cells = [
-            params
-            for params in checks.grid_cells(
-                GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=1024
-            )
-            if params.balls >= 2
-        ]
+        cells = two_ball_cells()
         assert cells
-        for params in cells:
-            n, k = params.urns, params.balls
-            segment = oracle.expected_time_to_target_fiber(params, budget=1024)
-            shrunk = exact.full_transfer_time(ModelParams(n, k - 1))
-            assert segment == Fraction(k, k - 1) * shrunk, f"segment at {params}"
-            gap = oracle.mean_return_gap_to_target_fiber(params, budget=1024)
-            assert gap == n ** (k - 1), f"gap at {params}"
-            assert exact.fiber_escape_ratio(params).ratio == n - 1
+        result = checks.fiber_checks(cells, budget=1024)
+        assert result.passed, result.detail
+        assert result.cells == len(cells)
 
 
 def test_criterion_8_monte_carlo_consistency():
@@ -149,6 +136,6 @@ def test_criterion_9_occupancy_aggregation_sweep():
         cells = checks.grid_cells(GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=10_000)
         assert cells
         for params in cells:
-            assert occupancy.aggregation_matches_full_walk(
-                params, max_states=10_000
-            ), f"aggregation failed at {params}"
+            assert occupancy.aggregation_matches_full_walk(params), (
+                f"aggregation failed at {params}"
+            )

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urnwalk.errors import ConfigurationError, DomainError, ValidationError
+from urnwalk import model
+from urnwalk.errors import BudgetExceededError, ConfigurationError, ValidationError
 from urnwalk.model import (
     ModelParams,
     TransitionMatrix,
-    build_automorphism,
     config_at,
     format_configuration,
     hamming_distance,
     index_of,
+    is_exactly_lumpable,
     lump_class_of,
     lumped_kernel,
     neighbors,
     parse_configuration,
     transition_probability,
 )
+from urnwalk.occupancy import build_occupancy_chain
 
 
 @st.composite
@@ -124,6 +126,12 @@ class TestNeighbors:
         for other in neighbors(config, params):
             assert hamming_distance(config, other) == 1
 
+    @given(params_and_config())
+    def test_index_adjacency_matches_neighbors(self, pc):
+        params, config = pc
+        expected = sorted(index_of(other, params) for other in neighbors(config, params))
+        assert model.neighbor_indices(params)[index_of(config, params)] == expected
+
 
 class TestTransitionProbability:
     def test_one_move(self):
@@ -161,64 +169,26 @@ class TestTransitionProbability:
         )
 
 
-class TestAutomorphism:
-    def test_identity_when_target_is_source(self):
-        params = ModelParams(urns=3, balls=2)
-        phi = build_automorphism((1, 1), params)
-        for config in itertools.product((1, 2, 3), repeat=2):
-            assert phi(config) == config
-
-    def test_swap_example(self):
-        params = ModelParams(urns=3, balls=2)
-        phi = build_automorphism((3, 3), params)
-        assert phi((1, 3)) == (3, 1)
-        assert phi((2, 2)) == (2, 2)
-        assert phi((1, 1)) == (3, 3)
-
-    def test_rejects_target_touching_urn_two(self):
-        params = ModelParams(urns=3, balls=2)
-        with pytest.raises(DomainError):
-            build_automorphism((1, 2), params)
-
-    def test_self_inverse_exhaustive(self):
-        params = ModelParams(urns=5, balls=3)
-        phi = build_automorphism((3, 4, 5), params)
-        permutation = phi.index_map()
-        assert sorted(permutation) == list(range(125))
-        for g, image in enumerate(permutation):
-            assert permutation[image] == g
-        assert phi((2, 2, 2)) == (2, 2, 2)
-        assert phi((1, 1, 1)) == (3, 4, 5)
-
-    def test_preserves_adjacency_exhaustive(self):
-        params = ModelParams(urns=5, balls=3)
-        phi = build_automorphism((3, 4, 5), params)
-        for config in itertools.product(range(1, 6), repeat=3):
-            mapped = {phi(other) for other in neighbors(config, params)}
-            assert mapped == set(neighbors(phi(config), params))
-
-
 class TestLumpClasses:
     def test_all_source(self):
         params = ModelParams(urns=3, balls=4)
-        cls = lump_class_of((1, 1, 1, 1), params)
-        assert cls.index == 1 and cls.level == 1 and not cls.last_is_two
+        assert lump_class_of((1, 1, 1, 1), params) == 1
 
     def test_all_target(self):
         params = ModelParams(urns=3, balls=4)
-        cls = lump_class_of((2, 2, 2, 2), params)
-        assert cls.index == 8 and cls.level == 4 and cls.last_is_two
+        assert lump_class_of((2, 2, 2, 2), params) == 8
 
     def test_mixed(self):
         params = ModelParams(urns=4, balls=3)
-        cls = lump_class_of((2, 1, 2), params)
-        assert cls.index == 4
+        assert lump_class_of((2, 1, 2), params) == 4
 
     def test_classes_partition_state_space(self):
         params = ModelParams(urns=3, balls=3)
         by_class = {}
         for config in itertools.product((1, 2, 3), repeat=3):
-            by_class.setdefault(lump_class_of(config, params).index, []).append(config)
+            label = lump_class_of(config, params)
+            assert type(label) is int
+            by_class.setdefault(label, []).append(config)
         assert set(by_class) == set(range(1, 7))
         assert sum(len(v) for v in by_class.values()) == 27
 
@@ -238,14 +208,61 @@ class TestLumpedKernel:
     def test_matches_aggregated_full_kernel(self):
         params = ModelParams(urns=3, balls=2)
         kernel = lumped_kernel(params)
-        for config in itertools.product((1, 2, 3), repeat=2):
-            own = lump_class_of(config, params).index
-            sums = [Fraction(0)] * 4
-            for dest in neighbors(config, params):
-                sums[lump_class_of(dest, params).index - 1] += (
-                    transition_probability(config, dest, params)
-                )
-            assert tuple(sums) == kernel[own - 1]
+        assert is_exactly_lumpable(
+            params,
+            lambda config: lump_class_of(config, params),
+            lambda label: dict(enumerate(kernel[label - 1], start=1)),
+        )
+
+
+def occupancy(config):
+    return config.count(2)
+
+
+def band_rows(chain):
+    return lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]}
+
+
+class TestLumpabilityCertifier:
+    def test_occupancy_bands_are_lumpable(self):
+        params = ModelParams(urns=3, balls=3)
+        chain = build_occupancy_chain(params)
+        assert is_exactly_lumpable(params, occupancy, band_rows(chain))
+
+    def test_perturbed_band_rate_is_rejected(self):
+        params = ModelParams(urns=3, balls=3)
+        rows = band_rows(build_occupancy_chain(params))
+
+        def perturbed(k):
+            row = rows(k)
+            if k == 1:
+                row[2] += Fraction(1, 100)  # up[1]
+            return row
+
+        assert not is_exactly_lumpable(params, occupancy, perturbed)
+
+    def test_non_lumpable_partition_is_rejected(self):
+        # {target} against the rest: states next to the target send mass
+        # 1/degree into it, the others none, so no row fits the rest.
+        params = ModelParams(urns=3, balls=2)
+        target = (2, 2)
+        step = Fraction(1, params.degree)
+        rows_of_the_rest = ({False: 1}, {False: 1 - step, True: step})
+        for rest_row in rows_of_the_rest:
+            assert not is_exactly_lumpable(
+                params,
+                lambda config: config == target,
+                lambda label: {False: Fraction(1)} if label else rest_row,
+            )
+
+    def test_budget_guard_builds_nothing(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built past the budget")
+
+        monkeypatch.setattr(model, "_adjacency", build)
+        with pytest.raises(BudgetExceededError) as info:
+            is_exactly_lumpable(ModelParams(6, 10), build, build)
+        assert info.value.states == 6**10
 
 
 class TestTransitionMatrix:
