@@ -39,7 +39,6 @@ from .model import (
     lumped_kernel,
     neighbors,
     parse_configuration,
-    transition_probability,
 )
 from .occupancy import (
     OccupancyChain,

@@ -1,45 +1,38 @@
 """Exact solvers for the sparse rational linear systems built by the oracle.
 
 :func:`solve_exact` always returns the exact rational solution of
-``A x = b``.  Three strategies share one soundness argument, so speed never
+``A x = b``.  Two strategies share one soundness argument, so speed never
 costs correctness:
 
-1. dense rational Gaussian elimination with partial pivoting, used
-   directly for tiny systems;
-2. numeric-symbolic iterative refinement, for larger systems whose
-   integer-scaled matrix is certified symmetric positive definite (the
-   oracle's I - Q always is): conjugate gradient (CG) in floating point
-   approximates ``A^-1 r``, the correction is scaled by ``2**k`` and rounded
-   to integers, and the residual is updated exactly, so every round adds
-   about ``k`` correct bits to a dyadic approximation ``N / D`` of the
+1. numeric-symbolic iterative refinement, for systems past the dense limit
+   whose integer-scaled matrix is certified symmetric positive definite
+   (the oracle's I - Q always is): conjugate gradient (CG) in floating
+   point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
+   rounded to integers, and the residual is updated exactly, so every round
+   adds about ``k`` correct bits to a dyadic approximation ``N / D`` of the
    solution.  Continued fractions then recover one common denominator
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
-3. a modular path for everything else, or when refinement stalls: eliminate
-   over word-sized prime fields, as many as the Hadamard bound requires,
-   combine by the Chinese remainder theorem and lift each residue back to
-   a rational.
+2. dense rational Gaussian elimination for everything else: tiny systems,
+   systems refinement cannot certify, and any refinement that stalls.
 
-Paths 2 and 3 accept a candidate ``y = n / d`` only through one exact
-integer gate, ``A n == d b``.  A verified candidate is the unique solution
-because the matrix is nonsingular: path 2 runs only on matrices that are
-weakly chained diagonally dominant, which certifies it, and path 3
-certifies it as a byproduct (a matrix invertible modulo a prime is
-invertible over the rationals).  Past the dense limit, path 3 is therefore
-the one route that reports a singular system.  All paths are deterministic: pivots are the
-first nonzero choice, the prime sequence is fixed, and CG runs the same
-floating-point operations on the same input.
+Refinement accepts a candidate ``y = n / d`` only through the exact integer
+gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
+matrices, which are nonsingular, so a verified candidate is the unique
+solution.  Elimination is exact by construction and is the one route that
+reports a singular system.  Both are deterministic: pivots are the first
+nonzero choice, and CG runs the same floating-point operations on the
+same input.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InternalCheckError, SingularSystemError
+from .errors import SingularSystemError
 
 SparseRows = Sequence[Mapping[int, Fraction]]
 
@@ -50,7 +43,6 @@ DENSE_FRACTION_LIMIT = 16
 # No solver reads this any more; the benchmark tracer (bench/tracing.py)
 # still uses its largest value to label solves with large denominators.
 SNAP_DENOMINATOR_BOUNDS = (1_000, 1_000_000)
-_PRIME_FLOOR = 2**29  # keeps products of two residues inside int64
 _CG_RTOL = 1e-14
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
@@ -62,16 +54,13 @@ def solve_exact(rows: SparseRows, rhs: Sequence[Fraction]) -> list[Fraction]:
     size = len(rows)
     if size != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
-    if size == 0:
-        return []
-    if size <= DENSE_FRACTION_LIMIT:
-        return _dense_fraction_solve(rows, rhs)
-    int_rows, int_rhs = _integer_rows(rows, rhs)
-    if _is_symmetric(int_rows) and _is_chained_dominant(int_rows):
-        candidate = _solve_refined(int_rows, int_rhs)
-        if candidate is not None:
-            return candidate
-    return _solve_modular(int_rows, int_rhs)
+    if size > DENSE_FRACTION_LIMIT:
+        int_rows, int_rhs = _integer_rows(rows, rhs)
+        if _is_symmetric(int_rows) and _is_chained_dominant(int_rows):
+            candidate = _solve_refined(int_rows, int_rhs)
+            if candidate is not None:
+                return candidate
+    return _dense_fraction_solve(rows, rhs)
 
 
 def solve_float(
@@ -319,152 +308,3 @@ def _reconstruct(
             return None
         den *= entry.denominator
     return None
-
-
-# ---------------------------------------------------------------------------
-# modular path
-# ---------------------------------------------------------------------------
-
-
-def _is_prime(candidate: int) -> bool:
-    if candidate % 2 == 0:
-        return candidate == 2
-    d, s = candidate - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if base % candidate == 0:
-            continue
-        x = pow(base, d, candidate)
-        if x in (1, candidate - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % candidate
-            if x == candidate - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _descending_primes(below: int = 2**30) -> Iterator[int]:
-    """The primes under ``below`` in descending order, down to ``_PRIME_FLOOR``."""
-    candidate = below - 1 if below % 2 == 0 else below - 2
-    while candidate >= _PRIME_FLOOR:
-        if _is_prime(candidate):
-            yield candidate
-        candidate -= 2
-    raise InternalCheckError("prime pool exhausted")
-
-
-# The head of the sequence, found once; most solves need no more.
-_PRIMES = tuple(itertools.islice(_descending_primes(), 24))
-
-
-def _solve_mod_prime(
-    int_rows: list[dict[int, int]], int_rhs: list[int], p: int
-) -> np.ndarray | None:
-    """Gaussian elimination over GF(p); None when singular modulo p."""
-    size = len(int_rows)
-    aug = np.zeros((size, size + 1), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        for j, coeff in row.items():
-            aug[i, j] = coeff % p
-        aug[i, size] = int_rhs[i] % p
-    for col in range(size):
-        column = aug[col:, col]
-        nonzero = np.flatnonzero(column)
-        if nonzero.size == 0:
-            return None
-        pivot_row = col + int(nonzero[0])
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        inverse = pow(int(aug[col, col]), p - 2, p)
-        aug[col, col:] = (aug[col, col:] * inverse) % p
-        block = aug[col + 1 :, col:]
-        factors = block[:, 0]
-        mask = factors != 0
-        if mask.any():
-            block[mask] = (block[mask] - factors[mask, None] * aug[col, col:]) % p
-    x = np.zeros(size, dtype=np.int64)
-    for i in range(size - 1, -1, -1):
-        if i < size - 1:
-            acc = int(((aug[i, i + 1 : size] * x[i + 1 :]) % p).sum()) % p
-        else:
-            acc = 0
-        x[i] = (int(aug[i, size]) - acc) % p
-    return x
-
-
-def _rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
-    """Lift a residue to the unique small rational congruent to it, if any."""
-    residue %= modulus
-    if residue == 0:
-        return Fraction(0)
-    bound = math.isqrt(modulus // 2)
-    r_prev, r_curr = modulus, residue
-    s_prev, s_curr = 0, 1
-    while r_curr > bound:
-        q = r_prev // r_curr
-        r_prev, r_curr = r_curr, r_prev - q * r_curr
-        s_prev, s_curr = s_curr, s_prev - q * s_curr
-    if s_curr == 0 or abs(s_curr) > bound:
-        return None
-    if math.gcd(r_curr, abs(s_curr)) != 1:
-        return None
-    if s_curr < 0:
-        return Fraction(-r_curr, -s_curr)
-    return Fraction(r_curr, s_curr)
-
-
-def _solve_modular(
-    int_rows: list[dict[int, int]], int_rhs: list[int]
-) -> list[Fraction]:
-    """Solve modulo successive word-sized primes and lift by the CRT.
-
-    Every reduced solution entry has numerator and denominator at most the
-    Hadamard bound H of the augmented rows, so rational reconstruction is
-    certain once the modulus exceeds ``2 H**2``; the primes run out only then.
-    """
-    limit = 2 * math.prod(
-        sum(c * c for c in row.values()) + b * b for row, b in zip(int_rows, int_rhs)
-    )
-    residues: list[int] | None = None
-    modulus = 0
-    singular_primes = 0
-    for p in itertools.chain(_PRIMES, _descending_primes(below=_PRIMES[-1])):
-        solution = _solve_mod_prime(int_rows, int_rhs, p)
-        if solution is None:
-            # could be an unlucky prime dividing the determinant; three in a
-            # row from independent word-sized primes means genuinely singular
-            singular_primes += 1
-            if singular_primes >= 3:
-                raise SingularSystemError(
-                    "system is singular modulo three independent primes"
-                )
-            continue
-        if residues is None:
-            residues = [int(v) for v in solution]
-            modulus = p
-        else:
-            m_inverse = pow(modulus, -1, p)
-            residues = [
-                r + modulus * ((int(v) - r) * m_inverse % p)
-                for r, v in zip(residues, solution)
-            ]
-            modulus *= p
-        candidate = [_rational_reconstruct(r, modulus) for r in residues]
-        if all(entry is not None for entry in candidate):
-            den = math.lcm(*(entry.denominator for entry in candidate))
-            numerators = [
-                entry.numerator * (den // entry.denominator) for entry in candidate
-            ]
-            if _satisfies(int_rows, int_rhs, numerators, den):
-                return candidate  # type: ignore[return-value]
-        if modulus > limit:
-            break
-    raise InternalCheckError(
-        "modular solve passed twice the squared Hadamard bound without a "
-        "verified solution"
-    )

@@ -173,17 +173,6 @@ def _adjacency(params: ModelParams) -> Iterator[list[int]]:
         yield [state + shift for shift in shifts]
 
 
-def transition_probability(
-    source: Configuration, destination: Configuration, params: ModelParams
-) -> Fraction:
-    """One-step probability: 1/((urns-1)*balls) if exactly one ball moves, else 0."""
-    check_configuration(source, params)
-    check_configuration(destination, params)
-    if hamming_distance(source, destination) == 1:
-        return Fraction(1, params.degree)
-    return Fraction(0)
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Dense row-stochastic matrix of exact rationals.
@@ -278,7 +267,9 @@ def is_exactly_lumpable(
     may be left out).  By the Kemeny-Snell criterion (*Finite Markov
     Chains*, 1960, section 6.3) the classes lump the walk onto that kernel
     exactly when every state's one-step mass into each class equals its own
-    class's row.  Checked state by state over the index adjacency of
+    class's row.  Every move has probability ``1 / degree``, so each state's
+    count of neighbours in a class is compared with the row entry times the
+    degree, state by state over the index adjacency of
     :func:`neighbor_indices`; False at the first state that differs.
     Raises BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before
     anything is built.
@@ -289,13 +280,11 @@ def is_exactly_lumpable(
         )
     degree = params.degree
     labels = [classify(config_at(g, params)) for g in range(params.state_count)]
-    rows: dict[Hashable, dict[Hashable, Fraction]] = {}
+    counts: dict[Hashable, dict[Hashable, Fraction]] = {}
     for g, adjacent in enumerate(_adjacency(params)):
         own = labels[g]
-        if own not in rows:
-            rows[own] = {label: p for label, p in row_of(own).items() if p}
-        moved = Counter(labels[h] for h in adjacent)
-        mass = {label: Fraction(count, degree) for label, count in moved.items()}
-        if mass != rows[own]:
+        if own not in counts:
+            counts[own] = {label: p * degree for label, p in row_of(own).items() if p}
+        if Counter(labels[h] for h in adjacent) != counts[own]:
             return False
     return True

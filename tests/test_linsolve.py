@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -69,61 +68,73 @@ class TestDenseFractionPath:
         assert linsolve.solve_exact(dense_to_sparse(rows), rhs) == solution
 
 
+@st.composite
+def sparse_dominant_system(draw, min_size, max_size, symmetric):
+    """Sparse, diagonally dominant integer system with a known solution.
+
+    Past the dense limit, so ``solve_exact`` refines a symmetric one and
+    falls back to dense elimination on a non-symmetric one.
+    """
+    size = draw(st.integers(min_size, max_size))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [dict() for _ in range(size)]
+    for i in range(size):
+        for j in rng.sample(range(size), rng.randint(0, 4)):
+            if j != i:
+                rows[i][j] = rng.choice([-1, 1]) * rng.randint(1, 9)
+                if symmetric:
+                    rows[j][i] = rows[i][j]
+    if not symmetric:
+        rows[0][1] = abs(rows[1].get(0, 0)) + 1
+    for i, row in enumerate(rows):
+        row[i] = 1 + sum(abs(c) for j, c in row.items() if j != i)
+    solution = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)]
+    rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
+    return rows, solution, rhs
+
+
 class TestModularPath:
-    @given(diagonally_dominant_system())
-    @settings(max_examples=40)
+    """Non-symmetric systems past the dense limit.
+
+    A modular prime-field solver used to take these; they now fall back to
+    dense rational elimination, which also reports singular ones.
+    """
+
+    @given(sparse_dominant_system(17, 40, symmetric=False))
+    @settings(max_examples=15, deadline=None)
     def test_recovers_known_solution(self, system):
         rows, solution, rhs = system
-        int_rows, int_rhs = linsolve._integer_rows(dense_to_sparse(rows), rhs)
-        assert linsolve._solve_modular(int_rows, int_rhs) == solution
+        sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
+        assert linsolve.solve_exact(sparse_rows, rhs) == solution
 
     def test_singular_detected(self):
-        rows = dense_to_sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        int_rows, int_rhs = linsolve._integer_rows(
-            rows, [Fraction(1), Fraction(2), Fraction(1)]
-        )
+        size = 20  # past the dense limit; the last row repeats the first
+        rows = [{i: Fraction(3), (i + 1) % size: Fraction(-1)} for i in range(size)]
+        rows[-1] = dict(rows[0])
         with pytest.raises(SingularSystemError):
-            linsolve._solve_modular(int_rows, int_rhs)
-
-    @given(
-        st.integers(-10**6, 10**6),
-        st.integers(1, 10**4),
-    )
-    def test_rational_reconstruction_round_trip(self, numerator, denominator):
-        from math import gcd
-
-        modulus = 1
-        for p in linsolve._PRIMES[:3]:
-            modulus *= p
-        if gcd(denominator, modulus) != 1:
-            return
-        value = Fraction(numerator, denominator)
-        residue = (
-            value.numerator * pow(value.denominator, -1, modulus)
-        ) % modulus
-        assert linsolve._rational_reconstruct(residue, modulus) == value
+            linsolve.solve_exact(rows, [Fraction(1)] * size)
 
 
 class TestModularPathOnWalkSystem:
     def test_matches_float_snap_result(self):
         # the hitting system the oracle actually builds, forced down the
-        # modular path; must agree with the normal solve exactly
-        from fractions import Fraction as F
-
+        # dense fallback; must agree with the refined solve exactly
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
-        params = ModelParams(3, 5)  # 243 states
-        target = index_of((2,) * 5, params)
+        params = ModelParams(3, 4)  # 81 states
+        target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
-        rhs = [F(1)] * len(system.transient_states)
-        int_rows, int_rhs = linsolve._integer_rows(system.rows, rhs)
-        assert linsolve._solve_modular(int_rows, int_rhs) == linsolve.solve_exact(
+        rhs = [Fraction(1)] * len(system.transient_states)
+        assert linsolve._dense_fraction_solve(
             system.rows, rhs
-        )
+        ) == linsolve.solve_exact(system.rows, rhs)
 
 
 class TestFloatSnapPath:
+    """``solve_float``, and the banded non-symmetric system a float snap
+    once solved; past the dense limit it now takes the dense fallback."""
+
     def test_snap_recovers_exact_solution(self):
         size = 120  # beyond the dense-fraction limit
         rows = []
@@ -148,36 +159,16 @@ class TestFloatSnapPath:
         assert abs(values[0] - 1 / 11) < 1e-12
 
 
-@st.composite
-def symmetric_dominant_system(draw, min_size=65, max_size=200):
-    """Sparse symmetric, diagonally dominant integer system with a known solution.
-
-    Past the dense limit, so ``solve_exact`` takes the refinement path.
-    """
-    size = draw(st.integers(min_size, max_size))
-    rng = draw(st.randoms(use_true_random=False))
-    rows = [{} for _ in range(size)]
-    for i in range(size):
-        for j in rng.sample(range(size), rng.randint(0, 4)):
-            if j != i:
-                rows[i][j] = rows[j][i] = rng.choice([-1, 1]) * rng.randint(1, 9)
-    for i, row in enumerate(rows):
-        row[i] = 1 + sum(abs(c) for j, c in row.items() if j != i)
-    solution = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)]
-    rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
-    return rows, solution, rhs
-
-
 class TestRefinementPath:
-    @given(symmetric_dominant_system())
+    @given(sparse_dominant_system(65, 200, symmetric=True))
     @settings(max_examples=12, deadline=None)
     def test_matches_modular_path(self, system):
+        # named for the modular solver it was once compared with; the known
+        # solution is the reference now
         rows, solution, rhs = system
         sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
         int_rows, int_rhs = linsolve._integer_rows(sparse_rows, rhs)
-        refined = linsolve._solve_refined(int_rows, int_rhs)
-        assert refined is not None
-        assert refined == linsolve._solve_modular(int_rows, int_rhs) == solution
+        assert linsolve._solve_refined(int_rows, int_rhs) == solution
         assert linsolve.solve_exact(sparse_rows, rhs) == solution
 
     def test_singular_symmetric_system_detected(self):
@@ -203,19 +194,9 @@ class TestRefinementPath:
             linsolve.solve_float(rows, [Fraction(1), Fraction(2)])
 
 
-class TestPrimePool:
-    def test_primes_are_prime_and_distinct(self):
-        primes = linsolve._PRIMES
-        assert len(set(primes)) == len(primes)
-        for p in primes:
-            assert p > 2**29
-            for q in range(2, 2000):
-                assert p % q != 0 or p == q
-
-    def test_modular_path_draws_primes_past_the_pool_head(self):
-        # A non-symmetric system goes to the modular path.  Its solution has
-        # denominators above 400 bits, so reconstruction needs a modulus of
-        # more than 800 bits: more than the 24 precomputed primes provide.
+class TestDenseFallback:
+    def test_nonsymmetric_system_with_large_denominators(self):
+        # Its solution has denominators above 400 bits.
         rng = random.Random(3)
         size = 120
         rows = []
@@ -236,5 +217,26 @@ class TestPrimePool:
             sum((c * solution[j] for j, c in row.items()), Fraction(0))
             for row in rows
         ]
-        assert math.prod(linsolve._PRIMES).bit_length() < 800
         assert linsolve.solve_exact(rows, rhs) == solution
+
+    def test_refinement_stall_falls_back(self, monkeypatch):
+        stalled = []
+
+        def stall(int_rows, int_rhs):
+            stalled.append(len(int_rows))
+            return None
+
+        monkeypatch.setattr(linsolve, "_solve_refined", stall)
+        size = 70  # symmetric and strictly dominant, past the dense limit
+        rows = []
+        for i in range(size):
+            row = {i: Fraction(3)}
+            if i > 0:
+                row[i - 1] = Fraction(-1)
+            if i < size - 1:
+                row[i + 1] = Fraction(-1)
+            rows.append(row)
+        solution = [Fraction(i * i, 11) for i in range(size)]
+        rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
+        assert linsolve.solve_exact(rows, rhs) == solution
+        assert stalled == [size]

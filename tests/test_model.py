@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urnwalk import model
+from urnwalk import model, oracle
 from urnwalk.errors import BudgetExceededError, ConfigurationError, ValidationError
 from urnwalk.model import (
     ModelParams,
@@ -19,7 +19,6 @@ from urnwalk.model import (
     lumped_kernel,
     neighbors,
     parse_configuration,
-    transition_probability,
 )
 from urnwalk.occupancy import build_occupancy_chain
 
@@ -42,6 +41,21 @@ def params_and_two_configs(draw):
     params = ModelParams(urns=urns, balls=balls)
     entries = st.lists(st.integers(1, urns), min_size=balls, max_size=balls)
     return params, tuple(draw(entries)), tuple(draw(entries))
+
+
+def step_probability(source, destination, params):
+    """One-step probability as the oracle's hitting system holds it.
+
+    With every state but ``source`` absorbing, the system has one row: its
+    diagonal is one minus the self-loop probability, and its absorbing
+    edges list each state one move away, each with probability 1/degree.
+    """
+    a, b = index_of(source, params), index_of(destination, params)
+    others = frozenset(range(params.state_count)) - {a}
+    system = oracle.build_absorbing_system(params, others)
+    if a == b:
+        return 1 - system.rows[0][0]
+    return Fraction(system.absorbing_edges[0].count(b), params.degree)
 
 
 class TestModelParams:
@@ -136,26 +150,26 @@ class TestNeighbors:
 class TestTransitionProbability:
     def test_one_move(self):
         params = ModelParams(urns=3, balls=2)
-        assert transition_probability((1, 1), (2, 1), params) == Fraction(1, 4)
+        assert step_probability((1, 1), (2, 1), params) == Fraction(1, 4)
 
     def test_self_loop_zero(self):
         params = ModelParams(urns=3, balls=2)
-        assert transition_probability((1, 2), (1, 2), params) == 0
+        assert step_probability((1, 2), (1, 2), params) == 0
 
     def test_two_moves_zero(self):
         params = ModelParams(urns=5, balls=3)
-        assert transition_probability((1, 1, 1), (2, 2, 1), params) == 0
+        assert step_probability((1, 1, 1), (2, 2, 1), params) == 0
 
     def test_length_mismatch(self):
         params = ModelParams(urns=3, balls=2)
         with pytest.raises(ConfigurationError):
-            transition_probability((1, 1), (1, 1, 1), params)
+            step_probability((1, 1), (1, 1, 1), params)
 
     @given(params_and_config())
     def test_rows_sum_to_one(self, pc):
         params, config = pc
         total = sum(
-            (transition_probability(config, other, params)
+            (step_probability(config, other, params)
              for other in neighbors(config, params)),
             Fraction(0),
         )
@@ -164,7 +178,7 @@ class TestTransitionProbability:
     @given(params_and_two_configs())
     def test_symmetric(self, pcc):
         params, a, b = pcc
-        assert transition_probability(a, b, params) == transition_probability(
+        assert step_probability(a, b, params) == step_probability(
             b, a, params
         )
 

@@ -83,6 +83,8 @@ class TestRefinedSolves:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_absorbing_sets_match_modular_path(self, seed):
+        # named for the modular solver it was once compared with; every row
+        # is now checked exactly instead
         rng = random.Random(seed)
         params = ModelParams(2, 9)
         absorbing = frozenset(rng.sample(range(params.state_count), 4))
@@ -97,8 +99,8 @@ class TestRefinedSolves:
             ),
         ):
             assert max(v.denominator for v in solved) > 10**6
-            int_rows, int_rhs = linsolve._integer_rows(system.rows, rhs)
-            assert solved == linsolve._solve_modular(int_rows, int_rhs)
+            for row, b in zip(system.rows, rhs):
+                assert sum((c * solved[j] for j, c in row.items()), Fraction(0)) == b
 
 
 class TestFloatFallback:
@@ -159,6 +161,21 @@ class TestLumpedFirstVisitProbs:
     def test_needs_two_balls(self):
         with pytest.raises(DomainError):
             oracle.lumped_first_visit_probs(ModelParams(3, 1))
+
+    def test_twelve_balls_take_the_dense_fallback(self, monkeypatch):
+        # 22 non-symmetric unknowns: past the dense limit, but not refinable
+        sizes = []
+        dense = linsolve._dense_fraction_solve
+
+        def spy(rows, rhs):
+            sizes.append(len(rows))
+            return dense(rows, rhs)
+
+        monkeypatch.setattr(linsolve, "_dense_fraction_solve", spy)
+        params = ModelParams(5, 12)
+        probs = oracle.lumped_first_visit_probs(params)
+        assert probs[0] == exact.first_visit_probability(params)
+        assert sizes == [22]
 
 
 class TestFiberQuantities:
