@@ -21,7 +21,6 @@ from .errors import (
 )
 from .exact import (
     HittingQuery,
-    binomial,
     fiber_escape_ratio,
     first_visit_probability,
     full_transfer_time,

@@ -136,7 +136,7 @@ def termwise_difference_witness(params: ModelParams) -> CheckResult:
 def oracle_transfer_agreement(
     cells: list[ModelParams], budget: int | None = None
 ) -> CheckResult:
-    """Dense solve of the full walk reproduces the closed-form transfer time."""
+    """The exact solve of the full walk reproduces the closed-form transfer time."""
 
     def holds(params: ModelParams) -> bool:
         solved = oracle.expected_hitting_time(

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Five subcommands: ``exact`` (closed forms), ``general`` (pairwise hitting
-time), ``verify`` (the invariant suite), ``oracle`` (exact dense solve),
-and ``simulate`` (seeded Monte Carlo).  Output is a human-readable table on
+time), ``verify`` (the invariant suite), ``oracle`` (exact linear solve
+over all states), and ``simulate`` (seeded Monte Carlo).  Output is a human-readable table on
 a terminal and JSON lines when piped; ``--format`` overrides.  Exact values
 are always printed losslessly as ``numerator/denominator`` next to their
 decimal approximation.
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=handle_verify)
 
-    sp = sub.add_parser("oracle", help="exact dense-solve hitting time")
+    sp = sub.add_parser("oracle", help="exact hitting time, solved over all states")
     common(sp, pair=True)
     sp.add_argument(
         "--budget", type=_budget_flag, default=None,

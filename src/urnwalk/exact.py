@@ -27,7 +27,6 @@ separate route; the checks compare the two, so neither calls the other.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,6 @@ from .errors import DomainError, IdenticalConfigurationsError, InternalCheckErro
 from .model import Configuration, ModelParams, hamming_distance
 
 __all__ = [
-    "binomial",
     "full_transfer_time",
     "full_transfer_time_by_ball_induction",
     "passage_increment",
@@ -49,15 +47,6 @@ __all__ = [
     "FiberEscape",
     "fiber_escape_ratio",
 ]
-
-
-def binomial(n: int, m: int) -> int:
-    """Exact binomial coefficient C(n, m) with strict domain checking."""
-    if n < 0 or m < 0:
-        raise DomainError(f"binomial arguments must be nonnegative, got ({n}, {m})")
-    if m > n:
-        raise DomainError(f"binomial requires m <= n, got ({n}, {m})")
-    return math.comb(n, m)
 
 
 def full_transfer_time(params: ModelParams) -> Fraction:

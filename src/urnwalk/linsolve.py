@@ -1,4 +1,4 @@
-"""Exact solvers for the sparse rational linear systems built by the oracle.
+"""Exact solvers for the sparse integer and rational linear systems built by the oracle.
 
 :func:`solve_exact` always returns the exact rational solution of
 ``A x = b``.  Two strategies share one soundness argument, so speed never
@@ -6,7 +6,7 @@ costs correctness:
 
 1. numeric-symbolic iterative refinement, for systems past the dense limit
    whose integer-scaled matrix is certified symmetric positive definite
-   (the oracle's I - Q always is): conjugate gradient (CG) in floating
+   (the oracle's ``degree * I - A`` always is): conjugate gradient (CG) in floating
    point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
    rounded to integers, and the residual is updated exactly, so every round
    adds about ``k`` correct bits to a dyadic approximation ``N / D`` of the
@@ -14,6 +14,12 @@ costs correctness:
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
 2. dense rational Gaussian elimination for everything else: tiny systems,
    systems refinement cannot certify, and any refinement that stalls.
+
+Past the dense limit the sparse rows are converted once, into one int64
+CSR matrix after clearing every denominator with one scale.  The
+certificate (symmetry, row sums, and a search from the strict rows by
+sparse products), the CG solves and the exact integer products of the
+gate and the residual update all read that matrix.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
@@ -28,13 +34,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import SingularSystemError
 
-SparseRows = Sequence[Mapping[int, Fraction]]
+SparseRows = Sequence[Mapping[int, int | Fraction]]
 
 # Dense Fraction elimination is cubic in rational operations: a few ms up
 # to 16 unknowns, but 0.5 s at 63, where refinement takes 2 ms.  Up to the
@@ -49,51 +56,66 @@ _CG_RTOL = 1e-14
 _REFINE_SPARE_BITS = 64
 
 
-def solve_exact(rows: SparseRows, rhs: Sequence[Fraction]) -> list[Fraction]:
+def solve_exact(rows: SparseRows, rhs: Sequence[int | Fraction]) -> list[Fraction]:
     """Exact solution of the square sparse system ``rows @ x == rhs``."""
     size = len(rows)
     if size != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if size > DENSE_FRACTION_LIMIT:
-        int_rows, int_rhs = _integer_rows(rows, rhs)
-        if _is_symmetric(int_rows) and _is_chained_dominant(int_rows):
-            candidate = _solve_refined(int_rows, int_rhs)
+        matrix, b = _integer_system(rows, rhs)
+        if matrix is not None and _is_certified(matrix):
+            candidate = _solve_refined(matrix, b)
             if candidate is not None:
                 return candidate
     return _dense_fraction_solve(rows, rhs)
 
 
 def solve_float(
-    rows: SparseRows, rhs: Sequence[Fraction | float]
+    rows: SparseRows, rhs: Sequence[int | Fraction]
 ) -> tuple[np.ndarray, float]:
     """Approximate solve by conjugate gradient; returns (solution, relative residual).
 
-    The matrix must be symmetric once each row is scaled to integers, and
-    positive definite for the residual to be small.
+    The matrix must be symmetric once its entries are scaled to integers
+    (which must fit int64), and positive definite for the residual to be
+    small.
     """
-    int_rows, int_rhs = _integer_rows(rows, rhs)
-    if not _is_symmetric(int_rows):
-        raise ValueError("solve_float needs a symmetric matrix")
-    matrix = _csr(int_rows, np.float64)
-    b = np.array(int_rhs, dtype=np.float64)
+    matrix, b = _integer_system(rows, rhs)
+    if matrix is None or (matrix != matrix.T).nnz:
+        raise ValueError("solve_float needs a symmetric matrix with int64-sized entries")
+    matrix = matrix.astype(np.float64)
+    b = b.astype(np.float64)
     x = _conjugate_gradient(matrix, b)
     residual = np.abs(matrix @ x - b).max()
     scale = max(1.0, float(np.abs(b).max()))
     return x, float(residual / scale)
 
 
-def _csr(int_rows: Sequence[Mapping[int, int]], dtype):
+def _integer_system(rows: SparseRows, rhs: Sequence[int | Fraction]):
+    """The system as one int64 CSR matrix and an integer right-hand side.
+
+    One scale clears every denominator, so a symmetric matrix stays
+    symmetric.  The right-hand side is an object array of Python ints.
+    The matrix is None when a row's absolute sum could reach ``2**62``,
+    which int64 products against the matrix could not be trusted past.
+    """
     import scipy.sparse as sparse
 
-    indptr, indices, data = [0], [], []
-    for row in int_rows:
-        indices.extend(row.keys())
-        data.extend(row.values())
-        indptr.append(len(indices))
-    size = len(int_rows)
-    return sparse.csr_matrix(
-        (np.array(data, dtype=dtype), indices, indptr), shape=(size, size)
-    )
+    counts = [len(row) for row in rows]
+    indices = list(chain.from_iterable(rows))
+    values = list(chain.from_iterable(row.values() for row in rows))
+    scale = math.lcm(*{v.denominator for v in chain(values, rhs)})
+    b = np.array([v.numerator * (scale // v.denominator) for v in rhs], dtype=object)
+    if scale != 1:
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    try:
+        data = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None, b
+    if data.size and float(np.abs(data, dtype=np.float64).max()) * max(counts) >= 2.0**62:
+        return None, b
+    size = len(rows)
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return sparse.csr_array((data, indices, indptr), shape=(size, size)), b
 
 
 def _conjugate_gradient(matrix, rhs: np.ndarray) -> np.ndarray:
@@ -108,7 +130,7 @@ def _conjugate_gradient(matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dense_fraction_solve(rows: SparseRows, rhs: Sequence[Fraction]) -> list[Fraction]:
+def _dense_fraction_solve(rows: SparseRows, rhs: Sequence[int | Fraction]) -> list[Fraction]:
     size = len(rows)
     a = [[Fraction(0)] * size for _ in range(size)]
     for i, row in enumerate(rows):
@@ -142,109 +164,79 @@ def _dense_fraction_solve(rows: SparseRows, rhs: Sequence[Fraction]) -> list[Fra
     return x
 
 
-def _integer_rows(
-    rows: SparseRows, rhs: Sequence[Fraction]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Clear denominators so every coefficient is an integer.
-
-    One scale serves the whole system, so a symmetric matrix stays symmetric.
-    """
-    rhs = [Fraction(b) for b in rhs]
-    scale = math.lcm(
-        *(b.denominator for b in rhs),
-        *(c.denominator for row in rows for c in row.values()),
-    )
-    int_rows = [
-        {j: c.numerator * (scale // c.denominator) for j, c in row.items()}
-        for row in rows
-    ]
-    int_rhs = [b.numerator * (scale // b.denominator) for b in rhs]
-    return int_rows, int_rhs
-
-
-def _satisfies(
-    int_rows: Sequence[Mapping[int, int]],
-    int_rhs: Sequence[int],
-    numerators: Sequence[int],
-    denominator: int,
-) -> bool:
-    """The exact gate: ``A n == d b`` in integers, i.e. ``n / d`` solves ``A x = b``."""
-    return all(
-        sum(c * numerators[j] for j, c in row.items()) == denominator * b
-        for row, b in zip(int_rows, int_rhs)
-    )
-
-
 # ---------------------------------------------------------------------------
 # refinement path
 # ---------------------------------------------------------------------------
 
 
-def _is_symmetric(int_rows: Sequence[Mapping[int, int]]) -> bool:
-    return all(
-        int_rows[j].get(i, 0) == c
-        for i, row in enumerate(int_rows)
-        for j, c in row.items()
-    )
-
-
-def _is_chained_dominant(int_rows: Sequence[Mapping[int, int]]) -> bool:
-    """Weakly chained diagonal dominance with a positive diagonal.
+def _is_certified(matrix) -> bool:
+    """Symmetry and weakly chained diagonal dominance with a positive diagonal.
 
     Every row has ``a_ii >= sum |a_ij|`` over ``j != i``, and through
     nonzero entries reaches a row where the inequality is strict.  Such a
     matrix is nonsingular (Shivakumar & Chew 1974); when it is also
-    symmetric it is positive definite, so CG converges on it.
+    symmetric it is positive definite, so CG converges on it.  The search
+    grows the set of rows reached from the strict rows by one sparse
+    product per step; by symmetry, row ``i`` has a nonzero entry in a
+    reached column exactly when a reached row has one in column ``i``.
     """
-    strict = []
-    for i, row in enumerate(int_rows):
-        diagonal = row.get(i, 0)
-        off = sum(abs(c) for j, c in row.items() if j != i)
-        if diagonal <= 0 or diagonal < off:
-            return False
-        if diagonal > off:
-            strict.append(i)
-    seen = set(strict)
-    while strict:
-        for j, c in int_rows[strict.pop()].items():
-            if c and j not in seen:
-                seen.add(j)
-                strict.append(j)
-    return len(seen) == len(int_rows)
+    if (matrix != matrix.T).nnz:
+        return False
+    magnitudes = abs(matrix)
+    diagonal = matrix.diagonal()
+    off = magnitudes.sum(axis=1) - np.abs(diagonal)
+    if (diagonal <= 0).any() or (diagonal < off).any():
+        return False
+    reached = diagonal > off
+    frontier = reached
+    while frontier.any():
+        frontier = (magnitudes @ frontier.astype(np.int64) > 0) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
 
 
-def _solve_refined(
-    int_rows: list[dict[int, int]], int_rhs: list[int]
-) -> list[Fraction] | None:
+def _exact_product(matrix, spread: int, x: np.ndarray) -> np.ndarray:
+    """Exact ``matrix @ x`` for a vector of Python ints, as Python ints.
+
+    In int64 when ``spread * max|x|`` is below ``2**63``, ``spread``
+    bounding each row's absolute sum, so that every product and partial
+    sum is in range; with Python ints otherwise.  Every row must hold an
+    entry (a certified matrix holds its diagonal).
+    """
+    if spread * int(np.abs(x).max()) < 2**63:
+        return (matrix @ x.astype(np.int64)).astype(object)
+    products = matrix.data.astype(object) * x[matrix.indices]
+    return np.add.reduceat(products, matrix.indptr[:-1])
+
+
+def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
     """Iterative refinement on a symmetric positive definite integer system.
 
     Keeps ``A N == D b - r`` exactly, with ``D = 2**K``.  Each round solves
     ``A z ~ r`` by CG, picks ``k`` from the accuracy CG reached, and moves
     ``N, D, r`` to ``2**k N + x, 2**k D, 2**k r - A x`` for ``x = round(2**k z)``.
-    None when CG stops reducing the residual or reconstruction never
-    verifies before the Hadamard bound.
+    A candidate ``n / d`` is accepted only through the exact gate
+    ``A n == d b``.  None when CG stops reducing the residual or
+    reconstruction never verifies before the Hadamard bound.
     """
-    spread = max(sum(map(abs, row.values())) for row in int_rows)  # bounds |A x| / |x|
-    if spread >= 2**62:
-        return None  # the int64 copy of the matrix could not hold it
-    exact = _csr(int_rows, np.int64)
-    matrix = exact.astype(np.float64)
+    spread = int(abs(matrix).sum(axis=1).max())  # bounds |A x| / |x|
+    approximate = matrix.astype(np.float64)
     # twice the Hadamard bound on log2 det(A): denominators divide det(A)
     limit_bits = _REFINE_SPARE_BITS + math.ceil(
-        sum(math.log2(sum(c * c for c in row.values())) for row in int_rows)
+        np.log2(approximate.multiply(approximate).sum(axis=1)).sum()
     )
-    residual = list(int_rhs)
-    numerators = [0] * len(int_rows)
+    residual = rhs
+    numerators = np.zeros(len(rhs), dtype=object)
     scale = 1
     while True:
-        norm = max(map(abs, residual))
+        norm = int(np.abs(residual).max())
         if norm == 0:
             candidate = (scale, numerators)  # N / D is exact
         else:
             if norm.bit_length() > 1000:
                 return None  # the float copy of the residual would overflow
-            r = np.array(residual, dtype=np.float64)
-            z = _conjugate_gradient(matrix, r)
+            r = residual.astype(np.float64)
+            z = _conjugate_gradient(approximate, r)
             z_max = float(np.abs(z).max())
             if not math.isfinite(z_max):
                 return None
@@ -252,40 +244,32 @@ def _solve_refined(
                 return None
             # x - N / D == A^-1 r / D, and z ~ A^-1 r
             candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
-        if candidate is not None and _satisfies(int_rows, int_rhs, candidate[1], candidate[0]):
+        if candidate is not None:
             den, nums = candidate
-            return [Fraction(n, den) for n in nums]
+            if (_exact_product(matrix, spread, nums) == den * rhs).all():
+                return [Fraction(n, den) for n in nums]
         if norm == 0:
             return None
 
-        accuracy = max(float(np.abs(r - matrix @ z).max()) / norm, 2.0**-48)
+        accuracy = max(float(np.abs(r - approximate @ z).max()) / norm, 2.0**-48)
         k_accurate = -math.frexp(accuracy)[1] - 2  # 2**k * accuracy <= 1/4
+        # below this k, 2**k r and A x stay within int64
         k_int64 = 61 - math.frexp(norm + spread * (z_max + 1))[1]
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate
         if k < 1:
             return None
-        correction = np.rint(np.ldexp(z, k))
-        bound = (norm << k) + spread * int(np.abs(correction).max())
-        if bound < 2**63:  # every int64 product and partial sum below is in range
-            c64 = correction.astype(np.int64)
-            step = c64.tolist()
-            new = ((np.array(residual, dtype=np.int64) << k) - exact @ c64).tolist()
-        else:
-            step = [int(v) for v in correction]
-            new = [
-                (v << k) - sum(c * step[j] for j, c in row.items())
-                for v, row in zip(residual, int_rows)
-            ]
-        if max(map(abs, new)) > norm << (k - 1):
+        step = np.array([int(v) for v in np.rint(np.ldexp(z, k)).tolist()], dtype=object)
+        new = (residual << k) - _exact_product(matrix, spread, step)
+        if int(np.abs(new).max()) > norm << (k - 1):
             return None  # the scaled residual shrank by less than half: CG stalled
         residual = new
-        numerators = [(n << k) + s for n, s in zip(numerators, step)]
+        numerators = (numerators << k) + step
         scale <<= k
 
 
 def _reconstruct(
-    numerators: list[int], scale: int, error: int
-) -> tuple[int, list[int]] | None:
+    numerators: np.ndarray, scale: int, error: int
+) -> tuple[int, np.ndarray] | None:
     """A common denominator ``d`` and numerators ``n`` with ``n / d`` near ``N / D``.
 
     Assumes every entry ``N_j / D`` is within ``error / D`` of a rational
@@ -295,14 +279,13 @@ def _reconstruct(
     still needs.  None when no denominator within the bound fits.
     """
     bound = math.isqrt(scale // (4 * error))
-    values = np.array(numerators, dtype=object)
     den = 1
     while den <= bound:
-        scaled = values * den
+        scaled = numerators * den
         nearest = (2 * scaled + scale) // (2 * scale)
         off = np.flatnonzero(np.abs(scaled - nearest * scale) > den * error)
         if off.size == 0:
-            return den, nearest.tolist()
+            return den, nearest
         entry = Fraction(int(scaled[off[0]]), scale).limit_denominator(bound // den)
         if entry.denominator == 1:
             return None

@@ -11,8 +11,9 @@ quantities computed elsewhere in the package concern the walk travelling
 from all-balls-in-urn-1 to all-balls-in-urn-2.
 
 This module owns the state-index encoding (:func:`index_of`,
-:func:`config_at` and the index adjacency :func:`neighbor_indices`) and
-the one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
+:func:`config_at` and the index adjacency :func:`neighbor_indices`, one
+int64 array computed from the digits of every index at once) and the one
+certifier of exact aggregation, :func:`is_exactly_lumpable`, which
 the occupancy chain and the 2k-class lumped chain are both checked by.
 Each of those two keeps its own classification and its own kernel.
 
@@ -22,11 +23,11 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Hashable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError, ValidationError
 
@@ -142,35 +143,32 @@ def neighbors(config: Configuration, params: ModelParams) -> list[Configuration]
     return out
 
 
-def neighbor_indices(params: ModelParams) -> list[list[int]]:
-    """Adjacency lists over state indices, each in ascending order.
+def _digits(params: ModelParams) -> np.ndarray:
+    """The ``(states, balls)`` array of urn digits: entry ``[g, i]`` is
+    ``config_at(g, params)[i] - 1``."""
+    powers = params.urns ** np.arange(params.balls, dtype=np.int64)
+    return np.arange(params.state_count, dtype=np.int64)[:, None] // powers % params.urns
 
-    Entry ``g`` holds the indices of ``neighbors(config_at(g, params))``,
-    built by digit arithmetic: moving ball ``i`` from urn digit ``d`` to
-    ``u`` changes the index by ``(u - d) * urns**i``.
+
+def neighbor_indices(params: ModelParams) -> np.ndarray:
+    """The ``(states, degree)`` int64 adjacency over state indices.
+
+    Row ``g`` holds the indices of ``neighbors(config_at(g, params))`` in
+    ascending order, built by index arithmetic: moving ball ``i`` from urn
+    digit ``d`` to ``u`` shifts the index by ``(u - d) * urns**i``.
     """
-    return list(_adjacency(params))
-
-
-def _adjacency(params: ModelParams) -> Iterator[list[int]]:
-    """The lists of :func:`neighbor_indices`, one state at a time, so that a
-    single pass over a large space need not hold them all."""
-    n, m = params.urns, params.balls
-    powers = [n**i for i in range(m)]
-    # Index shifts of moving one ball out of urn digit d, by ball: the moves
-    # to lower digits (highest ball first) and to higher digits (lowest ball
-    # first).  A move of ball i shifts the index by less than urns**(i+1),
-    # so the lowering shifts then the raising shifts, in these orders, ascend.
-    lower = [[[(u - d) * p for u in range(d)] for d in range(n)] for p in reversed(powers)]
-    higher = [[[(u - d) * p for u in range(d + 1, n)] for d in range(n)] for p in powers]
-    # the index digits of each state in turn, highest ball first
-    for state, top_first in enumerate(product(range(n), repeat=m)):
-        shifts: list[int] = []
-        for table, digit in zip(lower, top_first):
-            shifts += table[digit]
-        for table, digit in zip(higher, reversed(top_first)):
-            shifts += table[digit]
-        yield [state + shift for shift in shifts]
+    n, states = params.urns, params.state_count
+    digits = _digits(params)[:, :, None]
+    # each ball's n - 1 other digits, reached by adding 1..n-1 modulo n;
+    # updated in place, so that one (states, degree) array is ever held
+    adjacency = digits + np.arange(1, n)
+    adjacency %= n
+    adjacency -= digits
+    adjacency *= n ** np.arange(params.balls, dtype=np.int64)[:, None]
+    adjacency += np.arange(states, dtype=np.int64)[:, None, None]
+    adjacency = adjacency.reshape(states, -1)
+    adjacency.sort(axis=1)
+    return adjacency
 
 
 @dataclass(frozen=True)
@@ -201,10 +199,6 @@ class TransitionMatrix:
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
         return cls(tuple(tuple(Fraction(entry) for entry in row) for row in rows))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.rows[i]
@@ -267,10 +261,11 @@ def is_exactly_lumpable(
     may be left out).  By the Kemeny-Snell criterion (*Finite Markov
     Chains*, 1960, section 6.3) the classes lump the walk onto that kernel
     exactly when every state's one-step mass into each class equals its own
-    class's row.  Every move has probability ``1 / degree``, so each state's
-    count of neighbours in a class is compared with the row entry times the
-    degree, state by state over the index adjacency of
-    :func:`neighbor_indices`; False at the first state that differs.
+    class's row.  Every move has probability ``1 / degree``, so each row is
+    written out as ``degree`` class ids, ``probability * degree`` of each,
+    and compared with the sorted classes of every state's row of
+    :func:`neighbor_indices`, all states at once.  The placements passed to
+    ``classify`` come from the digit array, not from decoding each index.
     Raises BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before
     anything is built.
     """
@@ -279,12 +274,25 @@ def is_exactly_lumpable(
             params.state_count, LUMPABILITY_BUDGET, what="exhaustive lumpability check"
         )
     degree = params.degree
-    labels = [classify(config_at(g, params)) for g in range(params.state_count)]
-    counts: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for g, adjacent in enumerate(_adjacency(params)):
-        own = labels[g]
-        if own not in counts:
-            counts[own] = {label: p * degree for label, p in row_of(own).items() if p}
-        if Counter(labels[h] for h in adjacent) != counts[own]:
+    ids: dict[Hashable, int] = {}
+    placements = zip(*(_digits(params) + 1).T.tolist())  # one tuple per state, in index order
+    classes = np.array(
+        [ids.setdefault(classify(config), len(ids)) for config in placements],
+        dtype=np.int32,
+    )
+    written_out = []
+    for label in ids:  # in id order
+        row: list[int] = []
+        for other, p in row_of(label).items():
+            if not p:
+                continue
+            count = p * degree
+            if other not in ids or count < 0 or count.denominator != 1:
+                return False  # no state's neighbour counts can match
+            row += [ids[other]] * int(count)
+        if len(row) != degree:
             return False
-    return True
+        written_out.append(sorted(row))
+    observed = classes[neighbor_indices(params)]
+    observed.sort(axis=1)
+    return np.array_equal(observed, np.array(written_out, dtype=np.int32)[classes])

@@ -16,10 +16,11 @@ reports its residual.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from . import linsolve
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     InternalCheckError,
     SingularSystemError,
+    ValidationError,
 )
 from .model import (
     SOURCE_URN,
@@ -71,20 +73,24 @@ def _check_budget(params: ModelParams, budget: int | None, what: str) -> None:
 
 @dataclass(frozen=True)
 class AbsorbingSystem:
-    """The linear system whose solution is a hitting quantity.
+    """The integer linear system whose solution is a hitting quantity.
 
-    ``rows`` hold the matrix I - Q over the transient states in ascending
-    index order (Q the substochastic transient-to-transient kernel), and
-    ``absorbing_edges[i]`` lists the absorbing state indices one move away
-    from the i-th transient state.  Construction certifies that the
-    absorbing set is reachable from every transient state, which makes the
-    system uniquely solvable.
+    ``rows`` hold ``degree * I - A`` over the transient states in ascending
+    index order, ``A`` their 0/1 adjacency: ``degree`` on the diagonal and
+    -1 at each transient neighbour.  That is ``degree`` times ``I - Q``
+    (``Q`` the substochastic transient kernel), so right-hand sides count
+    moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
+    lists the absorbing state indices one move away from the i-th
+    transient state.  The walk's graph is connected, so every transient
+    state reaches a nonempty absorbing set and the system is uniquely
+    solvable; the chained-dominance certificate of
+    :func:`urnwalk.linsolve.solve_exact` starts its search from the rows
+    with an absorbing edge, the only strict ones.
     """
 
     params: ModelParams
     transient_states: tuple[int, ...]
-    absorbing_states: frozenset[int]
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, int], ...]
     absorbing_edges: tuple[tuple[int, ...], ...]
 
     def position(self, state: int) -> int:
@@ -97,64 +103,52 @@ class AbsorbingSystem:
 
     def hitting_time_vector(self) -> list[Fraction]:
         """Expected steps to absorption from each transient state."""
-        rhs = [Fraction(1)] * len(self.transient_states)
+        rhs = [self.params.degree] * len(self.transient_states)
         return linsolve.solve_exact(self.rows, rhs)
 
     def absorption_probability_vector(self, goal: frozenset[int]) -> list[Fraction]:
         """Probability of being absorbed inside ``goal`` from each transient state."""
-        step = Fraction(1, self.params.degree)
-        rhs = [
-            step * sum(1 for s in edges if s in goal)
-            for edges in self.absorbing_edges
-        ]
+        rhs = [sum(1 for s in edges if s in goal) for edges in self.absorbing_edges]
         return linsolve.solve_exact(self.rows, rhs)
 
 
 def build_absorbing_system(
     params: ModelParams, absorbing: frozenset[int]
 ) -> AbsorbingSystem:
+    """The system of the walk absorbed at the given state indices.
+
+    Raises SingularSystemError for an empty set and ValidationError for an
+    index outside the state space, before anything is built.
+    """
     total = params.state_count
-    if not absorbing and total > 0:
+    if not absorbing:
         raise SingularSystemError("absorbing set is empty")
-    adjacency = neighbor_indices(params)
-
-    # reachability certificate: the walk's graph is connected, so a breadth
-    # first search from the absorbing set must cover every state
-    seen = [False] * total
-    queue = deque(absorbing)
-    for s in absorbing:
-        seen[s] = True
-    while queue:
-        g = queue.popleft()
-        for nb in adjacency[g]:
-            if not seen[nb]:
-                seen[nb] = True
-                queue.append(nb)
-    if not all(seen):
-        raise SingularSystemError(
-            "absorbing set unreachable from some state; hitting system singular"
+    outside = sorted(s for s in absorbing if not 0 <= s < total)
+    if outside:
+        raise ValidationError(
+            f"absorbing state index {outside[0]} outside 0..{total - 1}"
         )
-
-    transients = tuple(g for g in range(total) if g not in absorbing)
-    position = {g: i for i, g in enumerate(transients)}
-    # a state's neighbours are distinct, so each off-diagonal entry is one -1/degree
-    diagonal, off_diagonal = Fraction(1), Fraction(-1, params.degree)
-    rows: list[dict[int, Fraction]] = []
-    edges: list[tuple[int, ...]] = []
-    for g in transients:
-        row: dict[int, Fraction] = {position[g]: diagonal}
-        hit: list[int] = []
-        for nb in adjacency[g]:
-            if nb in absorbing:
-                hit.append(nb)
-            else:
-                row[position[nb]] = off_diagonal
+    is_absorbing = np.zeros(total, dtype=bool)
+    is_absorbing[list(absorbing)] = True
+    transients = np.flatnonzero(~is_absorbing)
+    # each state's position among the transient states, -1 when absorbing
+    position = np.where(is_absorbing, -1, np.cumsum(~is_absorbing) - 1)
+    moves = neighbor_indices(params)[transients]
+    degree = params.degree
+    rows: list[dict[int, int]] = []
+    for i, columns in enumerate(position[moves].tolist()):
+        # a state's neighbours are distinct: each transient one is one -1 entry
+        row = dict.fromkeys(columns, -1)
+        row.pop(-1, None)
+        row[i] = degree
         rows.append(row)
-        edges.append(tuple(hit))
+    hits = is_absorbing[moves]
+    edges = [()] * len(transients)
+    for i in np.flatnonzero(hits.any(axis=1)).tolist():
+        edges[i] = tuple(moves[i][hits[i]].tolist())
     return AbsorbingSystem(
         params=params,
-        transient_states=transients,
-        absorbing_states=absorbing,
+        transient_states=tuple(transients.tolist()),
         rows=tuple(rows),
         absorbing_edges=tuple(edges),
     )
@@ -214,7 +208,7 @@ def expected_hitting_time_float(
     if params.state_count > budget:
         raise BudgetExceededError(params.state_count, budget, what="float solve")
     system = build_absorbing_system(params, frozenset({index_of(target, params)}))
-    rhs = [Fraction(1)] * len(system.transient_states)
+    rhs = [params.degree] * len(system.transient_states)
     values, residual = linsolve.solve_float(system.rows, rhs)
     return float(values[system.position(index_of(start, params))]), residual
 
@@ -282,11 +276,8 @@ def mean_return_gap_to_target_fiber(
     _check_budget(params, budget, "exact solve")
     fiber = sorted(_fiber_indices(params))
     times = _fiber_hitting_vector(params.urns, params.balls)
-    adjacency = neighbor_indices(params)
-    total = Fraction(0)
-    for state in fiber:
-        for nb in adjacency[state]:
-            total += times[nb]
+    moves = neighbor_indices(params)[fiber].ravel().tolist()
+    total = sum((times[nb] for nb in moves), Fraction(0))
     return 1 + total / (len(fiber) * params.degree)
 
 

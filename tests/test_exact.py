@@ -11,32 +11,6 @@ from urnwalk.errors import (
 )
 from urnwalk.model import ModelParams
 
-from _reference import pascal_binomial
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert exact.binomial(2, 1) == 2
-        assert exact.binomial(3, 2) == 3
-        assert exact.binomial(0, 0) == 1
-
-    def test_large_value_against_pascal(self):
-        assert exact.binomial(30, 15) == pascal_binomial(30, 15) == 155117520
-
-    @given(st.integers(0, 40), st.integers(0, 40))
-    def test_matches_pascal(self, n, m):
-        if m > n:
-            with pytest.raises(DomainError):
-                exact.binomial(n, m)
-        else:
-            assert exact.binomial(n, m) == pascal_binomial(n, m)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            exact.binomial(-1, 0)
-        with pytest.raises(DomainError):
-            exact.binomial(3, -2)
-
 
 class TestFullTransferTime:
     def test_five_urns_three_balls(self):

@@ -115,8 +115,8 @@ class TestModularPath:
             linsolve.solve_exact(rows, [Fraction(1)] * size)
 
 
-class TestModularPathOnWalkSystem:
-    def test_matches_float_snap_result(self):
+class TestWalkSystem:
+    def test_dense_fallback_matches_refined_solve(self):
         # the hitting system the oracle actually builds, forced down the
         # dense fallback; must agree with the refined solve exactly
         from urnwalk import oracle
@@ -125,7 +125,7 @@ class TestModularPathOnWalkSystem:
         params = ModelParams(3, 4)  # 81 states
         target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
-        rhs = [Fraction(1)] * len(system.transient_states)
+        rhs = [params.degree] * len(system.transient_states)
         assert linsolve._dense_fraction_solve(
             system.rows, rhs
         ) == linsolve.solve_exact(system.rows, rhs)
@@ -167,8 +167,9 @@ class TestRefinementPath:
         # solution is the reference now
         rows, solution, rhs = system
         sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
-        int_rows, int_rhs = linsolve._integer_rows(sparse_rows, rhs)
-        assert linsolve._solve_refined(int_rows, int_rhs) == solution
+        matrix, b = linsolve._integer_system(sparse_rows, rhs)
+        assert linsolve._is_certified(matrix)
+        assert linsolve._solve_refined(matrix, b) == solution
         assert linsolve.solve_exact(sparse_rows, rhs) == solution
 
     def test_singular_symmetric_system_detected(self):
@@ -185,6 +186,28 @@ class TestRefinementPath:
         # consistent right-hand side: every x + t (1, ..., 1) solves it
         x = [Fraction(i * i) for i in range(size)]
         rhs = [sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows]
+        with pytest.raises(SingularSystemError):
+            linsolve.solve_exact(rows, rhs)
+
+    def test_block_without_a_strict_row_is_not_certified(self):
+        # Two diagonal blocks, symmetric and weakly dominant throughout:
+        # the first is strictly dominant, the second a path Laplacian with
+        # no strict row, which the search from the strict rows never
+        # reaches.  The system is singular, so it must not be refined.
+        half = 10  # 20 unknowns, past the dense limit
+        rows = []
+        for i in range(2 * half):
+            first, last = i % half == 0, i % half == half - 1
+            row = {i: Fraction(3 if i < half else 2 - first - last)}
+            if not first:
+                row[i - 1] = Fraction(-1)
+            if not last:
+                row[i + 1] = Fraction(-1)
+            rows.append(row)
+        x = [Fraction(i * i, 7) for i in range(2 * half)]
+        rhs = [sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows]
+        matrix, _ = linsolve._integer_system(rows, rhs)
+        assert not linsolve._is_certified(matrix)
         with pytest.raises(SingularSystemError):
             linsolve.solve_exact(rows, rhs)
 
@@ -222,8 +245,8 @@ class TestDenseFallback:
     def test_refinement_stall_falls_back(self, monkeypatch):
         stalled = []
 
-        def stall(int_rows, int_rhs):
-            stalled.append(len(int_rows))
+        def stall(matrix, rhs):
+            stalled.append(matrix.shape[0])
             return None
 
         monkeypatch.setattr(linsolve, "_solve_refined", stall)

@@ -47,14 +47,15 @@ def step_probability(source, destination, params):
     """One-step probability as the oracle's hitting system holds it.
 
     With every state but ``source`` absorbing, the system has one row: its
-    diagonal is one minus the self-loop probability, and its absorbing
-    edges list each state one move away, each with probability 1/degree.
+    diagonal is the degree times one minus the self-loop probability, and
+    its absorbing edges list each state one move away, each with
+    probability 1/degree.
     """
     a, b = index_of(source, params), index_of(destination, params)
     others = frozenset(range(params.state_count)) - {a}
     system = oracle.build_absorbing_system(params, others)
     if a == b:
-        return 1 - system.rows[0][0]
+        return 1 - Fraction(system.rows[0][0], params.degree)
     return Fraction(system.absorbing_edges[0].count(b), params.degree)
 
 
@@ -144,7 +145,9 @@ class TestNeighbors:
     def test_index_adjacency_matches_neighbors(self, pc):
         params, config = pc
         expected = sorted(index_of(other, params) for other in neighbors(config, params))
-        assert model.neighbor_indices(params)[index_of(config, params)] == expected
+        adjacency = model.neighbor_indices(params)
+        assert adjacency.shape == (params.state_count, params.degree)
+        assert adjacency[index_of(config, params)].tolist() == expected
 
 
 class TestTransitionProbability:
@@ -273,7 +276,8 @@ class TestLumpabilityCertifier:
         def build(*args):
             raise AssertionError("built past the budget")
 
-        monkeypatch.setattr(model, "_adjacency", build)
+        monkeypatch.setattr(model, "neighbor_indices", build)
+        monkeypatch.setattr(model, "_digits", build)
         with pytest.raises(BudgetExceededError) as info:
             is_exactly_lumpable(ModelParams(6, 10), build, build)
         assert info.value.states == 6**10

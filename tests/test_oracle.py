@@ -2,12 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnwalk import exact, linsolve, oracle
-from urnwalk.errors import BudgetExceededError, DomainError
-from urnwalk.model import ModelParams, config_at
+from urnwalk.errors import (
+    BudgetExceededError,
+    DomainError,
+    SingularSystemError,
+    ValidationError,
+)
+from urnwalk.model import ModelParams, config_at, index_of, neighbors
 
 from _reference import reference_hitting_time
+
+
+@st.composite
+def params_and_absorbing_set(draw):
+    params = ModelParams(draw(st.integers(2, 5)), draw(st.integers(1, 4)))
+    states = st.integers(0, params.state_count - 1)
+    return params, draw(st.frozensets(states, min_size=1))
 
 
 class TestExpectedHittingTime:
@@ -90,12 +104,11 @@ class TestRefinedSolves:
         absorbing = frozenset(rng.sample(range(params.state_count), 4))
         goal = frozenset({min(absorbing)})
         system = oracle.build_absorbing_system(params, absorbing)
-        step = Fraction(1, params.degree)
         for solved, rhs in (
-            (system.hitting_time_vector(), [Fraction(1)] * len(system.rows)),
+            (system.hitting_time_vector(), [params.degree] * len(system.rows)),
             (
                 system.absorption_probability_vector(goal),
-                [step * sum(s in goal for s in e) for e in system.absorbing_edges],
+                [sum(s in goal for s in e) for e in system.absorbing_edges],
             ),
         ):
             assert max(v.denominator for v in solved) > 10**6
@@ -214,7 +227,31 @@ class TestAbsorbingSystem:
             system.position(3)
 
     def test_empty_absorbing_set_rejected(self):
-        from urnwalk.errors import SingularSystemError
-
         with pytest.raises(SingularSystemError):
             oracle.build_absorbing_system(ModelParams(2, 2), frozenset())
+
+    @pytest.mark.parametrize(
+        "absorbing,named", [({-1, 3}, -1), ({-1}, -1), ({8}, 8)]
+    )
+    def test_absorbing_indices_are_validated(self, absorbing, named):
+        # 2x3 has the 8 states 0..7
+        with pytest.raises(ValidationError, match=f"index {named} outside 0..7"):
+            oracle.build_absorbing_system(ModelParams(2, 3), frozenset(absorbing))
+
+    @given(params_and_absorbing_set())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_degree_minus_transient_adjacency(self, case):
+        params, absorbing = case
+        system = oracle.build_absorbing_system(params, absorbing)
+        assert system.transient_states == tuple(
+            g for g in range(params.state_count) if g not in absorbing
+        )
+        for i, (g, row, edges) in enumerate(
+            zip(system.transient_states, system.rows, system.absorbing_edges)
+        ):
+            moves = [index_of(c, params) for c in neighbors(config_at(g, params), params)]
+            expected = {system.position(h): -1 for h in moves if h not in absorbing}
+            expected[i] = params.degree
+            assert row == expected
+            assert all(type(c) is int for c in row.values())
+            assert sorted(edges) == sorted(h for h in moves if h in absorbing)
