@@ -54,12 +54,6 @@ from .oracle import (
     mean_return_gap_to_target_fiber,
     expected_time_to_target_fiber,
 )
-from .simulate import (
-    HittingEstimate,
-    SimulationPlan,
-    estimate_for_distance,
-    run,
-    step,
-)
+from .simulate import HittingEstimate, SimulationPlan, run
 
 __version__ = "0.1.0"

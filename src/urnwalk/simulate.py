@@ -11,11 +11,45 @@ destination component is an index into the urns other than the current one
 (skip-adjusted), so every alternative urn is exactly equally likely.
 Replications that fail to hit within the step cap are counted separately
 and excluded from the mean, never silently folded in.
+
+The stream of replication r is the one ``Generator(Philox(key=(seed, r)))``
+yields through ``integers(0, span)`` with ``span = balls * (urns - 1)``.
+Rather than build that generator once per replication, the kernel walks a
+batch of replications in lockstep and emulates the stream in numpy:
+
+- Philox4x64-10 (Salmon et al., SC'11) of the counters 1, 2, ... under the
+  key (seed, r), with its 64x64 -> 128-bit products formed from 32-bit
+  limbs;
+- each output word split into its 32-bit halves, low half first, and each
+  half ``x`` turned into a draw by Lemire's bounded method (ACM TOMACS
+  29(1), 2019): ``x`` is kept iff ``(x * span) mod 2**32`` is at least
+  ``(2**32 - span) mod span``, and the draw is ``(x * span) >> 32``.
+
+This is what numpy does for spans below ``2**32`` (wider spans take its
+64-bit path, so plans with such spans are rejected).  Numpy draws nothing
+for span 1; the emulation does, but every draw is then 0, so no step
+changes.
+
+Batches hold at most ``_BATCH`` replications.  Every active replication
+of a batch advances one step per column of a block of draws, spending
+whole counters; replications that hit leave the batch at block
+boundaries, in whole groups of ``_ROW_GRAIN``.  A replication whose block
+holds a rejected half (each half is rejected with a chance below
+span / 2**32) finishes in the scalar loop from the start of that block,
+and so do all once ``_TAIL`` or fewer are left.  The scalar loop resumes
+each stream on one reused ``Philox`` whose ``state`` is set to the counter
+boundary the lockstep walk reached.
+
+``tests/_reference.py`` keeps the per-replication loop this kernel
+replaced.  The tests check the kernel against it step count for step
+count, and the draws against ``Generator.integers``; CI checks digests of
+the ``simulate`` JSON taken before the kernel existed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,9 +70,30 @@ from .model import (
     check_configuration,
 )
 
+_SEED_LIMIT = 2**64
+_SPAN_LIMIT = 2**32
+# scalar loop: draws per call to `integers`, growing fourfold
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 65_536
-_SEED_LIMIT = 2**64
+# lockstep kernel: replications per batch, placement cells per batch, draws
+# per block (a block spends at least one counter, 8 draws, per row, so a
+# full batch takes 2**16), and the active count at or below which the scalar
+# loop takes over
+_BATCH = 2**13
+_BATCH_CELLS = 2**20
+_BLOCK_DRAWS = 2**15
+_TAIL = 48
+# finished rows leave the batch in whole groups of this many rows, so that
+# the arrays of a batch take few distinct sizes: numpy keeps up to seven
+# freed buffers of each size under 1 KiB for reuse, and rows shrinking one
+# at a time would leave megabytes there
+_ROW_GRAIN = 64
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
 
 
 def default_max_steps(params: ModelParams) -> int:
@@ -57,6 +112,10 @@ class SimulationPlan:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        if self.params.degree >= _SPAN_LIMIT:
+            raise ValidationError(
+                "balls * (urns - 1) must be below 2**32 for the seeded draws"
+            )
         check_configuration(self.start, self.params)
         check_configuration(self.target, self.params)
         if self.start == self.target:
@@ -97,48 +156,77 @@ class HittingEstimate:
     seed: int
 
 
-def step(
-    config: Configuration, params: ModelParams, ball_index: int, urn_draw: int
-) -> Configuration:
-    """Apply one move given the two uniform draws that define it.
+def _mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``a * multiplier``, from 32-bit limbs.
 
-    ``ball_index`` picks the moving ball (0-based, uniform over the balls)
-    and ``urn_draw`` in 1..urns-1 picks the destination among the other
-    urns: destinations below the current urn keep their number, the rest
-    shift up by one.
+    No partial sum overflows: ``(2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64``.
     """
-    check_configuration(config, params)
-    if not 0 <= ball_index < params.balls:
-        raise DomainError(f"ball index {ball_index} outside 0..{params.balls - 1}")
-    if not 1 <= urn_draw <= params.urns - 1:
-        raise DomainError(f"urn draw {urn_draw} outside 1..{params.urns - 1}")
-    current = config[ball_index]
-    destination = urn_draw if urn_draw < current else urn_draw + 1
-    return config[:ball_index] + (destination,) + config[ball_index + 1 :]
+    m_lo = np.uint64(multiplier & 0xFFFFFFFF)
+    m_hi = np.uint64(multiplier >> 32)
+    a_lo = a & _LOW32
+    a_hi = a >> _SHIFT32
+    cross = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
+    upper = a_lo * m_hi + (cross & _LOW32)
+    high = a_hi * m_hi + (cross >> _SHIFT32) + (upper >> _SHIFT32)
+    return high, a * np.uint64(multiplier)
 
 
-def _replication_stream(seed: int, replication: int) -> np.random.Generator:
-    """The dedicated counter-based stream for one replication."""
-    key = np.array([seed, replication], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox_words(seeds, reps, counters) -> np.ndarray:
+    """Philox4x64-10 of the counters ``(c, 0, 0, 0)`` under keys ``(seed, rep)``.
+
+    The three arguments broadcast against each other; the result has their
+    broadcast shape plus a last axis of the four output words, in the order
+    ``Philox.random_raw`` emits them.
+    """
+    # arrays even for scalar keys: array sums wrap silently, numpy scalars warn
+    k0 = np.array(seeds, dtype=np.uint64, ndmin=1)
+    k1 = np.array(reps, dtype=np.uint64, ndmin=1)
+    c0 = np.asarray(counters, dtype=np.uint64)
+    shape = np.broadcast_shapes(k0.shape, k1.shape, c0.shape)
+    c0 = np.broadcast_to(c0, shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0 = k0 + np.uint64(_PHILOX_WEYL[0])
+            k1 = k1 + np.uint64(_PHILOX_WEYL[1])
+        hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1)
 
 
-def _hitting_steps(
-    urns: int,
-    balls: int,
-    start: Configuration,
+def _bounded_draws(seeds, reps, counters, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire draws in ``[0, span)`` from the Philox words of ``counters``.
+
+    The arguments broadcast to ``(rows, k)``: one row per stream, ``k``
+    consecutive counters.  Returns ``(draws, kept)``, both ``(rows, 8 * k)``:
+    one entry per 32-bit half in stream order (each word low half first),
+    the draw as uint32 and whether Lemire's rejection test keeps it.  The
+    kept draws of counters 1, 2, ..., in order, are the values of
+    ``Generator(Philox(key=(seed, rep))).integers(0, span)``.
+    """
+    words = _philox_words(seeds, reps, counters)
+    # little-endian 32-bit view: each word's low half comes first
+    halves = words.astype("<u8", copy=False).view("<u4").reshape(words.shape[0], -1)
+    # uint32 products wrap: they are (x * span) mod 2**32
+    kept = halves * np.uint32(span) >= np.uint32((_SPAN_LIMIT - span) % span)
+    wide = halves.astype(np.uint64)
+    wide *= np.uint64(span)
+    wide >>= _SHIFT32
+    return wide.astype(np.uint32), kept
+
+
+def _walk_scalar(
+    gen: np.random.Generator,
+    alternatives: int,
     target: Configuration,
+    config: list[int],
+    mismatches: int,
+    done: int,
     max_steps: int,
-    seed: int,
-    replication: int,
 ) -> int:
-    """Steps until the walk first sits at ``target``; -1 when truncated."""
-    gen = _replication_stream(seed, replication)
-    alternatives = urns - 1
-    span = balls * alternatives
-    config = list(start)
-    mismatches = sum(1 for a, b in zip(config, target) if a != b)
-    done = 0
+    """Continue one walk from step ``done`` on ``gen``; -1 when truncated."""
+    span = len(config) * alternatives
     block = _FIRST_BLOCK
     while done < max_steps:
         take = min(block, max_steps - done)
@@ -163,17 +251,163 @@ def _hitting_steps(
     return -1
 
 
+def _finish_scalar(
+    alternatives: int,
+    target: Configuration,
+    max_steps: int,
+    seed: int,
+    reps: np.ndarray,
+    place: np.ndarray,
+    mismatches: np.ndarray,
+    done: int,
+) -> list[int]:
+    """Finish each walk in the scalar loop, from step ``done`` of its stream.
+
+    Lockstep walks spend whole counters (``done`` is a multiple of 8), so
+    each stream resumes with counter ``done // 8`` spent, its buffer used
+    up and no pending half: the state of a ``Philox`` that has just
+    returned the last half of that counter.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    spent = np.array([done // 8, 0, 0, 0], dtype=np.uint64)
+    out = []
+    for rep, row, left in zip(reps.tolist(), place.tolist(), mismatches.tolist()):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": spent, "key": np.array([seed, rep], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out.append(_walk_scalar(gen, alternatives, target, row, left, done, max_steps))
+    return out
+
+
+def _walk_block(
+    place: np.ndarray,
+    mismatches: np.ndarray,
+    draws: np.ndarray,
+    alternatives: int,
+    goal: np.ndarray,
+) -> np.ndarray:
+    """Advance every row of ``place`` one step per column of ``draws``.
+
+    ``place`` (rows, balls) and ``mismatches`` (rows,) are updated in
+    place.  Returns the (cols, rows) flags of the steps after which a row
+    sat at ``goal``.
+    """
+    rows, balls = place.shape
+    cols = draws.shape[1]
+    ball, urn_draw = np.divmod(np.ascontiguousarray(draws.T), alternatives)
+    urn_draw = urn_draw.astype(place.dtype)
+    urn_draw += 1
+    wanted = goal[ball]
+    cell = ball + np.arange(rows) * balls
+    del ball
+    flat = place.reshape(-1)
+    arrived = np.empty((cols, rows), dtype=bool)
+    for j in range(cols):
+        at = cell[j]
+        current = flat[at]
+        draw = urn_draw[j]
+        destination = draw + (draw >= current)
+        flat[at] = destination
+        mismatches += current == wanted[j]
+        mismatches -= destination == wanted[j]
+        np.equal(mismatches, 0, out=arrived[j])
+    return arrived
+
+
+def _batch_steps(
+    urns: int,
+    balls: int,
+    start: Configuration,
+    target: Configuration,
+    max_steps: int,
+    seed: int,
+    rep_lo: int,
+    rep_hi: int,
+) -> np.ndarray:
+    """Steps to hit for replications ``rep_lo..rep_hi-1``; -1 when truncated."""
+    alternatives = urns - 1
+    span = balls * alternatives
+    dtype = np.min_scalar_type(-urns)
+    goal = np.array(target, dtype=dtype)
+    steps = np.full(rep_hi - rep_lo, -1, dtype=np.int64)
+    ids = np.arange(rep_hi - rep_lo)
+    reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
+    place = np.tile(np.array(start, dtype=dtype), (len(ids), 1))
+    mismatches = np.full(
+        len(ids), sum(a != b for a, b in zip(start, target)), dtype=np.int32
+    )
+    walking = np.ones(len(ids), dtype=bool)
+    done = 0
+    while done < max_steps:
+        count = np.count_nonzero(walking)
+        if count <= _TAIL:
+            break
+        if len(ids) - count >= _ROW_GRAIN:
+            # drop finished rows, keeping a multiple of _ROW_GRAIN rows; the
+            # finished rows kept walk on, but their steps are already counted
+            keep = walking | (np.cumsum(~walking) <= -count % _ROW_GRAIN)
+            ids, place = ids[keep], place[keep]
+            mismatches, walking = mismatches[keep], walking[keep]
+        remaining = max_steps - done
+        width = max(1, min(_BLOCK_DRAWS // (8 * len(ids)), -(-remaining // 8)))
+        cols = min(8 * width, remaining)
+        counters = done // 8 + 1 + np.arange(width)
+        draws, kept = _bounded_draws(seed, reps[ids, None], counters, span)
+        lost = walking & ~kept[:, :cols].all(axis=1)
+        if lost.any():
+            # a rejected half would shift that stream against its neighbours':
+            # finish it in the scalar loop from the start of the block
+            steps[ids[lost]] = _finish_scalar(
+                alternatives, target, max_steps, seed, reps[ids[lost]],
+                place[lost], mismatches[lost], done,
+            )
+            walking &= ~lost
+        arrived = _walk_block(place, mismatches, draws[:, :cols], alternatives, goal)
+        del draws, kept  # hold one block at a time
+        hit = walking & arrived.any(axis=0)
+        steps[ids[hit]] = done + arrived.argmax(axis=0)[hit] + 1
+        walking &= ~hit
+        done += cols
+    if done < max_steps and walking.any():
+        steps[ids[walking]] = _finish_scalar(
+            alternatives, target, max_steps, seed, reps[ids[walking]],
+            place[walking], mismatches[walking], done,
+        )
+    return steps
+
+
+def _chunk_steps(
+    urns: int,
+    balls: int,
+    start: Configuration,
+    target: Configuration,
+    max_steps: int,
+    seed: int,
+    rep_lo: int,
+    rep_hi: int,
+) -> list[int]:
+    """Steps to hit for each replication of the chunk, batch by batch."""
+    batch = max(1, min(_BATCH, _BATCH_CELLS // balls))
+    out: list[int] = []
+    for lo in range(rep_lo, rep_hi, batch):
+        hi = min(lo + batch, rep_hi)
+        out += _batch_steps(urns, balls, start, target, max_steps, seed, lo, hi).tolist()
+    return out
+
+
 def _chunk_stats(args: tuple) -> tuple[int, int, int, int]:
     """Exact integer summary (sum, sum of squares, completed, truncated)."""
-    urns, balls, start, target, max_steps, seed, rep_lo, rep_hi = args
     hit_sum = 0
     hit_sumsq = 0
     completed = 0
     truncated = 0
-    for replication in range(rep_lo, rep_hi):
-        steps = _hitting_steps(
-            urns, balls, start, target, max_steps, seed, replication
-        )
+    for steps in _chunk_steps(*args):
         if steps < 0:
             truncated += 1
         else:
@@ -181,6 +415,13 @@ def _chunk_stats(args: tuple) -> tuple[int, int, int, int]:
             hit_sumsq += steps * steps
             completed += 1
     return hit_sum, hit_sumsq, completed, truncated
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run(plan: SimulationPlan) -> HittingEstimate:
@@ -203,7 +444,8 @@ def run(plan: SimulationPlan) -> HittingEstimate:
     if len(chunk_args) == 1:
         summaries = [_chunk_stats(chunk_args[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunk_args)) as pool:
+        pool_size = min(len(chunk_args), _available_cpus())
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             summaries = list(pool.map(_chunk_stats, chunk_args))
 
     hit_sum = sum(s[0] for s in summaries)
@@ -248,25 +490,3 @@ def distance_pair(
     start = all_in_urn(params, SOURCE_URN)
     target = start[: params.balls - distance] + (TARGET_URN,) * distance
     return start, target
-
-
-def estimate_for_distance(
-    params: ModelParams,
-    distance: int,
-    replications: int,
-    seed: int,
-    workers: int = 1,
-    max_steps: int | None = None,
-) -> HittingEstimate:
-    """Run the canonical pair at the given distance."""
-    start, target = distance_pair(params, distance)
-    plan = SimulationPlan(
-        params=params,
-        start=start,
-        target=target,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        max_steps=max_steps,
-    )
-    return run(plan)

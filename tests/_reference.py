@@ -1,16 +1,26 @@
 """Tiny independent reference implementations used only by the tests.
 
 Deliberately separate code paths from the package: a Gauss-Jordan solver
-over plain Fraction lists, a Pascal-triangle binomial, and a hitting-time
-computation that builds its state space with itertools.  Slow and simple on
-purpose; they exist so package results can be checked against something
-that shares no code with them.
+over plain Fraction lists, a Pascal-triangle binomial, a hitting-time
+computation that builds its state space with itertools, and the Monte Carlo
+walk one replication at a time on its own numpy ``Generator`` (the loop the
+lockstep kernel of ``urnwalk.simulate`` replaced, kept as its reference).
+Slow and simple on purpose; apart from the input checks of ``step``, they
+share no code with the package, so its results can be checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
+
+from urnwalk.errors import DomainError
+from urnwalk.model import check_configuration
+
+FIRST_BLOCK = 256
+MAX_BLOCK = 65_536
 
 
 def gauss_jordan_solve(matrix, rhs):
@@ -63,3 +73,59 @@ def reference_hitting_time(urns, balls, start, target):
     rhs = [Fraction(1)] * size
     solution = gauss_jordan_solve(matrix, rhs)
     return solution[t_pos[start]]
+
+
+def step(config, params, ball_index, urn_draw):
+    """Apply one move given the two uniform draws that define it.
+
+    ``ball_index`` picks the moving ball (0-based, uniform over the balls)
+    and ``urn_draw`` in 1..urns-1 picks the destination among the other
+    urns: destinations below the current urn keep their number, the rest
+    shift up by one.
+    """
+    check_configuration(config, params)
+    if not 0 <= ball_index < params.balls:
+        raise DomainError(f"ball index {ball_index} outside 0..{params.balls - 1}")
+    if not 1 <= urn_draw <= params.urns - 1:
+        raise DomainError(f"urn draw {urn_draw} outside 1..{params.urns - 1}")
+    current = config[ball_index]
+    destination = urn_draw if urn_draw < current else urn_draw + 1
+    return config[:ball_index] + (destination,) + config[ball_index + 1 :]
+
+
+def replication_stream(seed, replication):
+    """The dedicated counter-based stream for one replication."""
+    key = np.array([seed, replication], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def hitting_steps(urns, balls, start, target, max_steps, seed, replication):
+    """Steps until the walk first sits at ``target``; -1 when truncated."""
+    gen = replication_stream(seed, replication)
+    alternatives = urns - 1
+    span = balls * alternatives
+    config = list(start)
+    mismatches = sum(1 for a, b in zip(config, target) if a != b)
+    done = 0
+    block = FIRST_BLOCK
+    while done < max_steps:
+        take = min(block, max_steps - done)
+        draws = gen.integers(0, span, size=take).tolist()
+        i = 0
+        for value in draws:
+            ball = value // alternatives
+            draw = value - ball * alternatives + 1
+            current = config[ball]
+            destination = draw if draw < current else draw + 1
+            config[ball] = destination
+            i += 1
+            wanted = target[ball]
+            if current == wanted:
+                mismatches += 1
+            elif destination == wanted:
+                mismatches -= 1
+                if not mismatches:
+                    return done + i
+        done += take
+        block = min(block * 4, MAX_BLOCK)
+    return -1

@@ -1,11 +1,14 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnwalk import exact, simulate
+from _reference import FIRST_BLOCK, MAX_BLOCK, hitting_steps, replication_stream, step
+from urnwalk import cli, exact, simulate
 from urnwalk.errors import (
     DomainError,
     IdenticalConfigurationsError,
@@ -18,22 +21,22 @@ from urnwalk.model import ModelParams, TARGET_URN
 class TestStep:
     def test_two_urns_always_flips(self):
         params = ModelParams(2, 1)
-        assert simulate.step((1,), params, 0, 1) == (2,)
-        assert simulate.step((2,), params, 0, 1) == (1,)
+        assert step((1,), params, 0, 1) == (2,)
+        assert step((2,), params, 0, 1) == (1,)
 
     def test_skip_adjustment(self):
         params = ModelParams(4, 1)
         # current urn 2: draws 1,2,3 land on urns 1,3,4
-        assert simulate.step((2,), params, 0, 1) == (1,)
-        assert simulate.step((2,), params, 0, 2) == (3,)
-        assert simulate.step((2,), params, 0, 3) == (4,)
+        assert step((2,), params, 0, 1) == (1,)
+        assert step((2,), params, 0, 2) == (3,)
+        assert step((2,), params, 0, 3) == (4,)
 
     def test_rejects_bad_draws(self):
         params = ModelParams(3, 2)
         with pytest.raises(DomainError):
-            simulate.step((1, 1), params, 2, 1)
+            step((1, 1), params, 2, 1)
         with pytest.raises(DomainError):
-            simulate.step((1, 1), params, 0, 3)
+            step((1, 1), params, 0, 3)
 
     @given(
         st.integers(2, 5), st.integers(1, 4), st.data()
@@ -45,7 +48,7 @@ class TestStep:
         )
         ball = data.draw(st.integers(0, balls - 1))
         draw = data.draw(st.integers(1, urns - 1))
-        moved = simulate.step(config, params, ball, draw)
+        moved = step(config, params, ball, draw)
         assert sum(1 for a, b in zip(config, moved) if a != b) == 1
         assert moved[ball] != config[ball]
 
@@ -60,7 +63,7 @@ class TestStep:
         neighbor_counts = {}
         for combo, count in enumerate(combo_counts):
             ball, draw = divmod(combo, 2)
-            dest = simulate.step((1, 1), params, ball, draw + 1)
+            dest = step((1, 1), params, ball, draw + 1)
             neighbor_counts[dest] = neighbor_counts.get(dest, 0) + int(count)
         assert set(neighbor_counts) == {(2, 1), (3, 1), (1, 2), (1, 3)}
         sigma = math.sqrt(draws * 0.25 * 0.75)
@@ -108,6 +111,31 @@ class TestPlanValidation:
                 workers=0,
             )
 
+    def test_rejects_spans_of_two_to_the_32(self):
+        # numpy draws such spans by its 64-bit path, which the kernel does
+        # not emulate
+        for urns, balls in ((2**32 + 1, 1), (2**31 + 1, 2)):
+            with pytest.raises(ValidationError):
+                simulate.SimulationPlan(
+                    params=ModelParams(urns, balls),
+                    start=(1,) * balls,
+                    target=(2,) * balls,
+                    replications=1,
+                    seed=0,
+                )
+        widest = simulate.SimulationPlan(
+            params=ModelParams(2**32, 1), start=(1,), target=(2,),
+            replications=1, seed=0,
+        )
+        assert widest.params.degree == 2**32 - 1
+
+    def test_wide_span_exits_2_on_the_cli(self, capsys):
+        code = cli.main(
+            ["simulate", "--urns", str(2**32 + 1), "--balls", "1", "--reps", "1"]
+        )
+        assert code == 2
+        assert "2**32" in capsys.readouterr().err
+
     def test_default_step_cap(self):
         plan = simulate.SimulationPlan(
             params=ModelParams(5, 3),
@@ -121,30 +149,205 @@ class TestPlanValidation:
 
 class TestRunLoopMatchesStep:
     def test_trajectory_equivalence(self):
-        # replay the run loop's combined draws through step() and compare
+        # replay each replication's combined draws through step() and
+        # compare with the kernel's step counts
         params = ModelParams(4, 3)
         start, target = (1, 1, 1), (2, 2, 2)
         cap = 10_000
+        fast = simulate._chunk_steps(4, 3, start, target, cap, 99, 0, 40)
         for rep in range(40):
-            fast = simulate._hitting_steps(4, 3, start, target, cap, 99, rep)
-            gen = simulate._replication_stream(99, rep)
+            gen = replication_stream(99, rep)
             config = start
             steps = 0
-            block = simulate._FIRST_BLOCK
+            block = FIRST_BLOCK
             done = 0
             replay = None
             while done < cap and replay is None:
                 take = min(block, cap - done)
                 for value in gen.integers(0, 3 * 3, size=take).tolist():
                     ball, draw = divmod(value, 3)
-                    config = simulate.step(config, params, ball, draw + 1)
+                    config = step(config, params, ball, draw + 1)
                     steps += 1
                     if config == target:
                         replay = steps
                         break
                 done += take
-                block = min(block * 4, simulate._MAX_BLOCK)
-            assert fast == replay
+                block = min(block * 4, MAX_BLOCK)
+            assert fast[rep] == replay
+
+
+# Spans whose Lemire rejection rate runs from none to 25-50%.
+REJECTION_SPANS = (1, 2, 9, 15, 3 * 2**30, 2**31 + 1, 2**32 - 5)
+
+
+@st.composite
+def walk_plans(draw):
+    """Urns, balls and a start/target pair at any distance from 1 to balls."""
+    urns = draw(st.integers(2, 7))
+    balls = draw(st.integers(1, 6))
+    start = draw(st.lists(st.integers(1, urns), min_size=balls, max_size=balls))
+    distance = draw(st.integers(1, balls))
+    moved = draw(st.permutations(range(balls)))[:distance]
+    target = list(start)
+    for ball in moved:
+        shift = draw(st.integers(1, urns - 1))
+        target[ball] = (start[ball] - 1 + shift) % urns + 1
+    return urns, balls, tuple(start), tuple(target)
+
+
+class TestLockstepKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        walk_plans(),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 1000),
+        st.integers(1, 80),
+        st.integers(1, 2000),
+        st.integers(0, 80),
+    )
+    def test_matches_scalar_reference(self, walk, seed, rep_lo, count, cap, tail):
+        # caps from 1 step up truncate many walks; the tail cut-off moves
+        # the hand-over to the scalar loop to any point of the walk
+        urns, balls, start, target = walk
+        with mock.patch.object(simulate, "_TAIL", tail):
+            got = simulate._chunk_steps(
+                urns, balls, start, target, cap, seed, rep_lo, rep_lo + count
+            )
+        want = [
+            hitting_steps(urns, balls, start, target, cap, seed, rep)
+            for rep in range(rep_lo, rep_lo + count)
+        ]
+        assert got == want
+
+    def test_philox_words_match_random_raw(self):
+        seed, reps = 2**64 - 3, np.array([[0], [5], [2**63]], dtype=np.uint64)
+        words = simulate._philox_words(seed, reps, np.arange(1, 6))
+        for row, rep in enumerate(reps[:, 0]):
+            raw = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
+            assert words[row].reshape(-1).tolist() == raw.random_raw(20).tolist()
+
+    @pytest.mark.parametrize("span", REJECTION_SPANS)
+    def test_draws_match_numpy_across_blocks(self, span):
+        # consecutive counter blocks per row, against numpy drawing the same
+        # stream in calls of other sizes: pending halves and rejections
+        # must carry over every boundary on both sides
+        seed = 0xDEADBEEF12345678
+        reps = np.array([[0], [1], [77], [2**40]], dtype=np.uint64)
+        kept_draws = [[] for _ in reps]
+        for first in range(1, 13, 3):
+            counters = np.arange(first, first + 3)
+            draws, kept = simulate._bounded_draws(seed, reps, counters, span)
+            for row in range(len(reps)):
+                kept_draws[row] += draws[row][kept[row]].tolist()
+        for row, rep in enumerate(reps[:, 0]):
+            gen = replication_stream(seed, int(rep))
+            want = []
+            while len(want) < len(kept_draws[row]):
+                want += gen.integers(0, span, size=5).tolist()
+                want += gen.integers(0, span, size=1).tolist()
+            assert kept_draws[row] == want[: len(kept_draws[row])]
+        if span == 2**31 + 1:
+            assert sum(map(len, kept_draws)) < 0.6 * 4 * 12 * 8
+
+    def test_rejected_half_hands_the_walk_to_the_scalar_loop(self):
+        # no walk plan has a span wide enough to see rejections in practice,
+        # so flag about one half in 60 as rejected and spoil its draw: those
+        # walks must finish in the scalar loop from their block's start, on
+        # the true stream
+        bounded_draws = simulate._bounded_draws
+        flagged = []
+
+        def with_rejections(seeds, reps, counters, span):
+            draws, kept = bounded_draws(seeds, reps, counters, span)
+            salt = np.arange(draws.shape[1]) + reps.astype(np.int64)
+            rejected = (draws * 7 + salt) % 61 == 0
+            flagged.append(int(rejected.any(axis=1).sum()))
+            return np.where(rejected, (draws + 1) % span, draws), kept & ~rejected
+
+        args = (4, 3, (1, 2, 3), (2, 2, 2), 5000, 2**63 + 11, 0, 600)
+        with mock.patch.object(simulate, "_bounded_draws", with_rejections):
+            with mock.patch.object(simulate, "_TAIL", 0):
+                got = simulate._chunk_steps(*args)
+        assert sum(flagged) > 100
+        assert got == [hitting_steps(*args[:6], rep) for rep in range(600)]
+
+    def test_rows_leave_in_whole_groups(self):
+        # after the batch's first block, every block walks a multiple of
+        # _ROW_GRAIN rows, so its arrays come in few distinct sizes
+        walk_block = simulate._walk_block
+        rows = []
+
+        def recording(place, *args):
+            rows.append(len(place))
+            return walk_block(place, *args)
+
+        with mock.patch.object(simulate, "_walk_block", recording):
+            with mock.patch.object(simulate, "_TAIL", 0):
+                simulate._chunk_steps(4, 3, (1, 1, 1), (2, 2, 2), 10**6, 3, 0, 1000)
+        assert rows[0] == 1000 and len(set(rows)) > 2
+        assert all(n % simulate._ROW_GRAIN == 0 for n in rows[1:] if n != 1000)
+
+    def test_batches_bound_the_placement_cells(self):
+        # many balls shrink the batch, so a batch's placements stay within
+        # _BATCH_CELLS cells
+        balls = 2**12
+        batch_steps = simulate._batch_steps
+        sizes = []
+
+        def recording(urns, balls, start, target, max_steps, seed, lo, hi):
+            sizes.append(hi - lo)
+            return batch_steps(urns, balls, start, target, max_steps, seed, lo, hi)
+
+        start, target = (1,) * balls, (2,) + (1,) * (balls - 1)
+        with mock.patch.object(simulate, "_batch_steps", recording):
+            got = simulate._chunk_steps(3, balls, start, target, 40, 5, 0, 600)
+        assert sizes == [256, 256, 88]
+        assert got == [hitting_steps(3, balls, start, target, 40, 5, r) for r in range(600)]
+
+    @pytest.mark.parametrize("cap", (10_000, 12))
+    def test_tail_cut_off_extremes_agree(self, cap):
+        # more replications than one batch holds, all in lockstep against
+        # all in the scalar loop
+        replications = simulate._BATCH + 700
+        args = (3, 2, (1, 1), (2, 3), cap, 31, 5, 5 + replications)
+        with mock.patch.object(simulate, "_TAIL", 0):
+            lockstep = simulate._chunk_steps(*args)
+        with mock.patch.object(simulate, "_TAIL", replications):
+            scalar = simulate._chunk_steps(*args)
+        assert lockstep == scalar
+        assert len(lockstep) == replications
+        if cap == 12:
+            assert 0 < lockstep.count(-1) < replications
+
+
+def distance_plan(params, distance, replications, seed, workers=1):
+    start, target = simulate.distance_pair(params, distance)
+    return simulate.SimulationPlan(
+        params=params,
+        start=start,
+        target=target,
+        replications=replications,
+        seed=seed,
+        workers=workers,
+    )
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
 
 
 class TestRun:
@@ -165,18 +368,26 @@ class TestRun:
         ]
         assert estimates[0] == estimates[1] == estimates[2]
 
+    def test_pool_capped_at_available_cpus(self):
+        # 64 chunks still split the plan, but the pool holds at most one
+        # process per CPU; the recorder starts none
+        params = ModelParams(3, 2)
+        RecordingPool.sizes = []
+        with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool):
+            pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
+        cpus = simulate._available_cpus()
+        assert 1 <= cpus <= os.cpu_count()
+        assert RecordingPool.sizes == [min(64, cpus)]
+        assert pooled == simulate.run(distance_plan(params, 2, 640, 21))
+
     def test_interval_structure(self):
-        estimate = simulate.estimate_for_distance(
-            ModelParams(3, 2), 2, replications=500, seed=5
-        )
+        estimate = simulate.run(distance_plan(ModelParams(3, 2), 2, 500, 5))
         assert estimate.ci95_low == estimate.mean - 1.96 * estimate.std_error
         assert estimate.ci95_high == estimate.mean + 1.96 * estimate.std_error
 
     def test_estimate_consistent_with_exact_value(self):
         params = ModelParams(5, 3)
-        estimate = simulate.estimate_for_distance(
-            params, 1, replications=20_000, seed=3
-        )
+        estimate = simulate.run(distance_plan(params, 1, 20_000, 3))
         expected = float(
             exact.general_hitting_time(
                 exact.HittingQuery(params=params, hamming_distance=1)
@@ -196,9 +407,7 @@ class TestRun:
             )
         )
         assert expected == 48705.0
-        estimate = simulate.estimate_for_distance(
-            params, 3, replications=400, seed=7, workers=2
-        )
+        estimate = simulate.run(distance_plan(params, 3, 400, 7, workers=2))
         z = (estimate.mean - expected) / estimate.std_error
         assert abs(z) < 3
 
@@ -264,7 +473,7 @@ class TestFirstFiberVisitFrequency:
             while True:
                 value = int(gen.integers(0, 4))
                 ball, draw = divmod(value, 2)
-                config = simulate.step(config, params, ball, draw + 1)
+                config = step(config, params, ball, draw + 1)
                 if config[0] == TARGET_URN:
                     successes += int(config == (2, 2))
                     break
