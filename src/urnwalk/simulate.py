@@ -333,7 +333,7 @@ def _batch_steps(
     """Steps to hit for replications ``rep_lo..rep_hi-1``; -1 when truncated."""
     alternatives = urns - 1
     span = balls * alternatives
-    dtype = np.min_scalar_type(-urns)
+    dtype = np.min_scalar_type(urns)  # unsigned: the kernel never subtracts
     goal = np.array(target, dtype=dtype)
     steps = np.full(rep_hi - rep_lo, -1, dtype=np.int64)
     ids = np.arange(rep_hi - rep_lo)

@@ -304,6 +304,30 @@ class TestLockstepKernel:
         assert sizes == [256, 256, 88]
         assert got == [hitting_steps(3, balls, start, target, 40, 5, r) for r in range(600)]
 
+    @pytest.mark.parametrize(
+        "urns, start, target, cap",
+        [
+            (128, (1,), (2,), 10**6),
+            (128, (128,), (2,), 10**6),
+            (128, (1, 1), (2, 2), 3000),
+            (128, (128, 1), (1, 128), 3000),
+            (255, (255, 1), (256 - 2, 255), 3000),
+            (256, (256, 256), (1, 2), 3000),
+            (32_768, (32_768,), (1,), 2000),
+            (32_768, (1,), (32_768,), 2000),
+        ],
+    )
+    def test_urn_numbers_at_dtype_boundaries(self, urns, start, target, cap):
+        # the placement dtype is the smallest that holds the urn numbers:
+        # walks that start at, aim for or pass through the highest urn must
+        # keep it exact, past the tail cut-off
+        balls = len(start)
+        count = 2 * simulate._TAIL + 4
+        got = simulate._chunk_steps(urns, balls, start, target, cap, 9, 0, count)
+        want = [hitting_steps(urns, balls, start, target, cap, 9, r) for r in range(count)]
+        assert got == want
+        assert any(steps > 0 for steps in got)
+
     @pytest.mark.parametrize("cap", (10_000, 12))
     def test_tail_cut_off_extremes_agree(self, cap):
         # more replications than one batch holds, all in lockstep against
