@@ -124,8 +124,6 @@ def report_table(report: RunReport) -> str:
 
 
 def report_csv(report: RunReport) -> str:
-    if report.command != "simulate":
-        raise ValidationError("csv output is only defined for the simulate command")
     row = {entry["label"]: entry for entry in report.results}
     values = [
         repr(row["mean"]["value"]),
@@ -341,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, pair=False):
         sp.add_argument("--urns", type=int, required=True, help="number of urns (>= 2)")
         sp.add_argument("--balls", type=int, required=True, help="number of balls (>= 1)")
-        sp.add_argument(
-            "--format",
-            choices=("auto", "table", "json", "csv"),
-            default="auto",
-            help="output format (auto: table on a terminal, json otherwise)",
-        )
         if pair:
             sp.add_argument(
                 "--from", dest="start", default=None,
@@ -377,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="state-count cap for oracle solves "
         f"(default: ${oracle.ENV_BUDGET} or {checks.DEFAULT_ORACLE_BUDGET})",
     )
-    sp.add_argument(
-        "--format", choices=("auto", "table", "json", "csv"), default="auto"
-    )
     sp.set_defaults(handler=handle_verify)
 
     sp = sub.add_parser("oracle", help="exact hitting time, solved over all states")
@@ -403,6 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-steps", type=int, default=None)
     sp.set_defaults(handler=handle_simulate)
 
+    # csv has one row shape, the simulate estimate's
+    for name, sp in sub.choices.items():
+        csv = ("csv",) if name == "simulate" else ()
+        sp.add_argument(
+            "--format",
+            choices=("auto", "table", "json") + csv,
+            default="auto",
+            help="output format (auto: table on a terminal, json otherwise)",
+        )
     return parser
 
 

@@ -15,7 +15,8 @@ and excluded from the mean, never silently folded in.
 The stream of replication r is the one ``Generator(Philox(key=(seed, r)))``
 yields through ``integers(0, span)`` with ``span = balls * (urns - 1)``.
 Rather than build that generator once per replication, the kernel walks a
-batch of replications in lockstep and emulates the stream in numpy:
+batch of replications in lockstep on a numpy emulation of the stream, the
+only source of draws in this module:
 
 - Philox4x64-10 (Salmon et al., SC'11) of the counters 1, 2, ... under the
   key (seed, r), with its 64x64 -> 128-bit products formed from 32-bit
@@ -36,14 +37,15 @@ whole counters; replications that hit leave the batch at block
 boundaries, in whole groups of ``_ROW_GRAIN``.  A replication whose block
 holds a rejected half (each half is rejected with a chance below
 span / 2**32) finishes in the scalar loop from the start of that block,
-and so do all once ``_TAIL`` or fewer are left.  The scalar loop resumes
-each stream on one reused ``Philox`` whose ``state`` is set to the counter
-boundary the lockstep walk reached.
+and so do all once ``_TAIL`` or fewer are left.  The scalar loop emulates
+blocks for all the rows it finishes at once, from the counter boundary the
+lockstep walk reached, and walks each row over its own kept halves.
 
-``tests/_reference.py`` keeps the per-replication loop this kernel
-replaced.  The tests check the kernel against it step count for step
-count, and the draws against ``Generator.integers``; CI checks digests of
-the ``simulate`` JSON taken before the kernel existed.
+``tests/_reference.py`` keeps the per-replication loop on numpy's own
+generator that this kernel replaced.  The tests check the kernel against
+it step count for step count, and the draws against
+``Generator.integers``; CI checks digests of the ``simulate`` JSON taken
+before the kernel existed.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ from .model import (
 
 _SEED_LIMIT = 2**64
 _SPAN_LIMIT = 2**32
-# scalar loop: draws per call to `integers`, growing fourfold
-_FIRST_BLOCK = 256
-_MAX_BLOCK = 65_536
 # lockstep kernel: replications per batch, placement cells per batch, draws
 # per block (a block spends at least one counter, 8 draws, per row, so a
 # full batch takes 2**16), and the active count at or below which the scalar
@@ -217,37 +216,27 @@ def _bounded_draws(seeds, reps, counters, span: int) -> tuple[np.ndarray, np.nda
 
 
 def _walk_scalar(
-    gen: np.random.Generator,
-    alternatives: int,
-    target: Configuration,
-    config: list[int],
-    mismatches: int,
-    done: int,
-    max_steps: int,
+    alternatives: int, target: Configuration, config: list[int], draws: list[int]
 ) -> int:
-    """Continue one walk from step ``done`` on ``gen``; -1 when truncated."""
-    span = len(config) * alternatives
-    block = _FIRST_BLOCK
-    while done < max_steps:
-        take = min(block, max_steps - done)
-        draws = gen.integers(0, span, size=take).tolist()
-        i = 0
-        for value in draws:
-            ball = value // alternatives
-            draw = value - ball * alternatives + 1
-            current = config[ball]
-            destination = draw if draw < current else draw + 1
-            config[ball] = destination
-            i += 1
-            wanted = target[ball]
-            if current == wanted:
-                mismatches += 1
-            elif destination == wanted:
-                mismatches -= 1
-                if not mismatches:
-                    return done + i
-        done += take
-        block = min(block * 4, _MAX_BLOCK)
+    """Walk ``config`` (updated in place) one step per draw.
+
+    Returns the step after which it first sits at ``target``, or -1 when
+    the draws run out first.
+    """
+    mismatches = sum(a != b for a, b in zip(config, target))
+    for i, value in enumerate(draws, 1):
+        ball = value // alternatives
+        draw = value - ball * alternatives + 1
+        current = config[ball]
+        destination = draw if draw < current else draw + 1
+        config[ball] = destination
+        wanted = target[ball]
+        if current == wanted:
+            mismatches += 1
+        elif destination == wanted:
+            mismatches -= 1
+            if not mismatches:
+                return i
     return -1
 
 
@@ -258,31 +247,41 @@ def _finish_scalar(
     seed: int,
     reps: np.ndarray,
     place: np.ndarray,
-    mismatches: np.ndarray,
     done: int,
 ) -> list[int]:
-    """Finish each walk in the scalar loop, from step ``done`` of its stream.
+    """Finish each walk one row at a time, from step ``done`` of its stream.
 
     Lockstep walks spend whole counters (``done`` is a multiple of 8), so
-    each stream resumes with counter ``done // 8`` spent, its buffer used
-    up and no pending half: the state of a ``Philox`` that has just
-    returned the last half of that counter.
+    every stream resumes at counter ``done // 8 + 1``.  Each block is
+    emulated for all rows still walking, as wide as the lockstep rule
+    makes it; each row then walks its own kept halves and keeps its own
+    step count, since a rejected half spends a draw but takes no step.
     """
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    spent = np.array([done // 8, 0, 0, 0], dtype=np.uint64)
-    out = []
-    for rep, row, left in zip(reps.tolist(), place.tolist(), mismatches.tolist()):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": spent, "key": np.array([seed, rep], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        out.append(_walk_scalar(gen, alternatives, target, row, left, done, max_steps))
-    return out
+    span = len(target) * alternatives
+    configs = place.tolist()
+    taken = [done] * len(configs)
+    steps = [-1] * len(configs)
+    walking = list(range(len(configs)))
+    counter = done // 8 + 1
+    while walking:
+        remaining = max_steps - min(taken[i] for i in walking)
+        width = max(1, min(_BLOCK_DRAWS // (8 * len(walking)), -(-remaining // 8)))
+        draws, kept = _bounded_draws(
+            seed, reps[walking][:, None], counter + np.arange(width), span
+        )
+        counter += width
+        left = []
+        for i, row, row_kept in zip(walking, draws, kept):
+            values = row[row_kept][: max_steps - taken[i]].tolist()
+            hit = _walk_scalar(alternatives, target, configs[i], values)
+            if hit >= 0:
+                steps[i] = taken[i] + hit
+                continue
+            taken[i] += len(values)
+            if taken[i] < max_steps:
+                left.append(i)
+        walking = left
+    return steps
 
 
 def _walk_block(
@@ -365,7 +364,7 @@ def _batch_steps(
             # finish it in the scalar loop from the start of the block
             steps[ids[lost]] = _finish_scalar(
                 alternatives, target, max_steps, seed, reps[ids[lost]],
-                place[lost], mismatches[lost], done,
+                place[lost], done,
             )
             walking &= ~lost
         arrived = _walk_block(place, mismatches, draws[:, :cols], alternatives, goal)
@@ -377,7 +376,7 @@ def _batch_steps(
     if done < max_steps and walking.any():
         steps[ids[walking]] = _finish_scalar(
             alternatives, target, max_steps, seed, reps[ids[walking]],
-            place[walking], mismatches[walking], done,
+            place[walking], done,
         )
     return steps
 
@@ -428,24 +427,20 @@ def run(plan: SimulationPlan) -> HittingEstimate:
     """Estimate the expected hitting time of the plan's target from its start."""
     params = plan.params
     cap = plan.step_cap
-    workers = min(plan.workers, plan.replications)
-    bounds = [
-        (
-            plan.replications * w // workers,
-            plan.replications * (w + 1) // workers,
-        )
-        for w in range(workers)
-    ]
+    # one chunk per process: a chunk walks its replications in lockstep, so
+    # more chunks than CPUs only shrink the batches
+    chunks = min(plan.workers, plan.replications, _available_cpus())
     chunk_args = [
-        (params.urns, params.balls, plan.start, plan.target, cap, plan.seed, lo, hi)
-        for lo, hi in bounds
-        if hi > lo
+        (
+            params.urns, params.balls, plan.start, plan.target, cap, plan.seed,
+            plan.replications * w // chunks, plan.replications * (w + 1) // chunks,
+        )
+        for w in range(chunks)
     ]
-    if len(chunk_args) == 1:
+    if chunks == 1:
         summaries = [_chunk_stats(chunk_args[0])]
     else:
-        pool_size = min(len(chunk_args), _available_cpus())
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
             summaries = list(pool.map(_chunk_stats, chunk_args))
 
     hit_sum = sum(s[0] for s in summaries)

@@ -348,6 +348,17 @@ class TestFormats:
         assert code == 2
         assert "csv" in err
 
+    def test_verify_rejects_csv_before_running(self, capsys, monkeypatch):
+        from urnwalk import checks
+
+        def unexpected(**kwargs):
+            raise AssertionError("verify ran its suite")
+
+        monkeypatch.setattr(checks, "run_verification", unexpected)
+        code, out, err = run_cli(capsys, "verify", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "csv" in err
+
     def test_json_has_stable_schema_fields(self, capsys):
         for argv in (
             ("exact", "--urns", "3", "--balls", "2"),

@@ -93,12 +93,9 @@ def sparse_dominant_system(draw, min_size, max_size, symmetric):
     return rows, solution, rhs
 
 
-class TestModularPath:
-    """Non-symmetric systems past the dense limit.
-
-    A modular prime-field solver used to take these; they now fall back to
-    dense rational elimination, which also reports singular ones.
-    """
+class TestNonSymmetricPastDenseLimit:
+    """Non-symmetric systems past the dense limit take the dense rational
+    fallback, which also reports singular ones."""
 
     @given(sparse_dominant_system(17, 40, symmetric=False))
     @settings(max_examples=15, deadline=None)
@@ -131,11 +128,11 @@ class TestWalkSystem:
         ) == linsolve.solve_exact(system.rows, rhs)
 
 
-class TestFloatSnapPath:
-    """``solve_float``, and the banded non-symmetric system a float snap
-    once solved; past the dense limit it now takes the dense fallback."""
+class TestBandedSystemAndFloatSolve:
+    """``solve_float``, and a banded non-symmetric system past the dense
+    limit, which takes the dense fallback."""
 
-    def test_snap_recovers_exact_solution(self):
+    def test_banded_system_recovers_exact_solution(self):
         size = 120  # beyond the dense-fraction limit
         rows = []
         rhs = []
@@ -162,9 +159,7 @@ class TestFloatSnapPath:
 class TestRefinementPath:
     @given(sparse_dominant_system(65, 200, symmetric=True))
     @settings(max_examples=12, deadline=None)
-    def test_matches_modular_path(self, system):
-        # named for the modular solver it was once compared with; the known
-        # solution is the reference now
+    def test_recovers_known_solution(self, system):
         rows, solution, rhs = system
         sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
         matrix, b = linsolve._integer_system(sparse_rows, rhs)

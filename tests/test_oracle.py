@@ -96,9 +96,7 @@ class TestRefinedSolves:
         assert value == exact.full_transfer_time(params)
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_absorbing_sets_match_modular_path(self, seed):
-        # named for the modular solver it was once compared with; every row
-        # is now checked exactly instead
+    def test_absorbing_sets_satisfy_every_row(self, seed):
         rng = random.Random(seed)
         params = ModelParams(2, 9)
         absorbing = frozenset(rng.sample(range(params.state_count), 4))

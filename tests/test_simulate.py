@@ -251,25 +251,42 @@ class TestLockstepKernel:
 
     def test_rejected_half_hands_the_walk_to_the_scalar_loop(self):
         # no walk plan has a span wide enough to see rejections in practice,
-        # so flag about one half in 60 as rejected and spoil its draw: those
-        # walks must finish in the scalar loop from their block's start, on
-        # the true stream
+        # so flag about one half in 60 as rejected and spoil its draw, as a
+        # function of the stream position alone: those walks must finish in
+        # the scalar loop from their block's start, over the kept halves
         bounded_draws = simulate._bounded_draws
         flagged = []
 
         def with_rejections(seeds, reps, counters, span):
             draws, kept = bounded_draws(seeds, reps, counters, span)
-            salt = np.arange(draws.shape[1]) + reps.astype(np.int64)
+            halves = 8 * (np.asarray(counters)[:, None] - 1) + np.arange(8)
+            salt = halves.reshape(-1) + reps.astype(np.int64)
             rejected = (draws * 7 + salt) % 61 == 0
             flagged.append(int(rejected.any(axis=1).sum()))
             return np.where(rejected, (draws + 1) % span, draws), kept & ~rejected
 
-        args = (4, 3, (1, 2, 3), (2, 2, 2), 5000, 2**63 + 11, 0, 600)
+        params, start, target = ModelParams(4, 3), (1, 2, 3), (2, 2, 2)
+        cap, seed = 5000, 2**63 + 11
         with mock.patch.object(simulate, "_bounded_draws", with_rejections):
             with mock.patch.object(simulate, "_TAIL", 0):
-                got = simulate._chunk_steps(*args)
+                got = simulate._chunk_steps(4, 3, start, target, cap, seed, 0, 600)
         assert sum(flagged) > 100
-        assert got == [hitting_steps(*args[:6], rep) for rep in range(600)]
+
+        def kept_walk(rep):
+            # one replication at a time, over the kept halves of its stream
+            rows = np.array([[rep]], dtype=np.uint64)
+            draws, kept = with_rejections(seed, rows, np.arange(1, 701), params.degree)
+            values = draws[0][kept[0]].tolist()
+            assert len(values) >= cap
+            config = start
+            for steps, value in enumerate(values[:cap], 1):
+                ball, draw = divmod(value, 3)
+                config = step(config, params, ball, draw + 1)
+                if config == target:
+                    return steps
+            return -1
+
+        assert got == [kept_walk(rep) for rep in range(600)]
 
     def test_rows_leave_in_whole_groups(self):
         # after the batch's first block, every block walks a multiple of
@@ -393,16 +410,19 @@ class TestRun:
         assert estimates[0] == estimates[1] == estimates[2]
 
     def test_pool_capped_at_available_cpus(self):
-        # 64 chunks still split the plan, but the pool holds at most one
-        # process per CPU; the recorder starts none
+        # the plan splits into at most one chunk per CPU, and a single chunk
+        # runs in-process; the recorder starts no process
         params = ModelParams(3, 2)
-        RecordingPool.sizes = []
-        with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool):
-            pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
         cpus = simulate._available_cpus()
         assert 1 <= cpus <= os.cpu_count()
-        assert RecordingPool.sizes == [min(64, cpus)]
-        assert pooled == simulate.run(distance_plan(params, 2, 640, 21))
+        single = simulate.run(distance_plan(params, 2, 640, 21))
+        for available, sizes in ((1, []), (3, [3])):
+            RecordingPool.sizes = []
+            with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool):
+                with mock.patch.object(simulate, "_available_cpus", lambda: available):
+                    pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
+            assert RecordingPool.sizes == sizes
+            assert pooled == single
 
     def test_interval_structure(self):
         estimate = simulate.run(distance_plan(ModelParams(3, 2), 2, 500, 5))
