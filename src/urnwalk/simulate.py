@@ -31,15 +31,16 @@ This is what numpy does for spans below ``2**32`` (wider spans take its
 for span 1; the emulation does, but every draw is then 0, so no step
 changes.
 
-Batches hold at most ``_BATCH`` replications.  Every active replication
-of a batch advances one step per column of a block of draws, spending
-whole counters; replications that hit leave the batch at block
-boundaries, in whole groups of ``_ROW_GRAIN``.  A replication whose block
-holds a rejected half (each half is rejected with a chance below
-span / 2**32) finishes in the scalar loop from the start of that block,
-and so do all once ``_TAIL`` or fewer are left.  The scalar loop emulates
-blocks for all the rows it finishes at once, from the counter boundary the
-lockstep walk reached, and walks each row over its own kept halves.
+Batches hold at most ``_BATCH`` replications, walked in one loop over
+blocks of draws.  A block spends the same whole counters of every stream
+of the batch, and every active replication takes one step per kept half
+of its row.  A rejected half (each half is rejected with a chance below
+span / 2**32) takes no step: in lockstep its move goes to a scratch cell
+past the balls, so each replication keeps its own step count, and the
+step cap applies to that count.  Replications that hit or reach the cap
+leave the batch at block boundaries, in whole groups of ``_ROW_GRAIN``.
+Once ``_TAIL`` or fewer are left, each block is walked one replication at
+a time in the scalar loop, over the replication's own kept halves.
 
 ``tests/_reference.py`` keeps the per-replication loop on numpy's own
 generator that this kernel replaced.  The tests check the kernel against
@@ -76,8 +77,8 @@ _SEED_LIMIT = 2**64
 _SPAN_LIMIT = 2**32
 # lockstep kernel: replications per batch, placement cells per batch, draws
 # per block (a block spends at least one counter, 8 draws, per row, so a
-# full batch takes 2**16), and the active count at or below which the scalar
-# loop takes over
+# full batch takes 2**16), and the active count at or below which each
+# replication walks its block alone in the scalar loop
 _BATCH = 2**13
 _BATCH_CELLS = 2**20
 _BLOCK_DRAWS = 2**15
@@ -240,50 +241,6 @@ def _walk_scalar(
     return -1
 
 
-def _finish_scalar(
-    alternatives: int,
-    target: Configuration,
-    max_steps: int,
-    seed: int,
-    reps: np.ndarray,
-    place: np.ndarray,
-    done: int,
-) -> list[int]:
-    """Finish each walk one row at a time, from step ``done`` of its stream.
-
-    Lockstep walks spend whole counters (``done`` is a multiple of 8), so
-    every stream resumes at counter ``done // 8 + 1``.  Each block is
-    emulated for all rows still walking, as wide as the lockstep rule
-    makes it; each row then walks its own kept halves and keeps its own
-    step count, since a rejected half spends a draw but takes no step.
-    """
-    span = len(target) * alternatives
-    configs = place.tolist()
-    taken = [done] * len(configs)
-    steps = [-1] * len(configs)
-    walking = list(range(len(configs)))
-    counter = done // 8 + 1
-    while walking:
-        remaining = max_steps - min(taken[i] for i in walking)
-        width = max(1, min(_BLOCK_DRAWS // (8 * len(walking)), -(-remaining // 8)))
-        draws, kept = _bounded_draws(
-            seed, reps[walking][:, None], counter + np.arange(width), span
-        )
-        counter += width
-        left = []
-        for i, row, row_kept in zip(walking, draws, kept):
-            values = row[row_kept][: max_steps - taken[i]].tolist()
-            hit = _walk_scalar(alternatives, target, configs[i], values)
-            if hit >= 0:
-                steps[i] = taken[i] + hit
-                continue
-            taken[i] += len(values)
-            if taken[i] < max_steps:
-                left.append(i)
-        walking = left
-    return steps
-
-
 def _walk_block(
     place: np.ndarray,
     mismatches: np.ndarray,
@@ -293,7 +250,7 @@ def _walk_block(
 ) -> np.ndarray:
     """Advance every row of ``place`` one step per column of ``draws``.
 
-    ``place`` (rows, balls) and ``mismatches`` (rows,) are updated in
+    ``place`` (rows, cells) and ``mismatches`` (rows,) are updated in
     place.  Returns the (cols, rows) flags of the steps after which a row
     sat at ``goal``.
     """
@@ -332,52 +289,64 @@ def _batch_steps(
     """Steps to hit for replications ``rep_lo..rep_hi-1``; -1 when truncated."""
     alternatives = urns - 1
     span = balls * alternatives
+    max_steps = min(max_steps, np.iinfo(np.int64).max)  # no walk gets that far
     dtype = np.min_scalar_type(urns)  # unsigned: the kernel never subtracts
-    goal = np.array(target, dtype=dtype)
+    # a scratch cell past the balls, whose goal no urn matches, takes the
+    # moves of rejected halves (drawn as span, so ball number `balls`)
+    goal = np.array((*target, 0), dtype=dtype)
     steps = np.full(rep_hi - rep_lo, -1, dtype=np.int64)
     ids = np.arange(rep_hi - rep_lo)
     reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-    place = np.tile(np.array(start, dtype=dtype), (len(ids), 1))
+    place = np.tile(np.array((*start, 1), dtype=dtype), (len(ids), 1))
     mismatches = np.full(
         len(ids), sum(a != b for a, b in zip(start, target)), dtype=np.int32
     )
+    taken = np.zeros(len(ids), dtype=np.int64)
     walking = np.ones(len(ids), dtype=bool)
-    done = 0
-    while done < max_steps:
+    counter = 1
+    while walking.any():
         count = np.count_nonzero(walking)
-        if count <= _TAIL:
-            break
-        if len(ids) - count >= _ROW_GRAIN:
-            # drop finished rows, keeping a multiple of _ROW_GRAIN rows; the
-            # finished rows kept walk on, but their steps are already counted
-            keep = walking | (np.cumsum(~walking) <= -count % _ROW_GRAIN)
-            ids, place = ids[keep], place[keep]
+        tail = count <= _TAIL
+        if tail or len(ids) - count >= _ROW_GRAIN:
+            # drop finished rows, all of them in the tail, else keeping a
+            # multiple of _ROW_GRAIN rows; the finished rows kept walk on,
+            # but their steps are already counted
+            spare = 0 if tail else -count % _ROW_GRAIN
+            keep = walking | (np.cumsum(~walking) <= spare)
+            ids, place, taken = ids[keep], place[keep], taken[keep]
             mismatches, walking = mismatches[keep], walking[keep]
-        remaining = max_steps - done
+        remaining = max_steps - taken[walking].min()
         width = max(1, min(_BLOCK_DRAWS // (8 * len(ids)), -(-remaining // 8)))
-        cols = min(8 * width, remaining)
-        counters = done // 8 + 1 + np.arange(width)
-        draws, kept = _bounded_draws(seed, reps[ids, None], counters, span)
-        lost = walking & ~kept[:, :cols].all(axis=1)
-        if lost.any():
-            # a rejected half would shift that stream against its neighbours':
-            # finish it in the scalar loop from the start of the block
-            steps[ids[lost]] = _finish_scalar(
-                alternatives, target, max_steps, seed, reps[ids[lost]],
-                place[lost], done,
-            )
-            walking &= ~lost
-        arrived = _walk_block(place, mismatches, draws[:, :cols], alternatives, goal)
-        del draws, kept  # hold one block at a time
-        hit = walking & arrived.any(axis=0)
-        steps[ids[hit]] = done + arrived.argmax(axis=0)[hit] + 1
-        walking &= ~hit
-        done += cols
-    if done < max_steps and walking.any():
-        steps[ids[walking]] = _finish_scalar(
-            alternatives, target, max_steps, seed, reps[ids[walking]],
-            place[walking], done,
+        draws, kept = _bounded_draws(
+            seed, reps[ids, None], counter + np.arange(width), span
         )
+        counter += width
+        # rejected halves, rare: each takes no step of its row
+        lost_rows, lost_cols = np.divmod(np.flatnonzero(~kept), kept.shape[1])
+        if tail:
+            # every row walks: one at a time, over its own kept halves
+            for i, (row, row_kept) in enumerate(zip(draws, kept)):
+                config = place[i].tolist()
+                values = row[row_kept][: max_steps - taken[i]].tolist()
+                hit = _walk_scalar(alternatives, target, config, values)
+                place[i] = config
+                if hit >= 0:
+                    steps[ids[i]] = taken[i] + hit
+                    walking[i] = False
+        else:
+            draws[lost_rows, lost_cols] = span
+            arrived = _walk_block(place, mismatches, draws, alternatives, goal)
+            hit = walking & arrived.any(axis=0)
+            first = arrived.argmax(axis=0)
+            # a hit's step counts the row's kept halves up to its column
+            skipped = lost_rows[lost_cols <= first[lost_rows]]
+            at = taken + first + 1 - np.bincount(skipped, minlength=len(ids))
+            within = hit & (at <= max_steps)
+            steps[ids[within]] = at[within]
+            walking &= ~hit
+        taken += kept.shape[1] - np.bincount(lost_rows, minlength=len(ids))
+        walking &= taken < max_steps
+        del draws, kept  # hold one block at a time
     return steps
 
 

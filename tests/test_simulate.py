@@ -136,6 +136,14 @@ class TestPlanValidation:
         assert code == 2
         assert "2**32" in capsys.readouterr().err
 
+    def test_cap_past_int64_on_the_cli(self, capsys):
+        code = cli.main(
+            ["simulate", "--urns", "2", "--balls", "2", "--reps", "10", "--seed", "3",
+             "--max-steps", str(10**20)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out
+
     def test_default_step_cap(self):
         plan = simulate.SimulationPlan(
             params=ModelParams(5, 3),
@@ -249,11 +257,14 @@ class TestLockstepKernel:
         if span == 2**31 + 1:
             assert sum(map(len, kept_draws)) < 0.6 * 4 * 12 * 8
 
-    def test_rejected_half_hands_the_walk_to_the_scalar_loop(self):
+    @pytest.mark.parametrize("tail", (0, 600))
+    @pytest.mark.parametrize("cap", (5000, 20))
+    def test_rejected_halves_take_no_step(self, cap, tail):
         # no walk plan has a span wide enough to see rejections in practice,
         # so flag about one half in 60 as rejected and spoil its draw, as a
-        # function of the stream position alone: those walks must finish in
-        # the scalar loop from their block's start, over the kept halves
+        # function of the stream position alone: every walk, in lockstep or
+        # in the tail, must take one step per kept half and none per
+        # rejected one
         bounded_draws = simulate._bounded_draws
         flagged = []
 
@@ -266,11 +277,16 @@ class TestLockstepKernel:
             return np.where(rejected, (draws + 1) % span, draws), kept & ~rejected
 
         params, start, target = ModelParams(4, 3), (1, 2, 3), (2, 2, 2)
-        cap, seed = 5000, 2**63 + 11
-        with mock.patch.object(simulate, "_bounded_draws", with_rejections):
-            with mock.patch.object(simulate, "_TAIL", 0):
-                got = simulate._chunk_steps(4, 3, start, target, cap, seed, 0, 600)
+        seed = 2**63 + 11
+        with mock.patch.object(simulate, "_bounded_draws", with_rejections), \
+                mock.patch.object(
+                    simulate, "_walk_scalar", wraps=simulate._walk_scalar
+                ) as walk_scalar, \
+                mock.patch.object(simulate, "_TAIL", tail):
+            got = simulate._chunk_steps(4, 3, start, target, cap, seed, 0, 600)
         assert sum(flagged) > 100
+        # with no tail, rows with a rejected half stay in lockstep
+        assert walk_scalar.called == bool(tail)
 
         def kept_walk(rep):
             # one replication at a time, over the kept halves of its stream
@@ -287,6 +303,16 @@ class TestLockstepKernel:
             return -1
 
         assert got == [kept_walk(rep) for rep in range(600)]
+        if cap == 20:
+            # the cap is reached in the middle of blocks that hold rejections
+            assert got.count(-1) == 461 and got.count(cap) == 3
+
+    @pytest.mark.parametrize("tail", (0, 48, 1000))
+    def test_caps_past_int64(self, tail):
+        args = (2, 2, (1, 1), (2, 2), 10**30, 3, 0, 100)
+        with mock.patch.object(simulate, "_TAIL", tail):
+            got = simulate._chunk_steps(*args)
+        assert got == [hitting_steps(*args[:6], rep) for rep in range(100)]
 
     def test_rows_leave_in_whole_groups(self):
         # after the batch's first block, every block walks a multiple of
@@ -423,6 +449,22 @@ class TestRun:
                     pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
             assert RecordingPool.sizes == sizes
             assert pooled == single
+
+    def test_never_builds_numpys_generator(self):
+        # every draw comes from the module's own Philox/Lemire emulation, in
+        # lockstep and in the tail alike
+        refuse = AssertionError("numpy's generator built")
+        with mock.patch("numpy.random.Philox", side_effect=refuse), \
+                mock.patch("numpy.random.Generator", side_effect=refuse), \
+                mock.patch.object(
+                    simulate, "_walk_block", wraps=simulate._walk_block
+                ) as walk_block, \
+                mock.patch.object(
+                    simulate, "_walk_scalar", wraps=simulate._walk_scalar
+                ) as walk_scalar:
+            estimate = simulate.run(distance_plan(ModelParams(4, 3), 3, 300, 8))
+        assert walk_block.called and walk_scalar.called
+        assert estimate.replications_completed == 300
 
     def test_interval_structure(self):
         estimate = simulate.run(distance_plan(ModelParams(3, 2), 2, 500, 5))
