@@ -13,7 +13,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     IdenticalConfigurationsError,
-    InternalCheckError,
     SimulationTruncatedError,
     SingularSystemError,
     UrnwalkError,
@@ -21,7 +20,6 @@ from .errors import (
 )
 from .exact import (
     HittingQuery,
-    fiber_escape_ratio,
     first_visit_probability,
     full_transfer_time,
     full_transfer_time_by_ball_induction,
@@ -33,7 +31,6 @@ from .exact import (
 from .model import (
     Configuration,
     ModelParams,
-    TransitionMatrix,
     lump_class_of,
     lumped_kernel,
     neighbors,

@@ -2,10 +2,12 @@
 
 Each function certifies one family of identities over a parameter grid by
 comparing values produced through genuinely different routes (closed form,
-recursion, exact linear solve, exhaustive aggregation).  All comparisons
-are exact equality of rationals; there are no tolerances anywhere in this
-module.  A row runs its identity on every cell and names the first cell
-that fails.  Both aggregation rows go through the one certifier,
+recursion, exact linear solve, exhaustive aggregation).  The route modules
+only compute; every identity is asserted here, so a failed identity is a
+FAIL row naming its cell, never an exception that ends the run.  All
+comparisons are exact equality of rationals; there are no tolerances
+anywhere in this module.  A row runs its identity on every cell and names
+the first cell that fails.  Both aggregation rows go through the one certifier,
 :func:`urnwalk.model.is_exactly_lumpable`, each with its own
 classification and kernel.  The CLI's ``verify`` command and the
 acceptance test suite are both thin layers over these functions.
@@ -19,7 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import exact, occupancy, oracle
-from .errors import InternalCheckError
 from .model import (
     SOURCE_URN,
     TARGET_URN,
@@ -214,20 +215,32 @@ def oracle_distance_agreement(
 def first_visit_triple_agreement(
     cells: list[ModelParams], budget: int | None = None
 ) -> CheckResult:
-    """Closed form, lumped solve, and full-graph harmonic solve coincide."""
+    """Closed form, lumped solve, and full-graph harmonic solve coincide,
+    and the lumped probabilities obey their two structural identities: the
+    first and last classes agree, and ``(n-1) * p[2i-2] + p[2i-1] == 1``
+    for every off-fiber pair i in 1..k-1."""
 
     def holds(params: ModelParams) -> bool:
+        n, k = params.urns, params.balls
         formula = exact.first_visit_probability(params)
-        lumped = oracle.lumped_first_visit_probs(params)[0]
+        lumped = oracle.lumped_first_visit_probs(params)
         harmonic = oracle.first_visit_success_prob(params, budget=budget)
-        return formula == lumped == harmonic
+        return formula == lumped[0] == lumped[-1] == harmonic and all(
+            (n - 1) * lumped[2 * i - 2] + lumped[2 * i - 1] == 1 for i in range(1, k)
+        )
 
     used = [params for params in cells if params.balls >= 2]
     return _sweep("first-visit-triple", used, holds)
 
 
 def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckResult:
-    """Fiber segment time, stationary return gap, and escape ratio."""
+    """Fiber segment time, stationary return gap, and escape ratio.
+
+    The escape ratio ``first_miss / (1 - repeat_miss)`` equals ``n - 1``,
+    checked without a division: the closed-form miss probability
+    ``1 - first_visit_probability`` equals ``n - 1`` times the lumped
+    success probability from the fiber's off-target class 2k-1.
+    """
 
     def holds(params: ModelParams) -> bool:
         n, k = params.urns, params.balls
@@ -235,11 +248,13 @@ def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckRe
         segment = oracle.expected_time_to_target_fiber(params, budget=budget)
         want_segment = Fraction(k, k - 1) * exact.full_transfer_time(shrunk)
         gap = oracle.mean_return_gap_to_target_fiber(params, budget=budget)
-        try:
-            ratio = exact.fiber_escape_ratio(params).ratio
-        except InternalCheckError:
-            return False
-        return segment == want_segment and gap == n ** (k - 1) and ratio == n - 1
+        first_miss = 1 - exact.first_visit_probability(params)
+        repeat_hit = oracle.lumped_first_visit_probs(params)[2 * k - 2]
+        return (
+            segment == want_segment
+            and gap == n ** (k - 1)
+            and first_miss == (n - 1) * repeat_hit
+        )
 
     used = [params for params in cells if params.balls >= 2]
     return _sweep("fiber-checks", used, holds)
@@ -251,7 +266,7 @@ def lumping_is_exact(params: ModelParams) -> bool:
     return is_exactly_lumpable(
         params,
         lambda config: lump_class_of(config, params),
-        lambda label: dict(enumerate(kernel[label - 1], start=1)),
+        lambda label: kernel[label - 1],
     )
 
 

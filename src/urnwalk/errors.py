@@ -39,10 +39,6 @@ class SingularSystemError(UrnwalkError):
     """A linear system that must be uniquely solvable turned out singular."""
 
 
-class InternalCheckError(UrnwalkError):
-    """A quantity that is provably fixed failed its internal consistency check."""
-
-
 class SimulationTruncatedError(UrnwalkError):
     """Every replication hit the step cap, so no estimate can be formed."""
 

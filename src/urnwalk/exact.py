@@ -2,7 +2,11 @@
 
 Every function here evaluates a formula, never a chain: the linear-solver
 oracle and the Monte Carlo simulator live in their own modules precisely so
-these values can be checked against independently computed ones.  All
+these values can be checked against independently computed ones.  The
+module imports only :mod:`urnwalk.model` and :mod:`urnwalk.errors`, and
+asserts no identity of its own; :mod:`urnwalk.checks` compares it with the
+other routes (the fiber escape ratio, for one, against the lumped chain
+of :mod:`urnwalk.oracle`).  All
 arithmetic uses :class:`fractions.Fraction`, so results are exact and float
 conversion happens only at output boundaries.
 
@@ -31,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IdenticalConfigurationsError, InternalCheckError
+from .errors import DomainError, IdenticalConfigurationsError
 from .model import Configuration, ModelParams, hamming_distance
 
 __all__ = [
@@ -44,8 +48,6 @@ __all__ = [
     "SumIdentityReport",
     "sum_identity_report",
     "first_visit_probability",
-    "FiberEscape",
-    "fiber_escape_ratio",
 ]
 
 
@@ -198,41 +200,3 @@ def first_visit_probability(params: ModelParams) -> Fraction:
     """
     n, k = params.urns, params.balls
     return Fraction(n ** (k - 1) - 1, n**k - 1)
-
-
-@dataclass(frozen=True)
-class FiberEscape:
-    """Escape probabilities at the target fiber and their fixed ratio.
-
-    ``first_miss`` is the probability the first fiber visit misses the
-    target point; ``repeat_miss`` the probability the next visit misses
-    again given the first did.  Their ratio first_miss / (1 - repeat_miss)
-    always equals urns - 1.
-    """
-
-    first_miss: Fraction
-    repeat_miss: Fraction
-    ratio: Fraction
-
-
-def fiber_escape_ratio(params: ModelParams) -> FiberEscape:
-    """Compute the two escape probabilities and verify their fixed ratio.
-
-    ``first_miss`` comes from the closed form above; ``repeat_miss`` from
-    the lumped-chain linear solve, an independent route.
-    """
-    from . import oracle
-
-    n, k = params.urns, params.balls
-    if k < 2:
-        raise DomainError("fiber escape analysis needs at least 2 balls")
-    first_miss = 1 - first_visit_probability(params)
-    probs = oracle.lumped_first_visit_probs(params)
-    # class 2k-1 holds the fiber states other than the target point
-    repeat_miss = 1 - probs[2 * k - 2]
-    ratio = first_miss / (1 - repeat_miss)
-    if ratio != n - 1:
-        raise InternalCheckError(
-            f"fiber escape ratio {ratio} differs from {n - 1} for {params}"
-        )
-    return FiberEscape(first_miss=first_miss, repeat_miss=repeat_miss, ratio=ratio)

@@ -171,39 +171,6 @@ def neighbor_indices(params: ModelParams) -> np.ndarray:
     return adjacency
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense row-stochastic matrix of exact rationals.
-
-    Used for the class-lumped chain; the occupancy chain keeps only its
-    three bands, and the full walk's kernel is only ever handled implicitly
-    through adjacency because it would not fit densely.
-    """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        size = len(self.rows)
-        one = Fraction(1)
-        for row in self.rows:
-            if len(row) != size:
-                raise ValidationError("transition matrix must be square")
-            total = Fraction(0)
-            for entry in row:
-                if entry < 0 or entry > 1:
-                    raise ValidationError(f"probability {entry} outside [0, 1]")
-                total += entry
-            if total != one:
-                raise ValidationError(f"row sums to {total}, expected exactly 1")
-
-    @classmethod
-    def from_rows(cls, rows) -> "TransitionMatrix":
-        return cls(tuple(tuple(Fraction(entry) for entry in row) for row in rows))
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-
 def lump_class_of(config: Configuration, params: ModelParams) -> int:
     """Label of the one block of the 2k-class partition that holds the placement.
 
@@ -217,20 +184,20 @@ def lump_class_of(config: Configuration, params: ModelParams) -> int:
     return 2 * prefix_twos + (2 if config[-1] == TARGET_URN else 1)
 
 
-def lumped_kernel(params: ModelParams) -> TransitionMatrix:
-    """Transition matrix of the walk observed through the 2k classes.
+def lumped_kernel(params: ModelParams) -> tuple[dict[int, Fraction], ...]:
+    """Kernel of the walk observed through the 2k classes, as sparse rows.
 
-    The aggregation is exact: every state of a class has the same total
-    transition probability into each other class, which the test suite
-    checks exhaustively on small state spaces.  Class m maps to row m-1.
+    Row m-1 maps each class label reachable from class m to its
+    probability; zero entries are left out.  That is the ``row_of``
+    mapping of :func:`is_exactly_lumpable`, which certifies the
+    aggregation (and so that every row is stochastic) in the checks.
     """
     k, n = params.balls, params.urns
-    size = 2 * k
-    q = [[Fraction(0) for _ in range(size)] for _ in range(size)]
+    rows: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(2 * k))
 
     def at(row_class: int, col_class: int, value: Fraction) -> None:
-        if value:
-            q[row_class - 1][col_class - 1] += value
+        if value:  # each (row, column) pair is set at most once
+            rows[row_class - 1][col_class] = value
 
     for i in range(1, k + 1):
         odd, even = 2 * i - 1, 2 * i
@@ -246,7 +213,7 @@ def lumped_kernel(params: ModelParams) -> TransitionMatrix:
         # moves that stay outside urn 2 keep the class
         at(even, even, Fraction((k - i) * (n - 2), k * (n - 1)))
         at(odd, odd, Fraction((k - i + 1) * (n - 2), k * (n - 1)))
-    return TransitionMatrix.from_rows(q)
+    return rows
 
 
 def is_exactly_lumpable(

@@ -32,9 +32,8 @@ class OccupancyChain:
     """The occupancy kernel by bands: from occupancy k the chain moves to
     k-1, k and k+1 with probabilities ``down[k]``, ``stay[k]`` and ``up[k]``.
 
-    Validated like a dense :class:`~urnwalk.model.TransitionMatrix`: every
-    rate lies in [0, 1], every row sums to exactly 1, and no rate leaves
-    {0, ..., M}.
+    Validated on construction: every rate lies in [0, 1], every row sums
+    to exactly 1, and no rate leaves {0, ..., M}.
     """
 
     params: ModelParams

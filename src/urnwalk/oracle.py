@@ -26,7 +26,6 @@ from . import linsolve
 from .errors import (
     BudgetExceededError,
     DomainError,
-    InternalCheckError,
     SingularSystemError,
     ValidationError,
 )
@@ -286,62 +285,28 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
 
     Entry m-1 is the probability that a walk whose state lies in class m
     makes its next visit to the target fiber at the all-in-urn-2 point.
-    Solved from the lumped kernel: the 2k-2 off-fiber classes form the
-    unknowns, and the two fiber classes follow by one-step conditioning.
-    Two structural identities are verified before returning: the first and
-    last classes agree, and (urns-1) * p[2i-1] + p[2i] == 1 for every
-    off-fiber pair.
+    Solved from the sparse rows of the lumped kernel: the 2k-2 off-fiber
+    classes form the unknowns, and the two fiber classes follow by one-step
+    conditioning.  The identities these values obey are asserted by
+    :func:`urnwalk.checks.first_visit_triple_agreement`, not here.
     """
-    n, k = params.urns, params.balls
-    if k < 2:
+    if params.balls < 2:
         raise DomainError("lumped first-visit analysis needs at least 2 balls")
     kernel = lumped_kernel(params)
-    size = 2 * k
-    fiber_classes = (size - 1, size)  # class labels 2k-1 and 2k
-    unknowns = size - 2
-
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for m in range(1, unknowns + 1):
-        row = {m - 1: Fraction(1)}
-        b = Fraction(0)
-        for m2 in range(1, size + 1):
-            q = kernel[m - 1][m2 - 1]
-            if not q:
-                continue
-            if m2 == size:
-                b += q  # absorbed at the target point
-            elif m2 == size - 1:
-                pass  # fiber visit that misses the target
-            else:
-                row[m2 - 1] = row.get(m2 - 1, Fraction(0)) - q
+    # classes 1..2k-2 lie off the fiber; class 2k-1 holds the fiber states
+    # that miss the target and class 2k is the all-in-urn-2 point
+    off_fiber, target = 2 * params.balls - 2, 2 * params.balls
+    rows = []
+    for m, kernel_row in enumerate(kernel[:off_fiber]):
+        row = {label - 1: -q for label, q in kernel_row.items() if label <= off_fiber}
+        row[m] = 1 + row.get(m, Fraction(0))
         rows.append(row)
-        rhs.append(b)
-    solved = linsolve.solve_exact(rows, rhs)
-
-    probs = list(solved)
-    for m in fiber_classes:
-        value = Fraction(0)
-        for m2 in range(1, size + 1):
-            q = kernel[m - 1][m2 - 1]
-            if not q:
-                continue
-            if m2 == size:
-                value += q
-            elif m2 == size - 1:
-                pass
-            else:
-                value += q * probs[m2 - 1]
+    rhs = [kernel_row.get(target, Fraction(0)) for kernel_row in kernel[:off_fiber]]
+    probs = linsolve.solve_exact(rows, rhs)
+    for kernel_row in kernel[off_fiber:]:
+        value = kernel_row.get(target, Fraction(0))
+        for label, q in kernel_row.items():
+            if label <= off_fiber:
+                value += q * probs[label - 1]
         probs.append(value)
-
-    if probs[0] != probs[size - 1]:
-        raise InternalCheckError(
-            f"first and last class probabilities differ for {params}: "
-            f"{probs[0]} vs {probs[size - 1]}"
-        )
-    for i in range(1, k):
-        if (n - 1) * probs[2 * i - 2] + probs[2 * i - 1] != 1:
-            raise InternalCheckError(
-                f"cross-class relation fails at pair {i} for {params}"
-            )
     return probs

@@ -304,6 +304,31 @@ class TestVerifyCommand:
         assert any(not row["passed"] for row in payload["checks"])
 
 
+    def test_wrong_lumped_kernel_fails_its_rows(self, capsys, monkeypatch):
+        # stochastic but not the walk's kernel: at three or more urns,
+        # 1/100 of class 1's self-mass moves to class 3
+        from urnwalk import model, oracle
+
+        def wrong_kernel(params):
+            rows = model.lumped_kernel(params)
+            if params.urns >= 3:
+                moved = rows[0][1] / 100
+                rows[0][1] -= moved
+                rows[0][3] = rows[0].get(3, 0) + moved
+            return rows
+
+        monkeypatch.setattr(oracle, "lumped_kernel", wrong_kernel)
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-urns", "3", "--max-balls", "3", "--format", "json",
+        )
+        assert code == 1
+        rows = {row["name"]: row for row in parse_json(out)["checks"]}
+        failed = {name for name, row in rows.items() if not row["passed"]}
+        assert failed == {"first-visit-triple", "fiber-checks"}
+        for name in failed:
+            assert "first failure ModelParams(urns=3, balls=2)" in rows[name]["detail"]
+
+
 class TestBudgetValidation:
     def test_nonpositive_env_budget_rejected(self, capsys, monkeypatch):
         from urnwalk import oracle

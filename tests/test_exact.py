@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urnwalk import exact, occupancy, oracle
+from urnwalk import checks, exact, occupancy, oracle
 from urnwalk.errors import (
     DomainError,
     IdenticalConfigurationsError,
@@ -167,21 +167,16 @@ class TestFirstVisitProbability:
         assert exact.first_visit_probability(ModelParams(2, 2)) == Fraction(1, 3)
         assert exact.first_visit_probability(ModelParams(3, 2)) == Fraction(1, 4)
 
+    def test_two_urns_escape_components(self):
+        # the first fiber visit misses with probability 8/15; from the
+        # fiber's off-target class the next visit hits with the same 8/15
+        params = ModelParams(2, 4)
+        first_miss = 1 - exact.first_visit_probability(params)
+        repeat_hit = oracle.lumped_first_visit_probs(params)[6]
+        assert first_miss == Fraction(8, 15) == repeat_hit
 
-class TestFiberEscapeRatio:
-    def test_ratio_is_urns_minus_one(self):
-        assert exact.fiber_escape_ratio(ModelParams(3, 2)).ratio == 2
-        assert exact.fiber_escape_ratio(ModelParams(4, 3)).ratio == 3
-
-    def test_two_urns_components(self):
-        escape = exact.fiber_escape_ratio(ModelParams(2, 4))
-        assert escape.ratio == 1
-        assert escape.first_miss == Fraction(8, 15)
-        assert escape.repeat_miss == Fraction(7, 15)
-
-    def test_needs_two_balls(self):
-        with pytest.raises(DomainError):
-            exact.fiber_escape_ratio(ModelParams(4, 1))
+    def test_escape_ratio_is_urns_minus_one(self):
+        assert checks.fiber_checks([ModelParams(3, 2), ModelParams(4, 3)]).passed
 
 
 class TestClassicalTwoUrnReduction:
