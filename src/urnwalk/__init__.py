@@ -33,7 +33,6 @@ from .model import (
     ModelParams,
     lump_class_of,
     lumped_kernel,
-    neighbors,
     parse_configuration,
 )
 from .occupancy import (

@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     all_in_urn,
     config_at,
+    hamming_distance,
     is_exactly_lumpable,
     lump_class_of,
     lumped_kernel,
@@ -135,7 +136,7 @@ def termwise_difference_witness(params: ModelParams) -> CheckResult:
 
 
 def oracle_transfer_agreement(
-    cells: list[ModelParams], budget: int | None = None
+    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
 ) -> CheckResult:
     """The exact solve of the full walk reproduces the closed-form transfer time."""
 
@@ -152,7 +153,7 @@ def oracle_transfer_agreement(
 
 
 def distance_agreement(
-    params: ModelParams, budget: int | None = None
+    params: ModelParams, budget: int = oracle.DEFAULT_EXACT_BUDGET
 ) -> tuple[bool, int]:
     """Solve the full walk against the pairwise formula at every distance.
 
@@ -163,42 +164,31 @@ def distance_agreement(
     pair when fewer exist.  Returns (all pairs agreed, pairs checked).
     """
     n, m = params.urns, params.balls
-    total_by_distance = {
-        L: params.state_count * math.comb(m, L) * (n - 1) ** L for L in range(1, m + 1)
-    }
-    quota = {L: min(PAIRS_PER_CLASS, total) for L, total in total_by_distance.items()}
-    counts = {L: 0 for L in quota}
     expected = {
-        L: exact.general_hitting_time(
-            exact.HittingQuery(params=params, hamming_distance=L)
-        )
-        for L in quota
+        L: exact.general_hitting_time(exact.HittingQuery(params, L))
+        for L in range(1, m + 1)
     }
-    checked = 0
-    agreed = True
+    quota = {
+        L: min(PAIRS_PER_CLASS, params.state_count * math.comb(m, L) * (n - 1) ** L)
+        for L in expected
+    }
+    counts = dict.fromkeys(expected, 0)
     configs = [config_at(g, params) for g in range(params.state_count)]
-    for target_index in range(params.state_count):
-        if all(counts[L] >= quota[L] for L in quota):
+    agreed = True
+    for target in configs:
+        if counts == quota:
             break
-        times = oracle.hitting_times_to_target(
-            params, configs[target_index], budget=budget
-        )
-        target = configs[target_index]
-        for start_index in range(params.state_count):
-            distance = sum(
-                1 for a, b in zip(configs[start_index], target) if a != b
-            )
-            if distance == 0 or counts[distance] >= quota[distance]:
-                continue
-            counts[distance] += 1
-            checked += 1
-            if times[start_index] != expected[distance]:
-                agreed = False
-    return agreed and all(counts[L] >= quota[L] for L in quota), checked
+        times = oracle.hitting_times_to_target(params, target, budget=budget)
+        for start, value in zip(configs, times):
+            L = hamming_distance(start, target)
+            if L and counts[L] < quota[L]:
+                counts[L] += 1
+                agreed &= value == expected[L]
+    return agreed and counts == quota, sum(counts.values())
 
 
 def oracle_distance_agreement(
-    cells: list[ModelParams], budget: int | None = None
+    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
 ) -> CheckResult:
     pairs = 0
 
@@ -213,7 +203,7 @@ def oracle_distance_agreement(
 
 
 def first_visit_triple_agreement(
-    cells: list[ModelParams], budget: int | None = None
+    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
 ) -> CheckResult:
     """Closed form, lumped solve, and full-graph harmonic solve coincide,
     and the lumped probabilities obey their two structural identities: the
@@ -233,7 +223,9 @@ def first_visit_triple_agreement(
     return _sweep("first-visit-triple", used, holds)
 
 
-def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckResult:
+def fiber_checks(
+    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
+) -> CheckResult:
     """Fiber segment time, stationary return gap, and escape ratio.
 
     The escape ratio ``first_miss / (1 - repeat_miss)`` equals ``n - 1``,
@@ -260,18 +252,18 @@ def fiber_checks(cells: list[ModelParams], budget: int | None = None) -> CheckRe
     return _sweep("fiber-checks", used, holds)
 
 
-def lumping_is_exact(params: ModelParams) -> bool:
-    """The 2k classes lump the full walk exactly onto :func:`lumped_kernel`."""
-    kernel = lumped_kernel(params)
-    return is_exactly_lumpable(
-        params,
-        lambda config: lump_class_of(config, params),
-        lambda label: kernel[label - 1],
-    )
-
-
 def lumping_exactness(cells: list[ModelParams]) -> CheckResult:
-    return _sweep("lump-aggregation", cells, lumping_is_exact)
+    """The 2k classes lump the full walk exactly onto :func:`lumped_kernel`."""
+
+    def holds(params: ModelParams) -> bool:
+        kernel = lumped_kernel(params)
+        return is_exactly_lumpable(
+            params,
+            lambda config: lump_class_of(config, params),
+            lambda label: kernel[label - 1],
+        )
+
+    return _sweep("lump-aggregation", cells, holds)
 
 
 def occupancy_aggregation(cells: list[ModelParams]) -> CheckResult:

@@ -8,13 +8,15 @@ are always printed losslessly as ``numerator/denominator`` next to their
 decimal approximation.
 
 Exit codes: 0 success, 1 any check failure, 2 usage or validation error,
-3 resource or size error.
+3 resource or size error.  The state budget of ``oracle`` and ``verify``
+is resolved here alone (:func:`_budget`); the library takes it as an argument.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,6 +39,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+ENV_BUDGET = "URNWALK_ORACLE_BUDGET"
 SIMULATE_CSV_HEADER = "mean,std_error,reps,truncated,ci95_low,ci95_high,seed"
 FLOAT_COMPARE_RTOL = 1e-9
 
@@ -206,10 +209,21 @@ def handle_general(args) -> RunReport:
     return report
 
 
+def _budget(flag: int | None, default: int) -> int:
+    """The command's flag, else ``URNWALK_ORACLE_BUDGET``, else its default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(ENV_BUDGET)
+    if not raw:
+        return default
+    try:
+        return _budget_flag(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"{ENV_BUDGET}: {exc}") from None
+
+
 def handle_verify(args) -> RunReport:
-    budget = args.oracle_budget
-    if budget is None:
-        budget = oracle.default_exact_budget(checks.DEFAULT_ORACLE_BUDGET)
+    budget = _budget(args.oracle_budget, checks.DEFAULT_ORACLE_BUDGET)
     rows = checks.run_verification(
         max_urns=args.max_urns, max_balls=args.max_balls, oracle_budget=budget
     )
@@ -230,7 +244,7 @@ def handle_verify(args) -> RunReport:
 def handle_oracle(args) -> RunReport:
     params = _params(args)
     start, target = _pair_from_args(args, params)
-    budget = args.budget if args.budget is not None else oracle.default_exact_budget()
+    budget = _budget(args.budget, oracle.DEFAULT_EXACT_BUDGET)
     query = exact.HittingQuery.from_configurations(params, start, target)
     formula = exact.general_hitting_time(query)
     report = RunReport(
@@ -244,15 +258,7 @@ def handle_oracle(args) -> RunReport:
         },
     )
     report.results.append(scalar_entry("states", params.state_count))
-    if params.state_count <= budget:
-        value = oracle.expected_hitting_time(params, start, target, budget=budget)
-        report.results.append(rational_entry("oracle_hitting_time", value))
-        report.results.append(rational_entry("formula_hitting_time", formula))
-        matches = value == formula
-        report.checks.append(
-            check_entry("matches-formula", matches, "exact equality")
-        )
-    elif args.approx:
+    if params.state_count > budget and args.approx:
         value, residual = oracle.expected_hitting_time_float(params, start, target)
         report.results.append(scalar_entry("oracle_hitting_time_approx", value))
         report.results.append(scalar_entry("solver_residual", residual))
@@ -266,7 +272,13 @@ def handle_oracle(args) -> RunReport:
             )
         )
     else:
-        raise BudgetExceededError(params.state_count, budget, what="exact solve")
+        value = oracle.expected_hitting_time(params, start, target, budget=budget)
+        report.results.append(rational_entry("oracle_hitting_time", value))
+        report.results.append(rational_entry("formula_hitting_time", formula))
+        matches = value == formula
+        report.checks.append(
+            check_entry("matches-formula", matches, "exact equality")
+        )
     report.ok = all(row["passed"] for row in report.checks)
     return report
 
@@ -320,6 +332,7 @@ def handle_simulate(args) -> RunReport:
 
 
 def _budget_flag(text: str) -> int:
+    """A positive state count, from a budget flag or ``URNWALK_ORACLE_BUDGET``."""
     try:
         value = int(text)
     except ValueError:
@@ -367,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle-budget", type=_budget_flag, default=None,
         help="state-count cap for oracle solves "
-        f"(default: ${oracle.ENV_BUDGET} or {checks.DEFAULT_ORACLE_BUDGET})",
+        f"(default: ${ENV_BUDGET} or {checks.DEFAULT_ORACLE_BUDGET})",
     )
     sp.set_defaults(handler=handle_verify)
 
@@ -375,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, pair=True)
     sp.add_argument(
         "--budget", type=_budget_flag, default=None,
-        help=f"exact-solve state budget (default: ${oracle.ENV_BUDGET} or "
+        help=f"exact-solve state budget (default: ${ENV_BUDGET} or "
         f"{oracle.DEFAULT_EXACT_BUDGET})",
     )
     sp.add_argument(

@@ -11,11 +11,12 @@ quantities computed elsewhere in the package concern the walk travelling
 from all-balls-in-urn-1 to all-balls-in-urn-2.
 
 This module owns the state-index encoding (:func:`index_of`,
-:func:`config_at` and the index adjacency :func:`neighbor_indices`, one
-int64 array computed from the digits of every index at once) and the one
-certifier of exact aggregation, :func:`is_exactly_lumpable`, which
-the occupancy chain and the 2k-class lumped chain are both checked by.
-Each of those two keeps its own classification and its own kernel.
+:func:`config_at` and the index adjacency :func:`neighbor_indices`, the
+package's only adjacency: one int64 array computed from the digits of every
+index at once) and the one certifier of exact aggregation,
+:func:`is_exactly_lumpable`, which the occupancy chain and the 2k-class
+lumped chain are both checked by.  Each of those two keeps its own
+classification and its own kernel.
 
 Everything in this module is a pure function of immutable values and is
 safe for unrestricted concurrent use.
@@ -131,18 +132,6 @@ def hamming_distance(a: Configuration, b: Configuration) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def neighbors(config: Configuration, params: ModelParams) -> list[Configuration]:
-    """All placements reachable in one move, in (ball, urn) lexicographic order."""
-    check_configuration(config, params)
-    out = []
-    for i, current in enumerate(config):
-        prefix, suffix = config[:i], config[i + 1 :]
-        for urn in range(1, params.urns + 1):
-            if urn != current:
-                out.append(prefix + (urn,) + suffix)
-    return out
-
-
 def _digits(params: ModelParams) -> np.ndarray:
     """The ``(states, balls)`` array of urn digits: entry ``[g, i]`` is
     ``config_at(g, params)[i] - 1``."""
@@ -153,9 +142,10 @@ def _digits(params: ModelParams) -> np.ndarray:
 def neighbor_indices(params: ModelParams) -> np.ndarray:
     """The ``(states, degree)`` int64 adjacency over state indices.
 
-    Row ``g`` holds the indices of ``neighbors(config_at(g, params))`` in
-    ascending order, built by index arithmetic: moving ball ``i`` from urn
-    digit ``d`` to ``u`` shifts the index by ``(u - d) * urns**i``.
+    Row ``g`` holds, in ascending order, the indices of the placements one
+    move away from ``config_at(g, params)``, built by index arithmetic:
+    moving ball ``i`` from urn digit ``d`` to ``u`` shifts the index by
+    ``(u - d) * urns**i``.
     """
     n, states = params.urns, params.state_count
     digits = _digits(params)[:, :, None]

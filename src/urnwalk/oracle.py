@@ -6,16 +6,15 @@ system over the actual state space (or over the 2k lump classes) and
 solving it exactly, so agreement with :mod:`urnwalk.exact` is meaningful
 verification rather than circularity.
 
-Exact solves are gated by a state budget (default 4096 states, overridable
-per call or through the ``URNWALK_ORACLE_BUDGET`` environment variable).
-Beyond the budget, :func:`expected_hitting_time_float` offers a
-floating-point fallback by conjugate gradient up to ~20000 states that
-reports its residual.
+Exact solves are gated by a state budget, passed per call (default 4096
+states); every function here is a pure function of its arguments.  Beyond
+the budget, :func:`expected_hitting_time_float` offers a floating-point
+fallback by conjugate gradient up to ~20000 states that reports its
+residual.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,33 +40,13 @@ from .model import (
     neighbor_indices,
 )
 
-ENV_BUDGET = "URNWALK_ORACLE_BUDGET"
 DEFAULT_EXACT_BUDGET = 4096
 FLOAT_FALLBACK_LIMIT = 20_000
 
 
-def default_exact_budget(default: int = DEFAULT_EXACT_BUDGET) -> int:
-    """The state budget set by ``URNWALK_ORACLE_BUDGET``, or ``default`` when unset.
-
-    The one parser of the variable: a value that is not a positive integer
-    raises ValueError.
-    """
-    raw = os.environ.get(ENV_BUDGET)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{ENV_BUDGET} must be positive, got {value}")
-    return value
-
-
-def _check_budget(params: ModelParams, budget: int | None, what: str) -> None:
-    limit = default_exact_budget() if budget is None else budget
-    if params.state_count > limit:
-        raise BudgetExceededError(params.state_count, limit, what=what)
+def _check_budget(params: ModelParams, budget: int, what: str) -> None:
+    if params.state_count > budget:
+        raise BudgetExceededError(params.state_count, budget, what=what)
 
 
 @dataclass(frozen=True)
@@ -153,8 +132,17 @@ def build_absorbing_system(
     )
 
 
+def _hitting_times(params: ModelParams, absorbing: frozenset[int]) -> list[Fraction]:
+    """Exact expected time to reach ``absorbing``, indexed by state (0 on the set)."""
+    system = build_absorbing_system(params, absorbing)
+    out = [Fraction(0)] * params.state_count
+    for state, value in zip(system.transient_states, system.hitting_time_vector()):
+        out[state] = value
+    return out
+
+
 def hitting_times_to_target(
-    params: ModelParams, target: Configuration, budget: int | None = None
+    params: ModelParams, target: Configuration, budget: int = DEFAULT_EXACT_BUDGET
 ) -> list[Fraction]:
     """Exact expected hitting times to ``target`` from every state.
 
@@ -162,19 +150,14 @@ def hitting_times_to_target(
     """
     check_configuration(target, params)
     _check_budget(params, budget, "exact solve")
-    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
-    solved = system.hitting_time_vector()
-    out = [Fraction(0)] * params.state_count
-    for position, state in enumerate(system.transient_states):
-        out[state] = solved[position]
-    return out
+    return _hitting_times(params, frozenset({index_of(target, params)}))
 
 
 def expected_hitting_time(
     params: ModelParams,
     start: Configuration,
     target: Configuration,
-    budget: int | None = None,
+    budget: int = DEFAULT_EXACT_BUDGET,
 ) -> Fraction:
     """Exact expected number of moves from ``start`` until first at ``target``.
 
@@ -204,8 +187,7 @@ def expected_hitting_time_float(
     check_configuration(target, params)
     if start == target:
         return 0.0, 0.0
-    if params.state_count > budget:
-        raise BudgetExceededError(params.state_count, budget, what="float solve")
+    _check_budget(params, budget, "float solve")
     system = build_absorbing_system(params, frozenset({index_of(target, params)}))
     rhs = [params.degree] * len(system.transient_states)
     values, residual = linsolve.solve_float(system.rows, rhs)
@@ -224,16 +206,11 @@ def _fiber_indices(params: ModelParams) -> frozenset[int]:
 def _fiber_hitting_vector(urns: int, balls: int) -> tuple[Fraction, ...]:
     """Expected time to reach the target fiber, from every state (0 on the fiber)."""
     params = ModelParams(urns=urns, balls=balls)
-    system = build_absorbing_system(params, _fiber_indices(params))
-    solved = system.hitting_time_vector()
-    out = [Fraction(0)] * params.state_count
-    for position, state in enumerate(system.transient_states):
-        out[state] = solved[position]
-    return tuple(out)
+    return tuple(_hitting_times(params, _fiber_indices(params)))
 
 
 def first_visit_success_prob(
-    params: ModelParams, budget: int | None = None
+    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
 ) -> Fraction:
     """Probability that the walk from all-in-urn-1 first meets the target
     fiber exactly at the all-in-urn-2 point, by a harmonic solve.
@@ -253,7 +230,7 @@ def first_visit_success_prob(
 
 
 def expected_time_to_target_fiber(
-    params: ModelParams, budget: int | None = None
+    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
 ) -> Fraction:
     """Expected moves from all-in-urn-1 until the front balls all sit in urn 2."""
     if params.balls < 2:
@@ -264,7 +241,7 @@ def expected_time_to_target_fiber(
 
 
 def mean_return_gap_to_target_fiber(
-    params: ModelParams, budget: int | None = None
+    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
 ) -> Fraction:
     """Expected return time to the target fiber, started uniformly on it.
 

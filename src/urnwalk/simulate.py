@@ -96,11 +96,6 @@ _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
-def default_max_steps(params: ModelParams) -> int:
-    """Step cap far above the expectation: 100 * states * balls."""
-    return 100 * params.state_count * params.balls
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     params: ModelParams
@@ -133,9 +128,10 @@ class SimulationPlan:
 
     @property
     def step_cap(self) -> int:
+        """``max_steps``, else a cap far above the expectation: 100 * states * balls."""
         if self.max_steps is not None:
             return self.max_steps
-        return default_max_steps(self.params)
+        return 100 * self.params.state_count * self.params.balls
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 Deliberately separate code paths from the package: a Gauss-Jordan solver
 over plain Fraction lists, a Pascal-triangle binomial, a hitting-time
-computation that builds its state space with itertools, and the Monte Carlo
-walk one replication at a time on its own numpy ``Generator`` (the loop the
-lockstep kernel of ``urnwalk.simulate`` replaced, kept as its reference).
-Slow and simple on purpose; apart from the input checks of ``step``, they
-share no code with the package, so its results can be checked against them.
+computation that builds its state space with itertools, the one-move
+neighbour list of a placement (the reference for
+``urnwalk.model.neighbor_indices``), and the Monte Carlo walk one
+replication at a time on its own numpy ``Generator`` (the loop the lockstep
+kernel of ``urnwalk.simulate`` replaced, kept as its reference).  Slow and
+simple on purpose; apart from the input checks of ``neighbors`` and
+``step``, they share no code with the package, so its results can be
+checked against them.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ def reference_hitting_time(urns, balls, start, target):
     rhs = [Fraction(1)] * size
     solution = gauss_jordan_solve(matrix, rhs)
     return solution[t_pos[start]]
+
+
+def neighbors(config, params):
+    """All placements reachable in one move, in (ball, urn) lexicographic order."""
+    check_configuration(config, params)
+    out = []
+    for i, current in enumerate(config):
+        prefix, suffix = config[:i], config[i + 1 :]
+        for urn in range(1, params.urns + 1):
+            if urn != current:
+                out.append(prefix + (urn,) + suffix)
+    return out
 
 
 def step(config, params, ball_index, urn_draw):

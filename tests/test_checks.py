@@ -1,0 +1,40 @@
+import pytest
+
+from urnwalk import checks, oracle
+from urnwalk.model import ModelParams, config_at, hamming_distance
+
+# the pairs each cell checks and their count, at a budget of 1024
+DISTANCE_AGREEMENT = {
+    (2, 1): (True, 2),
+    (2, 3): (True, 9),
+    (3, 2): (True, 6),
+    (2, 5): (True, 15),
+    (4, 3): (True, 9),
+}
+CELLS = pytest.mark.parametrize(
+    "cell", sorted(DISTANCE_AGREEMENT), ids="{0[0]}x{0[1]}".format
+)
+
+
+class TestDistanceAgreement:
+    @CELLS
+    def test_pairs_checked(self, cell):
+        result = checks.distance_agreement(ModelParams(*cell), budget=1024)
+        assert result == DISTANCE_AGREEMENT[cell]
+
+    @CELLS
+    def test_wrong_solve_fails(self, cell, monkeypatch):
+        params = ModelParams(*cell)
+        solve = oracle.hitting_times_to_target
+
+        def off_by_one(params, target, budget):
+            times = solve(params, target, budget=budget)
+            if target == config_at(0, params):
+                # state 1 is the first start checked at distance 1 from state 0
+                assert hamming_distance(config_at(1, params), target) == 1
+                times[1] += 1
+            return times
+
+        monkeypatch.setattr(oracle, "hitting_times_to_target", off_by_one)
+        _, count = DISTANCE_AGREEMENT[cell]
+        assert checks.distance_agreement(params, budget=1024) == (False, count)

@@ -331,16 +331,14 @@ class TestVerifyCommand:
 
 class TestBudgetValidation:
     def test_nonpositive_env_budget_rejected(self, capsys, monkeypatch):
-        from urnwalk import oracle
-
         for raw in ("-5", "0", "many"):
-            monkeypatch.setenv(oracle.ENV_BUDGET, raw)
+            monkeypatch.setenv(cli.ENV_BUDGET, raw)
             code, out, err = run_cli(
                 capsys, "verify", "--max-urns", "2", "--max-balls", "1",
             )
             assert code == 2
             assert out == ""
-            assert oracle.ENV_BUDGET in err
+            assert cli.ENV_BUDGET in err
             code, _, _ = run_cli(capsys, "oracle", "--urns", "2", "--balls", "2")
             assert code == 2
 
@@ -354,15 +352,37 @@ class TestBudgetValidation:
             assert (code, out) == (2, "")
 
     def test_env_budget_reaches_verify(self, capsys, monkeypatch):
-        from urnwalk import checks, oracle
+        from urnwalk import checks
 
-        monkeypatch.setenv(oracle.ENV_BUDGET, "9")
+        monkeypatch.setenv(cli.ENV_BUDGET, "9")
         code, out, _ = run_cli(capsys, "verify", "--max-urns", "3", "--max-balls", "2")
         assert code == 0
         assert parse_json(out)["params"]["oracle_budget"] == 9
-        monkeypatch.delenv(oracle.ENV_BUDGET)
+        monkeypatch.delenv(cli.ENV_BUDGET)
         code, out, _ = run_cli(capsys, "verify", "--max-urns", "3", "--max-balls", "2")
         assert parse_json(out)["params"]["oracle_budget"] == checks.DEFAULT_ORACLE_BUDGET
+
+    def test_env_budget_reaches_oracle(self, capsys, monkeypatch):
+        # 3x2 has 9 states: a budget of 8 is a size error, 9 solves
+        monkeypatch.setenv(cli.ENV_BUDGET, "8")
+        code, out, err = run_cli(capsys, "oracle", "--urns", "3", "--balls", "2")
+        assert (code, out) == (3, "")
+        assert "budget of 8" in err
+        monkeypatch.setenv(cli.ENV_BUDGET, "9")
+        code, out, _ = run_cli(capsys, "oracle", "--urns", "3", "--balls", "2")
+        assert code == 0
+        payload = parse_json(out)
+        assert payload["params"]["budget"] == 9
+        assert results_by_label(payload)["oracle_hitting_time"]["rational"] == "10/1"
+
+    def test_flag_overrides_env_budget(self, capsys, monkeypatch):
+        # the variable is not read, so even a bad value is ignored
+        monkeypatch.setenv(cli.ENV_BUDGET, "many")
+        code, out, _ = run_cli(
+            capsys, "oracle", "--urns", "3", "--balls", "2", "--budget", "9",
+        )
+        assert code == 0
+        assert parse_json(out)["params"]["budget"] == 9
 
 
 class TestFormats:

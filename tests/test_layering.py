@@ -3,7 +3,8 @@
 ``exact``, ``occupancy`` and ``simulate`` compute from the model alone, the
 oracle adds the linear solver, and only ``checks`` (and the CLI above it)
 brings the routes together.  A route that imported another could no longer
-check it.
+check it.  Only the CLI reads the environment: every library result is a
+function of its arguments.
 """
 
 import ast
@@ -44,6 +45,47 @@ def package_imports(source: str) -> set[str]:
                 if parts[0] == "urnwalk" and len(parts) > 1:
                     found.add(parts[1])
     return found
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines of ``source`` that use ``os.environ`` or ``os.getenv``, or
+    import either from ``os``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(
+        path.stem
+        for path in Path(urnwalk.__file__).parent.glob("*.py")
+        if path.stem != "cli"
+    ),
+)
+def test_only_the_cli_reads_the_environment(module):
+    source = Path(urnwalk.__file__).with_name(f"{module}.py").read_text()
+    assert environment_reads(source) == []
+
+
+def test_environment_reads_are_seen():
+    source = (
+        "import os\n"
+        "a = os.environ.get('X')\n"
+        "def f():\n"
+        "    from os import getenv\n"
+        "    return os.getenv('Y'), os.environ['Z'], os.path.sep\n"
+    )
+    assert environment_reads(source) == [2, 4, 5, 5]
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))

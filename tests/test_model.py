@@ -16,10 +16,11 @@ from urnwalk.model import (
     is_exactly_lumpable,
     lump_class_of,
     lumped_kernel,
-    neighbors,
     parse_configuration,
 )
 from urnwalk.occupancy import build_occupancy_chain
+
+from _reference import neighbors
 
 
 @st.composite

@@ -12,9 +12,9 @@ from urnwalk.errors import (
     SingularSystemError,
     ValidationError,
 )
-from urnwalk.model import ModelParams, config_at, index_of, neighbors
+from urnwalk.model import ModelParams, config_at, index_of
 
-from _reference import reference_hitting_time
+from _reference import neighbors, reference_hitting_time
 
 
 @st.composite
@@ -80,13 +80,13 @@ class TestExpectedHittingTime:
             )
         assert info.value.states == 10**10
 
-    def test_env_var_budget(self, monkeypatch):
+    def test_budget_is_an_argument_not_the_environment(self, monkeypatch):
+        # only the CLI reads the variable; the library takes its budget
+        monkeypatch.setenv("URNWALK_ORACLE_BUDGET", "1")
         params = ModelParams(3, 2)
-        monkeypatch.setenv(oracle.ENV_BUDGET, "8")
-        with pytest.raises(BudgetExceededError):
-            oracle.expected_hitting_time(params, (1, 1), (2, 2))
-        monkeypatch.setenv(oracle.ENV_BUDGET, "9")
         assert oracle.expected_hitting_time(params, (1, 1), (2, 2)) == 10
+        with pytest.raises(BudgetExceededError):
+            oracle.expected_hitting_time(params, (1, 1), (2, 2), budget=8)
 
 
 class TestRefinedSolves:
