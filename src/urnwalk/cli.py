@@ -2,10 +2,12 @@
 
 Five subcommands: ``exact`` (closed forms), ``general`` (pairwise hitting
 time), ``verify`` (the invariant suite), ``oracle`` (exact linear solve
-over all states), and ``simulate`` (seeded Monte Carlo).  Output is a human-readable table on
-a terminal and JSON lines when piped; ``--format`` overrides.  Exact values
-are always printed losslessly as ``numerator/denominator`` next to their
-decimal approximation.
+over all states), and ``simulate`` (seeded Monte Carlo).  The three pair
+commands resolve their placements in one place (:func:`_pair`).  Every
+handler returns a :class:`RunReport`, and :func:`render` alone writes it:
+a table on a terminal and JSON lines when piped; ``--format`` overrides, and
+``simulate`` also writes CSV.  Exact values are always printed losslessly as
+``numerator/denominator`` next to their decimal approximation.
 
 Exit codes: 0 success, 1 any check failure, 2 usage or validation error,
 3 resource or size error.  The state budget of ``oracle`` and ``verify``
@@ -32,8 +34,10 @@ from .errors import (
 from .model import (
     SOURCE_URN,
     TARGET_URN,
+    Configuration,
     ModelParams,
     all_in_urn,
+    distance_pair,
     format_configuration,
     parse_configuration,
 )
@@ -46,16 +50,20 @@ FLOAT_COMPARE_RTOL = 1e-9
 
 @dataclass
 class RunReport:
+    """One command's outcome: ``results`` maps each label to its value, in
+    output order, and ``checks`` holds ``(name, passed, detail)`` rows."""
+
     command: str
     params: dict
-    results: list = field(default_factory=list)
+    results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    ok: bool = True
-    elapsed_ms: int = 0
 
 
-def rational_entry(label: str, value: Fraction) -> dict:
-    """An exact value; its ``decimal`` is None past the float range."""
+def _entry(label: str, value) -> dict:
+    """A result as printed: a ``Fraction`` as ``rational`` and ``decimal``
+    (None past the float range), anything else as ``value``."""
+    if not isinstance(value, Fraction):
+        return {"label": label, "value": value}
     try:
         decimal = float(value)
     except OverflowError:
@@ -79,75 +87,45 @@ def _digits(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def scalar_entry(label: str, value) -> dict:
-    return {"label": label, "value": value}
-
-
-def check_entry(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "passed": passed, "detail": detail}
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-
-def report_json(report: RunReport) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": report.command,
-        "params": report.params,
-        "results": report.results,
-        "checks": report.checks,
-        "ok": report.ok,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def report_table(report: RunReport) -> str:
-    lines = [f"command: {report.command}"]
-    if report.params:
-        lines.append(
-            "params: " + " ".join(f"{k}={v}" for k, v in report.params.items())
-        )
-    for entry in report.results:
+def render(report: RunReport, fmt: str, elapsed_ms: int) -> str:
+    """The report as a table, one JSON line or (``simulate`` only) CSV."""
+    if fmt == "auto":
+        fmt = "table" if sys.stdout.isatty() else "json"
+    if fmt == "csv":
+        row = [repr(report.results[label]) for label in SIMULATE_CSV_HEADER.split(",")]
+        return SIMULATE_CSV_HEADER + "\n" + ",".join(row) + "\n"
+    entries = [_entry(label, value) for label, value in report.results.items()]
+    ok = all(passed for _, passed, _ in report.checks)
+    if fmt == "json":
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": report.command,
+            "params": report.params,
+            "results": entries,
+            "checks": [
+                {"name": name, "passed": passed, "detail": detail}
+                for name, passed, detail in report.checks
+            ],
+            "ok": ok,
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    lines = [
+        f"command: {report.command}",
+        "params: " + " ".join(f"{k}={v}" for k, v in report.params.items()),
+    ]
+    for entry in entries:
         if "rational" in entry:
             decimal = entry["decimal"]
             approx = "" if decimal is None else f" ({decimal:g})"
             lines.append(f"  {entry['label']} = {entry['rational']}{approx}")
         else:
             lines.append(f"  {entry['label']} = {entry['value']}")
-    for row in report.checks:
-        mark = "PASS" if row["passed"] else "FAIL"
-        detail = f"  {row['detail']}" if row.get("detail") else ""
-        lines.append(f"  [{mark}] {row['name']}{detail}")
-    lines.append(f"ok: {'yes' if report.ok else 'no'}")
-    lines.append(f"elapsed: {report.elapsed_ms} ms")
+    for name, passed, detail in report.checks:
+        mark = "PASS" if passed else "FAIL"
+        lines.append(f"  [{mark}] {name}" + (f"  {detail}" if detail else ""))
+    lines.append(f"ok: {'yes' if ok else 'no'}")
+    lines.append(f"elapsed: {elapsed_ms} ms")
     return "\n".join(lines) + "\n"
-
-
-def report_csv(report: RunReport) -> str:
-    row = {entry["label"]: entry for entry in report.results}
-    values = [
-        repr(row["mean"]["value"]),
-        repr(row["std_error"]["value"]),
-        str(row["reps"]["value"]),
-        str(row["truncated"]["value"]),
-        repr(row["ci95_low"]["value"]),
-        repr(row["ci95_high"]["value"]),
-        str(row["seed"]["value"]),
-    ]
-    return SIMULATE_CSV_HEADER + "\n" + ",".join(values) + "\n"
-
-
-def render(report: RunReport, fmt: str) -> str:
-    if fmt == "auto":
-        fmt = "table" if sys.stdout.isatty() else "json"
-    if fmt == "json":
-        return report_json(report)
-    if fmt == "csv":
-        return report_csv(report)
-    return report_table(report)
 
 
 # ---------------------------------------------------------------------------
@@ -155,58 +133,50 @@ def render(report: RunReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params(args) -> ModelParams:
-    return ModelParams(urns=args.urns, balls=args.balls)
+def _pair(args) -> tuple[ModelParams, Configuration, Configuration, dict]:
+    """The model, start and target of a pair command, and their four params.
 
-
-def _pair_from_args(args, params: ModelParams):
-    has_pair = args.start is not None or args.target is not None
-    if getattr(args, "hamming", None) is not None:
-        if has_pair:
+    The pair is ``--hamming``'s canonical one, else ``--from``/``--to``, each
+    defaulting to all balls in the source (target) urn.
+    """
+    params = ModelParams(urns=args.urns, balls=args.balls)
+    if args.hamming is not None:
+        if args.start is not None or args.target is not None:
             raise ValidationError("give either --hamming or --from/--to, not both")
-        return simulate.distance_pair(params, args.hamming)
-    start = (
-        parse_configuration(args.start, params)
-        if args.start is not None
-        else all_in_urn(params, SOURCE_URN)
-    )
-    target = (
-        parse_configuration(args.target, params)
-        if args.target is not None
-        else all_in_urn(params, TARGET_URN)
-    )
-    return start, target
+        start, target = distance_pair(params, args.hamming)
+    else:
+        start, target = (
+            all_in_urn(params, urn) if text is None else parse_configuration(text, params)
+            for text, urn in ((args.start, SOURCE_URN), (args.target, TARGET_URN))
+        )
+    return params, start, target, {
+        "urns": params.urns,
+        "balls": params.balls,
+        "from": format_configuration(start),
+        "to": format_configuration(target),
+    }
+
+
+def _formula(params: ModelParams, start, target) -> tuple[int, Fraction]:
+    """The pair's Hamming distance and its closed-form hitting time."""
+    query = exact.HittingQuery.from_configurations(params, start, target)
+    return query.hamming_distance, exact.general_hitting_time(query)
 
 
 def handle_exact(args) -> RunReport:
-    params = _params(args)
-    value = exact.full_transfer_time(params)
-    report = RunReport(
-        command="exact", params={"urns": params.urns, "balls": params.balls}
-    )
-    report.results.append(rational_entry("transfer_time", value))
+    params = ModelParams(urns=args.urns, balls=args.balls)
+    results = {"transfer_time": exact.full_transfer_time(params)}
     for k, increment in enumerate(exact.passage_increments(params)):
-        report.results.append(rational_entry(f"increment_{k}", increment))
-    return report
+        results[f"increment_{k}"] = increment
+    return RunReport("exact", {"urns": params.urns, "balls": params.balls}, results)
 
 
 def handle_general(args) -> RunReport:
-    params = _params(args)
-    start, target = _pair_from_args(args, params)
-    query = exact.HittingQuery.from_configurations(params, start, target)
-    value = exact.general_hitting_time(query)
-    report = RunReport(
-        command="general",
-        params={
-            "urns": params.urns,
-            "balls": params.balls,
-            "from": format_configuration(start),
-            "to": format_configuration(target),
-        },
+    params, start, target, pair = _pair(args)
+    distance, value = _formula(params, start, target)
+    return RunReport(
+        "general", pair, {"hamming_distance": distance, "hitting_time": value}
     )
-    report.results.append(scalar_entry("hamming_distance", query.hamming_distance))
-    report.results.append(rational_entry("hitting_time", value))
-    return report
 
 
 def _budget(flag: int | None, default: int) -> int:
@@ -227,65 +197,38 @@ def handle_verify(args) -> RunReport:
     rows = checks.run_verification(
         max_urns=args.max_urns, max_balls=args.max_balls, oracle_budget=budget
     )
-    report = RunReport(
-        command="verify",
-        params={
-            "max_urns": args.max_urns,
-            "max_balls": args.max_balls,
-            "oracle_budget": budget,
-        },
+    return RunReport(
+        "verify",
+        {"max_urns": args.max_urns, "max_balls": args.max_balls, "oracle_budget": budget},
+        checks=[(row.name, row.passed, row.detail) for row in rows],
     )
-    for row in rows:
-        report.checks.append(check_entry(row.name, row.passed, row.detail))
-    report.ok = all(row.passed for row in rows)
-    return report
 
 
 def handle_oracle(args) -> RunReport:
-    params = _params(args)
-    start, target = _pair_from_args(args, params)
+    params, start, target, pair = _pair(args)
     budget = _budget(args.budget, oracle.DEFAULT_EXACT_BUDGET)
-    query = exact.HittingQuery.from_configurations(params, start, target)
-    formula = exact.general_hitting_time(query)
-    report = RunReport(
-        command="oracle",
-        params={
-            "urns": params.urns,
-            "balls": params.balls,
-            "from": format_configuration(start),
-            "to": format_configuration(target),
-            "budget": budget,
-        },
-    )
-    report.results.append(scalar_entry("states", params.state_count))
+    _, formula = _formula(params, start, target)
+    report = RunReport("oracle", {**pair, "budget": budget}, {"states": params.state_count})
     if params.state_count > budget and args.approx:
         value, residual = oracle.expected_hitting_time_float(params, start, target)
-        report.results.append(scalar_entry("oracle_hitting_time_approx", value))
-        report.results.append(scalar_entry("solver_residual", residual))
-        report.results.append(rational_entry("formula_hitting_time", formula))
+        report.results["oracle_hitting_time_approx"] = value
+        report.results["solver_residual"] = residual
         matches = abs(value - float(formula)) <= FLOAT_COMPARE_RTOL * max(
             1.0, abs(float(formula))
         )
-        report.checks.append(
-            check_entry(
-                "matches-formula", matches, f"relative tolerance {FLOAT_COMPARE_RTOL}"
-            )
-        )
+        check = ("matches-formula", matches, f"relative tolerance {FLOAT_COMPARE_RTOL}")
     else:
         value = oracle.expected_hitting_time(params, start, target, budget=budget)
-        report.results.append(rational_entry("oracle_hitting_time", value))
-        report.results.append(rational_entry("formula_hitting_time", formula))
-        matches = value == formula
-        report.checks.append(
-            check_entry("matches-formula", matches, "exact equality")
-        )
-    report.ok = all(row["passed"] for row in report.checks)
+        report.results["oracle_hitting_time"] = value
+        check = ("matches-formula", value == formula, "exact equality")
+    report.results["formula_hitting_time"] = formula
+    report.checks.append(check)
     return report
 
 
 def handle_simulate(args) -> RunReport:
-    params = _params(args)
-    start, target = _pair_from_args(args, params)
+    params, start, target, pair = _pair(args)
+    # the plan validates the pair first: an identical pair gets the plan's error
     plan = simulate.SimulationPlan(
         params=params,
         start=start,
@@ -296,34 +239,23 @@ def handle_simulate(args) -> RunReport:
         max_steps=args.max_steps,
     )
     estimate = simulate.run(plan)
+    _, value = _formula(params, start, target)
+    # the CSV row is the first seven results, in SIMULATE_CSV_HEADER's order
+    results = {
+        "mean": estimate.mean,
+        "std_error": estimate.std_error,
+        "reps": estimate.replications_completed,
+        "truncated": estimate.truncated_count,
+        "ci95_low": estimate.ci95_low,
+        "ci95_high": estimate.ci95_high,
+        "seed": estimate.seed,
+        "exact_value": value,
+    }
+    if estimate.std_error > 0:
+        results["standardized_error"] = (estimate.mean - float(value)) / estimate.std_error
     # the worker count is deliberately not echoed: output is identical for
     # any worker split, and the report must be too
-    report = RunReport(
-        command="simulate",
-        params={
-            "urns": params.urns,
-            "balls": params.balls,
-            "from": format_configuration(start),
-            "to": format_configuration(target),
-            "reps": args.reps,
-            "seed": args.seed,
-        },
-    )
-    report.results.append(scalar_entry("mean", estimate.mean))
-    report.results.append(scalar_entry("std_error", estimate.std_error))
-    report.results.append(scalar_entry("reps", estimate.replications_completed))
-    report.results.append(scalar_entry("truncated", estimate.truncated_count))
-    report.results.append(scalar_entry("ci95_low", estimate.ci95_low))
-    report.results.append(scalar_entry("ci95_high", estimate.ci95_high))
-    report.results.append(scalar_entry("seed", estimate.seed))
-
-    query = exact.HittingQuery.from_configurations(params, start, target)
-    value = exact.general_hitting_time(query)
-    report.results.append(rational_entry("exact_value", value))
-    if estimate.std_error > 0:
-        z = (estimate.mean - float(value)) / estimate.std_error
-        report.results.append(scalar_entry("standardized_error", z))
-    return report
+    return RunReport("simulate", {**pair, "reps": args.reps, "seed": args.seed}, results)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +358,18 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.handler(args)
-        report.elapsed_ms = int((time.perf_counter() - started) * 1000)
-        sys.stdout.write(render(report, args.format))
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        sys.stdout.write(render(report, args.format, elapsed_ms))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SimulationTruncatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UrnwalkError as exc:
+    except (UrnwalkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if report.ok else 1
+    return 0 if all(passed for _, passed, _ in report.checks) else 1
 
 
 def entrypoint() -> None:

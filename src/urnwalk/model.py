@@ -30,7 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    DomainError,
+    ValidationError,
+)
 
 SOURCE_URN = 1
 TARGET_URN = 2
@@ -86,6 +91,23 @@ def all_in_urn(params: ModelParams, urn: int) -> Configuration:
     if not 1 <= urn <= params.urns:
         raise ConfigurationError(f"urn index {urn} outside 1..{params.urns}")
     return (urn,) * params.balls
+
+
+def distance_pair(
+    params: ModelParams, distance: int
+) -> tuple[Configuration, Configuration]:
+    """Canonical placement pair differing in exactly ``distance`` balls.
+
+    Start is all-in-urn-1; the target moves the last ``distance`` balls to
+    urn 2.  By the walk's relabelling symmetry every pair at the same
+    distance has the same expected hitting time, so this choice is
+    representative.
+    """
+    if not 1 <= distance <= params.balls:
+        raise DomainError(f"distance {distance} outside 1..{params.balls}")
+    start = all_in_urn(params, SOURCE_URN)
+    target = start[: params.balls - distance] + (TARGET_URN,) * distance
+    return start, target
 
 
 def parse_configuration(text: str, params: ModelParams) -> Configuration:

@@ -59,19 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     IdenticalConfigurationsError,
     SimulationTruncatedError,
     ValidationError,
 )
-from .model import (
-    SOURCE_URN,
-    TARGET_URN,
-    Configuration,
-    ModelParams,
-    all_in_urn,
-    check_configuration,
-)
+from .model import Configuration, ModelParams, check_configuration
 
 _SEED_LIMIT = 2**64
 _SPAN_LIMIT = 2**32
@@ -433,20 +425,3 @@ def run(plan: SimulationPlan) -> HittingEstimate:
         ci95_high=mean + 1.96 * std_error,
         seed=plan.seed,
     )
-
-
-def distance_pair(
-    params: ModelParams, distance: int
-) -> tuple[Configuration, Configuration]:
-    """Canonical placement pair differing in exactly ``distance`` balls.
-
-    Start is all-in-urn-1; the target moves the last ``distance`` balls to
-    urn 2.  By the walk's relabelling symmetry every pair at the same
-    distance has the same expected hitting time, so this choice is
-    representative.
-    """
-    if not 1 <= distance <= params.balls:
-        raise DomainError(f"distance {distance} outside 1..{params.balls}")
-    start = all_in_urn(params, SOURCE_URN)
-    target = start[: params.balls - distance] + (TARGET_URN,) * distance
-    return start, target

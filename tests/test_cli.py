@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from fractions import Fraction
 
 from urnwalk import cli, exact
@@ -18,6 +20,13 @@ def parse_json(out):
 
 def results_by_label(payload):
     return {entry["label"]: entry for entry in payload["results"]}
+
+
+def table_lines(out):
+    """The table's lines but its last, the elapsed time."""
+    *lines, elapsed = out.split("\n")[:-1]
+    assert re.fullmatch(r"elapsed: \d+ ms", elapsed)
+    return lines
 
 
 class TestExactCommand:
@@ -418,3 +427,110 @@ class TestFormats:
             assert set(payload) == {
                 "schema", "command", "params", "results", "checks", "ok",
             }
+
+
+# verify's rows on the 3x2 grid; the budget-1 grid fails the last four
+VERIFY_ROWS = [
+    "  [PASS] transfer-time-routes  4 cells",
+    "  [PASS] increment-routes  4 cells",
+    "  [PASS] distance-collapse  4 cells",
+    "  [PASS] sum-identity  4 cells",
+    "  [PASS] termwise-witness  at ModelParams(urns=5, balls=3): totals equal, terms differ",
+    "  [PASS] occupancy-routes  4 cells",
+    "  [PASS] occupancy-aggregation  4 cells",
+    "  [PASS] lump-aggregation  4 cells",
+]
+
+
+class TestTableFormat:
+    def test_oracle(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--urns", "3", "--balls", "2", "--format", "table"
+        )
+        assert code == 0
+        assert table_lines(out) == [
+            "command: oracle",
+            "params: urns=3 balls=2 from=1,1 to=2,2 budget=4096",
+            "  states = 9",
+            "  oracle_hitting_time = 10/1 (10)",
+            "  formula_hitting_time = 10/1 (10)",
+            "  [PASS] matches-formula  exact equality",
+            "ok: yes",
+        ]
+
+    def test_simulate(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--urns", "5", "--balls", "3",
+            "--reps", "300", "--seed", "4", "--format", "table",
+        )
+        assert code == 0
+        assert table_lines(out) == [
+            "command: simulate",
+            "params: urns=5 balls=3 from=1,1,1 to=2,2,2 reps=300 seed=4",
+            "  mean = 139.64",
+            "  std_error = 7.643797348446966",
+            "  reps = 300",
+            "  truncated = 0",
+            "  ci95_low = 124.65815719704393",
+            "  ci95_high = 154.62184280295605",
+            "  seed = 4",
+            "  exact_value = 142/1 (142)",
+            "  standardized_error = -0.30874706542024016",
+            "ok: yes",
+        ]
+
+    def test_passing_verify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-urns", "3", "--max-balls", "2", "--format", "table"
+        )
+        assert code == 0
+        assert table_lines(out) == [
+            "command: verify",
+            "params: max_urns=3 max_balls=2 oracle_budget=1024",
+            *VERIFY_ROWS,
+            "  [PASS] oracle-transfer  4 cells",
+            "  [PASS] oracle-distance  4 cells, 17 pairs",
+            "  [PASS] first-visit-triple  2 cells",
+            "  [PASS] fiber-checks  2 cells",
+            "ok: yes",
+        ]
+
+    def test_failing_verify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-urns", "3", "--max-balls", "2",
+            "--oracle-budget", "1", "--format", "table",
+        )
+        assert code == 1
+        assert table_lines(out) == [
+            "command: verify",
+            "params: max_urns=3 max_balls=2 oracle_budget=1",
+            *VERIFY_ROWS,
+            "  [FAIL] oracle-transfer  0 cells",
+            "  [FAIL] oracle-distance  0 cells, 0 pairs",
+            "  [FAIL] first-visit-triple  0 cells",
+            "  [FAIL] fiber-checks  0 cells",
+            "ok: no",
+        ]
+
+    def test_auto_is_table_on_a_terminal(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        code, out, _ = run_cli(capsys, "exact", "--urns", "5", "--balls", "3")
+        assert code == 0
+        assert table_lines(out) == [
+            "command: exact",
+            "params: urns=5 balls=3",
+            "  transfer_time = 142/1 (142)",
+            "  increment_0 = 4/1 (4)",
+            "  increment_1 = 14/1 (14)",
+            "  increment_2 = 124/1 (124)",
+            "ok: yes",
+        ]
+
+
+def test_plain_value_error_is_a_usage_error(capsys, monkeypatch):
+    def handler(args):
+        raise ValueError("not a number")
+
+    monkeypatch.setattr(cli, "handle_exact", handler)
+    code, out, err = run_cli(capsys, "exact", "--urns", "5", "--balls", "3")
+    assert (code, out, err) == (2, "", "error: not a number\n")

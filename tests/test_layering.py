@@ -3,8 +3,8 @@
 ``exact``, ``occupancy`` and ``simulate`` compute from the model alone, the
 oracle adds the linear solver, and only ``checks`` (and the CLI above it)
 brings the routes together.  A route that imported another could no longer
-check it.  Only the CLI reads the environment: every library result is a
-function of its arguments.
+check it.  Nothing imports the CLI, and only the CLI reads the environment:
+every library result is a function of its arguments.
 """
 
 import ast
@@ -21,6 +21,8 @@ ALLOWED = {
     "oracle": {"model", "errors", "linsolve"},
     "linsolve": {"errors"},
     "model": {"errors"},
+    "checks": {"exact", "occupancy", "oracle", "model", "errors"},
+    "cli": {"checks", "exact", "oracle", "simulate", "model", "errors"},
 }
 
 
@@ -92,6 +94,16 @@ def test_environment_reads_are_seen():
 def test_imports_only_lower_layers(module):
     source = Path(urnwalk.__file__).with_name(f"{module}.py").read_text()
     assert package_imports(source) <= ALLOWED[module]
+
+
+def test_no_module_imports_the_cli():
+    package = Path(urnwalk.__file__).parent
+    importers = [
+        path.stem
+        for path in package.glob("*.py")
+        if "cli" in package_imports(path.read_text())
+    ]
+    assert importers == []
 
 
 def test_imports_inside_functions_are_seen():

@@ -15,7 +15,7 @@ from urnwalk.errors import (
     SimulationTruncatedError,
     ValidationError,
 )
-from urnwalk.model import ModelParams, TARGET_URN
+from urnwalk.model import ModelParams, TARGET_URN, distance_pair
 
 
 class TestStep:
@@ -388,7 +388,7 @@ class TestLockstepKernel:
 
 
 def distance_plan(params, distance, replications, seed, workers=1):
-    start, target = simulate.distance_pair(params, distance)
+    start, target = distance_pair(params, distance)
     return simulate.SimulationPlan(
         params=params,
         start=start,
@@ -538,11 +538,11 @@ class TestRun:
         assert estimate.replications_completed + estimate.truncated_count == 300
 
     def test_distance_pair_shape(self):
-        start, target = simulate.distance_pair(ModelParams(5, 4), 2)
+        start, target = distance_pair(ModelParams(5, 4), 2)
         assert start == (1, 1, 1, 1)
         assert target == (1, 1, 2, 2)
         with pytest.raises(DomainError):
-            simulate.distance_pair(ModelParams(5, 4), 5)
+            distance_pair(ModelParams(5, 4), 5)
 
 
 class TestFirstFiberVisitFrequency:
