@@ -26,7 +26,7 @@ from .exact import (
     general_hitting_time,
     passage_increment,
     passage_increments,
-    sum_identity_report,
+    transfer_time_terms,
 )
 from .model import (
     Configuration,

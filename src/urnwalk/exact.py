@@ -19,7 +19,11 @@ Main quantities, for ``n`` urns and ``M`` balls:
   the urn-2 occupancy count (started at 0) to go from first reaching k to
   first reaching k+1; their total over k is the full transfer time, and a
   partial sum over the top L indices gives the expected hitting time
-  between any two placements that differ in exactly L balls.
+  between any two placements that differ in exactly L balls;
+* the closed form's own terms ``(n-1)*M/n * n**k/k``
+  (:func:`transfer_time_terms`), which sum to the same total as the
+  increments without matching them term by term.  The module hands both
+  sequences out; :mod:`urnwalk.checks` compares their totals and terms.
 
 The closed form of ``e[k]`` is ``(n-1)**(k+1) / C(M-1, k)`` times
 ``sum(C(M, j) / (n-1)**j for j in 0..k)``.  It is evaluated as
@@ -45,8 +49,7 @@ __all__ = [
     "passage_increments",
     "HittingQuery",
     "general_hitting_time",
-    "SumIdentityReport",
-    "sum_identity_report",
+    "transfer_time_terms",
     "first_visit_probability",
 ]
 
@@ -155,40 +158,15 @@ def general_hitting_time(query: HittingQuery) -> Fraction:
     return sum(_closed_form_increments(query.params, start), Fraction(0))
 
 
-@dataclass(frozen=True)
-class SumIdentityReport:
-    """Both sides of the increment-sum identity, with their per-index terms.
+def transfer_time_terms(params: ModelParams) -> list[Fraction]:
+    """The M terms ``(n-1)*M/n * n**k/k``, k = 1..M, of the closed form.
 
-    ``left_terms[k]`` is the k-th passage increment and ``right_terms[k]``
-    is ``(n-1)*M/n * n**(k+1)/(k+1)``.  The totals agree exactly for every
-    parameter choice even though the individual terms generally differ.
+    Their total is the full transfer time, as is the total of the passage
+    increments, though the two sequences generally differ term by term.
     """
-
-    left_total: Fraction
-    right_total: Fraction
-    left_terms: tuple[Fraction, ...]
-    right_terms: tuple[Fraction, ...]
-
-    @property
-    def matches(self) -> bool:
-        return self.left_total == self.right_total
-
-    @property
-    def termwise_matches(self) -> bool:
-        return self.left_terms == self.right_terms
-
-
-def sum_identity_report(params: ModelParams) -> SumIdentityReport:
     n, m = params.urns, params.balls
-    left_terms = tuple(_closed_form_increments(params))
     scale = Fraction((n - 1) * m, n)
-    right_terms = tuple(scale * Fraction(n ** (k + 1), k + 1) for k in range(m))
-    return SumIdentityReport(
-        left_total=sum(left_terms, Fraction(0)),
-        right_total=sum(right_terms, Fraction(0)),
-        left_terms=left_terms,
-        right_terms=right_terms,
-    )
+    return [scale * Fraction(n**k, k) for k in range(1, m + 1)]
 
 
 def first_visit_probability(params: ModelParams) -> Fraction:

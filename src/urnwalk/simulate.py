@@ -33,14 +33,15 @@ changes.
 
 Batches hold at most ``_BATCH`` replications, walked in one loop over
 blocks of draws.  A block spends the same whole counters of every stream
-of the batch, and every active replication takes one step per kept half
-of its row.  A rejected half (each half is rejected with a chance below
-span / 2**32) takes no step: in lockstep its move goes to a scratch cell
-past the balls, so each replication keeps its own step count, and the
-step cap applies to that count.  Replications that hit or reach the cap
+of the batch.  Its rejected halves (each half is rejected with a chance
+below span / 2**32) are drawn as ``span`` before any walk: that is ball
+number ``balls``, a scratch cell past the balls whose goal no urn matches,
+so a rejected half takes no step.  Each row is then walked in lockstep,
+or, once ``_TAIL`` or fewer rows walk, one at a time in the scalar loop;
+both walkers return the column of each row's first arrival.  One
+accounting turns that column into the row's step count, less its rejected
+halves, and applies the step cap to it.  Rows that hit or reach the cap
 leave the batch at block boundaries, in whole groups of ``_ROW_GRAIN``.
-Once ``_TAIL`` or fewer are left, each block is walked one replication at
-a time in the scalar loop, over the replication's own kept halves.
 
 ``tests/_reference.py`` keeps the per-replication loop on numpy's own
 generator that this kernel replaced.  The tests check the kernel against
@@ -70,7 +71,8 @@ _SPAN_LIMIT = 2**32
 # lockstep kernel: replications per batch, placement cells per batch, draws
 # per block (a block spends at least one counter, 8 draws, per row, so a
 # full batch takes 2**16), and the active count at or below which each
-# replication walks its block alone in the scalar loop
+# replication walks its block alone in the scalar loop, over the same row
+# of draws, rejected halves included, as lockstep
 _BATCH = 2**13
 _BATCH_CELLS = 2**20
 _BLOCK_DRAWS = 2**15
@@ -205,21 +207,21 @@ def _bounded_draws(seeds, reps, counters, span: int) -> tuple[np.ndarray, np.nda
 
 
 def _walk_scalar(
-    alternatives: int, target: Configuration, config: list[int], draws: list[int]
+    alternatives: int, goal: list[int], config: list[int], draws: list[int]
 ) -> int:
-    """Walk ``config`` (updated in place) one step per draw.
+    """Walk ``config`` (updated in place, scratch cell last) one step per draw.
 
-    Returns the step after which it first sits at ``target``, or -1 when
-    the draws run out first.
+    Returns the column after which it first sits at ``goal``, or -1; it
+    stops walking there.
     """
-    mismatches = sum(a != b for a, b in zip(config, target))
-    for i, value in enumerate(draws, 1):
+    mismatches = sum(a != b for a, b in zip(config[:-1], goal))
+    for i, value in enumerate(draws):
         ball = value // alternatives
         draw = value - ball * alternatives + 1
         current = config[ball]
         destination = draw if draw < current else draw + 1
         config[ball] = destination
-        wanted = target[ball]
+        wanted = goal[ball]
         if current == wanted:
             mismatches += 1
         elif destination == wanted:
@@ -239,8 +241,8 @@ def _walk_block(
     """Advance every row of ``place`` one step per column of ``draws``.
 
     ``place`` (rows, cells) and ``mismatches`` (rows,) are updated in
-    place.  Returns the (cols, rows) flags of the steps after which a row
-    sat at ``goal``.
+    place.  Returns, per row, the column after which it first sat at
+    ``goal``, or -1.
     """
     rows, balls = place.shape
     cols = draws.shape[1]
@@ -261,7 +263,7 @@ def _walk_block(
         mismatches += current == wanted[j]
         mismatches -= destination == wanted[j]
         np.equal(mismatches, 0, out=arrived[j])
-    return arrived
+    return np.where(arrived.any(axis=0), arrived.argmax(axis=0), -1)
 
 
 def _batch_steps(
@@ -279,8 +281,7 @@ def _batch_steps(
     span = balls * alternatives
     max_steps = min(max_steps, np.iinfo(np.int64).max)  # no walk gets that far
     dtype = np.min_scalar_type(urns)  # unsigned: the kernel never subtracts
-    # a scratch cell past the balls, whose goal no urn matches, takes the
-    # moves of rejected halves (drawn as span, so ball number `balls`)
+    # the scratch cell past the balls, whose goal no urn matches
     goal = np.array((*target, 0), dtype=dtype)
     steps = np.full(rep_hi - rep_lo, -1, dtype=np.int64)
     ids = np.arange(rep_hi - rep_lo)
@@ -290,52 +291,47 @@ def _batch_steps(
         len(ids), sum(a != b for a, b in zip(start, target)), dtype=np.int32
     )
     taken = np.zeros(len(ids), dtype=np.int64)
-    walking = np.ones(len(ids), dtype=bool)
     counter = 1
-    while walking.any():
+    while True:
+        walking = (steps[ids] < 0) & (taken < max_steps)
         count = np.count_nonzero(walking)
+        if not count:
+            return steps
         tail = count <= _TAIL
-        if tail or len(ids) - count >= _ROW_GRAIN:
+        if len(ids) - count >= (1 if tail else _ROW_GRAIN):
             # drop finished rows, all of them in the tail, else keeping a
             # multiple of _ROW_GRAIN rows; the finished rows kept walk on,
             # but their steps are already counted
             spare = 0 if tail else -count % _ROW_GRAIN
             keep = walking | (np.cumsum(~walking) <= spare)
             ids, place, taken = ids[keep], place[keep], taken[keep]
-            mismatches, walking = mismatches[keep], walking[keep]
+            mismatches = mismatches[keep]
+            continue
         remaining = max_steps - taken[walking].min()
         width = max(1, min(_BLOCK_DRAWS // (8 * len(ids)), -(-remaining // 8)))
         draws, kept = _bounded_draws(
             seed, reps[ids, None], counter + np.arange(width), span
         )
         counter += width
-        # rejected halves, rare: each takes no step of its row
+        # rejected halves, rare: as ball `balls`, each moves only the scratch cell
         lost_rows, lost_cols = np.divmod(np.flatnonzero(~kept), kept.shape[1])
+        draws[lost_rows, lost_cols] = span
         if tail:
-            # every row walks: one at a time, over its own kept halves
-            for i, (row, row_kept) in enumerate(zip(draws, kept)):
+            first = np.empty(len(ids), dtype=np.int64)
+            for i, row in enumerate(draws.tolist()):
                 config = place[i].tolist()
-                values = row[row_kept][: max_steps - taken[i]].tolist()
-                hit = _walk_scalar(alternatives, target, config, values)
+                first[i] = _walk_scalar(alternatives, goal.tolist(), config, row)
                 place[i] = config
-                if hit >= 0:
-                    steps[ids[i]] = taken[i] + hit
-                    walking[i] = False
         else:
-            draws[lost_rows, lost_cols] = span
-            arrived = _walk_block(place, mismatches, draws, alternatives, goal)
-            hit = walking & arrived.any(axis=0)
-            first = arrived.argmax(axis=0)
-            # a hit's step counts the row's kept halves up to its column
-            skipped = lost_rows[lost_cols <= first[lost_rows]]
-            at = taken + first + 1 - np.bincount(skipped, minlength=len(ids))
-            within = hit & (at <= max_steps)
-            steps[ids[within]] = at[within]
-            walking &= ~hit
+            first = _walk_block(place, mismatches, draws, alternatives, goal)
+        # a hit's step counts the row's kept halves up to its column
+        hit = walking & (first >= 0)
+        skipped = lost_rows[lost_cols <= first[lost_rows]]
+        at = taken + first + 1 - np.bincount(skipped, minlength=len(ids))
+        within = hit & (at <= max_steps)
+        steps[ids[within]] = at[within]
         taken += kept.shape[1] - np.bincount(lost_rows, minlength=len(ids))
-        walking &= taken < max_steps
         del draws, kept  # hold one block at a time
-    return steps
 
 
 def _chunk_steps(

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from urnwalk import checks, oracle
+from urnwalk import checks, cli, exact, oracle
 from urnwalk.model import ModelParams, config_at, hamming_distance
 
 # the pairs each cell checks and their count, at a budget of 1024
@@ -38,3 +40,35 @@ class TestDistanceAgreement:
         monkeypatch.setattr(oracle, "hitting_times_to_target", off_by_one)
         _, count = DISTANCE_AGREEMENT[cell]
         assert checks.distance_agreement(params, budget=1024) == (False, count)
+
+
+class TestSumIdentity:
+    """`exact` hands out both sequences; only `checks` compares them."""
+
+    def test_wrong_term_fails_its_rows(self, monkeypatch, capsys):
+        terms = exact.transfer_time_terms
+
+        def one_off(params):
+            out = terms(params)
+            out[-1] += 1
+            return out
+
+        monkeypatch.setattr(exact, "transfer_time_terms", one_off)
+        result = checks.sum_identity(checks.grid_cells(3, 2))
+        assert not result.passed
+        assert result.detail.endswith("first failure ModelParams(urns=2, balls=1)")
+        assert cli.main(["verify", "--max-urns", "3", "--max-balls", "2"]) == 1
+        rows = json.loads(capsys.readouterr().out)["checks"]
+        failed = [row["name"] for row in rows if not row["passed"]]
+        assert failed == ["sum-identity", "termwise-witness"]
+
+    def test_equal_sequences_fail_the_witness(self, monkeypatch):
+        params = ModelParams(5, 3)
+        assert checks.termwise_difference_witness(params).passed
+        monkeypatch.setattr(
+            exact,
+            "transfer_time_terms",
+            lambda params: [exact.passage_increment(params, k) for k in range(params.balls)],
+        )
+        assert checks.sum_identity([params]).passed
+        assert not checks.termwise_difference_witness(params).passed

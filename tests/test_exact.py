@@ -138,25 +138,36 @@ class TestBallInduction:
         assert sum(exact.passage_increments(params), Fraction(0)) == closed
 
 
+def closed_form_increments(params):
+    return [exact.passage_increment(params, k) for k in range(params.balls)]
+
+
 class TestSumIdentity:
+    """The closed-form increments and the closed form's terms have one total."""
+
     def test_five_urns_three_balls(self):
-        report = exact.sum_identity_report(ModelParams(5, 3))
-        assert report.matches and report.left_total == 142
-        assert report.left_terms == (4, 14, 124)
-        assert report.right_terms == (12, 30, 100)
-        assert not report.termwise_matches
+        params = ModelParams(5, 3)
+        increments = closed_form_increments(params)
+        terms = exact.transfer_time_terms(params)
+        assert increments == [4, 14, 124]
+        assert terms == [12, 30, 100]
+        assert sum(increments) == sum(terms) == 142
+        assert checks.termwise_difference_witness(params).passed
 
     def test_four_urns_four_balls(self):
-        report = exact.sum_identity_report(ModelParams(4, 4))
-        assert report.matches and report.left_total == 292
+        params = ModelParams(4, 4)
+        total = sum(exact.transfer_time_terms(params))
+        assert total == sum(closed_form_increments(params)) == 292
 
     def test_two_urns_five_balls(self):
-        assert exact.sum_identity_report(ModelParams(2, 5)).matches
+        params = ModelParams(2, 5)
+        assert sum(exact.transfer_time_terms(params)) == sum(
+            closed_form_increments(params)
+        )
 
     def test_holds_across_grid(self):
-        for urns in range(2, 9):
-            for balls in range(1, 13):
-                assert exact.sum_identity_report(ModelParams(urns, balls)).matches
+        row = checks.sum_identity(checks.grid_cells(8, 12))
+        assert row.passed and row.cells == 7 * 12
 
 
 class TestFirstVisitProbability:
@@ -210,8 +221,7 @@ class TestLinearTimeRoutes:
     def test_thousand_balls(self):
         params = ModelParams(5, 1000)
         recursion = exact.passage_increments(params)
-        closed = exact.sum_identity_report(params).left_terms
-        assert list(closed) == recursion
+        assert list(exact._closed_form_increments(params)) == recursion
         chain = occupancy.build_occupancy_chain(params)
         assert occupancy.passage_increments_by_solve(chain) == recursion
         query = exact.HittingQuery(params=params, hamming_distance=1000)

@@ -307,6 +307,48 @@ class TestLockstepKernel:
             # the cap is reached in the middle of blocks that hold rejections
             assert got.count(-1) == 461 and got.count(cap) == 3
 
+    def test_walkers_share_one_contract(self):
+        # one block, rejected halves drawn as span: the row at distance d
+        # wanders, idles on rejected halves and arrives in the last column;
+        # the last row never arrives.  Both walkers must return the same
+        # first-arrival columns and leave the same placements.
+        urns, balls, cols = 4, 5, 12
+        alternatives, span = urns - 1, balls * (urns - 1)
+        target = (2, 3, 4, 1, 2)
+        goal = np.array((*target, 0), dtype=np.uint8)
+
+        def move(ball, current, destination):
+            return ball * alternatives + destination - 1 - (destination > current)
+
+        def other(urn, *avoid):
+            return next(u for u in range(1, urns + 1) if u != urn and u not in avoid)
+
+        starts, rows = [], []
+        for distance in range(1, balls + 1):
+            start = [other(t) if b < distance else t for b, t in enumerate(target)]
+            wander = [other(start[b], target[b]) for b in range(distance)]
+            rows.append(
+                [move(b, start[b], wander[b]) for b in range(distance)]
+                + [span] * (cols - 2 * distance)
+                + [move(b, wander[b], target[b]) for b in range(distance)]
+            )
+            starts.append(start)
+        start = [other(target[0]), *target[1:]]
+        away = other(start[0], target[0])
+        rows.append([span, move(0, start[0], away), span, move(0, away, start[0])] * 3)
+        starts.append(start)
+
+        place = np.array([(*s, 1) for s in starts], dtype=np.uint8)
+        mismatches = (place[:, :-1] != goal[:-1]).sum(axis=1).astype(np.int32)
+        draws = np.array(rows, dtype=np.uint32)
+        block = simulate._walk_block(place, mismatches, draws, alternatives, goal)
+        assert block.tolist() == [cols - 1] * balls + [-1]
+        for i, row in enumerate(rows):
+            config = [*starts[i], 1]
+            column = simulate._walk_scalar(alternatives, goal.tolist(), config, row)
+            assert column == block[i]
+            assert config == place[i].tolist()
+
     @pytest.mark.parametrize("tail", (0, 48, 1000))
     def test_caps_past_int64(self, tail):
         args = (2, 2, (1, 1), (2, 2), 10**30, 3, 0, 100)
