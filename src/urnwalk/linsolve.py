@@ -15,11 +15,13 @@ costs correctness:
 2. dense rational Gaussian elimination for everything else: tiny systems,
    systems refinement cannot certify, and any refinement that stalls.
 
-Past the dense limit the sparse rows are converted once, into one int64
-CSR matrix after clearing every denominator with one scale.  The
-certificate (symmetry, row sums, and a search from the strict rows by
-sparse products), the CG solves and the exact integer products of the
-gate and the residual update all read that matrix.
+Past the dense limit every solver reads one int64 CSR matrix.  The oracle
+hands its systems over in that form, as :class:`IntegerRows`; dict rows are
+converted once into the same arrays.  One scale clears every denominator
+of the matrix and the right-hand side.  The certificate (symmetry, row
+sums, and a search from the strict rows by sparse products), the CG solves
+and the exact integer products of the gate and the residual update all
+read that matrix.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
@@ -33,9 +35,9 @@ same input.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +56,29 @@ _CG_RTOL = 1e-14
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
 _REFINE_SPARE_BITS = 64
+
+
+class IntegerRows(Sequence):
+    """A square int64 matrix as CSR arrays, read as a sequence of ``{column: value}`` rows.
+
+    ``indptr``, ``indices`` and ``data`` are plain numpy int64 arrays, with
+    each row's columns ascending.  Indexing builds one row's mapping of
+    Python ints, for readers and the dense path; the solvers past the dense
+    limit read the arrays.
+    """
+
+    __slots__ = ("indptr", "indices", "data")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> dict[int, int]:
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        start, stop = self.indptr[i : i + 2].tolist()
+        return dict(zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist()))
 
 
 def solve_exact(rows: SparseRows, rhs: Sequence[int | Fraction]) -> list[Fraction]:
@@ -93,28 +118,36 @@ def solve_float(
 def _integer_system(rows: SparseRows, rhs: Sequence[int | Fraction]):
     """The system as one int64 CSR matrix and an integer right-hand side.
 
-    One scale clears every denominator, so a symmetric matrix stays
-    symmetric.  The right-hand side is an object array of Python ints.
-    The matrix is None when a row's absolute sum could reach ``2**62``,
-    which int64 products against the matrix could not be trusted past.
+    :class:`IntegerRows` are that matrix already; dict rows are converted
+    into the same arrays, once.  One scale, the lcm of every denominator of
+    the matrix and the right-hand side, clears them all, so a symmetric
+    matrix stays symmetric.  The right-hand side is an object array of
+    Python ints.  The matrix is None when a scaled entry leaves int64 or a
+    row's absolute sum could reach ``2**62``, which int64 products against
+    the matrix could not be trusted past.
     """
     import scipy.sparse as sparse
 
-    counts = [len(row) for row in rows]
-    indices = list(chain.from_iterable(rows))
-    values = list(chain.from_iterable(row.values() for row in rows))
-    scale = math.lcm(*{v.denominator for v in chain(values, rhs)})
+    if isinstance(rows, IntegerRows):
+        indptr, indices, values = rows.indptr, rows.indices, rows.data
+        scale = math.lcm(*{v.denominator for v in rhs})
+        if scale != 1:
+            values = values.astype(object) * scale
+    else:
+        indptr = np.cumsum([0, *map(len, rows)])
+        indices = list(chain.from_iterable(rows))
+        values = list(chain.from_iterable(row.values() for row in rows))
+        scale = math.lcm(*{v.denominator for v in chain(values, rhs)})
+        if scale != 1:
+            values = [v.numerator * (scale // v.denominator) for v in values]
     b = np.array([v.numerator * (scale // v.denominator) for v in rhs], dtype=object)
-    if scale != 1:
-        values = [v.numerator * (scale // v.denominator) for v in values]
     try:
-        data = np.array(values, dtype=np.int64)
+        data = np.asarray(values, dtype=np.int64)
     except OverflowError:
         return None, b
-    if data.size and float(np.abs(data, dtype=np.float64).max()) * max(counts) >= 2.0**62:
+    if data.size and np.abs(data, dtype=np.float64).max() * np.diff(indptr).max() >= 2.0**62:
         return None, b
-    size = len(rows)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    size = len(indptr) - 1
     return sparse.csr_array((data, indices, indptr), shape=(size, size)), b
 
 

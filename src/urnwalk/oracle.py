@@ -55,9 +55,11 @@ class AbsorbingSystem:
 
     ``rows`` hold ``degree * I - A`` over the transient states in ascending
     index order, ``A`` their 0/1 adjacency: ``degree`` on the diagonal and
-    -1 at each transient neighbour.  That is ``degree`` times ``I - Q``
-    (``Q`` the substochastic transient kernel), so right-hand sides count
-    moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
+    -1 at each transient neighbour.  They are int64 CSR arrays, which the
+    solvers past the dense limit read as they are; ``rows[i]`` reads row
+    ``i`` as a ``{column: value}`` mapping.  The matrix is ``degree`` times
+    ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand sides
+    count moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
     lists the absorbing state indices one move away from the i-th
     transient state.  The walk's graph is connected, so every transient
     state reaches a nonempty absorbing set and the system is uniquely
@@ -68,7 +70,7 @@ class AbsorbingSystem:
 
     params: ModelParams
     transient_states: tuple[int, ...]
-    rows: tuple[dict[int, int], ...]
+    rows: linsolve.IntegerRows
     absorbing_edges: tuple[tuple[int, ...], ...]
 
     def position(self, state: int) -> int:
@@ -112,14 +114,15 @@ def build_absorbing_system(
     # each state's position among the transient states, -1 when absorbing
     position = np.where(is_absorbing, -1, np.cumsum(~is_absorbing) - 1)
     moves = neighbor_indices(params)[transients]
-    degree = params.degree
-    rows: list[dict[int, int]] = []
-    for i, columns in enumerate(position[moves].tolist()):
-        # a state's neighbours are distinct: each transient one is one -1 entry
-        row = dict.fromkeys(columns, -1)
-        row.pop(-1, None)
-        row[i] = degree
-        rows.append(row)
+    # each row's columns are its transient neighbours, which are distinct,
+    # and its diagonal; sorted, the absorbing ones come first as -1 and go
+    diagonal = np.arange(len(transients))[:, None]
+    columns = np.concatenate((position[moves], diagonal), axis=1)
+    columns.sort(axis=1)
+    kept = columns >= 0
+    indptr = np.zeros(len(transients) + 1, dtype=np.int64)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    data = np.where(columns == diagonal, params.degree, -1)[kept]
     hits = is_absorbing[moves]
     edges = [()] * len(transients)
     for i in np.flatnonzero(hits.any(axis=1)).tolist():
@@ -127,7 +130,7 @@ def build_absorbing_system(
     return AbsorbingSystem(
         params=params,
         transient_states=tuple(transients.tolist()),
-        rows=tuple(rows),
+        rows=linsolve.IntegerRows(indptr, columns[kept], data),
         absorbing_edges=tuple(edges),
     )
 

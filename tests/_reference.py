@@ -4,12 +4,14 @@ Deliberately separate code paths from the package: a Gauss-Jordan solver
 over plain Fraction lists, a Pascal-triangle binomial, a hitting-time
 computation that builds its state space with itertools, the one-move
 neighbour list of a placement (the reference for
-``urnwalk.model.neighbor_indices``), and the Monte Carlo walk one
-replication at a time on its own numpy ``Generator`` (the loop the lockstep
-kernel of ``urnwalk.simulate`` replaced, kept as its reference).  Slow and
-simple on purpose; apart from the input checks of ``neighbors`` and
-``step``, they share no code with the package, so its results can be
-checked against them.
+``urnwalk.model.neighbor_indices``), the absorbing system's rows as one
+dict per row (the builder the oracle's CSR arrays replaced, kept as their
+reference), and the Monte Carlo walk one replication at a time on its own
+numpy ``Generator`` (the loop the lockstep kernel of ``urnwalk.simulate``
+replaced, kept as its reference).  Slow and simple on purpose; apart from
+the input checks of ``neighbors`` and ``step`` and the adjacency that
+``absorbing_rows`` reads, they share no code with the package, so its
+results can be checked against them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from urnwalk.errors import DomainError
-from urnwalk.model import check_configuration
+from urnwalk.model import check_configuration, neighbor_indices
 
 FIRST_BLOCK = 256
 MAX_BLOCK = 65_536
@@ -88,6 +90,23 @@ def neighbors(config, params):
             if urn != current:
                 out.append(prefix + (urn,) + suffix)
     return out
+
+
+def absorbing_rows(params, absorbing):
+    """``degree * I - A`` over the transient states in ascending index order,
+    one ``{column: value}`` dict per row, ``A`` their 0/1 adjacency."""
+    is_absorbing = np.zeros(params.state_count, dtype=bool)
+    is_absorbing[list(absorbing)] = True
+    transients = np.flatnonzero(~is_absorbing)
+    position = np.where(is_absorbing, -1, np.cumsum(~is_absorbing) - 1)
+    rows = []
+    for i, columns in enumerate(position[neighbor_indices(params)[transients]].tolist()):
+        # a state's neighbours are distinct: each transient one is one -1 entry
+        row = dict.fromkeys(columns, -1)
+        row.pop(-1, None)
+        row[i] = params.degree
+        rows.append(row)
+    return rows
 
 
 def step(config, params, ball_index, urn_draw):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,47 @@ class TestWalkSystem:
         assert linsolve._dense_fraction_solve(
             system.rows, rhs
         ) == linsolve.solve_exact(system.rows, rhs)
+
+    def test_rational_rhs_on_integer_rows_is_not_truncated(self):
+        # the oracle's integer matrix with a right-hand side of thirds: the
+        # lcm scales the whole system, and no entry is cut to an int
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams, index_of
+
+        params = ModelParams(3, 4)  # 80 unknowns, past the dense limit
+        target = index_of((2,) * 4, params)
+        system = oracle.build_absorbing_system(params, frozenset({target}))
+        size = len(system.rows)
+        assert size > linsolve.DENSE_FRACTION_LIMIT
+        ones = linsolve.solve_exact(system.rows, [1] * size)
+        assert linsolve.solve_exact(system.rows, [Fraction(1, 3)] * size) == [
+            x / 3 for x in ones
+        ]
+        values, residual = linsolve.solve_float(system.rows, [Fraction(1, 3)] * size)
+        assert residual < 1e-12
+        assert np.allclose(values, [float(x / 3) for x in ones], rtol=1e-9, atol=0)
+
+    def test_rhs_scale_past_int64_takes_the_dense_path(self, monkeypatch):
+        # the lcm 2**62 takes the scaled diagonal out of int64: the integer
+        # matrix is rejected, and the dense path solves the system exactly
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams
+
+        sizes = []
+        dense = linsolve._dense_fraction_solve
+
+        def spy(rows, rhs):
+            sizes.append(len(rows))
+            return dense(rows, rhs)
+
+        params = ModelParams(2, 5)  # 31 unknowns, past the dense limit
+        system = oracle.build_absorbing_system(params, frozenset({31}))
+        size = len(system.rows)
+        ones = linsolve.solve_exact(system.rows, [1] * size)
+        monkeypatch.setattr(linsolve, "_dense_fraction_solve", spy)
+        tiny = Fraction(1, 2**62)
+        assert linsolve.solve_exact(system.rows, [tiny] * size) == [x * tiny for x in ones]
+        assert sizes == [size]
 
 
 class TestBandedSystemAndFloatSolve:

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import urnwalk
 from urnwalk import exact, linsolve, oracle
 from urnwalk.errors import (
     BudgetExceededError,
@@ -12,9 +18,9 @@ from urnwalk.errors import (
     SingularSystemError,
     ValidationError,
 )
-from urnwalk.model import ModelParams, config_at, index_of
+from urnwalk.model import ModelParams, config_at, index_of, neighbor_indices
 
-from _reference import neighbors, reference_hitting_time
+from _reference import absorbing_rows, neighbors, reference_hitting_time
 
 
 @st.composite
@@ -22,6 +28,32 @@ def params_and_absorbing_set(draw):
     params = ModelParams(draw(st.integers(2, 5)), draw(st.integers(1, 4)))
     states = st.integers(0, params.state_count - 1)
     return params, draw(st.frozensets(states, min_size=1))
+
+
+def neighbour_set(params, state):
+    """The indices one move away from ``state``, by the reference neighbour list."""
+    return frozenset(index_of(c, params) for c in neighbors(config_at(state, params), params))
+
+
+@st.composite
+def absorbing_cases(draw):
+    """A walk, a nonempty absorbing set and a nonempty goal inside it.
+
+    The set is a few random states; or it holds every neighbour of one
+    transient state, whose row then holds only the diagonal; or it is every
+    state, and the system is empty.
+    """
+    params = ModelParams(draw(st.integers(2, 5)), draw(st.integers(1, 5)))
+    states = st.integers(0, params.state_count - 1)
+    absorbing = draw(st.frozensets(states, min_size=1, max_size=6))
+    shape = draw(st.sampled_from(("random", "isolated", "all")))
+    if shape == "isolated":
+        state = draw(states)
+        absorbing = (absorbing - {state}) | neighbour_set(params, state)
+    elif shape == "all":
+        absorbing = frozenset(range(params.state_count))
+    goal = draw(st.frozensets(st.sampled_from(sorted(absorbing)), min_size=1, max_size=3))
+    return params, absorbing, goal
 
 
 class TestExpectedHittingTime:
@@ -253,3 +285,62 @@ class TestAbsorbingSystem:
             assert row == expected
             assert all(type(c) is int for c in row.values())
             assert sorted(edges) == sorted(h for h in moves if h in absorbing)
+
+
+class TestIntegerRows:
+    """The oracle's CSR arrays against the dict rows they replaced."""
+
+    @given(absorbing_cases())
+    @example((ModelParams(2, 1), frozenset({0, 1}), frozenset({1})))  # no unknowns
+    @example((ModelParams(3, 2), neighbour_set(ModelParams(3, 2), 4), frozenset({1})))
+    @example((ModelParams(2, 4), frozenset({15}), frozenset({15})))  # 15 unknowns
+    @example((ModelParams(3, 3), frozenset({0, 26}), frozenset({26})))  # 25 unknowns
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_solves_match_the_dict_row_reference(self, case):
+        params, absorbing, goal = case
+        system = oracle.build_absorbing_system(params, absorbing)
+        reference = absorbing_rows(params, absorbing)
+        assert len(system.rows) == len(reference)
+        for i, row in enumerate(reference):
+            assert system.rows[i] == row
+        size = len(reference)
+        moves = neighbor_indices(params)[list(system.transient_states)]
+        hits = np.isin(moves, list(goal)).sum(axis=1).tolist()
+        assert system.hitting_time_vector() == linsolve.solve_exact(
+            reference, [params.degree] * size
+        )
+        assert system.absorption_probability_vector(goal) == linsolve.solve_exact(
+            reference, hits
+        )
+
+    def test_row_with_only_absorbing_neighbours_holds_the_diagonal(self):
+        params = ModelParams(3, 2)
+        system = oracle.build_absorbing_system(params, neighbour_set(params, 4))
+        i = system.position(4)
+        assert system.rows[i] == {i: params.degree}
+        assert system.hitting_time_vector()[i] == 1
+
+    def test_rows_read_as_a_sequence(self):
+        system = oracle.build_absorbing_system(ModelParams(2, 2), frozenset({3}))
+        assert list(system.rows) == [{0: 2, 1: -1, 2: -1}, {0: -1, 1: 2}, {0: -1, 2: 2}]
+        assert system.rows[-1] == {0: -1, 2: 2}
+        with pytest.raises(IndexError):
+            system.rows[3]
+
+    def test_small_solve_loads_no_scipy(self):
+        # up to the dense limit no solve needs scipy, and none imports it
+        code = (
+            "import sys\n"
+            "from urnwalk import oracle\n"
+            "from urnwalk.model import ModelParams\n"
+            "print(oracle.expected_hitting_time(ModelParams(2, 3), (1, 1, 1), (2, 2, 2)))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(urnwalk.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        value, loaded = out.stdout.splitlines()
+        assert Fraction(value) == exact.full_transfer_time(ModelParams(2, 3))
+        assert loaded == "[]"
