@@ -1,27 +1,27 @@
-"""Exact solvers for the sparse integer and rational linear systems built by the oracle.
+"""Exact solvers for the integer and rational linear systems built by the oracle.
 
 :func:`solve_exact` always returns the exact rational solution of
-``A x = b``.  Two strategies share one soundness argument, so speed never
-costs correctness:
+``A x = b`` for an int64 matrix stated as :class:`IntegerRows` and an
+integer right-hand side.  Two strategies share one soundness argument, so
+speed never costs correctness:
 
 1. numeric-symbolic iterative refinement, for systems past the dense limit
-   whose integer-scaled matrix is certified symmetric positive definite
-   (the oracle's ``degree * I - A`` always is): conjugate gradient (CG) in floating
+   whose matrix is certified symmetric positive definite (the oracle's
+   ``degree * I - A`` always is): conjugate gradient (CG) in floating
    point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
    rounded to integers, and the residual is updated exactly, so every round
    adds about ``k`` correct bits to a dyadic approximation ``N / D`` of the
    solution.  Continued fractions then recover one common denominator
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
-2. dense rational Gaussian elimination for everything else: tiny systems,
-   systems refinement cannot certify, and any refinement that stalls.
+2. dense rational Gaussian elimination, :func:`solve_dense`, for everything
+   else: tiny systems, systems refinement cannot certify, and any
+   refinement that stalls.  It takes any ``{column: value}`` rows, rational
+   ones too, such as the non-symmetric lumped first-visit system.
 
-Past the dense limit every solver reads one int64 CSR matrix.  The oracle
-hands its systems over in that form, as :class:`IntegerRows`; dict rows are
-converted once into the same arrays.  One scale clears every denominator
-of the matrix and the right-hand side.  The certificate (symmetry, row
-sums, and a search from the strict rows by sparse products), the CG solves
-and the exact integer products of the gate and the residual update all
-read that matrix.
+Past the dense limit the certificate (symmetry, row sums, and a search from
+the strict rows by sparse products), the CG solves and the exact integer
+products of the gate and the residual update all read the CSR arrays of
+:class:`IntegerRows` as they are.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
@@ -37,13 +37,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .errors import SingularSystemError
-
-SparseRows = Sequence[Mapping[int, int | Fraction]]
 
 # Dense Fraction elimination is cubic in rational operations: a few ms up
 # to 16 unknowns, but 0.5 s at 63, where refinement takes 2 ms.  Up to the
@@ -81,74 +78,60 @@ class IntegerRows(Sequence):
         return dict(zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist()))
 
 
-def solve_exact(rows: SparseRows, rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Exact solution of the square sparse system ``rows @ x == rhs``."""
-    size = len(rows)
-    if size != len(rhs):
-        raise ValueError("matrix and right-hand side sizes differ")
-    if size > DENSE_FRACTION_LIMIT:
-        matrix, b = _integer_system(rows, rhs)
+def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
+    """Exact solution of the square integer system ``rows @ x == rhs``."""
+    _check_integer_system(rows, rhs, "solve_exact")
+    if len(rows) > DENSE_FRACTION_LIMIT:
+        matrix = _csr(rows)
         if matrix is not None and _is_certified(matrix):
-            candidate = _solve_refined(matrix, b)
+            candidate = _solve_refined(matrix, np.array(rhs, dtype=object))
             if candidate is not None:
                 return candidate
-    return _dense_fraction_solve(rows, rhs)
+    return solve_dense(rows, rhs)
 
 
-def solve_float(
-    rows: SparseRows, rhs: Sequence[int | Fraction]
-) -> tuple[np.ndarray, float]:
+def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
     """Approximate solve by conjugate gradient; returns (solution, relative residual).
 
-    The matrix must be symmetric once its entries are scaled to integers
-    (which must fit int64), and positive definite for the residual to be
-    small.
+    The matrix must be symmetric, and positive definite for the residual
+    to be small.
     """
-    matrix, b = _integer_system(rows, rhs)
+    _check_integer_system(rows, rhs, "solve_float")
+    matrix = _csr(rows)
     if matrix is None or (matrix != matrix.T).nnz:
-        raise ValueError("solve_float needs a symmetric matrix with int64-sized entries")
+        raise ValueError("solve_float needs a symmetric matrix with row sums below 2**62")
     matrix = matrix.astype(np.float64)
-    b = b.astype(np.float64)
+    b = np.array(rhs, dtype=object).astype(np.float64)
     x = _conjugate_gradient(matrix, b)
     residual = np.abs(matrix @ x - b).max()
     scale = max(1.0, float(np.abs(b).max()))
     return x, float(residual / scale)
 
 
-def _integer_system(rows: SparseRows, rhs: Sequence[int | Fraction]):
-    """The system as one int64 CSR matrix and an integer right-hand side.
+def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) -> None:
+    if not isinstance(rows, IntegerRows):
+        raise TypeError(f"{solver} takes IntegerRows; solve_dense takes other rows")
+    if len(rows) != len(rhs):
+        raise ValueError("matrix and right-hand side sizes differ")
+    if not all(isinstance(v, int) for v in rhs):
+        raise TypeError(
+            f"{solver} takes an integer right-hand side; solve_dense takes a rational one"
+        )
 
-    :class:`IntegerRows` are that matrix already; dict rows are converted
-    into the same arrays, once.  One scale, the lcm of every denominator of
-    the matrix and the right-hand side, clears them all, so a symmetric
-    matrix stays symmetric.  The right-hand side is an object array of
-    Python ints.  The matrix is None when a scaled entry leaves int64 or a
-    row's absolute sum could reach ``2**62``, which int64 products against
-    the matrix could not be trusted past.
+
+def _csr(rows: IntegerRows):
+    """The rows as a scipy CSR matrix over their own arrays.
+
+    None when a row's absolute sum could reach ``2**62``, which int64
+    products against the matrix could not be trusted past.
     """
     import scipy.sparse as sparse
 
-    if isinstance(rows, IntegerRows):
-        indptr, indices, values = rows.indptr, rows.indices, rows.data
-        scale = math.lcm(*{v.denominator for v in rhs})
-        if scale != 1:
-            values = values.astype(object) * scale
-    else:
-        indptr = np.cumsum([0, *map(len, rows)])
-        indices = list(chain.from_iterable(rows))
-        values = list(chain.from_iterable(row.values() for row in rows))
-        scale = math.lcm(*{v.denominator for v in chain(values, rhs)})
-        if scale != 1:
-            values = [v.numerator * (scale // v.denominator) for v in values]
-    b = np.array([v.numerator * (scale // v.denominator) for v in rhs], dtype=object)
-    try:
-        data = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return None, b
-    if data.size and np.abs(data, dtype=np.float64).max() * np.diff(indptr).max() >= 2.0**62:
-        return None, b
-    size = len(indptr) - 1
-    return sparse.csr_array((data, indices, indptr), shape=(size, size)), b
+    data = rows.data
+    if data.size and np.abs(data, dtype=np.float64).max() * np.diff(rows.indptr).max() >= 2.0**62:
+        return None
+    size = len(rows)
+    return sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
 
 
 def _conjugate_gradient(matrix, rhs: np.ndarray) -> np.ndarray:
@@ -163,8 +146,19 @@ def _conjugate_gradient(matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dense_fraction_solve(rows: SparseRows, rhs: Sequence[int | Fraction]) -> list[Fraction]:
+def solve_dense(
+    rows: Sequence[Mapping[int, int | Fraction]], rhs: Sequence[int | Fraction]
+) -> list[Fraction]:
+    """Exact solution of the square system ``rows @ x == rhs`` by dense elimination.
+
+    Rows are ``{column: value}`` mappings with integer or rational entries.
+    The cost is cubic in rational operations, so past a few dozen unknowns
+    :func:`solve_exact` is the solver for an integer system.  Raises
+    SingularSystemError when a column has no pivot.
+    """
     size = len(rows)
+    if len(rhs) != size:
+        raise ValueError("matrix and right-hand side sizes differ")
     a = [[Fraction(0)] * size for _ in range(size)]
     for i, row in enumerate(rows):
         for j, coeff in row.items():

@@ -265,10 +265,11 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
 
     Entry m-1 is the probability that a walk whose state lies in class m
     makes its next visit to the target fiber at the all-in-urn-2 point.
-    Solved from the sparse rows of the lumped kernel: the 2k-2 off-fiber
-    classes form the unknowns, and the two fiber classes follow by one-step
-    conditioning.  The identities these values obey are asserted by
-    :func:`urnwalk.checks.first_visit_triple_agreement`, not here.
+    Solved by dense elimination over the rational rows of the lumped
+    kernel: the 2k-2 off-fiber classes form the unknowns, and the two fiber
+    classes follow by one-step conditioning.  The identities these values
+    obey are asserted by :func:`urnwalk.checks.first_visit_triple_agreement`,
+    not here.
     """
     if params.balls < 2:
         raise DomainError("lumped first-visit analysis needs at least 2 balls")
@@ -282,7 +283,7 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
         row[m] = 1 + row.get(m, Fraction(0))
         rows.append(row)
     rhs = [kernel_row.get(target, Fraction(0)) for kernel_row in kernel[:off_fiber]]
-    probs = linsolve.solve_exact(rows, rhs)
+    probs = linsolve.solve_dense(rows, rhs)
     for kernel_row in kernel[off_fiber:]:
         value = kernel_row.get(target, Fraction(0))
         for label, q in kernel_row.items():

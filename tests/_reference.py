@@ -11,12 +11,15 @@ numpy ``Generator`` (the loop the lockstep kernel of ``urnwalk.simulate``
 replaced, kept as its reference).  Slow and simple on purpose; apart from
 the input checks of ``neighbors`` and ``step`` and the adjacency that
 ``absorbing_rows`` reads, they share no code with the package, so its
-results can be checked against them.
+results can be checked against them.  ``rows_times`` multiplies
+``{column: value}`` rows by a vector exactly, so a solve can be checked
+by its residual.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +48,16 @@ def gauss_jordan_solve(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[r][size] for r in range(size)]
+
+
+def rows_times(rows, x):
+    """``rows @ x`` for integer ``{column: value}`` rows and a rational ``x``, exactly.
+
+    The sums run in integers over one common denominator of ``x``.
+    """
+    den = math.lcm(1, *(v.denominator for v in x))
+    scaled = [v.numerator * (den // v.denominator) for v in x]
+    return [Fraction(sum(c * scaled[j] for j, c in row.items()), den) for row in rows]
 
 
 def pascal_binomial(n, m):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from urnwalk import linsolve
 from urnwalk.errors import SingularSystemError
 
-from _reference import gauss_jordan_solve
+from _reference import gauss_jordan_solve, rows_times
 
 
 def dense_to_sparse(matrix):
@@ -17,6 +17,28 @@ def dense_to_sparse(matrix):
         {j: Fraction(entry) for j, entry in enumerate(row) if entry}
         for row in matrix
     ]
+
+
+def integer_rows(rows):
+    """``{column: int}`` rows as ``linsolve.IntegerRows``, each row's columns ascending."""
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    entries = [(j, row[j]) for row in rows for j in sorted(row)]
+    indices = np.array([j for j, _ in entries], dtype=np.int64)
+    data = np.array([c for _, c in entries], dtype=np.int64)
+    return linsolve.IntegerRows(indptr, indices, data)
+
+
+def path_rows(size, diagonal):
+    """Symmetric tridiagonal rows: ``diagonal(i)`` on the diagonal, -1 beside it."""
+    rows = []
+    for i in range(size):
+        row = {i: diagonal(i)}
+        if i > 0:
+            row[i - 1] = -1
+        if i < size - 1:
+            row[i + 1] = -1
+        rows.append(row)
+    return rows
 
 
 @st.composite
@@ -43,38 +65,49 @@ def diagonally_dominant_system(draw, max_size=8):
 
 
 class TestDenseFractionPath:
+    """``solve_dense`` on small ``{column: value}`` rows, rational ones too."""
+
     def test_hand_system(self):
         rows = dense_to_sparse([[2, 1], [1, 3]])
         rhs = [Fraction(5), Fraction(10)]
-        assert linsolve.solve_exact(rows, rhs) == [Fraction(1), Fraction(3)]
+        assert linsolve.solve_dense(rows, rhs) == [Fraction(1), Fraction(3)]
 
     def test_matches_reference_solver(self):
         matrix = [[3, 1, 0], [1, 4, 2], [0, 2, 5]]
         rhs = [Fraction(1), Fraction(2), Fraction(3)]
         expected = gauss_jordan_solve(matrix, rhs)
-        assert linsolve.solve_exact(dense_to_sparse(matrix), rhs) == expected
+        assert linsolve.solve_dense(dense_to_sparse(matrix), rhs) == expected
 
     def test_singular_detected(self):
         rows = dense_to_sparse([[1, 1], [1, 1]])
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(rows, [Fraction(1), Fraction(2)])
+            linsolve.solve_dense(rows, [Fraction(1), Fraction(2)])
 
     def test_empty_system(self):
-        assert linsolve.solve_exact([], []) == []
+        assert linsolve.solve_dense([], []) == []
+        assert linsolve.solve_exact(integer_rows([]), []) == []
+
+    def test_size_mismatch_rejected(self):
+        # an extra right-hand-side entry is an error, not silently dropped
+        with pytest.raises(ValueError, match="sizes differ"):
+            linsolve.solve_dense([{0: 1}], [1, 2])
+        with pytest.raises(ValueError, match="sizes differ"):
+            linsolve.solve_exact(integer_rows([{0: 1}]), [1, 2])
 
     @given(diagonally_dominant_system())
     @settings(max_examples=60)
     def test_recovers_known_solution(self, system):
         rows, solution, rhs = system
-        assert linsolve.solve_exact(dense_to_sparse(rows), rhs) == solution
+        assert linsolve.solve_dense(dense_to_sparse(rows), rhs) == solution
 
 
 @st.composite
 def sparse_dominant_system(draw, min_size, max_size, symmetric):
-    """Sparse, diagonally dominant integer system with a known solution.
+    """Sparse, diagonally dominant integer rows and an integer right-hand side.
 
-    Past the dense limit, so ``solve_exact`` refines a symmetric one and
-    falls back to dense elimination on a non-symmetric one.
+    Past the dense limit, so ``solve_exact`` refines a symmetric system and
+    falls back to dense elimination on a non-symmetric one.  Dominance makes
+    the solution unique, so a solve is checked by its exact residual.
     """
     size = draw(st.integers(min_size, max_size))
     rng = draw(st.randoms(use_true_random=False))
@@ -89,9 +122,8 @@ def sparse_dominant_system(draw, min_size, max_size, symmetric):
         rows[0][1] = abs(rows[1].get(0, 0)) + 1
     for i, row in enumerate(rows):
         row[i] = 1 + sum(abs(c) for j, c in row.items() if j != i)
-    solution = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)]
-    rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
-    return rows, solution, rhs
+    rhs = [rng.randint(-300, 300) for _ in range(size)]
+    return rows, rhs
 
 
 class TestNonSymmetricPastDenseLimit:
@@ -101,16 +133,17 @@ class TestNonSymmetricPastDenseLimit:
     @given(sparse_dominant_system(17, 40, symmetric=False))
     @settings(max_examples=15, deadline=None)
     def test_recovers_known_solution(self, system):
-        rows, solution, rhs = system
-        sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
-        assert linsolve.solve_exact(sparse_rows, rhs) == solution
+        rows, rhs = system
+        matrix = integer_rows(rows)
+        assert not linsolve._is_certified(linsolve._csr(matrix))
+        assert rows_times(rows, linsolve.solve_exact(matrix, rhs)) == rhs
 
     def test_singular_detected(self):
         size = 20  # past the dense limit; the last row repeats the first
-        rows = [{i: Fraction(3), (i + 1) % size: Fraction(-1)} for i in range(size)]
+        rows = [{i: 3, (i + 1) % size: -1} for i in range(size)]
         rows[-1] = dict(rows[0])
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(rows, [Fraction(1)] * size)
+            linsolve.solve_exact(integer_rows(rows), [1] * size)
 
 
 class TestWalkSystem:
@@ -124,13 +157,14 @@ class TestWalkSystem:
         target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
         rhs = [params.degree] * len(system.transient_states)
-        assert linsolve._dense_fraction_solve(
+        assert linsolve.solve_dense(
             system.rows, rhs
         ) == linsolve.solve_exact(system.rows, rhs)
 
-    def test_rational_rhs_on_integer_rows_is_not_truncated(self):
-        # the oracle's integer matrix with a right-hand side of thirds: the
-        # lcm scales the whole system, and no entry is cut to an int
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
+    def test_rational_rhs_is_rejected(self, solver):
+        # the integer solvers take integers only; a rational system is
+        # solve_dense's, whatever its size
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
@@ -139,35 +173,17 @@ class TestWalkSystem:
         system = oracle.build_absorbing_system(params, frozenset({target}))
         size = len(system.rows)
         assert size > linsolve.DENSE_FRACTION_LIMIT
-        ones = linsolve.solve_exact(system.rows, [1] * size)
-        assert linsolve.solve_exact(system.rows, [Fraction(1, 3)] * size) == [
-            x / 3 for x in ones
-        ]
-        values, residual = linsolve.solve_float(system.rows, [Fraction(1, 3)] * size)
-        assert residual < 1e-12
-        assert np.allclose(values, [float(x / 3) for x in ones], rtol=1e-9, atol=0)
+        for rhs in ([Fraction(1, 3)] * size, [1] * (size - 1) + [Fraction(1, 3)]):
+            with pytest.raises(TypeError, match="solve_dense"):
+                solver(system.rows, rhs)
 
-    def test_rhs_scale_past_int64_takes_the_dense_path(self, monkeypatch):
-        # the lcm 2**62 takes the scaled diagonal out of int64: the integer
-        # matrix is rejected, and the dense path solves the system exactly
-        from urnwalk import oracle
-        from urnwalk.model import ModelParams
-
-        sizes = []
-        dense = linsolve._dense_fraction_solve
-
-        def spy(rows, rhs):
-            sizes.append(len(rows))
-            return dense(rows, rhs)
-
-        params = ModelParams(2, 5)  # 31 unknowns, past the dense limit
-        system = oracle.build_absorbing_system(params, frozenset({31}))
-        size = len(system.rows)
-        ones = linsolve.solve_exact(system.rows, [1] * size)
-        monkeypatch.setattr(linsolve, "_dense_fraction_solve", spy)
-        tiny = Fraction(1, 2**62)
-        assert linsolve.solve_exact(system.rows, [tiny] * size) == [x * tiny for x in ones]
-        assert sizes == [size]
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
+    def test_dict_rows_are_rejected(self, solver):
+        for size in (2, 20):  # up to and past the dense limit
+            rows = [{i: 3} for i in range(size)]
+            with pytest.raises(TypeError, match="solve_dense"):
+                solver(rows, [1] * size)
+            assert linsolve.solve_dense(rows, [1] * size) == [Fraction(1, 3)] * size
 
 
 class TestBandedSystemAndFloatSolve:
@@ -177,23 +193,19 @@ class TestBandedSystemAndFloatSolve:
     def test_banded_system_recovers_exact_solution(self):
         size = 120  # beyond the dense-fraction limit
         rows = []
-        rhs = []
-        solution = [Fraction(i % 7 + 1, 9) for i in range(size)]
         for i in range(size):
-            row = {i: Fraction(10)}
+            row = {i: 10}
             if i > 0:
-                row[i - 1] = Fraction(-1)
+                row[i - 1] = -1
             if i < size - 1:
-                row[i + 1] = Fraction(-2)
+                row[i + 1] = -2
             rows.append(row)
-            rhs.append(
-                sum((coeff * solution[j] for j, coeff in row.items()), Fraction(0))
-            )
-        assert linsolve.solve_exact(rows, rhs) == solution
+        rhs = [i % 7 + 1 for i in range(size)]
+        assert rows_times(rows, linsolve.solve_exact(integer_rows(rows), rhs)) == rhs
 
     def test_solve_float_residual(self):
-        rows = dense_to_sparse([[4, 1], [1, 3]])
-        values, residual = linsolve.solve_float(rows, [Fraction(1), Fraction(2)])
+        rows = integer_rows([{0: 4, 1: 1}, {0: 1, 1: 3}])
+        values, residual = linsolve.solve_float(rows, [1, 2])
         assert residual < 1e-12
         assert abs(values[0] - 1 / 11) < 1e-12
 
@@ -202,29 +214,21 @@ class TestRefinementPath:
     @given(sparse_dominant_system(65, 200, symmetric=True))
     @settings(max_examples=12, deadline=None)
     def test_recovers_known_solution(self, system):
-        rows, solution, rhs = system
-        sparse_rows = [{j: Fraction(c) for j, c in row.items()} for row in rows]
-        matrix, b = linsolve._integer_system(sparse_rows, rhs)
+        rows, rhs = system
+        matrix = linsolve._csr(integer_rows(rows))
         assert linsolve._is_certified(matrix)
-        assert linsolve._solve_refined(matrix, b) == solution
-        assert linsolve.solve_exact(sparse_rows, rhs) == solution
+        refined = linsolve._solve_refined(matrix, np.array(rhs, dtype=object))
+        assert rows_times(rows, refined) == rhs
+        assert linsolve.solve_exact(integer_rows(rows), rhs) == refined
 
     def test_singular_symmetric_system_detected(self):
         # a path graph's Laplacian: symmetric, every row sum zero, so singular
         size = 70
-        rows = []
-        for i in range(size):
-            row = {i: Fraction(2 - (i in (0, size - 1)))}
-            if i > 0:
-                row[i - 1] = Fraction(-1)
-            if i < size - 1:
-                row[i + 1] = Fraction(-1)
-            rows.append(row)
+        rows = path_rows(size, lambda i: 2 - (i in (0, size - 1)))
         # consistent right-hand side: every x + t (1, ..., 1) solves it
-        x = [Fraction(i * i) for i in range(size)]
-        rhs = [sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows]
+        rhs = rows_times(rows, [i * i for i in range(size)])
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(rows, rhs)
+            linsolve.solve_exact(integer_rows(rows), [int(v) for v in rhs])
 
     def test_block_without_a_strict_row_is_not_certified(self):
         # Two diagonal blocks, symmetric and weakly dominant throughout:
@@ -232,26 +236,19 @@ class TestRefinementPath:
         # no strict row, which the search from the strict rows never
         # reaches.  The system is singular, so it must not be refined.
         half = 10  # 20 unknowns, past the dense limit
-        rows = []
-        for i in range(2 * half):
-            first, last = i % half == 0, i % half == half - 1
-            row = {i: Fraction(3 if i < half else 2 - first - last)}
-            if not first:
-                row[i - 1] = Fraction(-1)
-            if not last:
-                row[i + 1] = Fraction(-1)
-            rows.append(row)
-        x = [Fraction(i * i, 7) for i in range(2 * half)]
-        rhs = [sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows]
-        matrix, _ = linsolve._integer_system(rows, rhs)
-        assert not linsolve._is_certified(matrix)
+        rows = path_rows(half, lambda i: 3) + [
+            {i + half: c for i, c in row.items()}
+            for row in path_rows(half, lambda i: 2 - (i in (0, half - 1)))
+        ]
+        rhs = [int(v) for v in rows_times(rows, [i * i for i in range(2 * half)])]
+        assert not linsolve._is_certified(linsolve._csr(integer_rows(rows)))
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(rows, rhs)
+            linsolve.solve_exact(integer_rows(rows), rhs)
 
     def test_solve_float_rejects_nonsymmetric_matrix(self):
-        rows = dense_to_sparse([[4, 1], [2, 3]])
+        rows = integer_rows([{0: 4, 1: 1}, {0: 2, 1: 3}])
         with pytest.raises(ValueError):
-            linsolve.solve_float(rows, [Fraction(1), Fraction(2)])
+            linsolve.solve_float(rows, [1, 2])
 
 
 class TestDenseFallback:
@@ -267,17 +264,11 @@ class TestDenseFallback:
                 if j != i
             }
             row[i] = sum(abs(v) for v in row.values()) + rng.randint(1, 5)
-            rows.append({j: Fraction(c) for j, c in row.items()})
-        den = rng.getrandbits(420) | 1 << 419 | 1
-        solution = [
-            Fraction(rng.getrandbits(420) - (1 << 419), den) for _ in range(size)
-        ]
+            rows.append(row)
+        rhs = [rng.randint(-(1 << 20), 1 << 20) for _ in range(size)]
+        solution = linsolve.solve_exact(integer_rows(rows), rhs)
         assert min(x.denominator for x in solution).bit_length() > 400
-        rhs = [
-            sum((c * solution[j] for j, c in row.items()), Fraction(0))
-            for row in rows
-        ]
-        assert linsolve.solve_exact(rows, rhs) == solution
+        assert rows_times(rows, solution) == rhs
 
     def test_refinement_stall_falls_back(self, monkeypatch):
         stalled = []
@@ -288,15 +279,7 @@ class TestDenseFallback:
 
         monkeypatch.setattr(linsolve, "_solve_refined", stall)
         size = 70  # symmetric and strictly dominant, past the dense limit
-        rows = []
-        for i in range(size):
-            row = {i: Fraction(3)}
-            if i > 0:
-                row[i - 1] = Fraction(-1)
-            if i < size - 1:
-                row[i + 1] = Fraction(-1)
-            rows.append(row)
-        solution = [Fraction(i * i, 11) for i in range(size)]
-        rhs = [sum((c * solution[j] for j, c in row.items()), Fraction(0)) for row in rows]
-        assert linsolve.solve_exact(rows, rhs) == solution
+        rows = path_rows(size, lambda i: 3)
+        rhs = [i * i for i in range(size)]
+        assert rows_times(rows, linsolve.solve_exact(integer_rows(rows), rhs)) == rhs
         assert stalled == [size]

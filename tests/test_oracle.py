@@ -20,7 +20,7 @@ from urnwalk.errors import (
 )
 from urnwalk.model import ModelParams, config_at, index_of, neighbor_indices
 
-from _reference import absorbing_rows, neighbors, reference_hitting_time
+from _reference import absorbing_rows, neighbors, reference_hitting_time, rows_times
 
 
 @st.composite
@@ -206,15 +206,16 @@ class TestLumpedFirstVisitProbs:
             oracle.lumped_first_visit_probs(ModelParams(3, 1))
 
     def test_twelve_balls_take_the_dense_fallback(self, monkeypatch):
-        # 22 non-symmetric unknowns: past the dense limit, but not refinable
+        # 22 rational, non-symmetric unknowns: past the dense limit, but not
+        # refinable, so they go straight to dense elimination
         sizes = []
-        dense = linsolve._dense_fraction_solve
+        dense = linsolve.solve_dense
 
         def spy(rows, rhs):
             sizes.append(len(rows))
             return dense(rows, rhs)
 
-        monkeypatch.setattr(linsolve, "_dense_fraction_solve", spy)
+        monkeypatch.setattr(linsolve, "solve_dense", spy)
         params = ModelParams(5, 12)
         probs = oracle.lumped_first_visit_probs(params)
         assert probs[0] == exact.first_visit_probability(params)
@@ -303,15 +304,13 @@ class TestIntegerRows:
         assert len(system.rows) == len(reference)
         for i, row in enumerate(reference):
             assert system.rows[i] == row
-        size = len(reference)
+        # every system is nonsingular, so a zero exact residual against the
+        # reference rows pins each solve
         moves = neighbor_indices(params)[list(system.transient_states)]
         hits = np.isin(moves, list(goal)).sum(axis=1).tolist()
-        assert system.hitting_time_vector() == linsolve.solve_exact(
-            reference, [params.degree] * size
-        )
-        assert system.absorption_probability_vector(goal) == linsolve.solve_exact(
-            reference, hits
-        )
+        degrees = [params.degree] * len(reference)
+        assert rows_times(reference, system.hitting_time_vector()) == degrees
+        assert rows_times(reference, system.absorption_probability_vector(goal)) == hits
 
     def test_row_with_only_absorbing_neighbours_holds_the_diagonal(self):
         params = ModelParams(3, 2)
@@ -328,12 +327,14 @@ class TestIntegerRows:
             system.rows[3]
 
     def test_small_solve_loads_no_scipy(self):
-        # up to the dense limit no solve needs scipy, and none imports it
+        # up to the dense limit no solve needs scipy, and none imports it;
+        # nor does the lumped first-visit system, however many unknowns
         code = (
             "import sys\n"
             "from urnwalk import oracle\n"
             "from urnwalk.model import ModelParams\n"
             "print(oracle.expected_hitting_time(ModelParams(2, 3), (1, 1, 1), (2, 2, 2)))\n"
+            "print(oracle.lumped_first_visit_probs(ModelParams(5, 12))[0])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(urnwalk.__file__).resolve().parents[1])
@@ -341,6 +342,7 @@ class TestIntegerRows:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        value, loaded = out.stdout.splitlines()
+        value, first_visit, loaded = out.stdout.splitlines()
         assert Fraction(value) == exact.full_transfer_time(ModelParams(2, 3))
+        assert Fraction(first_visit) == exact.first_visit_probability(ModelParams(5, 12))
         assert loaded == "[]"
