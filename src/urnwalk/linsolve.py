@@ -21,7 +21,8 @@ speed never costs correctness:
 Past the dense limit the certificate (symmetry, row sums, and a search from
 the strict rows by sparse products), the CG solves and the exact integer
 products of the gate and the residual update all read the CSR arrays of
-:class:`IntegerRows` as they are.
+:class:`IntegerRows` as they are.  :func:`solve_float` is refinement's first
+CG round alone, and raises ValueError where the certificate fails.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
@@ -91,21 +92,13 @@ def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
 
 
 def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
-    """Approximate solve by conjugate gradient; returns (solution, relative residual).
-
-    The matrix must be symmetric, and positive definite for the residual
-    to be small.
-    """
+    """The first CG round of :func:`solve_exact`'s refinement, as (solution,
+    relative residual); ValueError for a matrix its certificate refuses."""
     _check_integer_system(rows, rhs, "solve_float")
     matrix = _csr(rows)
-    if matrix is None or (matrix != matrix.T).nnz:
-        raise ValueError("solve_float needs a symmetric matrix with row sums below 2**62")
-    matrix = matrix.astype(np.float64)
-    b = np.array(rhs, dtype=object).astype(np.float64)
-    x = _conjugate_gradient(matrix, b)
-    residual = np.abs(matrix @ x - b).max()
-    scale = max(1.0, float(np.abs(b).max()))
-    return x, float(residual / scale)
+    if matrix is None or not _is_certified(matrix):
+        raise ValueError("solve_float needs a certified symmetric positive definite matrix")
+    return _cg_round(matrix.astype(np.float64), np.array(rhs, dtype=object))
 
 
 def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) -> None:
@@ -134,16 +127,19 @@ def _csr(rows: IntegerRows):
     return sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
 
 
-def _conjugate_gradient(matrix, rhs: np.ndarray) -> np.ndarray:
-    """CG from zero on a symmetric positive definite ``matrix``.
+def _cg_round(approximate, residual: np.ndarray) -> tuple[np.ndarray, float]:
+    """CG from zero on ``A z ~ r`` for the float copy ``r`` of an integer residual.
 
+    Returns ``z`` and the relative residual ``|r - A z|inf / max(1, |r|inf)``.
     Rounding can keep CG above the tolerance; the iteration cap then bounds
-    the work, and callers measure the accuracy they actually got.
+    the work, and the residual reports the accuracy CG actually got.
     """
     from scipy.sparse.linalg import cg
 
-    x, _ = cg(matrix, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=2 * len(rhs))
-    return x
+    r = residual.astype(np.float64)
+    z, _ = cg(approximate, r, rtol=_CG_RTOL, atol=0.0, maxiter=2 * len(r))
+    scale = max(1.0, float(np.abs(r).max()))
+    return z, float(np.abs(r - approximate @ z).max()) / scale
 
 
 def solve_dense(
@@ -262,8 +258,7 @@ def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
         else:
             if norm.bit_length() > 1000:
                 return None  # the float copy of the residual would overflow
-            r = residual.astype(np.float64)
-            z = _conjugate_gradient(approximate, r)
+            z, accuracy = _cg_round(approximate, residual)
             z_max = float(np.abs(z).max())
             if not math.isfinite(z_max):
                 return None
@@ -278,8 +273,7 @@ def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
         if norm == 0:
             return None
 
-        accuracy = max(float(np.abs(r - approximate @ z).max()) / norm, 2.0**-48)
-        k_accurate = -math.frexp(accuracy)[1] - 2  # 2**k * accuracy <= 1/4
+        k_accurate = -math.frexp(max(accuracy, 2.0**-48))[1] - 2  # 2**k * accuracy <= 1/4
         # below this k, 2**k r and A x stay within int64
         k_int64 = 61 - math.frexp(norm + spread * (z_max + 1))[1]
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate

@@ -8,9 +8,9 @@ verification rather than circularity.
 
 Exact solves are gated by a state budget, passed per call (default 4096
 states); every function here is a pure function of its arguments.  Beyond
-the budget, :func:`expected_hitting_time_float` offers a floating-point
-fallback by conjugate gradient up to ~20000 states that reports its
-residual.
+the budget, :func:`expected_hitting_time_float` offers up to 20000 states
+the exact solver's first certified conjugate-gradient round, which reports
+its residual and refuses a system the certificate does not accept.
 """
 
 from __future__ import annotations
@@ -156,6 +156,20 @@ def hitting_times_to_target(
     return _hitting_times(params, frozenset({index_of(target, params)}))
 
 
+def _pair_system(
+    params: ModelParams, start: Configuration, target: Configuration, budget: int, what: str
+) -> tuple[AbsorbingSystem, int] | None:
+    """The target's absorbing system and the start's row in it; None for an
+    identical pair, which returns before the budget is checked."""
+    check_configuration(start, params)
+    check_configuration(target, params)
+    if start == target:
+        return None
+    _check_budget(params, budget, what)
+    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
+    return system, system.position(index_of(start, params))
+
+
 def expected_hitting_time(
     params: ModelParams,
     start: Configuration,
@@ -166,35 +180,27 @@ def expected_hitting_time(
 
     Zero when the placements coincide (the walk is already there).
     """
-    check_configuration(start, params)
-    check_configuration(target, params)
-    if start == target:
+    pair = _pair_system(params, start, target, budget, "exact solve")
+    if pair is None:
         return Fraction(0)
-    times = hitting_times_to_target(params, target, budget=budget)
-    return times[index_of(start, params)]
+    system, row = pair
+    return system.hitting_time_vector()[row]
 
 
 def expected_hitting_time_float(
-    params: ModelParams,
-    start: Configuration,
-    target: Configuration,
-    budget: int = FLOAT_FALLBACK_LIMIT,
+    params: ModelParams, start: Configuration, target: Configuration
 ) -> tuple[float, float]:
-    """Floating-point hitting time for sizes beyond the exact budget.
+    """Floating-point hitting time up to ``FLOAT_FALLBACK_LIMIT`` states.
 
-    Returns (value, relative residual of the solved system).  Callers
-    comparing against exact values should use a relative tolerance around
-    1e-9 and inspect the residual.
+    Returns (value, relative residual) of :func:`urnwalk.linsolve.solve_float`.
+    Compare with exact values to a relative tolerance around 1e-9.
     """
-    check_configuration(start, params)
-    check_configuration(target, params)
-    if start == target:
+    pair = _pair_system(params, start, target, FLOAT_FALLBACK_LIMIT, "float solve")
+    if pair is None:
         return 0.0, 0.0
-    _check_budget(params, budget, "float solve")
-    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
-    rhs = [params.degree] * len(system.transient_states)
-    values, residual = linsolve.solve_float(system.rows, rhs)
-    return float(values[system.position(index_of(start, params))]), residual
+    system, row = pair
+    values, residual = linsolve.solve_float(system.rows, [params.degree] * len(system.rows))
+    return float(values[row]), residual
 
 
 def _fiber_indices(params: ModelParams) -> frozenset[int]:

@@ -41,6 +41,19 @@ def path_rows(size, diagonal):
     return rows
 
 
+def laplacian_rows(size):
+    """A path graph's Laplacian: symmetric, every row sum zero, so singular."""
+    return path_rows(size, lambda i: 2 - (i in (0, size - 1)))
+
+
+def two_block_rows(half):
+    """Two diagonal blocks, symmetric and weakly dominant throughout: the
+    first strictly dominant, the second a path Laplacian with no strict row."""
+    return path_rows(half, lambda i: 3) + [
+        {i + half: c for i, c in row.items()} for row in laplacian_rows(half)
+    ]
+
+
 @st.composite
 def diagonally_dominant_system(draw, max_size=8):
     """Random integer system with a guaranteed unique solution."""
@@ -222,33 +235,33 @@ class TestRefinementPath:
         assert linsolve.solve_exact(integer_rows(rows), rhs) == refined
 
     def test_singular_symmetric_system_detected(self):
-        # a path graph's Laplacian: symmetric, every row sum zero, so singular
         size = 70
-        rows = path_rows(size, lambda i: 2 - (i in (0, size - 1)))
+        rows = laplacian_rows(size)
         # consistent right-hand side: every x + t (1, ..., 1) solves it
         rhs = rows_times(rows, [i * i for i in range(size)])
         with pytest.raises(SingularSystemError):
             linsolve.solve_exact(integer_rows(rows), [int(v) for v in rhs])
 
     def test_block_without_a_strict_row_is_not_certified(self):
-        # Two diagonal blocks, symmetric and weakly dominant throughout:
-        # the first is strictly dominant, the second a path Laplacian with
-        # no strict row, which the search from the strict rows never
-        # reaches.  The system is singular, so it must not be refined.
-        half = 10  # 20 unknowns, past the dense limit
-        rows = path_rows(half, lambda i: 3) + [
-            {i + half: c for i, c in row.items()}
-            for row in path_rows(half, lambda i: 2 - (i in (0, half - 1)))
-        ]
-        rhs = [int(v) for v in rows_times(rows, [i * i for i in range(2 * half)])]
+        # The search from the strict rows never reaches the second block.
+        # The system is singular, so it must not be refined.
+        rows = two_block_rows(10)  # 20 unknowns, past the dense limit
+        rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
         assert not linsolve._is_certified(linsolve._csr(integer_rows(rows)))
         with pytest.raises(SingularSystemError):
             linsolve.solve_exact(integer_rows(rows), rhs)
 
-    def test_solve_float_rejects_nonsymmetric_matrix(self):
-        rows = integer_rows([{0: 4, 1: 1}, {0: 2, 1: 3}])
-        with pytest.raises(ValueError):
-            linsolve.solve_float(rows, [1, 2])
+    @pytest.mark.parametrize(
+        "rows",
+        [[{0: 4, 1: 1}, {0: 2, 1: 3}], laplacian_rows(70), two_block_rows(10)],
+        ids=["nonsymmetric", "singular-path", "block-without-a-strict-row"],
+    )
+    def test_solve_float_rejects_uncertified_matrix(self, rows):
+        # CG would return one of many solutions of the singular symmetric
+        # systems, with a tiny residual; the certificate refuses them first
+        rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
+        with pytest.raises(ValueError, match="solve_float needs"):
+            linsolve.solve_float(integer_rows(rows), rhs)
 
 
 class TestDenseFallback:

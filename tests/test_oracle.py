@@ -14,6 +14,7 @@ import urnwalk
 from urnwalk import exact, linsolve, oracle
 from urnwalk.errors import (
     BudgetExceededError,
+    ConfigurationError,
     DomainError,
     SingularSystemError,
     ValidationError,
@@ -64,6 +65,12 @@ class TestExpectedHittingTime:
     def test_start_equals_target(self):
         params = ModelParams(3, 2)
         assert oracle.expected_hitting_time(params, (1, 2), (1, 2)) == 0
+        # past the budget too: the identical pair returns before the budget
+        # is checked, and a malformed placement is refused before either
+        params = ModelParams(4, 8)  # 65536 states
+        assert oracle.expected_hitting_time(params, (3,) * 8, (3,) * 8) == 0
+        with pytest.raises(ConfigurationError):
+            oracle.expected_hitting_time(params, (1,) * 8, (5,) * 8)
 
     def test_three_urns_two_balls(self):
         params = ModelParams(3, 2)
@@ -160,6 +167,13 @@ class TestFloatFallback:
         params = ModelParams(4, 8)  # 65536 states
         with pytest.raises(BudgetExceededError):
             oracle.expected_hitting_time_float(params, (1,) * 8, (2,) * 8)
+
+    def test_pair_is_checked_before_the_limit(self):
+        params = ModelParams(4, 8)  # 65536 states
+        assert oracle.expected_hitting_time_float(params, (3,) * 8, (3,) * 8) == (0.0, 0.0)
+        for start in ((1,) * 7, (0,) * 8):
+            with pytest.raises(ConfigurationError):
+                oracle.expected_hitting_time_float(params, start, (2,) * 8)
 
 
 class TestFirstVisitSuccessProb:
