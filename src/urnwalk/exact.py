@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IdenticalConfigurationsError
-from .model import Configuration, ModelParams, hamming_distance
+from .model import Configuration, ModelParams, as_integer, hamming_distance
 
 __all__ = [
     "full_transfer_time",
@@ -127,6 +127,8 @@ class HittingQuery:
     hamming_distance: int
 
     def __post_init__(self) -> None:
+        distance = as_integer(self.hamming_distance, "distance")
+        object.__setattr__(self, "hamming_distance", distance)
         if self.hamming_distance == 0:
             raise IdenticalConfigurationsError(
                 "start and target placements are identical; the transfer "

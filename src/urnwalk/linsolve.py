@@ -5,32 +5,30 @@
 integer right-hand side.  Two strategies share one soundness argument, so
 speed never costs correctness:
 
-1. numeric-symbolic iterative refinement, for systems past the dense limit
-   whose matrix is certified symmetric positive definite (the oracle's
-   ``degree * I - A`` always is): conjugate gradient (CG) in floating
-   point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
-   rounded to integers, and the residual is updated exactly, so every round
-   adds about ``k`` correct bits to a dyadic approximation ``N / D`` of the
+1. numeric-symbolic iterative refinement, for every system past the dense
+   limit: conjugate gradient (CG) in floating point approximates
+   ``A^-1 r``, the correction is scaled by ``2**k`` and rounded to
+   integers, and the residual is updated exactly, so every round adds
+   about ``k`` correct bits to a dyadic approximation ``N / D`` of the
    solution.  Continued fractions then recover one common denominator
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
-2. dense rational Gaussian elimination, :func:`solve_dense`, for everything
-   else: tiny systems, systems refinement cannot certify, and any
-   refinement that stalls.  It takes any ``{column: value}`` rows, rational
-   ones too, such as the non-symmetric lumped first-visit system.
+2. dense rational Gaussian elimination, :func:`solve_dense`, for tiny
+   systems, rational systems, and a stalled refinement.  It takes any
+   ``{column: value}`` rows, rational ones too, such as the non-symmetric
+   lumped first-visit system.
 
-Past the dense limit the certificate (symmetry, row sums, and a search from
-the strict rows by sparse products), the CG solves and the exact integer
-products of the gate and the residual update all read the CSR arrays of
-:class:`IntegerRows` as they are.  :func:`solve_float` is refinement's first
-CG round alone, and raises ValueError where the certificate fails.
+Past the dense limit refinement and :func:`solve_float`, its first CG
+round alone, pass one certificate gate: the matrix must be certified
+symmetric positive definite (symmetry, row sums, and a search from the
+strict rows by sparse products), as the oracle's ``degree * I - A`` always
+is, with row sums below ``2**62``; else they raise ValueError.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
-gate ``A n == d b``, and it runs only on weakly chained diagonally dominant
-matrices, which are nonsingular, so a verified candidate is the unique
-solution.  Elimination is exact by construction and is the one route that
-reports a singular system.  Both are deterministic: pivots are the first
-nonzero choice, and CG runs the same floating-point operations on the
-same input.
+check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
+candidate is the unique solution.  Elimination is exact by construction and
+the one route that reports a singular system.  Both are deterministic:
+pivots are the first nonzero choice, and CG runs the same floating-point
+operations on the same input.
 """
 
 from __future__ import annotations
@@ -80,24 +78,21 @@ class IntegerRows(Sequence):
 
 
 def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of the square integer system ``rows @ x == rhs``."""
-    _check_integer_system(rows, rhs, "solve_exact")
-    if len(rows) > DENSE_FRACTION_LIMIT:
-        matrix = _csr(rows)
-        if matrix is not None and _is_certified(matrix):
-            candidate = _solve_refined(matrix, np.array(rhs, dtype=object))
-            if candidate is not None:
-                return candidate
-    return solve_dense(rows, rhs)
+    """Exact solution of the square integer system ``rows @ x == rhs``: by
+    :func:`solve_dense` up to the dense limit, by refinement past it, where
+    the certificate gate may raise ValueError and a stalled refinement falls
+    back to :func:`solve_dense`."""
+    if len(rows) <= DENSE_FRACTION_LIMIT:
+        _check_integer_system(rows, rhs, "solve_exact")
+        return solve_dense(rows, rhs)
+    refined = _solve_refined(_certified(rows, rhs, "solve_exact"), np.array(rhs, dtype=object))
+    return solve_dense(rows, rhs) if refined is None else refined
 
 
 def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
     """The first CG round of :func:`solve_exact`'s refinement, as (solution,
     relative residual); ValueError for a matrix its certificate refuses."""
-    _check_integer_system(rows, rhs, "solve_float")
-    matrix = _csr(rows)
-    if matrix is None or not _is_certified(matrix):
-        raise ValueError("solve_float needs a certified symmetric positive definite matrix")
+    matrix = _certified(rows, rhs, "solve_float")
     return _cg_round(matrix.astype(np.float64), np.array(rhs, dtype=object))
 
 
@@ -112,19 +107,22 @@ def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) ->
         )
 
 
-def _csr(rows: IntegerRows):
-    """The rows as a scipy CSR matrix over their own arrays.
-
-    None when a row's absolute sum could reach ``2**62``, which int64
-    products against the matrix could not be trusted past.
-    """
+def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str):
+    """The certificate gate: the rows as a scipy CSR matrix over their arrays,
+    or ValueError unless :func:`_is_certified` holds and every row's absolute
+    sum is below ``2**62``, past which int64 products could not be trusted."""
     import scipy.sparse as sparse
 
-    data = rows.data
-    if data.size and np.abs(data, dtype=np.float64).max() * np.diff(rows.indptr).max() >= 2.0**62:
-        return None
-    size = len(rows)
-    return sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
+    _check_integer_system(rows, rhs, solver)
+    data, size = rows.data, len(rows)
+    matrix = sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
+    bound = np.abs(data, dtype=np.float64).max(initial=0) * np.diff(rows.indptr).max(initial=0)
+    if bound >= 2.0**62 or not _is_certified(matrix):
+        raise ValueError(
+            f"{solver} needs a certified symmetric positive definite matrix "
+            "with row sums below 2**62; solve_dense takes any"
+        )
+    return matrix
 
 
 def _cg_round(approximate, residual: np.ndarray) -> tuple[np.ndarray, float]:

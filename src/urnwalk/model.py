@@ -24,6 +24,7 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +72,15 @@ class ModelParams:
     def degree(self) -> int:
         """Number of neighbors of every state: (urns - 1) * balls."""
         return (self.urns - 1) * self.balls
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as the int it equals, bools and numpy ints included;
+    ValidationError for anything ``operator.index`` refuses, such as 1.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_configuration(config: Configuration, params: ModelParams) -> None:

@@ -34,6 +34,7 @@ from .model import (
     Configuration,
     ModelParams,
     all_in_urn,
+    as_integer,
     check_configuration,
     index_of,
     lumped_kernel,
@@ -98,18 +99,20 @@ def build_absorbing_system(
     """The system of the walk absorbed at the given state indices.
 
     Raises SingularSystemError for an empty set and ValidationError for an
-    index outside the state space, before anything is built.
+    index that is no integer or lies outside the state space, before
+    anything is built.  Bools and numpy ints are the indices they equal.
     """
     total = params.state_count
     if not absorbing:
         raise SingularSystemError("absorbing set is empty")
-    outside = sorted(s for s in absorbing if not 0 <= s < total)
+    indices = [as_integer(s, "absorbing state index") for s in absorbing]
+    outside = sorted(s for s in indices if not 0 <= s < total)
     if outside:
         raise ValidationError(
             f"absorbing state index {outside[0]} outside 0..{total - 1}"
         )
     is_absorbing = np.zeros(total, dtype=bool)
-    is_absorbing[list(absorbing)] = True
+    is_absorbing[indices] = True
     transients = np.flatnonzero(~is_absorbing)
     # each state's position among the transient states, -1 when absorbing
     position = np.where(is_absorbing, -1, np.cumsum(~is_absorbing) - 1)

@@ -64,7 +64,7 @@ from .errors import (
     SimulationTruncatedError,
     ValidationError,
 )
-from .model import Configuration, ModelParams, check_configuration
+from .model import Configuration, ModelParams, as_integer, check_configuration
 
 _SEED_LIMIT = 2**64
 _SPAN_LIMIT = 2**32
@@ -101,6 +101,10 @@ class SimulationPlan:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        for field in ("replications", "seed", "workers", "max_steps"):
+            value = getattr(self, field)
+            if value is not None or field != "max_steps":
+                object.__setattr__(self, field, as_integer(value, field))
         if self.params.degree >= _SPAN_LIMIT:
             raise ValidationError(
                 "balls * (urns - 1) must be below 2**32 for the seeded draws"

@@ -11,7 +11,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from urnwalk import checks, exact, occupancy, oracle, simulate
+import pytest
+
+from urnwalk import checks, exact, linsolve, occupancy, oracle, simulate
 from urnwalk.model import ModelParams
 
 GRID_MAX_URNS = 8
@@ -25,6 +27,35 @@ def criterion(name, time_limit):
     elapsed = time.perf_counter() - started
     assert elapsed < time_limit, f"{name} took {elapsed:.2f}s, limit {time_limit}s"
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s < {time_limit}s)")
+
+
+@pytest.fixture
+def integer_solves(monkeypatch):
+    """Sizes of the integer systems that ``solve_exact`` and ``solve_dense`` receive.
+
+    The fiber vectors' cache is cleared first, so that every solve of the
+    criterion runs under the spies.
+    """
+    sizes = {}
+    for name in ("solve_exact", "solve_dense"):
+        solver = getattr(linsolve, name)
+
+        def spy(rows, rhs, solver=solver, seen=sizes.setdefault(name, [])):
+            if isinstance(rows, linsolve.IntegerRows):
+                seen.append(len(rows))
+            return solver(rows, rhs)
+
+        monkeypatch.setattr(linsolve, name, spy)
+    oracle._fiber_hitting_vector.cache_clear()
+    return sizes
+
+
+def assert_no_refinement_stalled(sizes):
+    """Refinement solved every integer system past the dense limit: its
+    stall net, ``solve_dense``, received none of them."""
+    limit = linsolve.DENSE_FRACTION_LIMIT
+    assert any(size > limit for size in sizes["solve_exact"])
+    assert [size for size in sizes["solve_dense"] if size > limit] == []
 
 
 def four_route_values(params):
@@ -67,7 +98,7 @@ def test_criterion_4_sum_identity_sweep():
         assert witness.passed
 
 
-def test_criterion_5_pairwise_formula_vs_dense_solve():
+def test_criterion_5_pairwise_formula_vs_dense_solve(integer_solves):
     with criterion("distance-formula-vs-oracle", 60.0):
         cells = checks.grid_cells(GRID_MAX_URNS, GRID_MAX_BALLS, state_limit=1024)
         assert cells
@@ -75,6 +106,7 @@ def test_criterion_5_pairwise_formula_vs_dense_solve():
             agreed, pairs = checks.distance_agreement(params, budget=1024)
             assert agreed, f"mismatch at {params}"
             assert pairs >= min(3, params.balls)
+    assert_no_refinement_stalled(integer_solves)
 
 
 def two_ball_cells():
@@ -85,22 +117,24 @@ def two_ball_cells():
     ]
 
 
-def test_criterion_6_first_visit_triple_agreement():
+def test_criterion_6_first_visit_triple_agreement(integer_solves):
     with criterion("first-visit-triple", 30.0):
         cells = two_ball_cells()
         assert cells
         result = checks.first_visit_triple_agreement(cells, budget=1024)
         assert result.passed, result.detail
         assert result.cells == len(cells)
+    assert_no_refinement_stalled(integer_solves)
 
 
-def test_criterion_7_fiber_segment_gap_and_ratio():
+def test_criterion_7_fiber_segment_gap_and_ratio(integer_solves):
     with criterion("fiber-segment-gap-ratio", 30.0):
         cells = two_ball_cells()
         assert cells
         result = checks.fiber_checks(cells, budget=1024)
         assert result.passed, result.detail
         assert result.cells == len(cells)
+    assert_no_refinement_stalled(integer_solves)
 
 
 def test_criterion_8_monte_carlo_consistency():

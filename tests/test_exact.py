@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from urnwalk import checks, exact, occupancy, oracle
 from urnwalk.errors import (
     DomainError,
     IdenticalConfigurationsError,
+    ValidationError,
 )
 from urnwalk.model import ModelParams
 
@@ -96,6 +98,22 @@ class TestGeneralHittingTime:
     def test_distance_beyond_balls_rejected(self):
         with pytest.raises(DomainError):
             exact.HittingQuery(params=ModelParams(5, 3), hamming_distance=4)
+
+    @pytest.mark.parametrize("distance", [1.5, Fraction(3, 2), "2"])
+    def test_non_integer_distance_rejected(self, distance):
+        # 1.5 would otherwise give the distance-1 time
+        with pytest.raises(ValidationError, match="distance must be an integer"):
+            exact.HittingQuery(params=ModelParams(3, 4), hamming_distance=distance)
+
+    @pytest.mark.parametrize("distance,equal", [(True, 1), (np.int64(2), 2)])
+    def test_integer_like_distance_is_the_int_it_equals(self, distance, equal):
+        params = ModelParams(3, 4)
+        query = exact.HittingQuery(params=params, hamming_distance=distance)
+        assert type(query.hamming_distance) is int
+        assert query == exact.HittingQuery(params=params, hamming_distance=equal)
+        assert exact.general_hitting_time(query) == exact.general_hitting_time(
+            exact.HittingQuery(params=params, hamming_distance=equal)
+        )
 
     def test_from_configurations(self):
         query = exact.HittingQuery.from_configurations(

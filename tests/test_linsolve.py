@@ -41,6 +41,13 @@ def path_rows(size, diagonal):
     return rows
 
 
+def nonsymmetric_rows(size):
+    """A strictly dominant path with one entry unlike its mirror image."""
+    rows = path_rows(size, lambda i: 4)
+    rows[0][1] = -2
+    return rows
+
+
 def laplacian_rows(size):
     """A path graph's Laplacian: symmetric, every row sum zero, so singular."""
     return path_rows(size, lambda i: 2 - (i in (0, size - 1)))
@@ -119,8 +126,8 @@ def sparse_dominant_system(draw, min_size, max_size, symmetric):
     """Sparse, diagonally dominant integer rows and an integer right-hand side.
 
     Past the dense limit, so ``solve_exact`` refines a symmetric system and
-    falls back to dense elimination on a non-symmetric one.  Dominance makes
-    the solution unique, so a solve is checked by its exact residual.
+    refuses a non-symmetric one, which ``solve_dense`` solves.  Dominance
+    makes the solution unique, so a solve is checked by its exact residual.
     """
     size = draw(st.integers(min_size, max_size))
     rng = draw(st.randoms(use_true_random=False))
@@ -139,24 +146,31 @@ def sparse_dominant_system(draw, min_size, max_size, symmetric):
     return rows, rhs
 
 
+def refused(rows, rhs):
+    """Assert that ``solve_exact`` refuses the system past the dense limit."""
+    assert len(rows) > linsolve.DENSE_FRACTION_LIMIT
+    with pytest.raises(ValueError, match="solve_exact needs a certified"):
+        linsolve.solve_exact(integer_rows(rows), rhs)
+
+
 class TestNonSymmetricPastDenseLimit:
-    """Non-symmetric systems past the dense limit take the dense rational
-    fallback, which also reports singular ones."""
+    """``solve_exact`` refuses non-symmetric systems past the dense limit;
+    ``solve_dense`` solves them, and reports singular ones."""
 
     @given(sparse_dominant_system(17, 40, symmetric=False))
     @settings(max_examples=15, deadline=None)
     def test_recovers_known_solution(self, system):
         rows, rhs = system
-        matrix = integer_rows(rows)
-        assert not linsolve._is_certified(linsolve._csr(matrix))
-        assert rows_times(rows, linsolve.solve_exact(matrix, rhs)) == rhs
+        refused(rows, rhs)
+        assert rows_times(rows, linsolve.solve_dense(integer_rows(rows), rhs)) == rhs
 
     def test_singular_detected(self):
         size = 20  # past the dense limit; the last row repeats the first
         rows = [{i: 3, (i + 1) % size: -1} for i in range(size)]
         rows[-1] = dict(rows[0])
+        refused(rows, [1] * size)
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(integer_rows(rows), [1] * size)
+            linsolve.solve_dense(integer_rows(rows), [1] * size)
 
 
 class TestWalkSystem:
@@ -201,7 +215,7 @@ class TestWalkSystem:
 
 class TestBandedSystemAndFloatSolve:
     """``solve_float``, and a banded non-symmetric system past the dense
-    limit, which takes the dense fallback."""
+    limit, which ``solve_exact`` refuses and ``solve_dense`` solves."""
 
     def test_banded_system_recovers_exact_solution(self):
         size = 120  # beyond the dense-fraction limit
@@ -214,7 +228,8 @@ class TestBandedSystemAndFloatSolve:
                 row[i + 1] = -2
             rows.append(row)
         rhs = [i % 7 + 1 for i in range(size)]
-        assert rows_times(rows, linsolve.solve_exact(integer_rows(rows), rhs)) == rhs
+        refused(rows, rhs)
+        assert rows_times(rows, linsolve.solve_dense(integer_rows(rows), rhs)) == rhs
 
     def test_solve_float_residual(self):
         rows = integer_rows([{0: 4, 1: 1}, {0: 1, 1: 3}])
@@ -228,8 +243,7 @@ class TestRefinementPath:
     @settings(max_examples=12, deadline=None)
     def test_recovers_known_solution(self, system):
         rows, rhs = system
-        matrix = linsolve._csr(integer_rows(rows))
-        assert linsolve._is_certified(matrix)
+        matrix = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
         refined = linsolve._solve_refined(matrix, np.array(rhs, dtype=object))
         assert rows_times(rows, refined) == rhs
         assert linsolve.solve_exact(integer_rows(rows), rhs) == refined
@@ -238,35 +252,47 @@ class TestRefinementPath:
         size = 70
         rows = laplacian_rows(size)
         # consistent right-hand side: every x + t (1, ..., 1) solves it
-        rhs = rows_times(rows, [i * i for i in range(size)])
+        rhs = [int(v) for v in rows_times(rows, [i * i for i in range(size)])]
+        refused(rows, rhs)
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(integer_rows(rows), [int(v) for v in rhs])
+            linsolve.solve_dense(integer_rows(rows), rhs)
 
     def test_block_without_a_strict_row_is_not_certified(self):
         # The search from the strict rows never reaches the second block.
         # The system is singular, so it must not be refined.
         rows = two_block_rows(10)  # 20 unknowns, past the dense limit
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
-        assert not linsolve._is_certified(linsolve._csr(integer_rows(rows)))
+        refused(rows, rhs)
         with pytest.raises(SingularSystemError):
-            linsolve.solve_exact(integer_rows(rows), rhs)
+            linsolve.solve_dense(integer_rows(rows), rhs)
 
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     @pytest.mark.parametrize(
         "rows",
-        [[{0: 4, 1: 1}, {0: 2, 1: 3}], laplacian_rows(70), two_block_rows(10)],
-        ids=["nonsymmetric", "singular-path", "block-without-a-strict-row"],
+        [
+            nonsymmetric_rows(20),
+            laplacian_rows(70),
+            two_block_rows(10),
+            # certified, but a row's absolute sum reaches 2**62
+            path_rows(20, lambda i: 2**62 - 2),
+        ],
+        ids=["nonsymmetric", "singular-path", "block-without-a-strict-row", "row-sum-2**62"],
     )
-    def test_solve_float_rejects_uncertified_matrix(self, rows):
+    def test_solve_float_rejects_uncertified_matrix(self, solver, rows):
         # CG would return one of many solutions of the singular symmetric
-        # systems, with a tiny residual; the certificate refuses them first
+        # systems, with a tiny residual; the one certificate gate refuses
+        # them first, for both integer solvers
+        assert len(rows) > linsolve.DENSE_FRACTION_LIMIT
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
-        with pytest.raises(ValueError, match="solve_float needs"):
-            linsolve.solve_float(integer_rows(rows), rhs)
+        with pytest.raises(ValueError, match=f"{solver.__name__} needs a certified") as raised:
+            solver(integer_rows(rows), rhs)
+        assert raised.traceback[-1].name == "_certified"
 
 
 class TestDenseFallback:
     def test_nonsymmetric_system_with_large_denominators(self):
-        # Its solution has denominators above 400 bits.
+        # Its solution has denominators above 400 bits.  solve_exact refuses
+        # the non-symmetric matrix, and solve_dense solves it.
         rng = random.Random(3)
         size = 120
         rows = []
@@ -279,7 +305,8 @@ class TestDenseFallback:
             row[i] = sum(abs(v) for v in row.values()) + rng.randint(1, 5)
             rows.append(row)
         rhs = [rng.randint(-(1 << 20), 1 << 20) for _ in range(size)]
-        solution = linsolve.solve_exact(integer_rows(rows), rhs)
+        refused(rows, rhs)
+        solution = linsolve.solve_dense(integer_rows(rows), rhs)
         assert min(x.denominator for x in solution).bit_length() > 400
         assert rows_times(rows, solution) == rhs
 

@@ -283,6 +283,22 @@ class TestAbsorbingSystem:
         with pytest.raises(ValidationError, match=f"index {named} outside 0..7"):
             oracle.build_absorbing_system(ModelParams(2, 3), frozenset(absorbing))
 
+    @pytest.mark.parametrize("absorbing", [{1.5}, {0, 1.5}, {"1"}])
+    def test_non_integer_indices_rejected(self, absorbing):
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            oracle.build_absorbing_system(ModelParams(2, 3), frozenset(absorbing))
+
+    @pytest.mark.parametrize("params", [ModelParams(2, 1), ModelParams(2, 2)])
+    def test_bool_and_numpy_indices_are_the_ints_they_equal(self, params):
+        # bools would otherwise reach numpy as a mask, which leaves state 0
+        # transient
+        expected = oracle.build_absorbing_system(params, frozenset({0, 1}))
+        for absorbing in ({False, True}, {np.int64(0), np.uint8(1)}):
+            system = oracle.build_absorbing_system(params, frozenset(absorbing))
+            assert system.transient_states == expected.transient_states
+            assert list(system.rows) == list(expected.rows)
+            assert system.absorbing_edges == expected.absorbing_edges
+
     @given(params_and_absorbing_set())
     @settings(max_examples=60, deadline=None)
     def test_rows_are_degree_minus_transient_adjacency(self, case):

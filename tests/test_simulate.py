@@ -111,6 +111,39 @@ class TestPlanValidation:
                 workers=0,
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("replications", 2.5),
+            ("replications", None),
+            ("seed", 1.5),
+            ("workers", 1.5),
+            ("max_steps", 50.5),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # a seed of 1.5 would otherwise run seed 1's streams and echo 1.5
+        counts = dict(replications=10, seed=1, workers=1, max_steps=50)
+        counts[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            simulate.SimulationPlan(
+                params=ModelParams(3, 2), start=(1, 1), target=(2, 2), **counts
+            )
+
+    def test_integer_like_counts_are_the_ints_they_equal(self):
+        plan = simulate.SimulationPlan(
+            params=ModelParams(3, 2),
+            start=(1, 1),
+            target=(2, 2),
+            replications=np.int64(10),
+            seed=np.uint64(7),
+            workers=True,
+            max_steps=np.int32(50),
+        )
+        counts = (plan.replications, plan.seed, plan.workers, plan.max_steps)
+        assert counts == (10, 7, 1, 50)
+        assert all(type(v) is int for v in counts)
+
     def test_rejects_spans_of_two_to_the_32(self):
         # numpy draws such spans by its 64-bit path, which the kernel does
         # not emulate
