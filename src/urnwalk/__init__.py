@@ -42,13 +42,12 @@ from .occupancy import (
     passage_increments_by_solve,
 )
 from .oracle import (
+    TargetFiber,
     expected_hitting_time,
     expected_hitting_time_float,
-    first_visit_success_prob,
     hitting_times_to_target,
     lumped_first_visit_probs,
-    mean_return_gap_to_target_fiber,
-    expected_time_to_target_fiber,
+    target_fiber,
 )
 from .simulate import HittingEstimate, SimulationPlan, run
 

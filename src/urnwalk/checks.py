@@ -139,9 +139,7 @@ def termwise_difference_witness(params: ModelParams) -> CheckResult:
     )
 
 
-def oracle_transfer_agreement(
-    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
-) -> CheckResult:
+def oracle_transfer_agreement(cells: list[ModelParams], budget: int) -> CheckResult:
     """The exact solve of the full walk reproduces the closed-form transfer time."""
 
     def holds(params: ModelParams) -> bool:
@@ -156,9 +154,7 @@ def oracle_transfer_agreement(
     return _sweep("oracle-transfer", cells, holds)
 
 
-def distance_agreement(
-    params: ModelParams, budget: int = oracle.DEFAULT_EXACT_BUDGET
-) -> tuple[bool, int]:
+def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
     """Solve the full walk against the pairwise formula at every distance.
 
     Targets are taken in state-index order, each contributing one exact
@@ -191,9 +187,7 @@ def distance_agreement(
     return agreed and counts == quota, sum(counts.values())
 
 
-def oracle_distance_agreement(
-    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
-) -> CheckResult:
+def oracle_distance_agreement(cells: list[ModelParams], budget: int) -> CheckResult:
     pairs = 0
 
     def holds(params: ModelParams) -> bool:
@@ -206,9 +200,7 @@ def oracle_distance_agreement(
     return replace(row, detail=f"{row.detail}, {pairs} pairs")
 
 
-def first_visit_triple_agreement(
-    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
-) -> CheckResult:
+def first_visit_triple_agreement(cells: list[ModelParams], budget: int) -> CheckResult:
     """Closed form, lumped solve, and full-graph harmonic solve coincide,
     and the lumped probabilities obey their two structural identities: the
     first and last classes agree, and ``(n-1) * p[2i-2] + p[2i-1] == 1``
@@ -218,7 +210,7 @@ def first_visit_triple_agreement(
         n, k = params.urns, params.balls
         formula = exact.first_visit_probability(params)
         lumped = oracle.lumped_first_visit_probs(params)
-        harmonic = oracle.first_visit_success_prob(params, budget=budget)
+        harmonic = oracle.target_fiber(params, budget=budget).first_visit_probability
         return formula == lumped[0] == lumped[-1] == harmonic and all(
             (n - 1) * lumped[2 * i - 2] + lumped[2 * i - 1] == 1 for i in range(1, k)
         )
@@ -227,9 +219,7 @@ def first_visit_triple_agreement(
     return _sweep("first-visit-triple", used, holds)
 
 
-def fiber_checks(
-    cells: list[ModelParams], budget: int = oracle.DEFAULT_EXACT_BUDGET
-) -> CheckResult:
+def fiber_checks(cells: list[ModelParams], budget: int) -> CheckResult:
     """Fiber segment time, stationary return gap, and escape ratio.
 
     The escape ratio ``first_miss / (1 - repeat_miss)`` equals ``n - 1``,
@@ -241,14 +231,13 @@ def fiber_checks(
     def holds(params: ModelParams) -> bool:
         n, k = params.urns, params.balls
         shrunk = ModelParams(urns=n, balls=k - 1)
-        segment = oracle.expected_time_to_target_fiber(params, budget=budget)
+        fiber = oracle.target_fiber(params, budget=budget)
         want_segment = Fraction(k, k - 1) * exact.full_transfer_time(shrunk)
-        gap = oracle.mean_return_gap_to_target_fiber(params, budget=budget)
         first_miss = 1 - exact.first_visit_probability(params)
         repeat_hit = oracle.lumped_first_visit_probs(params)[2 * k - 2]
         return (
-            segment == want_segment
-            and gap == n ** (k - 1)
+            fiber.time_to_fiber == want_segment
+            and fiber.mean_return_gap == n ** (k - 1)
             and first_miss == (n - 1) * repeat_hit
         )
 

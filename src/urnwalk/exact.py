@@ -40,7 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IdenticalConfigurationsError
-from .model import Configuration, ModelParams, as_integer, hamming_distance
+from .model import (
+    Configuration,
+    ModelParams,
+    as_integer,
+    check_configuration,
+    hamming_distance,
+)
 
 __all__ = [
     "full_transfer_time",
@@ -143,10 +149,8 @@ class HittingQuery:
     def from_configurations(
         cls, params: ModelParams, start: Configuration, target: Configuration
     ) -> "HittingQuery":
-        from .model import check_configuration
-
-        check_configuration(start, params)
-        check_configuration(target, params)
+        start = check_configuration(start, params)
+        target = check_configuration(target, params)
         return cls(params=params, hamming_distance=hamming_distance(start, target))
 
 

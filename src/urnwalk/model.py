@@ -50,15 +50,16 @@ class ModelParams:
     """Number of urns and balls, validated on construction.
 
     At least two urns are required (a ball must have somewhere else to
-    go), and at least one ball (an empty walk has no hitting times).
+    go), and at least one ball (an empty walk has no hitting times).  Bools
+    and numpy ints are stored as the ints they equal.
     """
 
     urns: int
     balls: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.urns, int) or not isinstance(self.balls, int):
-            raise ValidationError("urns and balls must be integers")
+        for field in ("urns", "balls"):
+            object.__setattr__(self, field, as_integer(getattr(self, field), field))
         if self.urns < 2:
             raise ValidationError(f"need at least 2 urns, got {self.urns}")
         if self.balls < 1:
@@ -83,17 +84,21 @@ def as_integer(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
-def check_configuration(config: Configuration, params: ModelParams) -> None:
-    """Raise ConfigurationError unless ``config`` is a valid placement."""
+def check_configuration(config: Configuration, params: ModelParams) -> Configuration:
+    """``config`` as a tuple of ints; ConfigurationError unless it is a valid
+    placement.  Bools and numpy ints are the urn indices they equal."""
     if len(config) != params.balls:
         raise ConfigurationError(
             f"placement has {len(config)} entries, expected {params.balls}"
         )
-    for entry in config:
-        if not isinstance(entry, int) or not 1 <= entry <= params.urns:
-            raise ConfigurationError(
-                f"urn index {entry!r} outside 1..{params.urns}"
-            )
+    try:
+        placement = tuple(as_integer(entry, "urn index") for entry in config)
+    except ValidationError as error:
+        raise ConfigurationError(str(error)) from None
+    for entry in placement:
+        if not 1 <= entry <= params.urns:
+            raise ConfigurationError(f"urn index {entry} outside 1..{params.urns}")
+    return placement
 
 
 def all_in_urn(params: ModelParams, urn: int) -> Configuration:
@@ -127,8 +132,7 @@ def parse_configuration(text: str, params: ModelParams) -> Configuration:
         config = tuple(int(piece) for piece in parts)
     except ValueError:
         raise ConfigurationError(f"cannot parse placement {text!r}") from None
-    check_configuration(config, params)
-    return config
+    return check_configuration(config, params)
 
 
 def format_configuration(config: Configuration) -> str:
@@ -137,7 +141,7 @@ def format_configuration(config: Configuration) -> str:
 
 def index_of(config: Configuration, params: ModelParams) -> int:
     """Base-``urns`` encoding of a placement; ball 1 is the least significant digit."""
-    check_configuration(config, params)
+    config = check_configuration(config, params)
     index = 0
     for entry in reversed(config):
         index = index * params.urns + (entry - 1)
@@ -201,7 +205,7 @@ def lump_class_of(config: Configuration, params: ModelParams) -> int:
     ``2p + 2`` when its last ball is also in urn 2.  Labels run 1..2k and
     the blocks partition the whole state space.
     """
-    check_configuration(config, params)
+    config = check_configuration(config, params)
     prefix_twos = config[:-1].count(TARGET_URN)
     return 2 * prefix_twos + (2 if config[-1] == TARGET_URN else 1)
 

@@ -1,9 +1,11 @@
 """Ground-truth quantities computed by exact linear solves on the full walk.
 
-Nothing here evaluates a closed form.  Expected hitting times, first-visit
-probabilities, and fiber return gaps are obtained by building the absorbing
-system over the actual state space (or over the 2k lump classes) and
-solving it exactly, so agreement with :mod:`urnwalk.exact` is meaningful
+Nothing here evaluates a closed form.  Expected hitting times and the
+three target-fiber quantities of :func:`target_fiber` (first-visit
+probability, time to the fiber, mean return gap) are obtained by building
+the absorbing system over the actual state space and solving it exactly;
+the first-visit probabilities of :func:`lumped_first_visit_probs` solve the
+2k lump classes.  Agreement with :mod:`urnwalk.exact` is therefore
 verification rather than circularity.
 
 Exact solves are gated by a state budget, passed per call (default 4096
@@ -138,15 +140,6 @@ def build_absorbing_system(
     )
 
 
-def _hitting_times(params: ModelParams, absorbing: frozenset[int]) -> list[Fraction]:
-    """Exact expected time to reach ``absorbing``, indexed by state (0 on the set)."""
-    system = build_absorbing_system(params, absorbing)
-    out = [Fraction(0)] * params.state_count
-    for state, value in zip(system.transient_states, system.hitting_time_vector()):
-        out[state] = value
-    return out
-
-
 def hitting_times_to_target(
     params: ModelParams, target: Configuration, budget: int = DEFAULT_EXACT_BUDGET
 ) -> list[Fraction]:
@@ -154,9 +147,13 @@ def hitting_times_to_target(
 
     Indexed by state index; the target entry is 0.
     """
-    check_configuration(target, params)
+    absorbing = frozenset({index_of(target, params)})
     _check_budget(params, budget, "exact solve")
-    return _hitting_times(params, frozenset({index_of(target, params)}))
+    system = build_absorbing_system(params, absorbing)
+    out = [Fraction(0)] * params.state_count
+    for state, value in zip(system.transient_states, system.hitting_time_vector()):
+        out[state] = value
+    return out
 
 
 def _pair_system(
@@ -164,8 +161,8 @@ def _pair_system(
 ) -> tuple[AbsorbingSystem, int] | None:
     """The target's absorbing system and the start's row in it; None for an
     identical pair, which returns before the budget is checked."""
-    check_configuration(start, params)
-    check_configuration(target, params)
+    start = check_configuration(start, params)
+    target = check_configuration(target, params)
     if start == target:
         return None
     _check_budget(params, budget, what)
@@ -214,59 +211,57 @@ def _fiber_indices(params: ModelParams) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=16)
-def _fiber_hitting_vector(urns: int, balls: int) -> tuple[Fraction, ...]:
-    """Expected time to reach the target fiber, from every state (0 on the fiber)."""
+@dataclass(frozen=True)
+class TargetFiber:
+    """Three solved quantities of the target fiber, the states whose first
+    ``balls - 1`` balls all sit in urn 2, from the walk absorbed on it.
+
+    ``first_visit_probability`` is the chance that the walk from
+    all-in-urn-1 first meets the fiber at the all-in-urn-2 point, by a
+    harmonic solve; ``time_to_fiber`` the expected moves from all-in-urn-1
+    to the fiber.  ``mean_return_gap`` is the expected return time to the
+    fiber started uniformly on it: one step plus the mean hitting time over
+    all moves out of it.  Stationarity of the uniform law makes it the
+    reciprocal of the fiber's stationary mass, ``urns ** (balls - 1)``.
+    With one ball the fiber is the whole space and the start sits on it
+    away from the target: the three are 0, 0 and 1.
+    """
+
+    first_visit_probability: Fraction
+    time_to_fiber: Fraction
+    mean_return_gap: Fraction
+
+
+def target_fiber(params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET) -> TargetFiber:
+    """The :class:`TargetFiber` of the walk, within the state budget."""
+    _check_budget(params, budget, "exact solve")
+    return _fiber_hitting_vector(params.urns, params.balls)
+
+
+# Named and cleared as `_fiber_hitting_vector` by the benchmark, which
+# empties it before every op.  It holds three rationals a cell, so it keeps
+# every cell of a verify run.
+@lru_cache(maxsize=None)
+def _fiber_hitting_vector(urns: int, balls: int) -> TargetFiber:
+    """The one build and solve of the fiber system, behind :func:`target_fiber`."""
+    if balls == 1:
+        return TargetFiber(Fraction(0), Fraction(0), Fraction(1))
     params = ModelParams(urns=urns, balls=balls)
-    return tuple(_hitting_times(params, _fiber_indices(params)))
-
-
-def first_visit_success_prob(
-    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
-) -> Fraction:
-    """Probability that the walk from all-in-urn-1 first meets the target
-    fiber exactly at the all-in-urn-2 point, by a harmonic solve.
-
-    With one ball the fiber is the whole space and the start already sits
-    on it away from the target, so the probability is 0.
-    """
-    _check_budget(params, budget, "exact solve")
     fiber = _fiber_indices(params)
-    start = index_of(all_in_urn(params, SOURCE_URN), params)
-    target = index_of(all_in_urn(params, TARGET_URN), params)
-    if start in fiber:
-        return Fraction(1) if start == target else Fraction(0)
     system = build_absorbing_system(params, fiber)
+    times = system.hitting_time_vector()
+    target = index_of(all_in_urn(params, TARGET_URN), params)
     probabilities = system.absorption_probability_vector(frozenset({target}))
-    return probabilities[system.position(start)]
-
-
-def expected_time_to_target_fiber(
-    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
-) -> Fraction:
-    """Expected moves from all-in-urn-1 until the front balls all sit in urn 2."""
-    if params.balls < 2:
-        raise DomainError("fiber segment analysis needs at least 2 balls")
-    _check_budget(params, budget, "exact solve")
-    times = _fiber_hitting_vector(params.urns, params.balls)
-    return times[index_of(all_in_urn(params, SOURCE_URN), params)]
-
-
-def mean_return_gap_to_target_fiber(
-    params: ModelParams, budget: int = DEFAULT_EXACT_BUDGET
-) -> Fraction:
-    """Expected return time to the target fiber, started uniformly on it.
-
-    One step plus the average remaining hitting time over all moves out of
-    the fiber.  Stationarity of the uniform law makes this the reciprocal
-    of the fiber's stationary mass, i.e. urns ** (balls - 1).
-    """
-    _check_budget(params, budget, "exact solve")
-    fiber = sorted(_fiber_indices(params))
-    times = _fiber_hitting_vector(params.urns, params.balls)
-    moves = neighbor_indices(params)[fiber].ravel().tolist()
-    total = sum((times[nb] for nb in moves), Fraction(0))
-    return 1 + total / (len(fiber) * params.degree)
+    start = system.position(index_of(all_in_urn(params, SOURCE_URN), params))
+    # each move out of the fiber is a transient state's absorbing edge
+    # reversed, so every row's time counts once per absorbing edge
+    edges = system.absorbing_edges
+    out = sum((t * len(e) for t, e in zip(times, edges) if e), Fraction(0))
+    return TargetFiber(
+        first_visit_probability=probabilities[start],
+        time_to_fiber=times[start],
+        mean_return_gap=1 + out / (len(fiber) * params.degree),
+    )
 
 
 def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:

@@ -109,8 +109,9 @@ class SimulationPlan:
             raise ValidationError(
                 "balls * (urns - 1) must be below 2**32 for the seeded draws"
             )
-        check_configuration(self.start, self.params)
-        check_configuration(self.target, self.params)
+        for field in ("start", "target"):
+            placement = check_configuration(getattr(self, field), self.params)
+            object.__setattr__(self, field, placement)
         if self.start == self.target:
             raise IdenticalConfigurationsError(
                 "plan start and target placements are identical"

@@ -121,6 +121,13 @@ class TestGeneralHittingTime:
         )
         assert query.hamming_distance == 1
 
+    def test_from_configurations_reads_any_sequence(self):
+        params = ModelParams(3, 2)
+        with pytest.raises(IdenticalConfigurationsError):
+            exact.HittingQuery.from_configurations(params, [1, 2], (np.int64(1), 2))
+        query = exact.HittingQuery.from_configurations(params, [True, 2], (1, np.uint8(3)))
+        assert query == exact.HittingQuery(params=params, hamming_distance=1)
+
     def test_collapse_to_transfer_time_on_grid(self):
         for urns in range(2, 9):
             for balls in range(1, 13):
@@ -205,7 +212,8 @@ class TestFirstVisitProbability:
         assert first_miss == Fraction(8, 15) == repeat_hit
 
     def test_escape_ratio_is_urns_minus_one(self):
-        assert checks.fiber_checks([ModelParams(3, 2), ModelParams(4, 3)]).passed
+        cells = [ModelParams(3, 2), ModelParams(4, 3)]
+        assert checks.fiber_checks(cells, budget=1024).passed
 
 
 class TestClassicalTwoUrnReduction:

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from urnwalk import model, oracle
 from urnwalk.errors import BudgetExceededError, ConfigurationError, ValidationError
 from urnwalk.model import (
     ModelParams,
+    check_configuration,
     config_at,
     format_configuration,
     hamming_distance,
@@ -73,6 +75,29 @@ class TestModelParams:
         assert params.state_count == 125
         assert params.degree == 12
 
+    @pytest.mark.parametrize("field", ["urns", "balls"])
+    @pytest.mark.parametrize("value", [1.5, Fraction(3, 1), "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        counts = dict(urns=3, balls=2)
+        counts[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            ModelParams(**counts)
+
+    @pytest.mark.parametrize(
+        "urns,balls,equal",
+        [
+            (np.int64(3), 2, (3, 2)),
+            (3, np.uint8(2), (3, 2)),
+            (3, True, (3, 1)),
+            (np.int32(4), np.int16(3), (4, 3)),
+        ],
+    )
+    def test_integer_like_counts_are_the_ints_they_equal(self, urns, balls, equal):
+        params = ModelParams(urns, balls)
+        assert params == ModelParams(*equal)
+        assert (params.urns, params.balls) == equal
+        assert type(params.urns) is int and type(params.balls) is int
+
 
 class TestConfigurationIO:
     def test_parse_round_trip(self):
@@ -95,6 +120,32 @@ class TestConfigurationIO:
         params = ModelParams(urns=4, balls=2)
         with pytest.raises(ConfigurationError):
             parse_configuration("1,5", params)
+
+    @pytest.mark.parametrize(
+        "config,equal",
+        [
+            ((np.int64(1), 2), (1, 2)),
+            ([True, np.uint8(3)], (1, 3)),
+            ([2, 2], (2, 2)),
+        ],
+    )
+    def test_integer_like_entries_are_the_urns_they_equal(self, config, equal):
+        params = ModelParams(urns=3, balls=2)
+        placement = check_configuration(config, params)
+        assert placement == equal
+        assert type(placement) is tuple and all(type(v) is int for v in placement)
+        assert index_of(config, params) == index_of(equal, params)
+        assert lump_class_of(config, params) == lump_class_of(equal, params)
+
+    @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "1", None])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ConfigurationError, match="urn index must be an integer"):
+            check_configuration((entry, 2), ModelParams(urns=3, balls=2))
+
+    @pytest.mark.parametrize("entry", [0, 4, np.int64(4), -1])
+    def test_entries_outside_the_urns_rejected(self, entry):
+        with pytest.raises(ConfigurationError, match=f"urn index {int(entry)} outside 1..3"):
+            check_configuration((entry, 2), ModelParams(urns=3, balls=2))
 
     @given(params_and_config())
     def test_index_round_trip(self, pc):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import urnwalk
-from urnwalk import exact, linsolve, oracle
+from urnwalk import checks, exact, linsolve, oracle
 from urnwalk.errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -71,6 +71,15 @@ class TestExpectedHittingTime:
         assert oracle.expected_hitting_time(params, (3,) * 8, (3,) * 8) == 0
         with pytest.raises(ConfigurationError):
             oracle.expected_hitting_time(params, (1,) * 8, (5,) * 8)
+
+    @pytest.mark.parametrize(
+        "start,target",
+        [([1, 2], (1, 2)), ((1, 2), [1, 2]), ((np.int64(1), np.uint8(2)), (1, 2))],
+    )
+    def test_identical_pair_in_any_sequence_is_zero(self, start, target):
+        params = ModelParams(3, 2)
+        assert oracle.expected_hitting_time(params, start, target) == 0
+        assert oracle.expected_hitting_time_float(params, start, target) == (0.0, 0.0)
 
     def test_three_urns_two_balls(self):
         params = ModelParams(3, 2)
@@ -178,20 +187,91 @@ class TestFloatFallback:
 
 class TestFirstVisitSuccessProb:
     def test_three_urns_two_balls(self):
-        assert oracle.first_visit_success_prob(ModelParams(3, 2)) == Fraction(1, 4)
+        fiber = oracle.target_fiber(ModelParams(3, 2))
+        assert fiber.first_visit_probability == Fraction(1, 4)
 
     def test_two_urns_three_balls(self):
-        assert oracle.first_visit_success_prob(ModelParams(2, 3)) == Fraction(3, 7)
+        fiber = oracle.target_fiber(ModelParams(2, 3))
+        assert fiber.first_visit_probability == Fraction(3, 7)
 
     def test_single_ball(self):
-        assert oracle.first_visit_success_prob(ModelParams(4, 1)) == 0
+        assert oracle.target_fiber(ModelParams(4, 1)).first_visit_probability == 0
 
     @pytest.mark.parametrize("urns,balls", [(2, 2), (2, 5), (3, 3), (4, 2), (5, 2)])
     def test_matches_closed_form(self, urns, balls):
         params = ModelParams(urns, balls)
-        assert oracle.first_visit_success_prob(
+        fiber = oracle.target_fiber(params)
+        assert fiber.first_visit_probability == exact.first_visit_probability(params)
+
+
+class TestFiberQuantities:
+    def test_return_gap_examples(self):
+        assert oracle.target_fiber(ModelParams(3, 2)).mean_return_gap == 3
+        assert oracle.target_fiber(ModelParams(2, 3)).mean_return_gap == 4
+
+    def test_return_gap_single_ball(self):
+        assert oracle.target_fiber(ModelParams(5, 1)).mean_return_gap == 1
+
+    def test_first_segment_examples(self):
+        assert oracle.target_fiber(ModelParams(3, 2)).time_to_fiber == 4
+        assert oracle.target_fiber(ModelParams(5, 3)).time_to_fiber == 42
+        assert oracle.target_fiber(ModelParams(2, 2)).time_to_fiber == 2
+
+    @pytest.mark.parametrize("urns", [2, 3, 5])
+    def test_single_ball_fiber_is_the_whole_space(self, urns):
+        # the start already sits on the fiber, away from the target
+        assert oracle.target_fiber(ModelParams(urns, 1)) == oracle.TargetFiber(0, 0, 1)
+
+    @pytest.mark.parametrize("urns,balls", [(2, 4), (3, 3), (4, 2), (2, 6)])
+    def test_segment_matches_shrunken_transfer_time(self, urns, balls):
+        params = ModelParams(urns, balls)
+        smaller = ModelParams(urns, balls - 1)
+        assert oracle.target_fiber(params).time_to_fiber == Fraction(
+            balls, balls - 1
+        ) * exact.full_transfer_time(smaller)
+
+    @pytest.mark.parametrize("urns", range(2, 6))
+    @pytest.mark.parametrize("balls", range(2, 6))
+    def test_matches_the_closed_forms(self, urns, balls):
+        params = ModelParams(urns, balls)
+        fiber = oracle.target_fiber(params)
+        assert fiber.first_visit_probability == exact.first_visit_probability(params)
+        shrunk = exact.full_transfer_time(ModelParams(urns, balls - 1))
+        assert fiber.time_to_fiber == Fraction(balls, balls - 1) * shrunk
+        assert fiber.mean_return_gap == urns ** (balls - 1)
+
+    def test_budget_is_checked_before_the_cache(self):
+        params = ModelParams(3, 2)
+        oracle.target_fiber(params)
+        with pytest.raises(BudgetExceededError):
+            oracle.target_fiber(params, budget=8)
+
+    def test_checks_build_each_fiber_system_once(self, monkeypatch):
+        # the first-visit row and the fiber row read the same cached query,
+        # so the default verify grid's 21 fiber cells cost 21 builds
+        built = []
+        build = oracle.build_absorbing_system
+
+        def spy(params, absorbing):
+            built.append(params)
+            return build(params, absorbing)
+
+        monkeypatch.setattr(oracle, "build_absorbing_system", spy)
+        oracle._fiber_hitting_vector.cache_clear()
+        cells = [
             params
-        ) == exact.first_visit_probability(params)
+            for params in checks.grid_cells(
+                checks.DEFAULT_MAX_URNS,
+                checks.DEFAULT_MAX_BALLS,
+                state_limit=checks.DEFAULT_ORACLE_BUDGET,
+            )
+            if params.balls >= 2
+        ]
+        assert len(cells) == 21
+        budget = checks.DEFAULT_ORACLE_BUDGET
+        assert checks.first_visit_triple_agreement(cells, budget=budget).passed
+        assert checks.fiber_checks(cells, budget=budget).passed
+        assert built == cells
 
 
 class TestLumpedFirstVisitProbs:
@@ -234,32 +314,6 @@ class TestLumpedFirstVisitProbs:
         probs = oracle.lumped_first_visit_probs(params)
         assert probs[0] == exact.first_visit_probability(params)
         assert sizes == [22]
-
-
-class TestFiberQuantities:
-    def test_return_gap_examples(self):
-        assert oracle.mean_return_gap_to_target_fiber(ModelParams(3, 2)) == 3
-        assert oracle.mean_return_gap_to_target_fiber(ModelParams(2, 3)) == 4
-
-    def test_return_gap_single_ball(self):
-        assert oracle.mean_return_gap_to_target_fiber(ModelParams(5, 1)) == 1
-
-    def test_first_segment_examples(self):
-        assert oracle.expected_time_to_target_fiber(ModelParams(3, 2)) == 4
-        assert oracle.expected_time_to_target_fiber(ModelParams(5, 3)) == 42
-        assert oracle.expected_time_to_target_fiber(ModelParams(2, 2)) == 2
-
-    def test_first_segment_needs_two_balls(self):
-        with pytest.raises(DomainError):
-            oracle.expected_time_to_target_fiber(ModelParams(3, 1))
-
-    @pytest.mark.parametrize("urns,balls", [(2, 4), (3, 3), (4, 2), (2, 6)])
-    def test_segment_matches_shrunken_transfer_time(self, urns, balls):
-        params = ModelParams(urns, balls)
-        smaller = ModelParams(urns, balls - 1)
-        assert oracle.expected_time_to_target_fiber(params) == Fraction(
-            balls, balls - 1
-        ) * exact.full_transfer_time(smaller)
 
 
 class TestAbsorbingSystem:

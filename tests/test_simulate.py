@@ -82,6 +82,20 @@ class TestPlanValidation:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("start", [[1, 2], (np.int64(1), np.uint8(2)), (True, 2)])
+    def test_identical_pair_in_any_sequence_rejected(self, start):
+        # a list and a tuple of one placement are one pair, not a walk
+        # that returns to (1, 2)
+        with pytest.raises(IdenticalConfigurationsError):
+            simulate.SimulationPlan(ModelParams(3, 2), start, (1, 2), 200, 1)
+
+    def test_placements_are_stored_as_int_tuples(self):
+        plan = simulate.SimulationPlan(
+            ModelParams(3, 2), [np.int64(1), True], [2, np.uint8(3)], 10, 0
+        )
+        assert (plan.start, plan.target) == ((1, 1), (2, 3))
+        assert all(type(v) is int for v in plan.start + plan.target)
+
     def test_seed_range(self):
         with pytest.raises(ValidationError):
             simulate.SimulationPlan(
