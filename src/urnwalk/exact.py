@@ -101,6 +101,7 @@ def _closed_form_increments(params: ModelParams, start: int = 0) -> Iterator[Fra
 def passage_increment(params: ModelParams, k: int) -> Fraction:
     """Closed form for the k-th occupancy passage increment, 0 <= k < balls."""
     m = params.balls
+    k = as_integer(k, "increment index")
     if not 0 <= k <= m - 1:
         raise DomainError(f"increment index {k} outside 0..{m - 1}")
     return next(_closed_form_increments(params, start=k))

@@ -41,9 +41,13 @@ import numpy as np
 
 from .errors import SingularSystemError
 
-# Dense Fraction elimination is cubic in rational operations: a few ms up
-# to 16 unknowns, but 0.5 s at 63, where refinement takes 2 ms.  Up to the
-# limit it also spares a one-shot caller the scipy import.
+# Dense Fraction elimination is cubic in rational operations.  With scipy
+# already loaded it is faster than refinement only below about 7 unknowns
+# (0.16 against 0.50 ms at 4, even at 7); at 15 it takes 6-7.5 ms against
+# refinement's 0.5-1.2 ms, and 0.5 s at 63 against 2 ms (2-core Xeon VM,
+# 2.1 GHz).  What the limit buys is a one-shot tiny query that never
+# imports scipy: `urnwalk oracle --urns 3 --balls 2` takes 0.2-0.35 s in a
+# fresh process, 0.4-0.67 s once scipy.sparse.linalg is imported.
 DENSE_FRACTION_LIMIT = 16
 # No solver reads this any more; the benchmark tracer (bench/tracing.py)
 # still uses its largest value to label solves with large denominators.

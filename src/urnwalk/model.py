@@ -149,7 +149,8 @@ def index_of(config: Configuration, params: ModelParams) -> int:
 
 
 def config_at(index: int, params: ModelParams) -> Configuration:
-    """Inverse of :func:`index_of`."""
+    """Inverse of :func:`index_of`: the placement as a tuple of ints."""
+    index = as_integer(index, "state index")
     if not 0 <= index < params.state_count:
         raise ValidationError(f"state index {index} outside 0..{params.state_count - 1}")
     digits = []

@@ -42,6 +42,9 @@ both walkers return the column of each row's first arrival.  One
 accounting turns that column into the row's step count, less its rejected
 halves, and applies the step cap to it.  Rows that hit or reach the cap
 leave the batch at block boundaries, in whole groups of ``_ROW_GRAIN``.
+A chunk of a plan walks its batches one after another and adds each
+batch's exact integer sums to its totals as soon as it is walked, so a
+process holds one batch's step counts, whatever the replication count.
 
 ``tests/_reference.py`` keeps the per-replication loop on numpy's own
 generator that this kernel replaced.  The tests check the kernel against
@@ -271,21 +274,13 @@ def _walk_block(
     return np.where(arrived.any(axis=0), arrived.argmax(axis=0), -1)
 
 
-def _batch_steps(
-    urns: int,
-    balls: int,
-    start: Configuration,
-    target: Configuration,
-    max_steps: int,
-    seed: int,
-    rep_lo: int,
-    rep_hi: int,
-) -> np.ndarray:
+def _batch_steps(plan: SimulationPlan, rep_lo: int, rep_hi: int) -> np.ndarray:
     """Steps to hit for replications ``rep_lo..rep_hi-1``; -1 when truncated."""
-    alternatives = urns - 1
-    span = balls * alternatives
-    max_steps = min(max_steps, np.iinfo(np.int64).max)  # no walk gets that far
-    dtype = np.min_scalar_type(urns)  # unsigned: the kernel never subtracts
+    start, target = plan.start, plan.target
+    alternatives = plan.params.urns - 1
+    span = plan.params.degree
+    max_steps = min(plan.step_cap, np.iinfo(np.int64).max)  # no walk gets that far
+    dtype = np.min_scalar_type(plan.params.urns)  # unsigned: the kernel never subtracts
     # the scratch cell past the balls, whose goal no urn matches
     goal = np.array((*target, 0), dtype=dtype)
     steps = np.full(rep_hi - rep_lo, -1, dtype=np.int64)
@@ -315,7 +310,7 @@ def _batch_steps(
         remaining = max_steps - taken[walking].min()
         width = max(1, min(_BLOCK_DRAWS // (8 * len(ids)), -(-remaining // 8)))
         draws, kept = _bounded_draws(
-            seed, reps[ids, None], counter + np.arange(width), span
+            plan.seed, reps[ids, None], counter + np.arange(width), span
         )
         counter += width
         # rejected halves, rare: as ball `balls`, each moves only the scratch cell
@@ -339,38 +334,20 @@ def _batch_steps(
         del draws, kept  # hold one block at a time
 
 
-def _chunk_steps(
-    urns: int,
-    balls: int,
-    start: Configuration,
-    target: Configuration,
-    max_steps: int,
-    seed: int,
-    rep_lo: int,
-    rep_hi: int,
-) -> list[int]:
-    """Steps to hit for each replication of the chunk, batch by batch."""
-    batch = max(1, min(_BATCH, _BATCH_CELLS // balls))
-    out: list[int] = []
+def _chunk_stats(
+    plan: SimulationPlan, rep_lo: int, rep_hi: int
+) -> tuple[int, int, int, int]:
+    """Exact integer summary (sum, sum of squares, completed, truncated) of
+    replications ``rep_lo..rep_hi-1``, each batch summed as soon as it is walked."""
+    batch = max(1, min(_BATCH, _BATCH_CELLS // plan.params.balls))
+    hit_sum = hit_sumsq = completed = truncated = 0
     for lo in range(rep_lo, rep_hi, batch):
-        hi = min(lo + batch, rep_hi)
-        out += _batch_steps(urns, balls, start, target, max_steps, seed, lo, hi).tolist()
-    return out
-
-
-def _chunk_stats(args: tuple) -> tuple[int, int, int, int]:
-    """Exact integer summary (sum, sum of squares, completed, truncated)."""
-    hit_sum = 0
-    hit_sumsq = 0
-    completed = 0
-    truncated = 0
-    for steps in _chunk_steps(*args):
-        if steps < 0:
-            truncated += 1
-        else:
-            hit_sum += steps
-            hit_sumsq += steps * steps
-            completed += 1
+        steps = _batch_steps(plan, lo, min(lo + batch, rep_hi))
+        hits = steps[steps >= 0].tolist()  # Python ints: the sums stay exact
+        hit_sum += sum(hits)
+        hit_sumsq += sum(s * s for s in hits)
+        completed += len(hits)
+        truncated += len(steps) - len(hits)
     return hit_sum, hit_sumsq, completed, truncated
 
 
@@ -383,30 +360,20 @@ def _available_cpus() -> int:
 
 def run(plan: SimulationPlan) -> HittingEstimate:
     """Estimate the expected hitting time of the plan's target from its start."""
-    params = plan.params
-    cap = plan.step_cap
     # one chunk per process: a chunk walks its replications in lockstep, so
     # more chunks than CPUs only shrink the batches
     chunks = min(plan.workers, plan.replications, _available_cpus())
-    chunk_args = [
-        (
-            params.urns, params.balls, plan.start, plan.target, cap, plan.seed,
-            plan.replications * w // chunks, plan.replications * (w + 1) // chunks,
-        )
-        for w in range(chunks)
-    ]
+    bounds = [plan.replications * w // chunks for w in range(chunks + 1)]
     if chunks == 1:
-        summaries = [_chunk_stats(chunk_args[0])]
+        summaries = [_chunk_stats(plan, 0, plan.replications)]
     else:
         with ProcessPoolExecutor(max_workers=chunks) as pool:
-            summaries = list(pool.map(_chunk_stats, chunk_args))
-
-    hit_sum = sum(s[0] for s in summaries)
-    hit_sumsq = sum(s[1] for s in summaries)
-    completed = sum(s[2] for s in summaries)
-    truncated = sum(s[3] for s in summaries)
+            summaries = list(
+                pool.map(_chunk_stats, [plan] * chunks, bounds[:-1], bounds[1:])
+            )
+    hit_sum, hit_sumsq, completed, truncated = map(sum, zip(*summaries))
     if completed == 0:
-        raise SimulationTruncatedError(truncated, plan.replications, cap)
+        raise SimulationTruncatedError(truncated, plan.replications, plan.step_cap)
 
     mean = hit_sum / completed
     if completed >= 2:

@@ -67,6 +67,15 @@ class TestPassageIncrements:
         with pytest.raises(DomainError):
             exact.passage_increment(params, -1)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, Fraction(1), "1", None])
+    def test_non_integer_index_rejected(self, k):
+        with pytest.raises(ValidationError, match="increment index must be an integer"):
+            exact.passage_increment(ModelParams(3, 2), k)
+
+    @pytest.mark.parametrize("k, want", [(np.int64(1), 8), (np.uint8(0), 2), (True, 8)])
+    def test_integer_like_index_is_the_int_it_equals(self, k, want):
+        assert exact.passage_increment(ModelParams(3, 2), k) == want
+
     def test_strictly_increasing_on_grid(self):
         for urns in range(2, 9):
             for balls in range(2, 13):

@@ -152,6 +152,17 @@ class TestConfigurationIO:
         params, config = pc
         assert config_at(index_of(config, params), params) == config
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, Fraction(1), "1", None])
+    def test_non_integer_state_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="state index must be an integer"):
+            config_at(index, ModelParams(urns=3, balls=2))
+
+    @pytest.mark.parametrize("index", [np.int64(5), np.uint16(5), 5])
+    def test_state_index_gives_a_tuple_of_ints(self, index):
+        config = config_at(index, ModelParams(urns=3, balls=2))
+        assert config == (3, 2)
+        assert all(type(entry) is int for entry in config)
+
     def test_index_is_bijective_small(self):
         params = ModelParams(urns=3, balls=3)
         indices = {

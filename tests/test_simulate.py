@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,42 @@ from urnwalk.errors import (
     ValidationError,
 )
 from urnwalk.model import ModelParams, TARGET_URN, distance_pair
+
+
+def chunk_batches(plan, rep_lo, rep_hi):
+    """The step counts of each batch that ``_chunk_stats`` walks for
+    replications ``rep_lo..rep_hi-1``, once its summary is checked against them."""
+    batch_steps = simulate._batch_steps
+    batches = []
+
+    def recording(plan, lo, hi):
+        steps = batch_steps(plan, lo, hi)
+        batches.append(steps.tolist())
+        return steps
+
+    with mock.patch.object(simulate, "_batch_steps", recording):
+        summary = simulate._chunk_stats(plan, rep_lo, rep_hi)
+    hits = [steps for batch in batches for steps in batch if steps >= 0]
+    truncated = sum(map(len, batches)) - len(hits)
+    assert summary == (sum(hits), sum(s * s for s in hits), len(hits), truncated)
+    return batches
+
+
+def capped_plan(urns, balls, start, target, cap, seed, replications):
+    return simulate.SimulationPlan(
+        params=ModelParams(urns, balls),
+        start=start,
+        target=target,
+        replications=replications,
+        seed=seed,
+        max_steps=cap,
+    )
+
+
+def chunk_steps(urns, balls, start, target, cap, seed, rep_lo, rep_hi):
+    """Steps to hit for replications ``rep_lo..rep_hi-1``, in order."""
+    plan = capped_plan(urns, balls, start, target, cap, seed, rep_hi)
+    return [steps for batch in chunk_batches(plan, rep_lo, rep_hi) for steps in batch]
 
 
 class TestStep:
@@ -209,7 +247,7 @@ class TestRunLoopMatchesStep:
         params = ModelParams(4, 3)
         start, target = (1, 1, 1), (2, 2, 2)
         cap = 10_000
-        fast = simulate._chunk_steps(4, 3, start, target, cap, 99, 0, 40)
+        fast = chunk_steps(4, 3, start, target, cap, 99, 0, 40)
         for rep in range(40):
             gen = replication_stream(99, rep)
             config = start
@@ -265,7 +303,7 @@ class TestLockstepKernel:
         # the hand-over to the scalar loop to any point of the walk
         urns, balls, start, target = walk
         with mock.patch.object(simulate, "_TAIL", tail):
-            got = simulate._chunk_steps(
+            got = chunk_steps(
                 urns, balls, start, target, cap, seed, rep_lo, rep_lo + count
             )
         want = [
@@ -330,7 +368,7 @@ class TestLockstepKernel:
                     simulate, "_walk_scalar", wraps=simulate._walk_scalar
                 ) as walk_scalar, \
                 mock.patch.object(simulate, "_TAIL", tail):
-            got = simulate._chunk_steps(4, 3, start, target, cap, seed, 0, 600)
+            got = chunk_steps(4, 3, start, target, cap, seed, 0, 600)
         assert sum(flagged) > 100
         # with no tail, rows with a rejected half stay in lockstep
         assert walk_scalar.called == bool(tail)
@@ -400,7 +438,7 @@ class TestLockstepKernel:
     def test_caps_past_int64(self, tail):
         args = (2, 2, (1, 1), (2, 2), 10**30, 3, 0, 100)
         with mock.patch.object(simulate, "_TAIL", tail):
-            got = simulate._chunk_steps(*args)
+            got = chunk_steps(*args)
         assert got == [hitting_steps(*args[:6], rep) for rep in range(100)]
 
     def test_rows_leave_in_whole_groups(self):
@@ -415,7 +453,7 @@ class TestLockstepKernel:
 
         with mock.patch.object(simulate, "_walk_block", recording):
             with mock.patch.object(simulate, "_TAIL", 0):
-                simulate._chunk_steps(4, 3, (1, 1, 1), (2, 2, 2), 10**6, 3, 0, 1000)
+                chunk_steps(4, 3, (1, 1, 1), (2, 2, 2), 10**6, 3, 0, 1000)
         assert rows[0] == 1000 and len(set(rows)) > 2
         assert all(n % simulate._ROW_GRAIN == 0 for n in rows[1:] if n != 1000)
 
@@ -423,17 +461,11 @@ class TestLockstepKernel:
         # many balls shrink the batch, so a batch's placements stay within
         # _BATCH_CELLS cells
         balls = 2**12
-        batch_steps = simulate._batch_steps
-        sizes = []
-
-        def recording(urns, balls, start, target, max_steps, seed, lo, hi):
-            sizes.append(hi - lo)
-            return batch_steps(urns, balls, start, target, max_steps, seed, lo, hi)
-
         start, target = (1,) * balls, (2,) + (1,) * (balls - 1)
-        with mock.patch.object(simulate, "_batch_steps", recording):
-            got = simulate._chunk_steps(3, balls, start, target, 40, 5, 0, 600)
-        assert sizes == [256, 256, 88]
+        plan = capped_plan(3, balls, start, target, 40, 5, 600)
+        batches = chunk_batches(plan, 0, 600)
+        assert [len(batch) for batch in batches] == [256, 256, 88]
+        got = [steps for batch in batches for steps in batch]
         assert got == [hitting_steps(3, balls, start, target, 40, 5, r) for r in range(600)]
 
     @pytest.mark.parametrize(
@@ -455,7 +487,7 @@ class TestLockstepKernel:
         # keep it exact, past the tail cut-off
         balls = len(start)
         count = 2 * simulate._TAIL + 4
-        got = simulate._chunk_steps(urns, balls, start, target, cap, 9, 0, count)
+        got = chunk_steps(urns, balls, start, target, cap, 9, 0, count)
         want = [hitting_steps(urns, balls, start, target, cap, 9, r) for r in range(count)]
         assert got == want
         assert any(steps > 0 for steps in got)
@@ -467,9 +499,9 @@ class TestLockstepKernel:
         replications = simulate._BATCH + 700
         args = (3, 2, (1, 1), (2, 3), cap, 31, 5, 5 + replications)
         with mock.patch.object(simulate, "_TAIL", 0):
-            lockstep = simulate._chunk_steps(*args)
+            lockstep = chunk_steps(*args)
         with mock.patch.object(simulate, "_TAIL", replications):
-            scalar = simulate._chunk_steps(*args)
+            scalar = chunk_steps(*args)
         assert lockstep == scalar
         assert len(lockstep) == replications
         if cap == 12:
@@ -502,8 +534,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestRun:
@@ -538,6 +570,21 @@ class TestRun:
                     pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
             assert RecordingPool.sizes == sizes
             assert pooled == single
+
+    def test_memory_does_not_grow_with_replications(self):
+        # a chunk sums each batch as soon as it is walked: four times the
+        # replications walk four times the batches in the same memory
+        plan = capped_plan(3, 2, (1, 1), (2, 2), None, 7, 1000)
+        simulate.run(plan)  # imports and caches, outside the traced runs
+        peaks = []
+        for replications in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                simulate.run(dataclasses.replace(plan, replications=replications))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16
 
     def test_never_builds_numpys_generator(self):
         # every draw comes from the module's own Philox/Lemire emulation, in
