@@ -13,15 +13,20 @@ speed never costs correctness:
    solution.  Continued fractions then recover one common denominator
    (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
 2. dense rational Gaussian elimination, :func:`solve_dense`, for tiny
-   systems, rational systems, and a stalled refinement.  It takes any
-   ``{column: value}`` rows, rational ones too, such as the non-symmetric
-   lumped first-visit system.
+   systems and rational ones.  It takes any ``{column: value}`` rows,
+   rational ones too, such as the non-symmetric lumped first-visit system.
 
 Past the dense limit refinement and :func:`solve_float`, its first CG
 round alone, pass one certificate gate: the matrix must be certified
 symmetric positive definite (symmetry, row sums, and a search from the
 strict rows by sparse products), as the oracle's ``degree * I - A`` always
-is, with row sums below ``2**62``; else they raise ValueError.
+is, with row sums below ``2**62``; else they raise ValueError.  The gate
+works out the matrix's facts (the certificate, the float copy CG reads,
+the largest absolute row sum and the Hadamard bound) on the first solve
+and keeps them, or the refusal, on the :class:`IntegerRows`, whose arrays
+are read-only: every later solve on the same rows reads them.  A
+refinement that stalls raises ValueError too; nothing falls back to
+elimination.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from typing import Any, Literal, NamedTuple
 
 import numpy as np
 
@@ -58,19 +64,47 @@ _CG_RTOL = 1e-14
 _REFINE_SPARE_BITS = 64
 
 
+class _MatrixFacts(NamedTuple):
+    """What the solvers past the dense limit read of a certified matrix."""
+
+    matrix: Any  # the scipy CSR matrix over the rows' arrays
+    approximate: Any  # its float64 copy, which CG reads
+    spread: int  # the largest absolute row sum: it bounds |A x| / |x|
+    limit_bits: int  # twice the Hadamard bound on log2 det(A), plus spare bits
+
+
 class IntegerRows(Sequence):
     """A square int64 matrix as CSR arrays, read as a sequence of ``{column: value}`` rows.
 
-    ``indptr``, ``indices`` and ``data`` are plain numpy int64 arrays, with
-    each row's columns ascending.  Indexing builds one row's mapping of
+    ``indptr``, ``indices`` and ``data`` are 1-D numpy int64 arrays, with
+    each row's columns ascending.  Construction checks their types and
+    shapes (TypeError for a wrong type or dtype, ValueError for a wrong
+    shape) and makes them read-only.  Indexing builds one row's mapping of
     Python ints, for readers and the dense path; the solvers past the dense
-    limit read the arrays.
+    limit read the arrays.  Their gate keeps in ``_facts`` what it worked
+    out on the first solve: None before it, then the matrix's facts, or
+    False for a refusal; both stay true because the arrays cannot change.
     """
 
-    __slots__ = ("indptr", "indices", "data")
+    __slots__ = ("indptr", "indices", "data", "_facts")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        arrays = {"indptr": indptr, "indices": indices, "data": data}
+        for name, array in arrays.items():
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64:
+                raise TypeError(f"IntegerRows {name} must be an int64 ndarray")
+            if array.ndim != 1:
+                raise ValueError(f"IntegerRows {name} must be 1-D")
+        if len(indptr) == 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise ValueError("IntegerRows indptr must start at 0 and never decrease")
+        if not indptr[-1] == len(indices) == len(data):
+            raise ValueError("IntegerRows indptr must end at len(indices) == len(data)")
+        if len(indices) and (indices.min() < 0 or indices.max() >= len(indptr) - 1):
+            raise ValueError("IntegerRows indices must be columns of the square matrix")
+        for array in arrays.values():
+            array.flags.writeable = False
         self.indptr, self.indices, self.data = indptr, indices, data
+        self._facts = None
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -82,22 +116,27 @@ class IntegerRows(Sequence):
 
 
 def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of the square integer system ``rows @ x == rhs``: by
-    :func:`solve_dense` up to the dense limit, by refinement past it, where
-    the certificate gate may raise ValueError and a stalled refinement falls
-    back to :func:`solve_dense`."""
+    """Exact solution of the square integer system ``rows @ x == rhs``.
+
+    Up to the dense limit by :func:`solve_dense`; past it by refinement
+    alone.  There ValueError comes from the certificate gate, for a matrix
+    it refuses, or from a refinement that stalls; :func:`solve_dense` solves
+    either exactly, at cubic cost.
+    """
     if len(rows) <= DENSE_FRACTION_LIMIT:
         _check_integer_system(rows, rhs, "solve_exact")
         return solve_dense(rows, rhs)
     refined = _solve_refined(_certified(rows, rhs, "solve_exact"), np.array(rhs, dtype=object))
-    return solve_dense(rows, rhs) if refined is None else refined
+    if refined is None:
+        raise ValueError("solve_exact: refinement stalled; solve_dense solves the system exactly")
+    return refined
 
 
 def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
     """The first CG round of :func:`solve_exact`'s refinement, as (solution,
     relative residual); ValueError for a matrix its certificate refuses."""
-    matrix = _certified(rows, rhs, "solve_float")
-    return _cg_round(matrix.astype(np.float64), np.array(rhs, dtype=object))
+    facts = _certified(rows, rhs, "solve_float")
+    return _cg_round(facts.approximate, np.array(rhs, dtype=object))
 
 
 def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) -> None:
@@ -111,22 +150,47 @@ def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) ->
         )
 
 
-def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str):
-    """The certificate gate: the rows as a scipy CSR matrix over their arrays,
-    or ValueError unless :func:`_is_certified` holds and every row's absolute
-    sum is below ``2**62``, past which int64 products could not be trusted."""
-    import scipy.sparse as sparse
-
+def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str) -> _MatrixFacts:
+    """The certificate gate: the facts of the rows' matrix, worked out on the
+    rows' first gate and kept on them, or ValueError when it was refused."""
     _check_integer_system(rows, rhs, solver)
-    data, size = rows.data, len(rows)
-    matrix = sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
-    bound = np.abs(data, dtype=np.float64).max(initial=0) * np.diff(rows.indptr).max(initial=0)
-    if bound >= 2.0**62 or not _is_certified(matrix):
+    if rows._facts is None:
+        rows._facts = _matrix_facts(rows)
+    if rows._facts is False:
         raise ValueError(
             f"{solver} needs a certified symmetric positive definite matrix "
             "with row sums below 2**62; solve_dense takes any"
         )
-    return matrix
+    return rows._facts
+
+
+def _matrix_facts(rows: IntegerRows) -> _MatrixFacts | Literal[False]:
+    """Every fact the solvers read of the rows' matrix, or False unless
+    :func:`_is_certified` holds and every row's absolute sum is below
+    ``2**62``, past which int64 products could not be trusted."""
+    import scipy.sparse as sparse
+
+    data, size = rows.data, len(rows)
+    matrix = sparse.csr_array((data, rows.indices, rows.indptr), shape=(size, size))
+    bound = np.abs(data, dtype=np.float64).max(initial=0) * np.diff(rows.indptr).max(initial=0)
+    if bound >= 2.0**62:
+        return False
+    magnitudes = abs(matrix)
+    row_sums = magnitudes.sum(axis=1)
+    if not _is_certified(matrix, magnitudes, row_sums):
+        return False
+    # free |A| for the float copy of the same size to reuse: else the heap
+    # grows, and glibc malloc trims and refaults it on every solve (1,187
+    # against 912 page faults per 4x6 `oracle` query)
+    del magnitudes
+    approximate = matrix.astype(np.float64)
+    # log2 of Hadamard's bound on det(A)**2, from the rows' sums of squares
+    # (no row of a certified matrix is empty); solution denominators divide det(A)
+    squares = np.add.reduceat(np.square(approximate.data), approximate.indptr[:-1])
+    hadamard_bits = math.ceil(np.log2(squares).sum())
+    return _MatrixFacts(
+        matrix, approximate, int(row_sums.max()), _REFINE_SPARE_BITS + hadamard_bits
+    )
 
 
 def _cg_round(approximate, residual: np.ndarray) -> tuple[np.ndarray, float]:
@@ -194,8 +258,9 @@ def solve_dense(
 # ---------------------------------------------------------------------------
 
 
-def _is_certified(matrix) -> bool:
-    """Symmetry and weakly chained diagonal dominance with a positive diagonal.
+def _is_certified(matrix, magnitudes, row_sums: np.ndarray) -> bool:
+    """Symmetry and weakly chained diagonal dominance with a positive diagonal,
+    given ``magnitudes``, the matrix of absolute values, and its row sums.
 
     Every row has ``a_ii >= sum |a_ij|`` over ``j != i``, and through
     nonzero entries reaches a row where the inequality is strict.  Such a
@@ -207,9 +272,8 @@ def _is_certified(matrix) -> bool:
     """
     if (matrix != matrix.T).nnz:
         return False
-    magnitudes = abs(matrix)
     diagonal = matrix.diagonal()
-    off = magnitudes.sum(axis=1) - np.abs(diagonal)
+    off = row_sums - np.abs(diagonal)
     if (diagonal <= 0).any() or (diagonal < off).any():
         return False
     reached = diagonal > off
@@ -220,21 +284,21 @@ def _is_certified(matrix) -> bool:
     return bool(reached.all())
 
 
-def _exact_product(matrix, spread: int, x: np.ndarray) -> np.ndarray:
-    """Exact ``matrix @ x`` for a vector of Python ints, as Python ints.
+def _exact_product(facts: _MatrixFacts, x: np.ndarray) -> np.ndarray:
+    """Exact ``A @ x`` for a vector of Python ints, as Python ints.
 
-    In int64 when ``spread * max|x|`` is below ``2**63``, ``spread``
-    bounding each row's absolute sum, so that every product and partial
-    sum is in range; with Python ints otherwise.  Every row must hold an
-    entry (a certified matrix holds its diagonal).
+    In int64 when ``spread * max|x|`` is below ``2**63``, so that every
+    product and partial sum is in range; with Python ints otherwise.  Every
+    row must hold an entry (a certified matrix holds its diagonal).
     """
-    if spread * int(np.abs(x).max()) < 2**63:
+    matrix = facts.matrix
+    if facts.spread * int(np.abs(x).max()) < 2**63:
         return (matrix @ x.astype(np.int64)).astype(object)
     products = matrix.data.astype(object) * x[matrix.indices]
     return np.add.reduceat(products, matrix.indptr[:-1])
 
 
-def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
+def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> list[Fraction] | None:
     """Iterative refinement on a symmetric positive definite integer system.
 
     Keeps ``A N == D b - r`` exactly, with ``D = 2**K``.  Each round solves
@@ -244,12 +308,6 @@ def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
     ``A n == d b``.  None when CG stops reducing the residual or
     reconstruction never verifies before the Hadamard bound.
     """
-    spread = int(abs(matrix).sum(axis=1).max())  # bounds |A x| / |x|
-    approximate = matrix.astype(np.float64)
-    # twice the Hadamard bound on log2 det(A): denominators divide det(A)
-    limit_bits = _REFINE_SPARE_BITS + math.ceil(
-        np.log2(approximate.multiply(approximate).sum(axis=1)).sum()
-    )
     residual = rhs
     numerators = np.zeros(len(rhs), dtype=object)
     scale = 1
@@ -260,29 +318,29 @@ def _solve_refined(matrix, rhs: np.ndarray) -> list[Fraction] | None:
         else:
             if norm.bit_length() > 1000:
                 return None  # the float copy of the residual would overflow
-            z, accuracy = _cg_round(approximate, residual)
+            z, accuracy = _cg_round(facts.approximate, residual)
             z_max = float(np.abs(z).max())
             if not math.isfinite(z_max):
                 return None
-            if scale.bit_length() > limit_bits + int(z_max).bit_length():
+            if scale.bit_length() > facts.limit_bits + int(z_max).bit_length():
                 return None
             # x - N / D == A^-1 r / D, and z ~ A^-1 r
             candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
         if candidate is not None:
             den, nums = candidate
-            if (_exact_product(matrix, spread, nums) == den * rhs).all():
+            if (_exact_product(facts, nums) == den * rhs).all():
                 return [Fraction(n, den) for n in nums]
         if norm == 0:
             return None
 
         k_accurate = -math.frexp(max(accuracy, 2.0**-48))[1] - 2  # 2**k * accuracy <= 1/4
         # below this k, 2**k r and A x stay within int64
-        k_int64 = 61 - math.frexp(norm + spread * (z_max + 1))[1]
+        k_int64 = 61 - math.frexp(norm + facts.spread * (z_max + 1))[1]
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate
         if k < 1:
             return None
         step = np.array([int(v) for v in np.rint(np.ldexp(z, k)).tolist()], dtype=object)
-        new = (residual << k) - _exact_product(matrix, spread, step)
+        new = (residual << k) - _exact_product(facts, step)
         if int(np.abs(new).max()) > norm << (k - 1):
             return None  # the scaled residual shrank by less than half: CG stalled
         residual = new

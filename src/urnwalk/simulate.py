@@ -42,9 +42,10 @@ both walkers return the column of each row's first arrival.  One
 accounting turns that column into the row's step count, less its rejected
 halves, and applies the step cap to it.  Rows that hit or reach the cap
 leave the batch at block boundaries, in whole groups of ``_ROW_GRAIN``.
-A chunk of a plan walks its batches one after another and adds each
-batch's exact integer sums to its totals as soon as it is walked, so a
-process holds one batch's step counts, whatever the replication count.
+A plan splits into at most one chunk per batch.  A chunk walks its batches
+one after another and adds each batch's exact integer sums to its totals as
+soon as it is walked, so a process holds one batch's step counts, whatever
+the replication count.
 
 ``tests/_reference.py`` keeps the per-replication loop on numpy's own
 generator that this kernel replaced.  The tests check the kernel against
@@ -334,12 +335,18 @@ def _batch_steps(plan: SimulationPlan, rep_lo: int, rep_hi: int) -> np.ndarray:
         del draws, kept  # hold one block at a time
 
 
+def _batch_size(params: ModelParams) -> int:
+    """Replications per batch: at most ``_BATCH``, and at most ``_BATCH_CELLS``
+    placement cells."""
+    return max(1, min(_BATCH, _BATCH_CELLS // params.balls))
+
+
 def _chunk_stats(
     plan: SimulationPlan, rep_lo: int, rep_hi: int
 ) -> tuple[int, int, int, int]:
     """Exact integer summary (sum, sum of squares, completed, truncated) of
     replications ``rep_lo..rep_hi-1``, each batch summed as soon as it is walked."""
-    batch = max(1, min(_BATCH, _BATCH_CELLS // plan.params.balls))
+    batch = _batch_size(plan.params)
     hit_sum = hit_sumsq = completed = truncated = 0
     for lo in range(rep_lo, rep_hi, batch):
         steps = _batch_steps(plan, lo, min(lo + batch, rep_hi))
@@ -360,9 +367,11 @@ def _available_cpus() -> int:
 
 def run(plan: SimulationPlan) -> HittingEstimate:
     """Estimate the expected hitting time of the plan's target from its start."""
-    # one chunk per process: a chunk walks its replications in lockstep, so
-    # more chunks than CPUs only shrink the batches
-    chunks = min(plan.workers, plan.replications, _available_cpus())
+    # one chunk per process, and at most one per batch: a chunk walks each
+    # batch in lockstep, so more chunks than CPUs only shrink the batches,
+    # and splitting one batch starts a process for less lockstep work
+    batches = -(-plan.replications // _batch_size(plan.params))
+    chunks = min(plan.workers, batches, _available_cpus())
     bounds = [plan.replications * w // chunks for w in range(chunks + 1)]
     if chunks == 1:
         summaries = [_chunk_stats(plan, 0, plan.replications)]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,65 @@ def diagonally_dominant_system(draw, max_size=8):
         for row in rows
     ]
     return rows, solution, rhs
+
+
+def path_arrays(size):
+    """The CSR arrays of ``path_rows(size, 3)``, as constructor arguments."""
+    rows = integer_rows(path_rows(size, lambda i: 3))
+    return {"indptr": rows.indptr, "indices": rows.indices, "data": rows.data}
+
+
+def int64(*values):
+    return np.array(values, dtype=np.int64)
+
+
+# a 3-unknown path's arrays, indptr (0, 2, 5, 7), with one array replaced:
+# the case, the argument, its replacement, the error and its message
+MALFORMED = [
+    ("list", "indices", [0, 1, 0, 1, 2, 1, 2], TypeError, "indices must be an int64"),
+    ("int32", "indptr", np.array([0, 2, 5, 7], dtype=np.int32), TypeError, "indptr must be"),
+    ("2-D", "data", np.full((7, 1), 3, dtype=np.int64), ValueError, "data must be 1-D"),
+    ("empty-indptr", "indptr", int64(), ValueError, "start at 0"),
+    ("indptr-start", "indptr", int64(1, 2, 5, 7), ValueError, "start at 0"),
+    ("indptr-decreases", "indptr", int64(0, 5, 2, 7), ValueError, "never decrease"),
+    ("indptr-end", "indptr", int64(0, 2, 5, 6), ValueError, "end at len"),
+    ("data-length", "data", int64(3, -1, -1, 3, -1, -1), ValueError, "end at len"),
+    ("column-past-size", "indices", int64(0, 1, 0, 1, 2, 1, 3), ValueError, "columns"),
+    ("negative-column", "indices", int64(0, 1, 0, 1, 2, -1, 2), ValueError, "columns"),
+]
+
+
+class TestIntegerRowsInput:
+    """``IntegerRows`` takes three 1-D int64 ndarrays forming square CSR rows,
+    and keeps them read-only."""
+
+    def test_float_data_rejected(self):
+        # a 20-unknown path with 2.5 on the diagonal, past the dense limit,
+        # where the solvers read the arrays as integers
+        arrays = path_arrays(20)
+        arrays["data"] = np.where(arrays["data"] == 3, 2.5, -1.0)
+        with pytest.raises(TypeError, match="data must be an int64 ndarray"):
+            linsolve.IntegerRows(**arrays)
+
+    @pytest.mark.parametrize(
+        "name, value, error, message",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_malformed_arrays_rejected(self, name, value, error, message):
+        arrays = path_arrays(3)
+        arrays[name] = value
+        with pytest.raises(error, match=message):
+            linsolve.IntegerRows(**arrays)
+
+    def test_arrays_are_read_only(self):
+        # the facts the gate keeps on the rows stay true for their arrays
+        rows = path_rows(20, lambda i: 3)
+        matrix = integer_rows(rows)
+        for array in (matrix.indptr, matrix.indices, matrix.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2
+        assert rows_times(rows, linsolve.solve_exact(matrix, [1] * 20)) == [1] * 20
 
 
 class TestDenseFractionPath:
@@ -175,8 +235,8 @@ class TestNonSymmetricPastDenseLimit:
 
 class TestWalkSystem:
     def test_dense_fallback_matches_refined_solve(self):
-        # the hitting system the oracle actually builds, forced down the
-        # dense fallback; must agree with the refined solve exactly
+        # the hitting system the oracle actually builds, also solved by
+        # dense elimination; must agree with the refined solve exactly
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
@@ -243,10 +303,39 @@ class TestRefinementPath:
     @settings(max_examples=12, deadline=None)
     def test_recovers_known_solution(self, system):
         rows, rhs = system
-        matrix = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
-        refined = linsolve._solve_refined(matrix, np.array(rhs, dtype=object))
+        facts = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
+        refined = linsolve._solve_refined(facts, np.array(rhs, dtype=object))
         assert rows_times(rows, refined) == rhs
         assert linsolve.solve_exact(integer_rows(rows), rhs) == refined
+
+    def test_stall_raises_instead_of_eliminating(self, monkeypatch):
+        # a CG round that corrects nothing and claims no accuracy leaves no
+        # positive k: refinement stalls, and nothing eliminates
+        monkeypatch.setattr(
+            linsolve, "_cg_round", lambda approximate, residual: (np.zeros(len(residual)), 1.0)
+        )
+        rows = integer_rows(path_rows(70, lambda i: 3))  # symmetric, strictly dominant
+        with mock.patch.object(linsolve, "solve_dense", wraps=linsolve.solve_dense) as dense:
+            with pytest.raises(ValueError, match="stalled; solve_dense"):
+                linsolve.solve_exact(rows, [i * i for i in range(70)])
+        dense.assert_not_called()
+
+    def test_each_rows_certified_once(self):
+        # the gate keeps the facts, or the refusal, on the rows: later
+        # solves on the same rows, exact or float, certify nothing again
+        rows = path_rows(20, lambda i: 3)
+        rhs = [i * i for i in range(20)]
+        certified, uncertified = integer_rows(rows), integer_rows(nonsymmetric_rows(20))
+        with mock.patch.object(linsolve, "_is_certified", wraps=linsolve._is_certified) as spy:
+            solution = linsolve.solve_exact(certified, rhs)
+            values, _ = linsolve.solve_float(certified, rhs)
+            assert spy.call_count == 1
+            for solver in (linsolve.solve_exact, linsolve.solve_float):
+                with pytest.raises(ValueError, match=f"{solver.__name__} needs a certified"):
+                    solver(uncertified, rhs)
+            assert spy.call_count == 2
+        assert rows_times(rows, solution) == rhs
+        assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
 
     def test_singular_symmetric_system_detected(self):
         size = 70
@@ -290,6 +379,8 @@ class TestRefinementPath:
 
 
 class TestDenseFallback:
+    """``solve_dense`` on a system that ``solve_exact`` refuses past the dense limit."""
+
     def test_nonsymmetric_system_with_large_denominators(self):
         # Its solution has denominators above 400 bits.  solve_exact refuses
         # the non-symmetric matrix, and solve_dense solves it.
@@ -309,17 +400,3 @@ class TestDenseFallback:
         solution = linsolve.solve_dense(integer_rows(rows), rhs)
         assert min(x.denominator for x in solution).bit_length() > 400
         assert rows_times(rows, solution) == rhs
-
-    def test_refinement_stall_falls_back(self, monkeypatch):
-        stalled = []
-
-        def stall(matrix, rhs):
-            stalled.append(matrix.shape[0])
-            return None
-
-        monkeypatch.setattr(linsolve, "_solve_refined", stall)
-        size = 70  # symmetric and strictly dominant, past the dense limit
-        rows = path_rows(size, lambda i: 3)
-        rhs = [i * i for i in range(size)]
-        assert rows_times(rows, linsolve.solve_exact(integer_rows(rows), rhs)) == rhs
-        assert stalled == [size]

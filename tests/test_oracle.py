@@ -273,6 +273,23 @@ class TestFiberQuantities:
         assert checks.fiber_checks(cells, budget=budget).passed
         assert built == cells
 
+    def test_fiber_system_certified_once(self, monkeypatch):
+        # the hitting and absorption solves read one system, 78 unknowns past
+        # the dense limit, whose rows keep the certificate of the first
+        params = ModelParams(3, 4)
+        calls = []
+        is_certified = linsolve._is_certified
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return is_certified(*args)
+
+        monkeypatch.setattr(linsolve, "_is_certified", spy)
+        oracle._fiber_hitting_vector.cache_clear()
+        fiber = oracle.target_fiber(params)
+        assert calls == [(78, 78)]
+        assert fiber.first_visit_probability == exact.first_visit_probability(params)
+
 
 class TestLumpedFirstVisitProbs:
     def test_three_urns_two_balls(self):

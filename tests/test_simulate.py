@@ -540,36 +540,48 @@ class RecordingPool:
 
 class TestRun:
     def test_deterministic_across_worker_counts(self):
-        params = ModelParams(5, 3)
-        estimates = [
-            simulate.run(
-                simulate.SimulationPlan(
-                    params=params,
-                    start=(1, 1, 1),
-                    target=(2, 2, 2),
-                    replications=2000,
-                    seed=11,
-                    workers=workers,
-                )
-            )
-            for workers in (1, 2, 3)
-        ]
+        # batches of 500 make four, so two and three workers split the plan
+        # into as many chunks, which a real process pool walks
+        plan = distance_plan(ModelParams(5, 3), 3, 2000, 11)
+        with mock.patch.object(simulate, "_BATCH", 500), \
+                mock.patch.object(simulate, "_available_cpus", lambda: 3), \
+                mock.patch.object(
+                    simulate, "ProcessPoolExecutor", wraps=simulate.ProcessPoolExecutor
+                ) as pool:
+            estimates = [
+                simulate.run(dataclasses.replace(plan, workers=workers))
+                for workers in (1, 2, 3)
+            ]
+        assert pool.call_args_list == [mock.call(max_workers=2), mock.call(max_workers=3)]
         assert estimates[0] == estimates[1] == estimates[2]
 
     def test_pool_capped_at_available_cpus(self):
-        # the plan splits into at most one chunk per CPU, and a single chunk
-        # runs in-process; the recorder starts no process
+        # the plan's three batches split into at most one chunk per CPU, and
+        # a single chunk runs in-process; the recorder starts no process
         params = ModelParams(3, 2)
         cpus = simulate._available_cpus()
         assert 1 <= cpus <= os.cpu_count()
         single = simulate.run(distance_plan(params, 2, 640, 21))
         for available, sizes in ((1, []), (3, [3])):
             RecordingPool.sizes = []
-            with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool):
-                with mock.patch.object(simulate, "_available_cpus", lambda: available):
-                    pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
+            with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool), \
+                    mock.patch.object(simulate, "_available_cpus", lambda: available), \
+                    mock.patch.object(simulate, "_BATCH", 256):
+                pooled = simulate.run(distance_plan(params, 2, 640, 21, workers=64))
             assert RecordingPool.sizes == sizes
             assert pooled == single
+
+    def test_one_batch_plan_starts_no_pool(self):
+        # 4,000 replications fill one batch: it runs as one chunk in-process,
+        # whatever the worker count, for the same estimate
+        params = ModelParams(4, 4)
+        single = simulate.run(distance_plan(params, 4, 4000, 211))
+        RecordingPool.sizes = []
+        with mock.patch.object(simulate, "ProcessPoolExecutor", RecordingPool), \
+                mock.patch.object(simulate, "_available_cpus", lambda: 2):
+            pooled = simulate.run(distance_plan(params, 4, 4000, 211, workers=2))
+        assert RecordingPool.sizes == []
+        assert pooled == single
 
     def test_memory_does_not_grow_with_replications(self):
         # a chunk sums each batch as soon as it is walked: four times the
