@@ -45,7 +45,6 @@ from .oracle import (
     TargetFiber,
     expected_hitting_time,
     expected_hitting_time_float,
-    hitting_times_to_target,
     lumped_first_visit_probs,
     target_fiber,
 )

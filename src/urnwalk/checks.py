@@ -158,8 +158,8 @@ def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
     """Solve the full walk against the pairwise formula at every distance.
 
     Targets are taken in state-index order, each contributing one exact
-    solve that yields the hitting time from every start; starts are also
-    scanned in index order.  Per distance the check covers
+    solve of its :func:`urnwalk.oracle.target_system`, read in place for
+    every other start in index order.  Per distance the check covers
     ``PAIRS_PER_CLASS`` distinct (start, target) pairs, or every existing
     pair when fewer exist.  Returns (all pairs agreed, pairs checked).
     """
@@ -178,10 +178,10 @@ def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
     for target in configs:
         if counts == quota:
             break
-        times = oracle.hitting_times_to_target(params, target, budget=budget)
-        for start, value in zip(configs, times):
-            L = hamming_distance(start, target)
-            if L and counts[L] < quota[L]:
+        system = oracle.target_system(params, target, budget=budget)
+        for state, value in zip(system.transient_states, system.hitting_time_vector()):
+            L = hamming_distance(configs[state], target)
+            if counts[L] < quota[L]:
                 counts[L] += 1
                 agreed &= value == expected[L]
     return agreed and counts == quota, sum(counts.values())

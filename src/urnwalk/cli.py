@@ -77,8 +77,6 @@ def _entry(label: str, value) -> dict:
 
 def _digits(value: int) -> str:
     """``str(value)`` at any size, past the interpreter's int-to-str digit limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.11
-        return str(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

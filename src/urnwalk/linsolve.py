@@ -20,13 +20,15 @@ Past the dense limit refinement and :func:`solve_float`, its first CG
 round alone, pass one certificate gate: the matrix must be certified
 symmetric positive definite (symmetry, row sums, and a search from the
 strict rows by sparse products), as the oracle's ``degree * I - A`` always
-is, with row sums below ``2**62``; else they raise ValueError.  The gate
-works out the matrix's facts (the certificate, the float copy CG reads,
-the largest absolute row sum and the Hadamard bound) on the first solve
-and keeps them, or the refusal, on the :class:`IntegerRows`, whose arrays
-are read-only: every later solve on the same rows reads them.  A
-refinement that stalls raises ValueError too; nothing falls back to
-elimination.
+is, with row sums below ``2**62``, and every right-hand side entry must
+lie below ``2**1000`` in absolute value; else they raise ValueError.  CG
+runs on the residual scaled by a power of two, so its float arithmetic
+stays in range up to that bound.  The gate works out the matrix's facts
+(the certificate, the float copy CG reads, the largest absolute row sum
+and the Hadamard bound) on the first solve and keeps them, or the
+refusal, on the :class:`IntegerRows`, whose arrays are read-only: every
+later solve on the same rows reads them.  A refinement that stalls raises
+ValueError too; nothing falls back to elimination.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
@@ -59,6 +61,10 @@ DENSE_FRACTION_LIMIT = 16
 # still uses its largest value to label solves with large denominators.
 SNAP_DENOMINATOR_BOUNDS = (1_000, 1_000_000)
 _CG_RTOL = 1e-14
+# Right-hand sides past the dense limit, and the residuals refinement
+# carries, stay below 2**_FLOAT_BITS in absolute value, so that their float
+# copies and CG's solutions on them stay finite.
+_FLOAT_BITS = 1000
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
 _REFINE_SPARE_BITS = 64
@@ -120,8 +126,9 @@ def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
 
     Up to the dense limit by :func:`solve_dense`; past it by refinement
     alone.  There ValueError comes from the certificate gate, for a matrix
-    it refuses, or from a refinement that stalls; :func:`solve_dense` solves
-    either exactly, at cubic cost.
+    it refuses or a right-hand side entry at or past ``2**1000``, or from a
+    refinement that stalls; :func:`solve_dense` solves each exactly, at
+    cubic cost.
     """
     if len(rows) <= DENSE_FRACTION_LIMIT:
         _check_integer_system(rows, rhs, "solve_exact")
@@ -154,6 +161,11 @@ def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str) -> _MatrixFac
     """The certificate gate: the facts of the rows' matrix, worked out on the
     rows' first gate and kept on them, or ValueError when it was refused."""
     _check_integer_system(rows, rhs, solver)
+    if max(map(abs, rhs)).bit_length() > _FLOAT_BITS:
+        raise ValueError(
+            f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
+            "in absolute value; solve_dense takes any"
+        )
     if rows._facts is None:
         rows._facts = _matrix_facts(rows)
     if rows._facts is False:
@@ -197,15 +209,20 @@ def _cg_round(approximate, residual: np.ndarray) -> tuple[np.ndarray, float]:
     """CG from zero on ``A z ~ r`` for the float copy ``r`` of an integer residual.
 
     Returns ``z`` and the relative residual ``|r - A z|inf / max(1, |r|inf)``.
-    Rounding can keep CG above the tolerance; the iteration cap then bounds
-    the work, and the residual reports the accuracy CG actually got.
+    CG runs on ``r`` scaled by the power of two that puts its largest entry
+    in [1/2, 1), so its dot products cannot overflow; the scaling is exact,
+    and ``z`` is scaled back.  Rounding can keep CG above the tolerance; the
+    iteration cap then bounds the work, and the residual reports the
+    accuracy CG actually got.
     """
     from scipy.sparse.linalg import cg
 
     r = residual.astype(np.float64)
+    exponent = math.frexp(float(np.abs(r).max()))[1]
+    r = np.ldexp(r, -exponent)
     z, _ = cg(approximate, r, rtol=_CG_RTOL, atol=0.0, maxiter=2 * len(r))
-    scale = max(1.0, float(np.abs(r).max()))
-    return z, float(np.abs(r - approximate @ z).max()) / scale
+    scale = max(math.ldexp(1.0, -exponent), float(np.abs(r).max()))  # max(1, |r|inf), scaled
+    return np.ldexp(z, exponent), float(np.abs(r - approximate @ z).max()) / scale
 
 
 def solve_dense(
@@ -316,7 +333,7 @@ def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> list[Fraction] | Non
         if norm == 0:
             candidate = (scale, numerators)  # N / D is exact
         else:
-            if norm.bit_length() > 1000:
+            if norm.bit_length() > _FLOAT_BITS:
                 return None  # the float copy of the residual would overflow
             z, accuracy = _cg_round(facts.approximate, residual)
             z_max = float(np.abs(z).max())
@@ -337,6 +354,7 @@ def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> list[Fraction] | Non
         # below this k, 2**k r and A x stay within int64
         k_int64 = 61 - math.frexp(norm + facts.spread * (z_max + 1))[1]
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate
+        k = min(k, 1022 - math.frexp(z_max)[1])  # 2**k z stays finite
         if k < 1:
             return None
         step = np.array([int(v) for v in np.rint(np.ldexp(z, k)).tolist()], dtype=object)

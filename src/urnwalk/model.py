@@ -25,7 +25,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,8 +85,12 @@ def as_integer(value, what: str) -> int:
 
 
 def check_configuration(config: Configuration, params: ModelParams) -> Configuration:
-    """``config`` as a tuple of ints; ConfigurationError unless it is a valid
-    placement.  Bools and numpy ints are the urn indices they equal."""
+    """``config``, a sequence or a 1-D numpy array, as a tuple of ints;
+    ConfigurationError unless it is a valid placement.  Bools and numpy ints
+    are the urn indices they equal."""
+    vector = isinstance(config, np.ndarray) and config.ndim == 1
+    if not (vector or isinstance(config, Sequence)):
+        raise ConfigurationError(f"placement must be a sequence, got {config!r}")
     if len(config) != params.balls:
         raise ConfigurationError(
             f"placement has {len(config)} entries, expected {params.balls}"

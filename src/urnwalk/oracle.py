@@ -6,7 +6,10 @@ probability, time to the fiber, mean return gap) are obtained by building
 the absorbing system over the actual state space and solving it exactly;
 the first-visit probabilities of :func:`lumped_first_visit_probs` solve the
 2k lump classes.  Agreement with :mod:`urnwalk.exact` is therefore
-verification rather than circularity.
+verification rather than circularity.  :func:`target_system` is the one
+builder of the walk absorbed at a single target, for the pair queries and
+the distance sweep of :mod:`urnwalk.checks`, which reads its solved vector
+in place.
 
 Exact solves are gated by a state budget, passed per call (default 4096
 states); every function here is a pure function of its arguments.  Beyond
@@ -140,20 +143,15 @@ def build_absorbing_system(
     )
 
 
-def hitting_times_to_target(
+def target_system(
     params: ModelParams, target: Configuration, budget: int = DEFAULT_EXACT_BUDGET
-) -> list[Fraction]:
-    """Exact expected hitting times to ``target`` from every state.
-
-    Indexed by state index; the target entry is 0.
-    """
+) -> AbsorbingSystem:
+    """The walk absorbed at ``target``: its hitting times from every other
+    state.  A malformed target or a state count past the budget raises
+    before anything is built."""
     absorbing = frozenset({index_of(target, params)})
     _check_budget(params, budget, "exact solve")
-    system = build_absorbing_system(params, absorbing)
-    out = [Fraction(0)] * params.state_count
-    for state, value in zip(system.transient_states, system.hitting_time_vector()):
-        out[state] = value
-    return out
+    return build_absorbing_system(params, absorbing)
 
 
 def _pair_system(
@@ -166,7 +164,7 @@ def _pair_system(
     if start == target:
         return None
     _check_budget(params, budget, what)
-    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
+    system = target_system(params, target, budget)
     return system, system.position(index_of(start, params))
 
 

@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from urnwalk import checks, cli, exact, oracle
+from urnwalk.errors import BudgetExceededError
 from urnwalk.model import ModelParams, config_at, hamming_distance
 
 # the pairs each cell checks and their count, at a budget of 1024
@@ -27,19 +30,31 @@ class TestDistanceAgreement:
     @CELLS
     def test_wrong_solve_fails(self, cell, monkeypatch):
         params = ModelParams(*cell)
-        solve = oracle.hitting_times_to_target
+        build = oracle.target_system
 
         def off_by_one(params, target, budget):
-            times = solve(params, target, budget=budget)
-            if target == config_at(0, params):
-                # state 1 is the first start checked at distance 1 from state 0
-                assert hamming_distance(config_at(1, params), target) == 1
-                times[1] += 1
-            return times
+            system = build(params, target, budget=budget)
+            if target != config_at(0, params):
+                return system
+            # state 1 is the first start checked at distance 1 from state 0
+            assert hamming_distance(config_at(1, params), target) == 1
+            times = system.hitting_time_vector()
+            times[system.position(1)] += 1
+            return SimpleNamespace(
+                transient_states=system.transient_states, hitting_time_vector=lambda: times
+            )
 
-        monkeypatch.setattr(oracle, "hitting_times_to_target", off_by_one)
+        monkeypatch.setattr(oracle, "target_system", off_by_one)
         _, count = DISTANCE_AGREEMENT[cell]
         assert checks.distance_agreement(params, budget=1024) == (False, count)
+
+    def test_budget_refused_before_any_build(self):
+        with mock.patch.object(
+            oracle, "build_absorbing_system", wraps=oracle.build_absorbing_system
+        ) as build:
+            with pytest.raises(BudgetExceededError):
+                checks.distance_agreement(ModelParams(3, 2), budget=8)
+        build.assert_not_called()
 
 
 class TestSumIdentity:

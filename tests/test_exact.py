@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from urnwalk import checks, exact, occupancy, oracle
 from urnwalk.errors import (
+    ConfigurationError,
     DomainError,
     IdenticalConfigurationsError,
     ValidationError,
@@ -136,6 +137,11 @@ class TestGeneralHittingTime:
             exact.HittingQuery.from_configurations(params, [1, 2], (np.int64(1), 2))
         query = exact.HittingQuery.from_configurations(params, [True, 2], (1, np.uint8(3)))
         assert query == exact.HittingQuery(params=params, hamming_distance=1)
+
+    @pytest.mark.parametrize("start,target", [(5, (2, 2)), ((1, 1), None)])
+    def test_from_configurations_rejects_a_placement_that_is_no_sequence(self, start, target):
+        with pytest.raises(ConfigurationError, match="placement must be a sequence"):
+            exact.HittingQuery.from_configurations(ModelParams(3, 2), start, target)
 
     def test_collapse_to_transfer_time_on_grid(self):
         for urns in range(2, 9):

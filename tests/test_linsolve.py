@@ -320,6 +320,30 @@ class TestRefinementPath:
                 linsolve.solve_exact(rows, [i * i for i in range(70)])
         dense.assert_not_called()
 
+    @pytest.mark.parametrize(
+        "top", [2**510, 2**900, -(2**1000) + 20], ids=["2**510", "2**900", "-(2**1000)+20"]
+    )
+    def test_right_hand_side_up_to_the_bound(self, top):
+        # unscaled, CG's dot products overflow past about 2**509
+        rows = integer_rows(path_rows(20, lambda i: 3))
+        rhs = [top + i for i in range(20)]
+        solution = linsolve.solve_exact(rows, rhs)
+        assert solution == linsolve.solve_dense(rows, rhs)
+        values, residual = linsolve.solve_float(rows, rhs)
+        assert residual < 1e-12
+        assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
+
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
+    @pytest.mark.parametrize(
+        "entry", [2**1000, -(2**1000), 2**1100], ids=["2**1000", "-(2**1000)", "2**1100"]
+    )
+    def test_right_hand_side_past_the_bound_refused(self, solver, entry):
+        rows = integer_rows(path_rows(20, lambda i: 3))
+        with mock.patch.object(linsolve, "_cg_round") as cg:
+            with pytest.raises(ValueError, match=r"entries below 2\*\*1000 in absolute value"):
+                solver(rows, [1] * 19 + [entry])
+        cg.assert_not_called()
+
     def test_each_rows_certified_once(self):
         # the gate keeps the facts, or the refusal, on the rows: later
         # solves on the same rows, exact or float, certify nothing again

@@ -142,6 +142,15 @@ class TestConfigurationIO:
         with pytest.raises(ConfigurationError, match="urn index must be an integer"):
             check_configuration((entry, 2), ModelParams(urns=3, balls=2))
 
+    @pytest.mark.parametrize(
+        "config", [5, None, np.int64(3), np.array(3), 1.5, {1, 2}, {1: 1, 2: 2}]
+    )
+    def test_placement_that_is_no_sequence_rejected(self, config):
+        params = ModelParams(urns=3, balls=2)
+        for check in (check_configuration, index_of, lump_class_of):
+            with pytest.raises(ConfigurationError, match="placement must be a sequence"):
+                check(config, params)
+
     @pytest.mark.parametrize("entry", [0, 4, np.int64(4), -1])
     def test_entries_outside_the_urns_rejected(self, entry):
         with pytest.raises(ConfigurationError, match=f"urn index {int(entry)} outside 1..3"):

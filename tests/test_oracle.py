@@ -19,7 +19,7 @@ from urnwalk.errors import (
     SingularSystemError,
     ValidationError,
 )
-from urnwalk.model import ModelParams, config_at, index_of, neighbor_indices
+from urnwalk.model import ModelParams, config_at, hamming_distance, index_of, neighbor_indices
 
 from _reference import absorbing_rows, neighbors, reference_hitting_time, rows_times
 
@@ -57,6 +57,22 @@ def absorbing_cases(draw):
     return params, absorbing, goal
 
 
+SMALL_WALKS = [ModelParams(n, m) for n in range(2, 7) for m in range(1, 9) if n**m <= 256]
+
+
+@st.composite
+def target_in_a_small_walk(draw):
+    """A walk of at most 256 states and a target in it."""
+    params = draw(st.sampled_from(SMALL_WALKS))
+    return params, config_at(draw(st.integers(0, params.state_count - 1)), params)
+
+
+def target_times(params, target):
+    """``{start index: hitting time}`` over the target system's transient states."""
+    system = oracle.target_system(params, target)
+    return dict(zip(system.transient_states, system.hitting_time_vector()))
+
+
 class TestExpectedHittingTime:
     def test_five_urns_three_balls(self):
         params = ModelParams(5, 3)
@@ -90,35 +106,49 @@ class TestExpectedHittingTime:
     def test_matches_reference_solver_everywhere(self):
         params = ModelParams(2, 3)
         target = (2, 1, 2)
-        times = oracle.hitting_times_to_target(params, target)
-        for g in range(params.state_count):
-            start = config_at(g, params)
-            assert times[g] == reference_hitting_time(2, 3, start, target)
+        times = target_times(params, target)
+        assert sorted(times) == [
+            g for g in range(params.state_count) if g != index_of(target, params)
+        ]
+        for g, value in times.items():
+            assert value == reference_hitting_time(2, 3, config_at(g, params), target)
 
     def test_depends_only_on_distance(self):
         params = ModelParams(3, 3)
         for target_g in (0, 5, 13):
             target = config_at(target_g, params)
-            times = oracle.hitting_times_to_target(params, target)
             by_distance = {}
-            for g in range(params.state_count):
-                start = config_at(g, params)
-                distance = sum(1 for a, b in zip(start, target) if a != b)
-                by_distance.setdefault(distance, set()).add(times[g])
+            for g, value in target_times(params, target).items():
+                distance = hamming_distance(config_at(g, params), target)
+                by_distance.setdefault(distance, set()).add(value)
+            assert sorted(by_distance) == [1, 2, 3]
             for distance, values in by_distance.items():
                 assert len(values) == 1, f"distance {distance} gave {values}"
 
-    def test_matches_pairwise_formula(self):
-        params = ModelParams(4, 3)
-        times = oracle.hitting_times_to_target(params, (2, 2, 2))
-        for g in range(params.state_count):
-            start = config_at(g, params)
-            distance = sum(1 for a, b in zip(start, (2, 2, 2)) if a != b)
-            if distance == 0:
-                assert times[g] == 0
-            else:
-                query = exact.HittingQuery(params=params, hamming_distance=distance)
-                assert times[g] == exact.general_hitting_time(query)
+    @given(target_in_a_small_walk())
+    @example((ModelParams(4, 3), (2, 2, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pairwise_formula(self, case):
+        # every start, where the distance sweep of `verify` samples three
+        # pairs per distance
+        params, target = case
+        times = target_times(params, target)
+        assert len(times) == params.state_count - 1
+        for g, value in times.items():
+            distance = hamming_distance(config_at(g, params), target)
+            query = exact.HittingQuery(params=params, hamming_distance=distance)
+            assert value == exact.general_hitting_time(query)
+
+    @pytest.mark.parametrize("start,target", [(5, (2, 2)), ((1, 1), None)])
+    def test_placement_that_is_no_sequence_rejected(self, start, target):
+        params = ModelParams(3, 2)
+        for query in (oracle.expected_hitting_time, oracle.expected_hitting_time_float):
+            with pytest.raises(ConfigurationError, match="placement must be a sequence"):
+                query(params, start, target)
+
+    def test_target_system_rejects_a_target_that_is_no_sequence(self):
+        with pytest.raises(ConfigurationError, match="placement must be a sequence"):
+            oracle.target_system(ModelParams(3, 2), 5)
 
     def test_budget_error_carries_state_count(self):
         params = ModelParams(10, 10)

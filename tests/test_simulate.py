@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _reference import FIRST_BLOCK, MAX_BLOCK, hitting_steps, replication_stream, step
 from urnwalk import cli, exact, simulate
 from urnwalk.errors import (
+    ConfigurationError,
     DomainError,
     IdenticalConfigurationsError,
     SimulationTruncatedError,
@@ -126,6 +127,11 @@ class TestPlanValidation:
         # that returns to (1, 2)
         with pytest.raises(IdenticalConfigurationsError):
             simulate.SimulationPlan(ModelParams(3, 2), start, (1, 2), 200, 1)
+
+    @pytest.mark.parametrize("start,target", [(None, (2, 2)), ((1, 1), 7)])
+    def test_placement_that_is_no_sequence_rejected(self, start, target):
+        with pytest.raises(ConfigurationError, match="placement must be a sequence"):
+            simulate.SimulationPlan(ModelParams(3, 2), start, target, 10, 0)
 
     def test_placements_are_stored_as_int_tuples(self):
         plan = simulate.SimulationPlan(
