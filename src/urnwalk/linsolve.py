@@ -2,8 +2,10 @@
 
 :func:`solve_exact` always returns the exact rational solution of
 ``A x = b`` for an int64 matrix stated as :class:`IntegerRows` and an
-integer right-hand side.  Two strategies share one soundness argument, so
-speed never costs correctness:
+integer right-hand side, as a :class:`RationalVector`: one common
+denominator and the integer numerators over it, a read-only sequence that
+makes an entry's reduced Fraction only when the entry is read.  Two
+strategies share one soundness argument, so speed never costs correctness:
 
 1. numeric-symbolic iterative refinement, for every system past the dense
    limit: conjugate gradient (CG) in floating point approximates
@@ -121,18 +123,48 @@ class IntegerRows(Sequence):
         return dict(zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist()))
 
 
-def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of the square integer system ``rows @ x == rhs``.
+class RationalVector(Sequence):
+    """A rational vector as integer ``numerators`` over one positive ``denominator``.
 
-    Up to the dense limit by :func:`solve_dense`; past it by refinement
-    alone.  There ValueError comes from the certificate gate, for a matrix
-    it refuses or a right-hand side entry at or past ``2**1000``, or from a
-    refinement that stalls; :func:`solve_dense` solves each exactly, at
-    cubic cost.
+    Read-only.  Indexing entry ``i`` makes its reduced Fraction
+    ``numerators[i] / denominator`` (negative indices count from the end,
+    IndexError past it); iteration makes each entry once, in order.  A
+    caller that reads a few entries of a large solution makes only those.
+    """
+
+    __slots__ = ("denominator", "numerators")
+
+    def __init__(self, denominator: int, numerators: Sequence[int]) -> None:
+        self.denominator = denominator
+        self.numerators = tuple(numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.numerators[i], self.denominator)
+
+    def __iter__(self):
+        den = self.denominator
+        return (Fraction(n, den) for n in self.numerators)
+
+
+def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> RationalVector:
+    """Exact solution of the square integer system ``rows @ x == rhs``, as
+    one common denominator and its numerators (:class:`RationalVector`).
+
+    Up to the dense limit by :func:`solve_dense`, whose entries are put
+    over the lcm of their denominators; past it by refinement alone, which
+    ends with one denominator.  There ValueError comes from the certificate
+    gate, for a matrix it refuses or a right-hand side entry at or past
+    ``2**1000``, or from a refinement that stalls; :func:`solve_dense`
+    solves each exactly, at cubic cost.
     """
     if len(rows) <= DENSE_FRACTION_LIMIT:
         _check_integer_system(rows, rhs, "solve_exact")
-        return solve_dense(rows, rhs)
+        solution = solve_dense(rows, rhs)
+        den = math.lcm(*(x.denominator for x in solution))
+        return RationalVector(den, [x.numerator * (den // x.denominator) for x in solution])
     refined = _solve_refined(_certified(rows, rhs, "solve_exact"), np.array(rhs, dtype=object))
     if refined is None:
         raise ValueError("solve_exact: refinement stalled; solve_dense solves the system exactly")
@@ -315,14 +347,15 @@ def _exact_product(facts: _MatrixFacts, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(products, matrix.indptr[:-1])
 
 
-def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> list[Fraction] | None:
+def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> RationalVector | None:
     """Iterative refinement on a symmetric positive definite integer system.
 
     Keeps ``A N == D b - r`` exactly, with ``D = 2**K``.  Each round solves
     ``A z ~ r`` by CG, picks ``k`` from the accuracy CG reached, and moves
     ``N, D, r`` to ``2**k N + x, 2**k D, 2**k r - A x`` for ``x = round(2**k z)``.
     A candidate ``n / d`` is accepted only through the exact gate
-    ``A n == d b``.  None when CG stops reducing the residual or
+    ``A n == d b``, and returned as it stands: ``d`` with the numerators
+    ``n``.  None when CG stops reducing the residual or
     reconstruction never verifies before the Hadamard bound.
     """
     residual = rhs
@@ -346,7 +379,7 @@ def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> list[Fraction] | Non
         if candidate is not None:
             den, nums = candidate
             if (_exact_product(facts, nums) == den * rhs).all():
-                return [Fraction(n, den) for n in nums]
+                return RationalVector(den, nums.tolist())
         if norm == 0:
             return None
 

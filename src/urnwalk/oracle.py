@@ -87,12 +87,12 @@ class AbsorbingSystem:
             raise ValueError(f"state {state} is not transient")
         return i
 
-    def hitting_time_vector(self) -> list[Fraction]:
+    def hitting_time_vector(self) -> linsolve.RationalVector:
         """Expected steps to absorption from each transient state."""
         rhs = [self.params.degree] * len(self.transient_states)
         return linsolve.solve_exact(self.rows, rhs)
 
-    def absorption_probability_vector(self, goal: frozenset[int]) -> list[Fraction]:
+    def absorption_probability_vector(self, goal: frozenset[int]) -> linsolve.RationalVector:
         """Probability of being absorbed inside ``goal`` from each transient state."""
         rhs = [sum(1 for s in edges if s in goal) for edges in self.absorbing_edges]
         return linsolve.solve_exact(self.rows, rhs)
@@ -252,9 +252,10 @@ def _fiber_hitting_vector(urns: int, balls: int) -> TargetFiber:
     probabilities = system.absorption_probability_vector(frozenset({target}))
     start = system.position(index_of(all_in_urn(params, SOURCE_URN), params))
     # each move out of the fiber is a transient state's absorbing edge
-    # reversed, so every row's time counts once per absorbing edge
+    # reversed, so every row's time counts once per absorbing edge; only
+    # the rows with one are read
     edges = system.absorbing_edges
-    out = sum((t * len(e) for t, e in zip(times, edges) if e), Fraction(0))
+    out = sum((times[i] * len(e) for i, e in enumerate(edges) if e), Fraction(0))
     return TargetFiber(
         first_visit_probability=probabilities[start],
         time_to_fiber=times[start],

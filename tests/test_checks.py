@@ -38,7 +38,7 @@ class TestDistanceAgreement:
                 return system
             # state 1 is the first start checked at distance 1 from state 0
             assert hamming_distance(config_at(1, params), target) == 1
-            times = system.hitting_time_vector()
+            times = list(system.hitting_time_vector())
             times[system.position(1)] += 1
             return SimpleNamespace(
                 transient_states=system.transient_states, hitting_time_vector=lambda: times

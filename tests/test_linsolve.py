@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -141,7 +142,7 @@ class TestIntegerRowsInput:
         for array in (matrix.indptr, matrix.indices, matrix.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2
-        assert rows_times(rows, linsolve.solve_exact(matrix, [1] * 20)) == [1] * 20
+        assert rows_times(rows, list(linsolve.solve_exact(matrix, [1] * 20))) == [1] * 20
 
 
 class TestDenseFractionPath:
@@ -165,7 +166,7 @@ class TestDenseFractionPath:
 
     def test_empty_system(self):
         assert linsolve.solve_dense([], []) == []
-        assert linsolve.solve_exact(integer_rows([]), []) == []
+        assert list(linsolve.solve_exact(integer_rows([]), [])) == []
 
     def test_size_mismatch_rejected(self):
         # an extra right-hand-side entry is an error, not silently dropped
@@ -244,9 +245,9 @@ class TestWalkSystem:
         target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
         rhs = [params.degree] * len(system.transient_states)
-        assert linsolve.solve_dense(
-            system.rows, rhs
-        ) == linsolve.solve_exact(system.rows, rhs)
+        assert linsolve.solve_dense(system.rows, rhs) == list(
+            linsolve.solve_exact(system.rows, rhs)
+        )
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_rational_rhs_is_rejected(self, solver):
@@ -305,8 +306,8 @@ class TestRefinementPath:
         rows, rhs = system
         facts = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
         refined = linsolve._solve_refined(facts, np.array(rhs, dtype=object))
-        assert rows_times(rows, refined) == rhs
-        assert linsolve.solve_exact(integer_rows(rows), rhs) == refined
+        assert rows_times(rows, list(refined)) == rhs
+        assert list(linsolve.solve_exact(integer_rows(rows), rhs)) == list(refined)
 
     def test_stall_raises_instead_of_eliminating(self, monkeypatch):
         # a CG round that corrects nothing and claims no accuracy leaves no
@@ -328,7 +329,7 @@ class TestRefinementPath:
         rows = integer_rows(path_rows(20, lambda i: 3))
         rhs = [top + i for i in range(20)]
         solution = linsolve.solve_exact(rows, rhs)
-        assert solution == linsolve.solve_dense(rows, rhs)
+        assert list(solution) == linsolve.solve_dense(rows, rhs)
         values, residual = linsolve.solve_float(rows, rhs)
         assert residual < 1e-12
         assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
@@ -424,3 +425,54 @@ class TestDenseFallback:
         solution = linsolve.solve_dense(integer_rows(rows), rhs)
         assert min(x.denominator for x in solution).bit_length() > 400
         assert rows_times(rows, solution) == rhs
+
+
+VECTOR_SYSTEMS = {
+    # entries 1/2, 1/3, 1/4, 0, 2/3 and 2/7 over the common denominator 84
+    "dense": ([{i: i + 2} for i in range(6)], [1, 1, 1, 0, 4, 2]),
+    # past the dense limit; some entries reduce to an eighth of the common
+    # denominator 267914296
+    "refined": (path_rows(20, lambda i: 3), [i * i for i in range(20)]),
+}
+
+
+class TestRationalVector:
+    """``solve_exact``'s one denominator and its numerators, on both paths."""
+
+    @pytest.fixture(params=sorted(VECTOR_SYSTEMS))
+    def solved(self, request):
+        rows, rhs = VECTOR_SYSTEMS[request.param]
+        return linsolve.solve_exact(integer_rows(rows), rhs), linsolve.solve_dense(rows, rhs)
+
+    def test_entries_are_solve_dense_reduced(self, solved):
+        vector, dense = solved
+        assert isinstance(vector, linsolve.RationalVector)
+        entries = [vector[i] for i in range(len(dense))]
+        assert entries == dense
+        for x in entries:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+        # one denominator is held for all; some entries reduce below it
+        assert all(vector.denominator % x.denominator == 0 for x in entries)
+        assert {x.denominator for x in entries} != {vector.denominator}
+
+    def test_length_and_indices(self, solved):
+        vector, dense = solved
+        size = len(dense)
+        assert len(vector) == size
+        assert vector[-1] == dense[-1]
+        assert vector[-size] == dense[0]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                vector[i]
+
+    def test_iteration_makes_the_indexed_entries(self, solved):
+        vector, dense = solved
+        entries = list(vector)
+        assert entries == [vector[i] for i in range(len(vector))] == dense
+        assert all(math.gcd(x.numerator, x.denominator) == 1 for x in entries)
+
+    def test_read_only(self, solved):
+        vector, _ = solved
+        with pytest.raises(TypeError):
+            vector[0] = Fraction(0)

@@ -173,6 +173,29 @@ class TestRefinedSolves:
         value = oracle.expected_hitting_time(params, (1,) * 12, (2,) * 12)
         assert value == exact.full_transfer_time(params)
 
+    @pytest.mark.parametrize("urns,balls", [(3, 5), (4, 4)])
+    def test_pair_query_reads_one_entry(self, urns, balls, monkeypatch):
+        # the solution holds numerators over one denominator; a pair query
+        # makes the Fraction of its start's row and of no other
+        reads = []
+        getitem = linsolve.RationalVector.__getitem__
+
+        def spy(vector, i):
+            reads.append(i)
+            return getitem(vector, i)
+
+        def no_iteration(vector):
+            raise AssertionError("the pair query iterated the solution")
+
+        monkeypatch.setattr(linsolve.RationalVector, "__getitem__", spy)
+        monkeypatch.setattr(linsolve.RationalVector, "__iter__", no_iteration)
+        params = ModelParams(urns, balls)
+        assert params.state_count - 1 > linsolve.DENSE_FRACTION_LIMIT
+        start, target = (1,) * balls, (2,) * balls
+        value = oracle.expected_hitting_time(params, start, target)
+        assert value == exact.full_transfer_time(params)
+        assert len(reads) == 1
+
     @pytest.mark.parametrize("seed", [3, 11])
     def test_absorbing_sets_satisfy_every_row(self, seed):
         rng = random.Random(seed)
