@@ -4,26 +4,28 @@
 ``A x = b`` for an int64 matrix stated as :class:`IntegerRows` and an
 integer right-hand side, as a :class:`RationalVector`: one common
 denominator and the integer numerators over it, a read-only sequence that
-makes an entry's reduced Fraction only when the entry is read.  Two
-strategies share one soundness argument, so speed never costs correctness:
+makes an entry's reduced Fraction only when the entry is read.  There
+is one solver per kind of system:
 
-1. numeric-symbolic iterative refinement, for every system past the dense
-   limit: conjugate gradient (CG) in floating point approximates
-   ``A^-1 r``, the correction is scaled by ``2**k`` and rounded to
-   integers, and the residual is updated exactly, so every round adds
-   about ``k`` correct bits to a dyadic approximation ``N / D`` of the
-   solution.  Continued fractions then recover one common denominator
-   (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011);
-2. dense rational Gaussian elimination, :func:`solve_dense`, for tiny
-   systems and rational ones.  It takes any ``{column: value}`` rows,
-   rational ones too, such as the non-symmetric lumped first-visit system.
+1. numeric-symbolic iterative refinement, :func:`solve_exact`, for every
+   integer system, whatever its size: conjugate gradient (CG) in floating
+   point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
+   rounded to integers, and the residual is updated exactly, so every
+   round adds about ``k`` correct bits to a dyadic approximation
+   ``N / D`` of the solution.  Continued fractions then recover one common
+   denominator (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse,
+   ISSAC 2011);
+2. dense rational Gaussian elimination, :func:`solve_dense`, for rational
+   systems.  It takes any ``{column: value}`` rows, such as the
+   non-symmetric lumped first-visit system, at cubic cost.
 
-Past the dense limit refinement and :func:`solve_float`, its first CG
-round alone, pass one certificate gate: the matrix must be certified
-symmetric positive definite (symmetry, row sums, and a search from the
-strict rows by sparse products), as the oracle's ``degree * I - A`` always
-is, with row sums below ``2**62``, and every right-hand side entry must
-lie below ``2**1000`` in absolute value; else they raise ValueError.  CG
+Refinement and :func:`solve_float`, its first CG round alone, pass one
+certificate gate: the matrix must be certified symmetric positive definite
+(symmetry, row sums, and a search from the strict rows by sparse
+products), as the oracle's ``degree * I - A`` always is, with row sums
+below ``2**62``, and every right-hand side entry must lie below
+``2**1000`` in absolute value; else they raise ValueError.  A system of
+no unknowns needs no gate, and solves to an empty vector.  CG
 runs on the residual scaled by a power of two, so its float arithmetic
 stays in range up to that bound.  The gate works out the matrix's facts
 (the certificate, the float copy CG reads, the largest absolute row sum
@@ -35,7 +37,7 @@ ValueError too; nothing falls back to elimination.
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
 candidate is the unique solution.  Elimination is exact by construction and
-the one route that reports a singular system.  Both are deterministic:
+the one solver that reports a singular system.  Both are deterministic:
 pivots are the first nonzero choice, and CG runs the same floating-point
 operations on the same input.
 """
@@ -51,21 +53,17 @@ import numpy as np
 
 from .errors import SingularSystemError
 
-# Dense Fraction elimination is cubic in rational operations.  With scipy
-# already loaded it is faster than refinement only below about 7 unknowns
-# (0.16 against 0.50 ms at 4, even at 7); at 15 it takes 6-7.5 ms against
-# refinement's 0.5-1.2 ms, and 0.5 s at 63 against 2 ms (2-core Xeon VM,
-# 2.1 GHz).  What the limit buys is a one-shot tiny query that never
-# imports scipy: `urnwalk oracle --urns 3 --balls 2` takes 0.2-0.35 s in a
-# fresh process, 0.4-0.67 s once scipy.sparse.linalg is imported.
-DENSE_FRACTION_LIMIT = 16
+# No solver reads this any more: refinement solves every integer system.
+# The benchmark tracer (bench/tracing.py) labels a solve of at most this
+# many unknowns as dense, so it counts none.
+DENSE_FRACTION_LIMIT = 0
 # No solver reads this any more; the benchmark tracer (bench/tracing.py)
 # still uses its largest value to label solves with large denominators.
 SNAP_DENOMINATOR_BOUNDS = (1_000, 1_000_000)
 _CG_RTOL = 1e-14
-# Right-hand sides past the dense limit, and the residuals refinement
-# carries, stay below 2**_FLOAT_BITS in absolute value, so that their float
-# copies and CG's solutions on them stay finite.
+# Right-hand sides, and the residuals refinement carries, stay below
+# 2**_FLOAT_BITS in absolute value, so that their float copies and CG's
+# solutions on them stay finite.
 _FLOAT_BITS = 1000
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
@@ -73,7 +71,7 @@ _REFINE_SPARE_BITS = 64
 
 
 class _MatrixFacts(NamedTuple):
-    """What the solvers past the dense limit read of a certified matrix."""
+    """What the integer solvers read of a certified matrix."""
 
     matrix: Any  # the scipy CSR matrix over the rows' arrays
     approximate: Any  # its float64 copy, which CG reads
@@ -88,10 +86,11 @@ class IntegerRows(Sequence):
     each row's columns ascending.  Construction checks their types and
     shapes (TypeError for a wrong type or dtype, ValueError for a wrong
     shape) and makes them read-only.  Indexing builds one row's mapping of
-    Python ints, for readers and the dense path; the solvers past the dense
-    limit read the arrays.  Their gate keeps in ``_facts`` what it worked
-    out on the first solve: None before it, then the matrix's facts, or
-    False for a refusal; both stay true because the arrays cannot change.
+    Python ints, for readers; the integer solvers, :func:`solve_exact` and
+    :func:`solve_float`, read the arrays.  Their gate keeps in ``_facts``
+    what it worked out on the first solve: None before it, then the
+    matrix's facts, or False for a refusal; both stay true because the
+    arrays cannot change.
     """
 
     __slots__ = ("indptr", "indices", "data", "_facts")
@@ -153,19 +152,16 @@ def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> RationalVector:
     """Exact solution of the square integer system ``rows @ x == rhs``, as
     one common denominator and its numerators (:class:`RationalVector`).
 
-    Up to the dense limit by :func:`solve_dense`, whose entries are put
-    over the lcm of their denominators; past it by refinement alone, which
-    ends with one denominator.  There ValueError comes from the certificate
-    gate, for a matrix it refuses or a right-hand side entry at or past
-    ``2**1000``, or from a refinement that stalls; :func:`solve_dense`
-    solves each exactly, at cubic cost.
+    Refinement solves it at every size and ends with one denominator; a
+    system of no unknowns solves to an empty vector.  ValueError comes
+    from the certificate gate, for a matrix it refuses or a right-hand side
+    entry at or past ``2**1000``, or from a refinement that stalls;
+    :func:`solve_dense` solves each exactly, at cubic cost.
     """
-    if len(rows) <= DENSE_FRACTION_LIMIT:
-        _check_integer_system(rows, rhs, "solve_exact")
-        solution = solve_dense(rows, rhs)
-        den = math.lcm(*(x.denominator for x in solution))
-        return RationalVector(den, [x.numerator * (den // x.denominator) for x in solution])
-    refined = _solve_refined(_certified(rows, rhs, "solve_exact"), np.array(rhs, dtype=object))
+    facts = _certified(rows, rhs, "solve_exact")
+    if facts is None:
+        return RationalVector(1, ())
+    refined = _solve_refined(facts, np.array(rhs, dtype=object))
     if refined is None:
         raise ValueError("solve_exact: refinement stalled; solve_dense solves the system exactly")
     return refined
@@ -175,10 +171,15 @@ def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, floa
     """The first CG round of :func:`solve_exact`'s refinement, as (solution,
     relative residual); ValueError for a matrix its certificate refuses."""
     facts = _certified(rows, rhs, "solve_float")
+    if facts is None:
+        return np.zeros(0), 0.0
     return _cg_round(facts.approximate, np.array(rhs, dtype=object))
 
 
-def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) -> None:
+def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str) -> _MatrixFacts | None:
+    """The certificate gate: the facts of the rows' matrix, worked out on the
+    rows' first gate and kept on them, ValueError when it was refused, or
+    None for a system of no unknowns, which needs none."""
     if not isinstance(rows, IntegerRows):
         raise TypeError(f"{solver} takes IntegerRows; solve_dense takes other rows")
     if len(rows) != len(rhs):
@@ -187,12 +188,8 @@ def _check_integer_system(rows: IntegerRows, rhs: Sequence[int], solver: str) ->
         raise TypeError(
             f"{solver} takes an integer right-hand side; solve_dense takes a rational one"
         )
-
-
-def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str) -> _MatrixFacts:
-    """The certificate gate: the facts of the rows' matrix, worked out on the
-    rows' first gate and kept on them, or ValueError when it was refused."""
-    _check_integer_system(rows, rhs, solver)
+    if len(rows) == 0:
+        return None
     if max(map(abs, rhs)).bit_length() > _FLOAT_BITS:
         raise ValueError(
             f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
@@ -263,8 +260,8 @@ def solve_dense(
     """Exact solution of the square system ``rows @ x == rhs`` by dense elimination.
 
     Rows are ``{column: value}`` mappings with integer or rational entries.
-    The cost is cubic in rational operations, so past a few dozen unknowns
-    :func:`solve_exact` is the solver for an integer system.  Raises
+    The cost is cubic in rational operations; :func:`solve_exact` is the
+    solver for an integer system, at every size.  Raises
     SingularSystemError when a column has no pivot.
     """
     size = len(rows)

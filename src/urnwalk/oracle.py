@@ -62,7 +62,7 @@ class AbsorbingSystem:
     ``rows`` hold ``degree * I - A`` over the transient states in ascending
     index order, ``A`` their 0/1 adjacency: ``degree`` on the diagonal and
     -1 at each transient neighbour.  They are int64 CSR arrays, which the
-    solvers past the dense limit read as they are; ``rows[i]`` reads row
+    integer solvers read as they are, at every size; ``rows[i]`` reads row
     ``i`` as a ``{column: value}`` mapping.  The matrix is ``degree`` times
     ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand sides
     count moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
@@ -268,11 +268,11 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
 
     Entry m-1 is the probability that a walk whose state lies in class m
     makes its next visit to the target fiber at the all-in-urn-2 point.
-    Solved by dense elimination over the rational rows of the lumped
-    kernel: the 2k-2 off-fiber classes form the unknowns, and the two fiber
-    classes follow by one-step conditioning.  The identities these values
-    obey are asserted by :func:`urnwalk.checks.first_visit_triple_agreement`,
-    not here.
+    Solved by dense elimination, the solver of rational systems, over the
+    non-symmetric rows of the lumped kernel: the 2k-2 off-fiber classes
+    form the unknowns, and the two fiber classes follow by one-step
+    conditioning.  The identities these values obey are asserted by
+    :func:`urnwalk.checks.first_visit_triple_agreement`, not here.
     """
     if params.balls < 2:
         raise DomainError("lumped first-visit analysis needs at least 2 balls")

@@ -51,11 +51,10 @@ def integer_solves(monkeypatch):
 
 
 def assert_no_refinement_stalled(sizes):
-    """Refinement solved every integer system past the dense limit, and
-    ``solve_dense`` received none of them."""
-    limit = linsolve.DENSE_FRACTION_LIMIT
-    assert any(size > limit for size in sizes["solve_exact"])
-    assert [size for size in sizes["solve_dense"] if size > limit] == []
+    """Refinement solved every integer system, and ``solve_dense`` received
+    none of them."""
+    assert sizes["solve_exact"]
+    assert sizes["solve_dense"] == []
 
 
 def four_route_values(params):

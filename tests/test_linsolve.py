@@ -117,8 +117,8 @@ class TestIntegerRowsInput:
     and keeps them read-only."""
 
     def test_float_data_rejected(self):
-        # a 20-unknown path with 2.5 on the diagonal, past the dense limit,
-        # where the solvers read the arrays as integers
+        # a 20-unknown path with 2.5 on the diagonal; the integer solvers
+        # read the arrays as integers
         arrays = path_arrays(20)
         arrays["data"] = np.where(arrays["data"] == 3, 2.5, -1.0)
         with pytest.raises(TypeError, match="data must be an int64 ndarray"):
@@ -186,15 +186,15 @@ class TestDenseFractionPath:
 def sparse_dominant_system(draw, min_size, max_size, symmetric):
     """Sparse, diagonally dominant integer rows and an integer right-hand side.
 
-    Past the dense limit, so ``solve_exact`` refines a symmetric system and
-    refuses a non-symmetric one, which ``solve_dense`` solves.  Dominance
-    makes the solution unique, so a solve is checked by its exact residual.
+    ``solve_exact`` refines a symmetric system and refuses a non-symmetric
+    one, which ``solve_dense`` solves.  Dominance makes the solution
+    unique, so a solve is checked by its exact residual.
     """
     size = draw(st.integers(min_size, max_size))
     rng = draw(st.randoms(use_true_random=False))
     rows = [dict() for _ in range(size)]
     for i in range(size):
-        for j in rng.sample(range(size), rng.randint(0, 4)):
+        for j in rng.sample(range(size), rng.randint(0, min(4, size))):
             if j != i:
                 rows[i][j] = rng.choice([-1, 1]) * rng.randint(1, 9)
                 if symmetric:
@@ -208,14 +208,13 @@ def sparse_dominant_system(draw, min_size, max_size, symmetric):
 
 
 def refused(rows, rhs):
-    """Assert that ``solve_exact`` refuses the system past the dense limit."""
-    assert len(rows) > linsolve.DENSE_FRACTION_LIMIT
+    """Assert that ``solve_exact``'s certificate gate refuses the system."""
     with pytest.raises(ValueError, match="solve_exact needs a certified"):
         linsolve.solve_exact(integer_rows(rows), rhs)
 
 
 class TestNonSymmetricPastDenseLimit:
-    """``solve_exact`` refuses non-symmetric systems past the dense limit;
+    """``solve_exact`` refuses non-symmetric systems, tiny ones too;
     ``solve_dense`` solves them, and reports singular ones."""
 
     @given(sparse_dominant_system(17, 40, symmetric=False))
@@ -226,12 +225,26 @@ class TestNonSymmetricPastDenseLimit:
         assert rows_times(rows, linsolve.solve_dense(integer_rows(rows), rhs)) == rhs
 
     def test_singular_detected(self):
-        size = 20  # past the dense limit; the last row repeats the first
+        size = 20  # the last row repeats the first
         rows = [{i: 3, (i + 1) % size: -1} for i in range(size)]
         rows[-1] = dict(rows[0])
         refused(rows, [1] * size)
         with pytest.raises(SingularSystemError):
             linsolve.solve_dense(integer_rows(rows), [1] * size)
+
+    def test_two_unknowns_refused(self):
+        # strictly dominant, so uniquely solvable, but not symmetric
+        rows = [{0: 3, 1: -1}, {0: -2, 1: 3}]
+        refused(rows, [1, 2])
+        assert linsolve.solve_dense(integer_rows(rows), [1, 2]) == [Fraction(5, 7), Fraction(8, 7)]
+
+    def test_two_unknown_singular_system_refused(self):
+        # symmetric, but no row is strictly dominant: the gate refuses it
+        # before any solve, and elimination reports it singular
+        rows = [{0: 1, 1: -1}, {0: -1, 1: 1}]
+        refused(rows, [1, -1])
+        with pytest.raises(SingularSystemError):
+            linsolve.solve_dense(integer_rows(rows), [1, -1])
 
 
 class TestWalkSystem:
@@ -256,30 +269,45 @@ class TestWalkSystem:
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
-        params = ModelParams(3, 4)  # 80 unknowns, past the dense limit
+        params = ModelParams(3, 4)  # 80 unknowns
         target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
         size = len(system.rows)
-        assert size > linsolve.DENSE_FRACTION_LIMIT
         for rhs in ([Fraction(1, 3)] * size, [1] * (size - 1) + [Fraction(1, 3)]):
             with pytest.raises(TypeError, match="solve_dense"):
                 solver(system.rows, rhs)
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_dict_rows_are_rejected(self, solver):
-        for size in (2, 20):  # up to and past the dense limit
+        for size in (2, 20):
             rows = [{i: 3} for i in range(size)]
             with pytest.raises(TypeError, match="solve_dense"):
                 solver(rows, [1] * size)
             assert linsolve.solve_dense(rows, [1] * size) == [Fraction(1, 3)] * size
 
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
+    def test_all_absorbing_system_has_no_unknowns(self, solver):
+        # every state of the 2-urn, 1-ball walk absorbed: no unknowns, and
+        # an empty solution from each integer solver
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams
+
+        system = oracle.build_absorbing_system(ModelParams(2, 1), frozenset({0, 1}))
+        assert len(system.rows) == 0
+        solved = solver(system.rows, [])
+        if solver is linsolve.solve_float:
+            values, residual = solved
+            assert values.shape == (0,) and residual == 0.0
+        else:
+            assert isinstance(solved, linsolve.RationalVector) and list(solved) == []
+
 
 class TestBandedSystemAndFloatSolve:
-    """``solve_float``, and a banded non-symmetric system past the dense
-    limit, which ``solve_exact`` refuses and ``solve_dense`` solves."""
+    """``solve_float``, and a banded non-symmetric system, which
+    ``solve_exact`` refuses and ``solve_dense`` solves."""
 
     def test_banded_system_recovers_exact_solution(self):
-        size = 120  # beyond the dense-fraction limit
+        size = 120
         rows = []
         for i in range(size):
             row = {i: 10}
@@ -300,6 +328,16 @@ class TestBandedSystemAndFloatSolve:
 
 
 class TestRefinementPath:
+    @given(sparse_dominant_system(1, 16, symmetric=True))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_systems_match_elimination(self, system):
+        # refinement solves every integer system, from one unknown up, to
+        # elimination's exact solution
+        rows, rhs = system
+        assert list(linsolve.solve_exact(integer_rows(rows), rhs)) == linsolve.solve_dense(
+            rows, rhs
+        )
+
     @given(sparse_dominant_system(65, 200, symmetric=True))
     @settings(max_examples=12, deadline=None)
     def test_recovers_known_solution(self, system):
@@ -374,7 +412,7 @@ class TestRefinementPath:
     def test_block_without_a_strict_row_is_not_certified(self):
         # The search from the strict rows never reaches the second block.
         # The system is singular, so it must not be refined.
-        rows = two_block_rows(10)  # 20 unknowns, past the dense limit
+        rows = two_block_rows(10)  # 20 unknowns
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
         refused(rows, rhs)
         with pytest.raises(SingularSystemError):
@@ -396,7 +434,6 @@ class TestRefinementPath:
         # CG would return one of many solutions of the singular symmetric
         # systems, with a tiny residual; the one certificate gate refuses
         # them first, for both integer solvers
-        assert len(rows) > linsolve.DENSE_FRACTION_LIMIT
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
         with pytest.raises(ValueError, match=f"{solver.__name__} needs a certified") as raised:
             solver(integer_rows(rows), rhs)
@@ -404,7 +441,7 @@ class TestRefinementPath:
 
 
 class TestDenseFallback:
-    """``solve_dense`` on a system that ``solve_exact`` refuses past the dense limit."""
+    """``solve_dense`` on a system that ``solve_exact`` refuses."""
 
     def test_nonsymmetric_system_with_large_denominators(self):
         # Its solution has denominators above 400 bits.  solve_exact refuses
@@ -428,16 +465,18 @@ class TestDenseFallback:
 
 
 VECTOR_SYSTEMS = {
-    # entries 1/2, 1/3, 1/4, 0, 2/3 and 2/7 over the common denominator 84
-    "dense": ([{i: i + 2} for i in range(6)], [1, 1, 1, 0, 4, 2]),
-    # past the dense limit; some entries reduce to an eighth of the common
+    # 6 unknowns, every entry of 7 * I - J nonzero: x = (b + 14) / 7, entries
+    # 2, 15/7, 16/7, 17/7, 18/7 and 18/7 over the common denominator 7
+    "dense": ([{j: 7 * (i == j) - 1 for j in range(6)} for i in range(6)], [0, 1, 2, 3, 4, 4]),
+    # a sparse path; some entries reduce to an eighth of the common
     # denominator 267914296
     "refined": (path_rows(20, lambda i: 3), [i * i for i in range(20)]),
 }
 
 
 class TestRationalVector:
-    """``solve_exact``'s one denominator and its numerators, on both paths."""
+    """``solve_exact``'s one denominator and its numerators, on a tiny dense
+    matrix and a sparse one."""
 
     @pytest.fixture(params=sorted(VECTOR_SYSTEMS))
     def solved(self, request):

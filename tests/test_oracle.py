@@ -190,7 +190,6 @@ class TestRefinedSolves:
         monkeypatch.setattr(linsolve.RationalVector, "__getitem__", spy)
         monkeypatch.setattr(linsolve.RationalVector, "__iter__", no_iteration)
         params = ModelParams(urns, balls)
-        assert params.state_count - 1 > linsolve.DENSE_FRACTION_LIMIT
         start, target = (1,) * balls, (2,) * balls
         value = oracle.expected_hitting_time(params, start, target)
         assert value == exact.full_transfer_time(params)
@@ -327,8 +326,8 @@ class TestFiberQuantities:
         assert built == cells
 
     def test_fiber_system_certified_once(self, monkeypatch):
-        # the hitting and absorption solves read one system, 78 unknowns past
-        # the dense limit, whose rows keep the certificate of the first
+        # the hitting and absorption solves read one system, 78 unknowns,
+        # whose rows keep the certificate of the first
         params = ModelParams(3, 4)
         calls = []
         is_certified = linsolve._is_certified
@@ -370,8 +369,8 @@ class TestLumpedFirstVisitProbs:
             oracle.lumped_first_visit_probs(ModelParams(3, 1))
 
     def test_twelve_balls_take_the_dense_fallback(self, monkeypatch):
-        # 22 rational, non-symmetric unknowns: past the dense limit, but not
-        # refinable, so they go straight to dense elimination
+        # 22 rational, non-symmetric unknowns: not refinable, so they go
+        # to dense elimination, the solver of rational systems
         sizes = []
         dense = linsolve.solve_dense
 
@@ -481,13 +480,12 @@ class TestIntegerRows:
             system.rows[3]
 
     def test_small_solve_loads_no_scipy(self):
-        # up to the dense limit no solve needs scipy, and none imports it;
-        # nor does the lumped first-visit system, however many unknowns
+        # the lumped first-visit system is solved by elimination alone, so
+        # it imports no scipy, however many unknowns it has
         code = (
             "import sys\n"
             "from urnwalk import oracle\n"
             "from urnwalk.model import ModelParams\n"
-            "print(oracle.expected_hitting_time(ModelParams(2, 3), (1, 1, 1), (2, 2, 2)))\n"
             "print(oracle.lumped_first_visit_probs(ModelParams(5, 12))[0])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
@@ -496,7 +494,6 @@ class TestIntegerRows:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        value, first_visit, loaded = out.stdout.splitlines()
-        assert Fraction(value) == exact.full_transfer_time(ModelParams(2, 3))
+        first_visit, loaded = out.stdout.splitlines()
         assert Fraction(first_visit) == exact.first_visit_probability(ModelParams(5, 12))
         assert loaded == "[]"
