@@ -2,10 +2,10 @@
 
 :func:`solve_exact` always returns the exact rational solution of
 ``A x = b`` for an int64 matrix stated as :class:`IntegerRows` and an
-integer right-hand side, as a :class:`RationalVector`: one common
-denominator and the integer numerators over it, a read-only sequence that
-makes an entry's reduced Fraction only when the entry is read.  There
-is one solver per kind of system:
+integer right-hand side, as a :class:`RationalVector`: the least common
+denominator of its entries and the integer numerators over it, a read-only
+sequence that makes an entry's reduced Fraction only when the entry is
+read.  There is one solver per kind of system:
 
 1. numeric-symbolic iterative refinement, :func:`solve_exact`, for every
    integer system, whatever its size: conjugate gradient (CG) in floating
@@ -25,26 +25,28 @@ certificate gate: the matrix must be certified symmetric positive definite
 products), as the oracle's ``degree * I - A`` always is, with row sums
 below ``2**62``, and every right-hand side entry must lie below
 ``2**1000`` in absolute value; else they raise ValueError.  A system of
-no unknowns needs no gate, and solves to an empty vector.  CG
-runs on the residual scaled by a power of two, so its float arithmetic
-stays in range up to that bound.  The gate works out the matrix's facts
-(the certificate, the float copy CG reads, the largest absolute row sum
-and the Hadamard bound) on the first solve and keeps them, or the
-refusal, on the :class:`IntegerRows`, whose arrays are read-only: every
-later solve on the same rows reads them.  A refinement that stalls raises
-ValueError too; nothing falls back to elimination.
+no unknowns needs no gate, and solves to an empty vector.  CG runs on the
+residual scaled by a power of two, so its float arithmetic stays in range
+up to that bound.  The gate works out the matrix's facts (the
+certificate, the float copy CG reads, the largest absolute row sum and
+the Hadamard bound) on the first solve and keeps them, or the refusal, on
+the :class:`IntegerRows`, whose arrays are read-only: every later solve
+on the same rows reads them.  A refinement that stalls raises ValueError
+too, naming the bound that stopped it; nothing falls back to elimination.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
-candidate is the unique solution.  Elimination is exact by construction and
-the one solver that reports a singular system.  Both are deterministic:
-pivots are the first nonzero choice, and CG runs the same floating-point
-operations on the same input.
+candidate is the unique solution; a dyadic ``N / D`` whose exactly updated
+residual reaches 0 satisfies that check by construction.  Elimination is
+exact by construction and the one solver that reports a singular system.
+Both are deterministic: pivots are the first nonzero choice, and CG runs
+the same floating-point operations on the same input.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from typing import Any, Literal, NamedTuple
@@ -68,6 +70,8 @@ _FLOAT_BITS = 1000
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
 _REFINE_SPARE_BITS = 64
+# every refinement that stops without a verified solution names its reason
+_STALLED = "solve_exact: refinement stalled; solve_dense solves the system exactly ({})"
 
 
 class _MatrixFacts(NamedTuple):
@@ -117,7 +121,7 @@ class IntegerRows(Sequence):
         return len(self.indptr) - 1
 
     def __getitem__(self, i: int) -> dict[int, int]:
-        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        i = range(len(self))[operator.index(i)]  # negative from the end; IndexError past it
         start, stop = self.indptr[i : i + 2].tolist()
         return dict(zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist()))
 
@@ -125,7 +129,7 @@ class IntegerRows(Sequence):
 class RationalVector(Sequence):
     """A rational vector as integer ``numerators`` over one positive ``denominator``.
 
-    Read-only.  Indexing entry ``i`` makes its reduced Fraction
+    Read-only.  Indexing entry ``i``, an integer, makes its reduced Fraction
     ``numerators[i] / denominator`` (negative indices count from the end,
     IndexError past it); iteration makes each entry once, in order.  A
     caller that reads a few entries of a large solution makes only those.
@@ -141,7 +145,7 @@ class RationalVector(Sequence):
         return len(self.numerators)
 
     def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.numerators[i], self.denominator)
+        return Fraction(self.numerators[operator.index(i)], self.denominator)
 
     def __iter__(self):
         den = self.denominator
@@ -150,21 +154,19 @@ class RationalVector(Sequence):
 
 def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> RationalVector:
     """Exact solution of the square integer system ``rows @ x == rhs``, as
-    one common denominator and its numerators (:class:`RationalVector`).
+    the least common denominator of its entries and their numerators
+    (:class:`RationalVector`).
 
-    Refinement solves it at every size and ends with one denominator; a
-    system of no unknowns solves to an empty vector.  ValueError comes
-    from the certificate gate, for a matrix it refuses or a right-hand side
-    entry at or past ``2**1000``, or from a refinement that stalls;
+    Refinement solves it at every size; a system of no unknowns solves to
+    an empty vector.  ValueError comes from the certificate gate, for a
+    matrix it refuses or a right-hand side entry at or past ``2**1000``, or
+    from a refinement that stalls, naming the bound that stopped it;
     :func:`solve_dense` solves each exactly, at cubic cost.
     """
     facts = _certified(rows, rhs, "solve_exact")
     if facts is None:
         return RationalVector(1, ())
-    refined = _solve_refined(facts, np.array(rhs, dtype=object))
-    if refined is None:
-        raise ValueError("solve_exact: refinement stalled; solve_dense solves the system exactly")
-    return refined
+    return _solve_refined(facts, np.array(rhs, dtype=object))
 
 
 def solve_float(rows: IntegerRows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -344,16 +346,16 @@ def _exact_product(facts: _MatrixFacts, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(products, matrix.indptr[:-1])
 
 
-def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> RationalVector | None:
+def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> RationalVector:
     """Iterative refinement on a symmetric positive definite integer system.
 
     Keeps ``A N == D b - r`` exactly, with ``D = 2**K``.  Each round solves
     ``A z ~ r`` by CG, picks ``k`` from the accuracy CG reached, and moves
     ``N, D, r`` to ``2**k N + x, 2**k D, 2**k r - A x`` for ``x = round(2**k z)``.
-    A candidate ``n / d`` is accepted only through the exact gate
-    ``A n == d b``, and returned as it stands: ``d`` with the numerators
-    ``n``.  None when CG stops reducing the residual or
-    reconstruction never verifies before the Hadamard bound.
+    Once ``r`` is 0 the invariant makes ``N / D`` the solution.  Before that,
+    a candidate ``n / d`` is accepted only through the exact gate
+    ``A n == d b``.  Either is returned over its least common denominator.
+    ValueError names the bound that stopped a refinement that got neither.
     """
     residual = rhs
     numerators = np.zeros(len(rhs), dtype=object)
@@ -361,24 +363,22 @@ def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> RationalVector | Non
     while True:
         norm = int(np.abs(residual).max())
         if norm == 0:
-            candidate = (scale, numerators)  # N / D is exact
-        else:
-            if norm.bit_length() > _FLOAT_BITS:
-                return None  # the float copy of the residual would overflow
-            z, accuracy = _cg_round(facts.approximate, residual)
-            z_max = float(np.abs(z).max())
-            if not math.isfinite(z_max):
-                return None
-            if scale.bit_length() > facts.limit_bits + int(z_max).bit_length():
-                return None
-            # x - N / D == A^-1 r / D, and z ~ A^-1 r
-            candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
+            common = math.gcd(scale, *numerators.tolist())
+            return RationalVector(scale // common, (numerators // common).tolist())
+        if norm.bit_length() > _FLOAT_BITS:
+            raise ValueError(_STALLED.format(f"the residual passed 2**{_FLOAT_BITS}"))
+        z, accuracy = _cg_round(facts.approximate, residual)
+        z_max = float(np.abs(z).max())
+        if not math.isfinite(z_max):
+            raise ValueError(_STALLED.format("CG returned a non-finite correction"))
+        if scale.bit_length() > facts.limit_bits + int(z_max).bit_length():
+            raise ValueError(_STALLED.format("the scale passed the Hadamard bound"))
+        # x - N / D == A^-1 r / D, and z ~ A^-1 r
+        candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
         if candidate is not None:
             den, nums = candidate
             if (_exact_product(facts, nums) == den * rhs).all():
                 return RationalVector(den, nums.tolist())
-        if norm == 0:
-            return None
 
         k_accurate = -math.frexp(max(accuracy, 2.0**-48))[1] - 2  # 2**k * accuracy <= 1/4
         # below this k, 2**k r and A x stay within int64
@@ -386,11 +386,11 @@ def _solve_refined(facts: _MatrixFacts, rhs: np.ndarray) -> RationalVector | Non
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate
         k = min(k, 1022 - math.frexp(z_max)[1])  # 2**k z stays finite
         if k < 1:
-            return None
+            raise ValueError(_STALLED.format("no positive k was left"))
         step = np.array([int(v) for v in np.rint(np.ldexp(z, k)).tolist()], dtype=object)
         new = (residual << k) - _exact_product(facts, step)
         if int(np.abs(new).max()) > norm << (k - 1):
-            return None  # the scaled residual shrank by less than half: CG stalled
+            raise ValueError(_STALLED.format("the residual shrank by less than half"))
         residual = new
         numerators = (numerators << k) + step
         scale <<= k

@@ -127,6 +127,9 @@ def test_criterion_6_first_visit_triple_agreement(integer_solves):
 
 
 def test_criterion_7_fiber_segment_gap_and_ratio(integer_solves):
+    """Fiber segment time and return gap.  Criterion 6's row now asserts
+    the escape ratio, as the last pair identity of
+    :func:`checks.first_visit_triple_agreement`."""
     with criterion("fiber-segment-gap-ratio", 30.0):
         cells = two_ball_cells()
         assert cells

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -87,3 +88,48 @@ class TestSumIdentity:
         )
         assert checks.sum_identity([params]).passed
         assert not checks.termwise_difference_witness(params).passed
+
+
+class TestFirstVisitRows:
+    """The lumped first-visit probabilities are read by one row, whose last
+    pair identity is the fiber escape ratio."""
+
+    def test_escape_pair_fails_the_first_visit_row(self, monkeypatch):
+        # p[2k-2], class 2k-1's probability, enters only the pair i == k
+        lumped = oracle.lumped_first_visit_probs
+
+        def off_escape(params):
+            probs = lumped(params)
+            probs[2 * params.balls - 2] += Fraction(1, 100)
+            return probs
+
+        monkeypatch.setattr(oracle, "lumped_first_visit_probs", off_escape)
+        cells = [ModelParams(3, 2), ModelParams(4, 3)]
+        row = checks.first_visit_triple_agreement(cells, budget=1024)
+        assert not row.passed
+        assert row.detail == "2 cells, first failure ModelParams(urns=3, balls=2)"
+        assert checks.fiber_checks(cells, budget=1024).passed
+
+    def test_default_verify_solves_each_lumped_system_once(self, monkeypatch):
+        # 21 fiber cells in the default grid, one lumped solve each, and
+        # none of them for the fiber row
+        calls, under_fiber = [], []
+        lumped, fiber_checks = oracle.lumped_first_visit_probs, checks.fiber_checks
+
+        def spy(params):
+            calls.append((params, bool(under_fiber)))
+            return lumped(params)
+
+        def fiber_spy(cells, budget):
+            under_fiber.append(True)
+            try:
+                return fiber_checks(cells, budget=budget)
+            finally:
+                under_fiber.pop()
+
+        monkeypatch.setattr(oracle, "lumped_first_visit_probs", spy)
+        monkeypatch.setattr(checks, "fiber_checks", fiber_spy)
+        results = checks.run_verification()
+        assert all(row.passed for row in results)
+        assert len(calls) == 21 == len({params for params, _ in calls})
+        assert not any(in_fiber_row for _, in_fiber_row in calls)

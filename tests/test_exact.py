@@ -227,8 +227,9 @@ class TestFirstVisitProbability:
         assert first_miss == Fraction(8, 15) == repeat_hit
 
     def test_escape_ratio_is_urns_minus_one(self):
+        # the first-visit row's last pair identity holds the ratio
         cells = [ModelParams(3, 2), ModelParams(4, 3)]
-        assert checks.fiber_checks(cells, budget=1024).passed
+        assert checks.first_visit_triple_agreement(cells, budget=1024).passed
 
 
 class TestClassicalTwoUrnReduction:

@@ -144,6 +144,12 @@ class TestIntegerRowsInput:
                 array[0] = 2
         assert rows_times(rows, list(linsolve.solve_exact(matrix, [1] * 20))) == [1] * 20
 
+    def test_index_must_be_an_integer(self):
+        matrix = integer_rows(path_rows(3, lambda i: 3))
+        assert matrix[np.int64(1)] == matrix[-2] == {0: -1, 1: 3, 2: -1}
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            matrix[0:2]
+
 
 class TestDenseFractionPath:
     """``solve_dense`` on small ``{column: value}`` rows, rational ones too."""
@@ -262,6 +268,18 @@ class TestWalkSystem:
             linsolve.solve_exact(system.rows, rhs)
         )
 
+    @pytest.mark.parametrize("urns, balls", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_integer_hitting_times_come_over_one(self, urns, balls):
+        # every hitting time to all-in-urn-2 is an integer here: the
+        # residual reaches 0, and the dyadic scale reduces away
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams, all_in_urn
+
+        params = ModelParams(urns, balls)
+        vector = oracle.target_system(params, all_in_urn(params, 2)).hitting_time_vector()
+        assert vector.denominator == 1
+        assert all(type(n) is int for n in vector.numerators)
+
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_rational_rhs_is_rejected(self, solver):
         # the integer solvers take integers only; a rational system is
@@ -327,6 +345,25 @@ class TestBandedSystemAndFloatSolve:
         assert abs(values[0] - 1 / 11) < 1e-12
 
 
+CG_ROUND = linsolve._cg_round
+
+
+def partial_correction(approximate, residual):
+    """0.6 of CG's correction, claiming an accuracy of 2**-20: each round
+    leaves 0.4 of the residual, scaled by 2**17, so it grows."""
+    return 0.6 * CG_ROUND(approximate, residual)[0], 2.0**-20
+
+
+def infinite_correction(approximate, residual):
+    return np.full(len(residual), np.inf), 0.0
+
+
+def no_correction(approximate, residual):
+    """No correction, claiming an accuracy of 2**-48: the residual comes
+    back scaled by 2**45, unshrunk."""
+    return np.zeros(len(residual)), 2.0**-48
+
+
 class TestRefinementPath:
     @given(sparse_dominant_system(1, 16, symmetric=True))
     @settings(max_examples=40, deadline=None)
@@ -355,9 +392,40 @@ class TestRefinementPath:
         )
         rows = integer_rows(path_rows(70, lambda i: 3))  # symmetric, strictly dominant
         with mock.patch.object(linsolve, "solve_dense", wraps=linsolve.solve_dense) as dense:
-            with pytest.raises(ValueError, match="stalled; solve_dense"):
+            with pytest.raises(ValueError, match="stalled; solve_dense.*no positive k was left"):
                 linsolve.solve_exact(rows, [i * i for i in range(70)])
         dense.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "cg_round, top, reason",
+        [
+            (partial_correction, 2**999, r"the residual passed 2\*\*1000"),
+            (infinite_correction, 0, "CG returned a non-finite correction"),
+            (no_correction, 0, "the residual shrank by less than half"),
+        ],
+        ids=["residual-bound", "non-finite", "no-shrink"],
+    )
+    def test_each_stall_names_its_bound(self, monkeypatch, cg_round, top, reason):
+        monkeypatch.setattr(linsolve, "_cg_round", cg_round)
+        rows = integer_rows(path_rows(20, lambda i: 3))
+        with pytest.raises(ValueError, match=f"refinement stalled; solve_dense.*{reason}"):
+            linsolve.solve_exact(rows, [top + i * i for i in range(20)])
+
+    def test_stall_past_the_hadamard_bound(self):
+        # the solution's denominator 267914296 needs more than the round
+        # with scale 1: past a Hadamard bound of 0 bits, the next round stops
+        rows, rhs = VECTOR_SYSTEMS["refined"]
+        facts = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
+        with pytest.raises(ValueError, match="refinement stalled.*the scale passed the Hadamard"):
+            linsolve._solve_refined(facts._replace(limit_bits=0), np.array(rhs, dtype=object))
+
+    @given(sparse_dominant_system(1, 80, symmetric=True))
+    @settings(max_examples=30, deadline=None)
+    def test_denominator_is_least_common(self, system):
+        # over either exit, the one denominator is the lcm of the entries'
+        rows, rhs = system
+        vector = linsolve.solve_exact(integer_rows(rows), rhs)
+        assert vector.denominator == math.lcm(*(x.denominator for x in vector))
 
     @pytest.mark.parametrize(
         "top", [2**510, 2**900, -(2**1000) + 20], ids=["2**510", "2**900", "-(2**1000)+20"]
@@ -515,3 +583,9 @@ class TestRationalVector:
         vector, _ = solved
         with pytest.raises(TypeError):
             vector[0] = Fraction(0)
+
+    def test_index_must_be_an_integer(self, solved):
+        vector, dense = solved
+        assert vector[np.int64(1)] == dense[1]
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            vector[1:3]
