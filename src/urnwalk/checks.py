@@ -161,7 +161,10 @@ def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
     solve of its :func:`urnwalk.oracle.target_system`, read in place for
     every other start in index order.  Per distance the check covers
     ``PAIRS_PER_CLASS`` distinct (start, target) pairs, or every existing
-    pair when fewer exist.  Returns (all pairs agreed, pairs checked).
+    pair when fewer exist.  A placement is decoded only when it is read, so
+    the first target's budget check comes before any other, and reading
+    stops once every distance's quota is full.  Returns (all pairs agreed,
+    pairs checked).
     """
     n, m = params.urns, params.balls
     expected = {
@@ -173,18 +176,22 @@ def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
         for L in expected
     }
     counts = dict.fromkeys(expected, 0)
-    configs = [config_at(g, params) for g in range(params.state_count)]
+    left = sum(quota.values())
     agreed = True
-    for target in configs:
-        if counts == quota:
+    for index in range(params.state_count):
+        if not left:
             break
+        target = config_at(index, params)
         system = oracle.target_system(params, target, budget=budget)
         for state, value in zip(system.transient_states, system.hitting_time_vector()):
-            L = hamming_distance(configs[state], target)
+            L = hamming_distance(config_at(state, params), target)
             if counts[L] < quota[L]:
                 counts[L] += 1
+                left -= 1
                 agreed &= value == expected[L]
-    return agreed and counts == quota, sum(counts.values())
+                if not left:
+                    break
+    return agreed and not left, sum(counts.values())
 
 
 def oracle_distance_agreement(cells: list[ModelParams], budget: int) -> CheckResult:

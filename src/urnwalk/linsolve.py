@@ -1,59 +1,51 @@
-"""Exact solvers for the integer and rational linear systems built by the oracle.
+"""The exact solver of the integer linear systems built by the oracle.
 
 :func:`solve_exact` always returns the exact rational solution of
 ``A x = b`` for an int64 matrix stated as :class:`IntegerRows` and an
 integer right-hand side, as a :class:`RationalVector`: the least common
 denominator of its entries and the integer numerators over it, a read-only
 sequence that makes an entry's reduced Fraction only when the entry is
-read.  There is one solver per kind of system:
+read.  It solves every system, whatever its size, by numeric-symbolic
+iterative refinement: conjugate gradient (CG) in floating point
+approximates ``A^-1 r``, the correction is scaled by ``2**k`` and rounded
+to integers, and the residual is updated exactly, so every round adds
+about ``k`` correct bits to a dyadic approximation ``N / D`` of the
+solution.  Continued fractions then recover one common denominator (Wan
+2006, J. Symbolic Comput. 41; Saunders, Wood & Youse, ISSAC 2011).
+:func:`solve_float` is its first CG round alone.
 
-1. numeric-symbolic iterative refinement, :func:`solve_exact`, for every
-   integer system, whatever its size: conjugate gradient (CG) in floating
-   point approximates ``A^-1 r``, the correction is scaled by ``2**k`` and
-   rounded to integers, and the residual is updated exactly, so every
-   round adds about ``k`` correct bits to a dyadic approximation
-   ``N / D`` of the solution.  Continued fractions then recover one common
-   denominator (Wan 2006, J. Symbolic Comput. 41; Saunders, Wood & Youse,
-   ISSAC 2011);
-2. dense rational Gaussian elimination, :func:`solve_dense`, for rational
-   systems.  It takes any ``{column: value}`` rows, such as the
-   non-symmetric lumped first-visit system, at cubic cost.
-
-Refinement and :func:`solve_float`, its first CG round alone, pass one
-certificate gate: the matrix must be certified symmetric positive definite
-(symmetry, row sums, and a search from the strict rows by sparse
-products), as the oracle's ``degree * I - A`` always is, with row sums
-below ``2**62``, and every right-hand side entry must lie below
-``2**1000`` in absolute value; else they raise ValueError.  A system of
-no unknowns needs no gate, and solves to an empty vector.  CG runs on the
-residual scaled by a power of two, so its float arithmetic stays in range
-up to that bound.  The gate works out the matrix's facts (the
-certificate, the float copy CG reads, the largest absolute row sum and
-the Hadamard bound) on the first solve and keeps them, or the refusal, on
-the :class:`IntegerRows`, whose arrays are read-only: every later solve
-on the same rows reads them.  A refinement that stalls raises ValueError
-too, naming the bound that stopped it; nothing falls back to elimination.
+Both pass one certificate gate: the matrix must be certified symmetric
+positive definite (symmetry, row sums, and a search from the strict rows
+by sparse products), as the oracle's ``degree * I - A`` always is, with
+its largest absolute entry times its longest row's entry count below
+``2**62``, and every right-hand side entry must lie below ``2**1000`` in
+absolute value; else they raise ValueError.  A system of no unknowns
+needs no gate, and solves to an empty vector.  CG runs on the residual
+scaled by a power of two, so its float arithmetic stays in range up to
+that bound.  The gate works out the matrix's facts (the certificate, the
+float copy CG reads, the largest absolute row sum and the Hadamard bound)
+on the first solve and keeps them, or the refusal, on the
+:class:`IntegerRows`, whose arrays are read-only: every later solve on
+the same rows reads them.  A refinement that stalls raises ValueError
+too, naming the bound that stopped it.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
 candidate is the unique solution; a dyadic ``N / D`` whose exactly updated
-residual reaches 0 satisfies that check by construction.  Elimination is
-exact by construction and the one solver that reports a singular system.
-Both are deterministic: pivots are the first nonzero choice, and CG runs
-the same floating-point operations on the same input.
+residual reaches 0 satisfies that check by construction.  It is
+deterministic: CG runs the same floating-point operations on the same
+input.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Any, Literal, NamedTuple
 
 import numpy as np
-
-from .errors import SingularSystemError
 
 # No solver reads this any more: refinement solves every integer system.
 # The benchmark tracer (bench/tracing.py) labels a solve of at most this
@@ -71,7 +63,7 @@ _FLOAT_BITS = 1000
 # the determinant squared by this many spare bits.
 _REFINE_SPARE_BITS = 64
 # every refinement that stops without a verified solution names its reason
-_STALLED = "solve_exact: refinement stalled; solve_dense solves the system exactly ({})"
+_STALLED = "solve_exact: refinement stalled ({})"
 
 
 class _MatrixFacts(NamedTuple):
@@ -160,8 +152,7 @@ def solve_exact(rows: IntegerRows, rhs: Sequence[int]) -> RationalVector:
     Refinement solves it at every size; a system of no unknowns solves to
     an empty vector.  ValueError comes from the certificate gate, for a
     matrix it refuses or a right-hand side entry at or past ``2**1000``, or
-    from a refinement that stalls, naming the bound that stopped it;
-    :func:`solve_dense` solves each exactly, at cubic cost.
+    from a refinement that stalls, naming the bound that stopped it.
     """
     facts = _certified(rows, rhs, "solve_exact")
     if facts is None:
@@ -183,34 +174,34 @@ def _certified(rows: IntegerRows, rhs: Sequence[int], solver: str) -> _MatrixFac
     rows' first gate and kept on them, ValueError when it was refused, or
     None for a system of no unknowns, which needs none."""
     if not isinstance(rows, IntegerRows):
-        raise TypeError(f"{solver} takes IntegerRows; solve_dense takes other rows")
+        raise TypeError(f"{solver} takes IntegerRows, not {type(rows).__name__}")
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not all(isinstance(v, int) for v in rhs):
-        raise TypeError(
-            f"{solver} takes an integer right-hand side; solve_dense takes a rational one"
-        )
+        raise TypeError(f"{solver} takes an integer right-hand side")
     if len(rows) == 0:
         return None
     if max(map(abs, rhs)).bit_length() > _FLOAT_BITS:
         raise ValueError(
             f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
-            "in absolute value; solve_dense takes any"
+            "in absolute value"
         )
     if rows._facts is None:
         rows._facts = _matrix_facts(rows)
     if rows._facts is False:
         raise ValueError(
             f"{solver} needs a certified symmetric positive definite matrix "
-            "with row sums below 2**62; solve_dense takes any"
+            "whose largest absolute entry times its longest row's entry count "
+            "is below 2**62"
         )
     return rows._facts
 
 
 def _matrix_facts(rows: IntegerRows) -> _MatrixFacts | Literal[False]:
     """Every fact the solvers read of the rows' matrix, or False unless
-    :func:`_is_certified` holds and every row's absolute sum is below
-    ``2**62``, past which int64 products could not be trusted."""
+    :func:`_is_certified` holds and the largest absolute entry times the
+    longest row's entry count is below ``2**62``: that product bounds every
+    absolute row sum, past which int64 products could not be trusted."""
     import scipy.sparse as sparse
 
     data, size = rows.data, len(rows)
@@ -254,51 +245,6 @@ def _cg_round(approximate, residual: np.ndarray) -> tuple[np.ndarray, float]:
     z, _ = cg(approximate, r, rtol=_CG_RTOL, atol=0.0, maxiter=2 * len(r))
     scale = max(math.ldexp(1.0, -exponent), float(np.abs(r).max()))  # max(1, |r|inf), scaled
     return np.ldexp(z, exponent), float(np.abs(r - approximate @ z).max()) / scale
-
-
-def solve_dense(
-    rows: Sequence[Mapping[int, int | Fraction]], rhs: Sequence[int | Fraction]
-) -> list[Fraction]:
-    """Exact solution of the square system ``rows @ x == rhs`` by dense elimination.
-
-    Rows are ``{column: value}`` mappings with integer or rational entries.
-    The cost is cubic in rational operations; :func:`solve_exact` is the
-    solver for an integer system, at every size.  Raises
-    SingularSystemError when a column has no pivot.
-    """
-    size = len(rows)
-    if len(rhs) != size:
-        raise ValueError("matrix and right-hand side sizes differ")
-    a = [[Fraction(0)] * size for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j, coeff in row.items():
-            a[i][j] = Fraction(coeff)
-    b = [Fraction(v) for v in rhs]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularSystemError(f"no pivot in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        if pivot != 1:
-            a[col] = [entry / pivot for entry in a[col]]
-            b[col] /= pivot
-        for r in range(col + 1, size):
-            factor = a[r][col]
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
-    x = [Fraction(0)] * size
-    for i in range(size - 1, -1, -1):
-        acc = b[i]
-        row = a[i]
-        for j in range(i + 1, size):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[i] = acc
-    return x
 
 
 # ---------------------------------------------------------------------------

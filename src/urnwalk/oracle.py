@@ -4,8 +4,9 @@ Nothing here evaluates a closed form.  Expected hitting times and the
 three target-fiber quantities of :func:`target_fiber` (first-visit
 probability, time to the fiber, mean return gap) are obtained by building
 the absorbing system over the actual state space and solving it exactly;
-the first-visit probabilities of :func:`lumped_first_visit_probs` solve the
-2k lump classes.  Agreement with :mod:`urnwalk.exact` is therefore
+the first-visit probabilities of :func:`lumped_first_visit_probs` condition
+the walk on its 2k lump classes pair by pair, with no linear solver.
+Agreement with :mod:`urnwalk.exact` is therefore
 verification rather than circularity.  :func:`target_system` is the one
 builder of the walk absorbed at a single target, for the pair queries and
 the distance sweep of :mod:`urnwalk.checks`, which reads its solved vector
@@ -268,29 +269,61 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
 
     Entry m-1 is the probability that a walk whose state lies in class m
     makes its next visit to the target fiber at the all-in-urn-2 point.
-    Solved by dense elimination, the solver of rational systems, over the
-    non-symmetric rows of the lumped kernel: the 2k-2 off-fiber classes
-    form the unknowns, and the two fiber classes follow by one-step
-    conditioning.  The identities these values obey are asserted by
+    The classes come in pairs (2i-1, 2i), and the lumped kernel moves only
+    within a pair or to a neighbouring one, so the walk is conditioned
+    pair by pair, by the first-passage recursion of quasi-birth-death
+    chains (Latouche & Ramaswami, *Introduction to Matrix Analytic Methods
+    in Stochastic Modeling*, SIAM 1999).  With ``L_i``, ``D_i`` and
+    ``U_i`` the kernel's 2x2 blocks within pair i, down one pair and up
+    one, ``G_i = (I - L_i - D_i G_{i-1})^-1 U_i`` gives the class in which
+    the walk from pair i first enters pair i+1.  Multiplied back from the
+    fiber, pair k, where class 2k scores 1 and class 2k-1 scores 0, they
+    give the off-fiber classes; the two fiber classes follow by one-step
+    conditioning.  An entry more than one pair away raises DomainError,
+    and a pair the walk never leaves SingularSystemError.  The identities
+    these values obey are asserted by
     :func:`urnwalk.checks.first_visit_triple_agreement`, not here.
     """
-    if params.balls < 2:
+    k = params.balls
+    if k < 2:
         raise DomainError("lumped first-visit analysis needs at least 2 balls")
-    kernel = lumped_kernel(params)
-    # classes 1..2k-2 lie off the fiber; class 2k-1 holds the fiber states
-    # that miss the target and class 2k is the all-in-urn-2 point
-    off_fiber, target = 2 * params.balls - 2, 2 * params.balls
-    rows = []
-    for m, kernel_row in enumerate(kernel[:off_fiber]):
-        row = {label - 1: -q for label, q in kernel_row.items() if label <= off_fiber}
-        row[m] = 1 + row.get(m, Fraction(0))
-        rows.append(row)
-    rhs = [kernel_row.get(target, Fraction(0)) for kernel_row in kernel[:off_fiber]]
-    probs = linsolve.solve_dense(rows, rhs)
-    for kernel_row in kernel[off_fiber:]:
-        value = kernel_row.get(target, Fraction(0))
+    zero = Fraction(0)
+    # blocks[i][d][a][b]: from class 2i+1+a to class 2(i+d)+1+b, pairs from 0
+    blocks = [{d: [[zero, zero], [zero, zero]] for d in (-1, 0, 1)} for _ in range(k)]
+    for m, kernel_row in enumerate(lumped_kernel(params)):
+        i, a = divmod(m, 2)
         for label, q in kernel_row.items():
-            if label <= off_fiber:
-                value += q * probs[label - 1]
-        probs.append(value)
-    return probs
+            j, b = divmod(label - 1, 2)
+            if not (0 <= j < k and abs(j - i) <= 1):
+                raise DomainError(
+                    f"lumped class {m + 1} moves to class {label}, "
+                    "outside its pair and the pairs beside it"
+                )
+            blocks[i][j - i][a][b] = q
+    passages = []
+    passage = [[zero, zero], [zero, zero]]  # no pair lies below pair 1
+    for i, block in enumerate(blocks[:-1], start=1):
+        below = _times(block[-1], passage)
+        (s00, s01), (s10, s11) = (
+            [(a == b) - block[0][a][b] - below[a][b] for b in (0, 1)] for a in (0, 1)
+        )
+        det = s00 * s11 - s01 * s10
+        if not det:
+            raise SingularSystemError(f"the lumped walk never leaves pair {i}")
+        passage = _times([[s11 / det, -s01 / det], [-s10 / det, s00 / det]], block[1])
+        passages.append(passage)
+    # pair k, the fiber: class 2k-1 scores 0 and class 2k scores 1
+    scores = [[zero], [Fraction(1)]]
+    column, probs = scores, []
+    for passage in reversed(passages):
+        column = _times(passage, column)
+        probs[:0] = column
+    # the fiber's rows, [D_k L_k], on pair k-1's values and the scores
+    down, within = blocks[-1][-1], blocks[-1][0]
+    probs += _times([d + w for d, w in zip(down, within)], probs[-2:] + scores)
+    return [value for value, in probs]
+
+
+def _times(left: list[list[Fraction]], right: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The product of two matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]

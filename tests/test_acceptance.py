@@ -31,30 +31,22 @@ def criterion(name, time_limit):
 
 @pytest.fixture
 def integer_solves(monkeypatch):
-    """Sizes of the integer systems that ``solve_exact`` and ``solve_dense`` receive.
+    """Sizes of the integer systems that ``solve_exact`` receives.
 
     The fiber vectors' cache is cleared first, so that every solve of the
-    criterion runs under the spies.
+    criterion runs under the spy.  A refinement that stalls raises, so a
+    criterion that passes with solves recorded was solved by refinement.
     """
-    sizes = {}
-    for name in ("solve_exact", "solve_dense"):
-        solver = getattr(linsolve, name)
+    sizes = []
+    solve_exact = linsolve.solve_exact
 
-        def spy(rows, rhs, solver=solver, seen=sizes.setdefault(name, [])):
-            if isinstance(rows, linsolve.IntegerRows):
-                seen.append(len(rows))
-            return solver(rows, rhs)
+    def spy(rows, rhs):
+        sizes.append(len(rows))
+        return solve_exact(rows, rhs)
 
-        monkeypatch.setattr(linsolve, name, spy)
+    monkeypatch.setattr(linsolve, "solve_exact", spy)
     oracle._fiber_hitting_vector.cache_clear()
     return sizes
-
-
-def assert_no_refinement_stalled(sizes):
-    """Refinement solved every integer system, and ``solve_dense`` received
-    none of them."""
-    assert sizes["solve_exact"]
-    assert sizes["solve_dense"] == []
 
 
 def four_route_values(params):
@@ -105,7 +97,7 @@ def test_criterion_5_pairwise_formula_vs_dense_solve(integer_solves):
             agreed, pairs = checks.distance_agreement(params, budget=1024)
             assert agreed, f"mismatch at {params}"
             assert pairs >= min(3, params.balls)
-    assert_no_refinement_stalled(integer_solves)
+    assert integer_solves
 
 
 def two_ball_cells():
@@ -123,7 +115,7 @@ def test_criterion_6_first_visit_triple_agreement(integer_solves):
         result = checks.first_visit_triple_agreement(cells, budget=1024)
         assert result.passed, result.detail
         assert result.cells == len(cells)
-    assert_no_refinement_stalled(integer_solves)
+    assert integer_solves
 
 
 def test_criterion_7_fiber_segment_gap_and_ratio(integer_solves):
@@ -136,7 +128,7 @@ def test_criterion_7_fiber_segment_gap_and_ratio(integer_solves):
         result = checks.fiber_checks(cells, budget=1024)
         assert result.passed, result.detail
         assert result.cells == len(cells)
-    assert_no_refinement_stalled(integer_solves)
+    assert integer_solves
 
 
 def test_criterion_8_monte_carlo_consistency():

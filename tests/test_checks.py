@@ -55,6 +55,12 @@ class TestDistanceAgreement:
         ) as build:
             with pytest.raises(BudgetExceededError):
                 checks.distance_agreement(ModelParams(3, 2), budget=8)
+            # 4**10 placements: the first target's check refuses before the
+            # others are decoded
+            with mock.patch.object(checks, "config_at", wraps=checks.config_at) as decode:
+                with pytest.raises(BudgetExceededError):
+                    checks.distance_agreement(ModelParams(4, 10), budget=1024)
+            assert decode.call_count <= 1
         build.assert_not_called()
 
 

@@ -9,16 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnwalk import linsolve
-from urnwalk.errors import SingularSystemError
 
 from _reference import gauss_jordan_solve, rows_times
 
 
-def dense_to_sparse(matrix):
-    return [
-        {j: Fraction(entry) for j, entry in enumerate(row) if entry}
-        for row in matrix
-    ]
+def dense(rows):
+    """``{column: value}`` rows as a dense list of rows, for ``gauss_jordan_solve``."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
 def integer_rows(rows):
@@ -61,29 +58,6 @@ def two_block_rows(half):
     return path_rows(half, lambda i: 3) + [
         {i + half: c for i, c in row.items()} for row in laplacian_rows(half)
     ]
-
-
-@st.composite
-def diagonally_dominant_system(draw, max_size=8):
-    """Random integer system with a guaranteed unique solution."""
-    size = draw(st.integers(1, max_size))
-    rows = []
-    for _ in range(size):
-        row = draw(
-            st.lists(st.integers(-5, 5), min_size=size, max_size=size)
-        )
-        rows.append(row)
-    for i in range(size):
-        rows[i][i] = 1 + sum(abs(v) for j, v in enumerate(rows[i]) if j != i)
-    solution = [
-        Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
-        for _ in range(size)
-    ]
-    rhs = [
-        sum((Fraction(row[j]) * solution[j] for j in range(size)), Fraction(0))
-        for row in rows
-    ]
-    return rows, solution, rhs
 
 
 def path_arrays(size):
@@ -151,50 +125,13 @@ class TestIntegerRowsInput:
             matrix[0:2]
 
 
-class TestDenseFractionPath:
-    """``solve_dense`` on small ``{column: value}`` rows, rational ones too."""
-
-    def test_hand_system(self):
-        rows = dense_to_sparse([[2, 1], [1, 3]])
-        rhs = [Fraction(5), Fraction(10)]
-        assert linsolve.solve_dense(rows, rhs) == [Fraction(1), Fraction(3)]
-
-    def test_matches_reference_solver(self):
-        matrix = [[3, 1, 0], [1, 4, 2], [0, 2, 5]]
-        rhs = [Fraction(1), Fraction(2), Fraction(3)]
-        expected = gauss_jordan_solve(matrix, rhs)
-        assert linsolve.solve_dense(dense_to_sparse(matrix), rhs) == expected
-
-    def test_singular_detected(self):
-        rows = dense_to_sparse([[1, 1], [1, 1]])
-        with pytest.raises(SingularSystemError):
-            linsolve.solve_dense(rows, [Fraction(1), Fraction(2)])
-
-    def test_empty_system(self):
-        assert linsolve.solve_dense([], []) == []
-        assert list(linsolve.solve_exact(integer_rows([]), [])) == []
-
-    def test_size_mismatch_rejected(self):
-        # an extra right-hand-side entry is an error, not silently dropped
-        with pytest.raises(ValueError, match="sizes differ"):
-            linsolve.solve_dense([{0: 1}], [1, 2])
-        with pytest.raises(ValueError, match="sizes differ"):
-            linsolve.solve_exact(integer_rows([{0: 1}]), [1, 2])
-
-    @given(diagonally_dominant_system())
-    @settings(max_examples=60)
-    def test_recovers_known_solution(self, system):
-        rows, solution, rhs = system
-        assert linsolve.solve_dense(dense_to_sparse(rows), rhs) == solution
-
-
 @st.composite
 def sparse_dominant_system(draw, min_size, max_size, symmetric):
     """Sparse, diagonally dominant integer rows and an integer right-hand side.
 
     ``solve_exact`` refines a symmetric system and refuses a non-symmetric
-    one, which ``solve_dense`` solves.  Dominance makes the solution
-    unique, so a solve is checked by its exact residual.
+    one.  Dominance makes the solution unique, so a solve is checked by its
+    exact residual.
     """
     size = draw(st.integers(min_size, max_size))
     rng = draw(st.randoms(use_true_random=False))
@@ -220,43 +157,35 @@ def refused(rows, rhs):
 
 
 class TestNonSymmetricPastDenseLimit:
-    """``solve_exact`` refuses non-symmetric systems, tiny ones too;
-    ``solve_dense`` solves them, and reports singular ones."""
+    """``solve_exact`` refuses non-symmetric systems, tiny ones too, and
+    singular ones, before any solve."""
 
     @given(sparse_dominant_system(17, 40, symmetric=False))
     @settings(max_examples=15, deadline=None)
-    def test_recovers_known_solution(self, system):
-        rows, rhs = system
-        refused(rows, rhs)
-        assert rows_times(rows, linsolve.solve_dense(integer_rows(rows), rhs)) == rhs
+    def test_random_systems_refused(self, system):
+        refused(*system)
 
     def test_singular_detected(self):
         size = 20  # the last row repeats the first
         rows = [{i: 3, (i + 1) % size: -1} for i in range(size)]
         rows[-1] = dict(rows[0])
         refused(rows, [1] * size)
-        with pytest.raises(SingularSystemError):
-            linsolve.solve_dense(integer_rows(rows), [1] * size)
 
     def test_two_unknowns_refused(self):
         # strictly dominant, so uniquely solvable, but not symmetric
-        rows = [{0: 3, 1: -1}, {0: -2, 1: 3}]
-        refused(rows, [1, 2])
-        assert linsolve.solve_dense(integer_rows(rows), [1, 2]) == [Fraction(5, 7), Fraction(8, 7)]
+        refused([{0: 3, 1: -1}, {0: -2, 1: 3}], [1, 2])
 
     def test_two_unknown_singular_system_refused(self):
         # symmetric, but no row is strictly dominant: the gate refuses it
-        # before any solve, and elimination reports it singular
-        rows = [{0: 1, 1: -1}, {0: -1, 1: 1}]
-        refused(rows, [1, -1])
-        with pytest.raises(SingularSystemError):
-            linsolve.solve_dense(integer_rows(rows), [1, -1])
+        # before any solve
+        refused([{0: 1, 1: -1}, {0: -1, 1: 1}], [1, -1])
 
 
 class TestWalkSystem:
     def test_dense_fallback_matches_refined_solve(self):
-        # the hitting system the oracle actually builds, also solved by
-        # dense elimination; must agree with the refined solve exactly
+        # the hitting system the oracle actually builds: the refined solve
+        # leaves an exact residual of 0 on its rows, which pins the unique
+        # solution
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
@@ -264,9 +193,7 @@ class TestWalkSystem:
         target = index_of((2,) * 4, params)
         system = oracle.build_absorbing_system(params, frozenset({target}))
         rhs = [params.degree] * len(system.transient_states)
-        assert linsolve.solve_dense(system.rows, rhs) == list(
-            linsolve.solve_exact(system.rows, rhs)
-        )
+        assert rows_times(system.rows, list(linsolve.solve_exact(system.rows, rhs))) == rhs
 
     @pytest.mark.parametrize("urns, balls", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
     def test_integer_hitting_times_come_over_one(self, urns, balls):
@@ -282,8 +209,7 @@ class TestWalkSystem:
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_rational_rhs_is_rejected(self, solver):
-        # the integer solvers take integers only; a rational system is
-        # solve_dense's, whatever its size
+        # the integer solvers take integers only, whatever the size
         from urnwalk import oracle
         from urnwalk.model import ModelParams, index_of
 
@@ -292,16 +218,21 @@ class TestWalkSystem:
         system = oracle.build_absorbing_system(params, frozenset({target}))
         size = len(system.rows)
         for rhs in ([Fraction(1, 3)] * size, [1] * (size - 1) + [Fraction(1, 3)]):
-            with pytest.raises(TypeError, match="solve_dense"):
+            with pytest.raises(TypeError, match="takes an integer right-hand side"):
                 solver(system.rows, rhs)
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_dict_rows_are_rejected(self, solver):
         for size in (2, 20):
             rows = [{i: 3} for i in range(size)]
-            with pytest.raises(TypeError, match="solve_dense"):
+            with pytest.raises(TypeError, match="takes IntegerRows, not list"):
                 solver(rows, [1] * size)
-            assert linsolve.solve_dense(rows, [1] * size) == [Fraction(1, 3)] * size
+
+    def test_size_mismatch_rejected(self):
+        # an extra right-hand-side entry is an error, not silently dropped
+        for solver in (linsolve.solve_exact, linsolve.solve_float):
+            with pytest.raises(ValueError, match="sizes differ"):
+                solver(integer_rows([{0: 1}]), [1, 2])
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_all_absorbing_system_has_no_unknowns(self, solver):
@@ -321,22 +252,23 @@ class TestWalkSystem:
 
 
 class TestBandedSystemAndFloatSolve:
-    """``solve_float``, and a banded non-symmetric system, which
-    ``solve_exact`` refuses and ``solve_dense`` solves."""
+    """``solve_float``, and a banded system: ``solve_exact`` refuses the
+    non-symmetric band and solves the symmetric one."""
 
     def test_banded_system_recovers_exact_solution(self):
+        # 10 on the diagonal, -2 above it and ``below`` below it
         size = 120
-        rows = []
-        for i in range(size):
-            row = {i: 10}
-            if i > 0:
-                row[i - 1] = -1
-            if i < size - 1:
-                row[i + 1] = -2
-            rows.append(row)
         rhs = [i % 7 + 1 for i in range(size)]
-        refused(rows, rhs)
-        assert rows_times(rows, linsolve.solve_dense(integer_rows(rows), rhs)) == rhs
+
+        def band(below):
+            rows = [{i: 10} for i in range(size)]
+            for i in range(size - 1):
+                rows[i][i + 1], rows[i + 1][i] = -2, below
+            return rows
+
+        refused(band(-1), rhs)
+        rows = band(-2)
+        assert rows_times(rows, list(linsolve.solve_exact(integer_rows(rows), rhs))) == rhs
 
     def test_solve_float_residual(self):
         rows = integer_rows([{0: 4, 1: 1}, {0: 1, 1: 3}])
@@ -371,9 +303,8 @@ class TestRefinementPath:
         # refinement solves every integer system, from one unknown up, to
         # elimination's exact solution
         rows, rhs = system
-        assert list(linsolve.solve_exact(integer_rows(rows), rhs)) == linsolve.solve_dense(
-            rows, rhs
-        )
+        solution = gauss_jordan_solve(dense(rows), rhs)
+        assert list(linsolve.solve_exact(integer_rows(rows), rhs)) == solution
 
     @given(sparse_dominant_system(65, 200, symmetric=True))
     @settings(max_examples=12, deadline=None)
@@ -386,15 +317,13 @@ class TestRefinementPath:
 
     def test_stall_raises_instead_of_eliminating(self, monkeypatch):
         # a CG round that corrects nothing and claims no accuracy leaves no
-        # positive k: refinement stalls, and nothing eliminates
+        # positive k: refinement stalls and raises, as no other solver exists
         monkeypatch.setattr(
             linsolve, "_cg_round", lambda approximate, residual: (np.zeros(len(residual)), 1.0)
         )
         rows = integer_rows(path_rows(70, lambda i: 3))  # symmetric, strictly dominant
-        with mock.patch.object(linsolve, "solve_dense", wraps=linsolve.solve_dense) as dense:
-            with pytest.raises(ValueError, match="stalled; solve_dense.*no positive k was left"):
-                linsolve.solve_exact(rows, [i * i for i in range(70)])
-        dense.assert_not_called()
+        with pytest.raises(ValueError, match=r"refinement stalled \(no positive k was left\)"):
+            linsolve.solve_exact(rows, [i * i for i in range(70)])
 
     @pytest.mark.parametrize(
         "cg_round, top, reason",
@@ -408,7 +337,7 @@ class TestRefinementPath:
     def test_each_stall_names_its_bound(self, monkeypatch, cg_round, top, reason):
         monkeypatch.setattr(linsolve, "_cg_round", cg_round)
         rows = integer_rows(path_rows(20, lambda i: 3))
-        with pytest.raises(ValueError, match=f"refinement stalled; solve_dense.*{reason}"):
+        with pytest.raises(ValueError, match=rf"refinement stalled \({reason}\)"):
             linsolve.solve_exact(rows, [top + i * i for i in range(20)])
 
     def test_stall_past_the_hadamard_bound(self):
@@ -432,11 +361,11 @@ class TestRefinementPath:
     )
     def test_right_hand_side_up_to_the_bound(self, top):
         # unscaled, CG's dot products overflow past about 2**509
-        rows = integer_rows(path_rows(20, lambda i: 3))
+        rows = path_rows(20, lambda i: 3)
         rhs = [top + i for i in range(20)]
-        solution = linsolve.solve_exact(rows, rhs)
-        assert list(solution) == linsolve.solve_dense(rows, rhs)
-        values, residual = linsolve.solve_float(rows, rhs)
+        solution = linsolve.solve_exact(integer_rows(rows), rhs)
+        assert rows_times(rows, list(solution)) == rhs
+        values, residual = linsolve.solve_float(integer_rows(rows), rhs)
         assert residual < 1e-12
         assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
 
@@ -474,8 +403,6 @@ class TestRefinementPath:
         # consistent right-hand side: every x + t (1, ..., 1) solves it
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(size)])]
         refused(rows, rhs)
-        with pytest.raises(SingularSystemError):
-            linsolve.solve_dense(integer_rows(rows), rhs)
 
     def test_block_without_a_strict_row_is_not_certified(self):
         # The search from the strict rows never reaches the second block.
@@ -483,8 +410,6 @@ class TestRefinementPath:
         rows = two_block_rows(10)  # 20 unknowns
         rhs = [int(v) for v in rows_times(rows, [i * i for i in range(len(rows))])]
         refused(rows, rhs)
-        with pytest.raises(SingularSystemError):
-            linsolve.solve_dense(integer_rows(rows), rhs)
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     @pytest.mark.parametrize(
@@ -495,8 +420,17 @@ class TestRefinementPath:
             two_block_rows(10),
             # certified, but a row's absolute sum reaches 2**62
             path_rows(20, lambda i: 2**62 - 2),
+            # certified, and every row sum is at most 2**61, but the largest
+            # entry, 2**61, times the longest row's 3 entries reaches 2**62
+            [{0: 2**61}] + [{j + 1: c for j, c in r.items()} for r in path_rows(4, lambda i: 4)],
         ],
-        ids=["nonsymmetric", "singular-path", "block-without-a-strict-row", "row-sum-2**62"],
+        ids=[
+            "nonsymmetric",
+            "singular-path",
+            "block-without-a-strict-row",
+            "row-sum-2**62",
+            "entry-times-row-length-2**62",
+        ],
     )
     def test_solve_float_rejects_uncertified_matrix(self, solver, rows):
         # CG would return one of many solutions of the singular symmetric
@@ -509,11 +443,11 @@ class TestRefinementPath:
 
 
 class TestDenseFallback:
-    """``solve_dense`` on a system that ``solve_exact`` refuses."""
+    """No solver falls back to elimination: ``solve_exact`` refuses a
+    non-symmetric system, and refines a symmetric one of the same kind to
+    its exact solution, however large its denominators."""
 
     def test_nonsymmetric_system_with_large_denominators(self):
-        # Its solution has denominators above 400 bits.  solve_exact refuses
-        # the non-symmetric matrix, and solve_dense solves it.
         rng = random.Random(3)
         size = 120
         rows = []
@@ -527,9 +461,18 @@ class TestDenseFallback:
             rows.append(row)
         rhs = [rng.randint(-(1 << 20), 1 << 20) for _ in range(size)]
         refused(rows, rhs)
-        solution = linsolve.solve_dense(integer_rows(rows), rhs)
+        # each off-diagonal entry set on both sides, then the diagonal made
+        # dominant again
+        symmetric = [{} for _ in range(size)]
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                if j != i:
+                    symmetric[i][j] = symmetric[j][i] = c
+        for i, row in enumerate(symmetric):
+            row[i] = sum(abs(v) for v in row.values()) + 1
+        solution = list(linsolve.solve_exact(integer_rows(symmetric), rhs))
         assert min(x.denominator for x in solution).bit_length() > 400
-        assert rows_times(rows, solution) == rhs
+        assert rows_times(symmetric, solution) == rhs
 
 
 VECTOR_SYSTEMS = {
@@ -549,7 +492,7 @@ class TestRationalVector:
     @pytest.fixture(params=sorted(VECTOR_SYSTEMS))
     def solved(self, request):
         rows, rhs = VECTOR_SYSTEMS[request.param]
-        return linsolve.solve_exact(integer_rows(rows), rhs), linsolve.solve_dense(rows, rhs)
+        return linsolve.solve_exact(integer_rows(rows), rhs), gauss_jordan_solve(dense(rows), rhs)
 
     def test_entries_are_solve_dense_reduced(self, solved):
         vector, dense = solved

@@ -19,9 +19,22 @@ from urnwalk.errors import (
     SingularSystemError,
     ValidationError,
 )
-from urnwalk.model import ModelParams, config_at, hamming_distance, index_of, neighbor_indices
+from urnwalk.model import (
+    ModelParams,
+    config_at,
+    hamming_distance,
+    index_of,
+    lumped_kernel,
+    neighbor_indices,
+)
 
-from _reference import absorbing_rows, neighbors, reference_hitting_time, rows_times
+from _reference import (
+    absorbing_rows,
+    gauss_jordan_solve,
+    neighbors,
+    reference_hitting_time,
+    rows_times,
+)
 
 
 @st.composite
@@ -368,21 +381,59 @@ class TestLumpedFirstVisitProbs:
         with pytest.raises(DomainError):
             oracle.lumped_first_visit_probs(ModelParams(3, 1))
 
-    def test_twelve_balls_take_the_dense_fallback(self, monkeypatch):
-        # 22 rational, non-symmetric unknowns: not refinable, so they go
-        # to dense elimination, the solver of rational systems
-        sizes = []
-        dense = linsolve.solve_dense
+    def test_twelve_balls_call_no_solver(self, monkeypatch):
+        # 22 off-fiber classes, conditioned pair by pair: no linear solve
+        def no_solve(rows, rhs):
+            raise AssertionError("the lumped route called a linsolve solver")
 
-        def spy(rows, rhs):
-            sizes.append(len(rows))
-            return dense(rows, rhs)
-
-        monkeypatch.setattr(linsolve, "solve_dense", spy)
+        for name in ("solve_exact", "solve_float"):
+            monkeypatch.setattr(linsolve, name, no_solve)
         params = ModelParams(5, 12)
         probs = oracle.lumped_first_visit_probs(params)
         assert probs[0] == exact.first_visit_probability(params)
-        assert sizes == [22]
+
+    @pytest.mark.parametrize("urns", range(2, 9))
+    def test_matches_elimination_on_the_first_visit_system(self, urns):
+        # the 2k-2 off-fiber classes as unknowns of I - Q, solved by the
+        # reference Gauss-Jordan; the fiber classes by one-step conditioning
+        for balls in range(2, 15):
+            kernel = lumped_kernel(ModelParams(urns, balls))
+            off_fiber, target = 2 * balls - 2, 2 * balls
+            matrix = [
+                [(m == j) - kernel[m].get(j + 1, 0) for j in range(off_fiber)]
+                for m in range(off_fiber)
+            ]
+            rhs = [row.get(target, 0) for row in kernel[:off_fiber]]
+            probs = gauss_jordan_solve(matrix, rhs)
+            probs += [
+                row.get(target, 0) + sum(row.get(j + 1, 0) * probs[j] for j in range(off_fiber))
+                for row in kernel[off_fiber:]
+            ]
+            assert oracle.lumped_first_visit_probs(ModelParams(urns, balls)) == probs
+
+    def test_entry_two_pairs_away_refused(self, monkeypatch):
+        # class 1 moving straight to class 5 skips pair 2
+        def skipping_kernel(params):
+            rows = lumped_kernel(params)
+            rows[0][5] = rows[0].pop(3)
+            return rows
+
+        monkeypatch.setattr(oracle, "lumped_kernel", skipping_kernel)
+        with pytest.raises(DomainError, match="lumped class 1 moves to class 5"):
+            oracle.lumped_first_visit_probs(ModelParams(3, 3))
+
+    def test_pair_never_left_refused(self, monkeypatch):
+        # classes 1 and 2 move only to each other, so I - L_1 is singular
+        def closed_kernel(params):
+            rows = lumped_kernel(params)
+            rows[0].clear()
+            rows[1].clear()
+            rows[0][2] = rows[1][1] = Fraction(1)
+            return rows
+
+        monkeypatch.setattr(oracle, "lumped_kernel", closed_kernel)
+        with pytest.raises(SingularSystemError, match="never leaves pair 1"):
+            oracle.lumped_first_visit_probs(ModelParams(3, 3))
 
 
 class TestAbsorbingSystem:
