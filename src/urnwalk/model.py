@@ -11,9 +11,10 @@ quantities computed elsewhere in the package concern the walk travelling
 from all-balls-in-urn-1 to all-balls-in-urn-2.
 
 This module owns the state-index encoding (:func:`index_of`,
-:func:`config_at` and the index adjacency :func:`neighbor_indices`, the
-package's only adjacency: one int64 array computed from the digits of every
-index at once) and the one certifier of exact aggregation,
+:func:`config_at` and the :class:`WalkOperator`, the package's only
+adjacency: the walk's generator applied to a vector over the placements,
+one array axis per ball, with no table of neighbours) and the one
+certifier of exact aggregation,
 :func:`is_exactly_lumpable`, which the occupancy chain and the 2k-class
 lumped chain are both checked by.  Each of those two keeps its own
 classification and its own kernel.
@@ -180,26 +181,83 @@ def _digits(params: ModelParams) -> np.ndarray:
     return np.arange(params.state_count, dtype=np.int64)[:, None] // powers % params.urns
 
 
-def neighbor_indices(params: ModelParams) -> np.ndarray:
-    """The ``(states, degree)`` int64 adjacency over state indices.
+def _moves(state: int, params: ModelParams) -> list[int]:
+    """The indices one move from state ``state``: moving ball ``i`` from urn
+    digit ``d`` to ``u`` shifts the index by ``(u - d) * urns**i``."""
+    n, powers = params.urns, [params.urns**i for i in range(params.balls)]
+    digits = [(state // p % n, p) for p in powers]
+    return [state + (u - d) * p for d, p in digits for u in range(n) if u != d]
 
-    Row ``g`` holds, in ascending order, the indices of the placements one
-    move away from ``config_at(g, params)``, built by index arithmetic:
-    moving ball ``i`` from urn digit ``d`` to ``u`` shifts the index by
-    ``(u - d) * urns**i``.
+
+def _axis_sums(full: np.ndarray, urns: int, balls: int) -> np.ndarray:
+    """``sum_b S_b full`` for a vector over all placements in index order:
+    ``S_b`` sums over ball b's axis, the ``urns`` placements that differ at
+    most in ball b; with two urns, the placement plus the axis's flip."""
+    total = balls * full if urns == 2 else np.zeros_like(full)
+    for ball in range(balls):
+        grid = full.reshape(-1, urns, urns**ball)  # axis 1 holds the ball's urn
+        view = total.reshape(grid.shape)
+        view += grid[:, ::-1] if urns == 2 else grid.sum(axis=1, keepdims=True)
+    return total
+
+
+class WalkOperator(Sequence):
+    """The walk absorbed on the states of the boolean mask ``absorbing``, as
+    the operator ``P (n M I - sum_b S_b) P`` over the other states.
+
+    With ``S_b`` as in :func:`_axis_sums`, ``sum_b S_b`` is ``M I`` plus the
+    0/1 adjacency ``A``, so this is ``degree * I - A`` over the transient
+    states (``states``, ascending); ``P`` zeroes the absorbed entries.  No
+    entry is stored.  Each ``S_b`` is symmetric and ``P`` diagonal, so the
+    operator is symmetric by construction.  ``times`` and ``magnitudes``
+    multiply a 1-D int64, float64 or Python-int vector, in its dtype, by
+    the operator and by its matrix of absolute values
+    ``P ((n - 2) M I + sum_b S_b) P``; no value they form exceeds
+    ``bound = 2 n M`` times ``max|x|``.  Indexing gives row ``i`` as
+    ``{column: value}``.  ``_facts`` belongs to :mod:`urnwalk.linsolve`.
     """
-    n, states = params.urns, params.state_count
-    digits = _digits(params)[:, :, None]
-    # each ball's n - 1 other digits, reached by adding 1..n-1 modulo n;
-    # updated in place, so that one (states, degree) array is ever held
-    adjacency = digits + np.arange(1, n)
-    adjacency %= n
-    adjacency -= digits
-    adjacency *= n ** np.arange(params.balls, dtype=np.int64)[:, None]
-    adjacency += np.arange(states, dtype=np.int64)[:, None, None]
-    adjacency = adjacency.reshape(states, -1)
-    adjacency.sort(axis=1)
-    return adjacency
+
+    symmetric = True
+
+    def __init__(self, params: ModelParams, absorbing: np.ndarray) -> None:
+        if absorbing.dtype != bool or absorbing.shape != (params.state_count,):
+            raise ValueError(f"need a boolean mask of {params.state_count} states")
+        self.params, self._transient = params, ~absorbing
+        self.states = np.flatnonzero(self._transient)
+        self._transient.flags.writeable = self.states.flags.writeable = False
+        self.diagonal = np.full(len(self.states), params.degree, dtype=np.int64)
+        self.bound = 2 * params.urns * params.balls
+        self._facts = None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> dict[int, int]:
+        i = range(len(self))[operator.index(i)]  # negative from the end; IndexError past it
+        moves = [s for s in _moves(int(self.states[i]), self.params) if self._transient[s]]
+        row = dict.fromkeys(np.searchsorted(self.states, moves).tolist(), -1)
+        return row | {i: self.params.degree}
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return self.params.urns * self.params.balls * x - self._sums(x)
+
+    def magnitudes(self, x: np.ndarray) -> np.ndarray:
+        return (self.params.urns - 2) * self.params.balls * x + self._sums(x)
+
+    def _sums(self, x: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.params.state_count, dtype=x.dtype)
+        full[self._transient] = x
+        return _axis_sums(full, self.params.urns, self.params.balls)[self._transient]
+
+    def absorbing_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each transient state's absorbed neighbours' indices, ascending."""
+        absorbed = (~self._transient).astype(np.int64)
+        near = _axis_sums(absorbed, self.params.urns, self.params.balls)[self._transient]
+        edges = [()] * len(self)
+        for i in np.flatnonzero(near).tolist():  # the rows with an absorbed neighbour
+            moves = _moves(int(self.states[i]), self.params)
+            edges[i] = tuple(sorted(s for s in moves if not self._transient[s]))
+        return tuple(edges)
 
 
 def lump_class_of(config: Configuration, params: ModelParams) -> int:
@@ -260,12 +318,12 @@ def is_exactly_lumpable(
     Chains*, 1960, section 6.3) the classes lump the walk onto that kernel
     exactly when every state's one-step mass into each class equals its own
     class's row.  Every move has probability ``1 / degree``, so each row is
-    written out as ``degree`` class ids, ``probability * degree`` of each,
-    and compared with the sorted classes of every state's row of
-    :func:`neighbor_indices`, all states at once.  The placements passed to
-    ``classify`` come from the digit array, not from decoding each index.
-    Raises BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before
-    anything is built.
+    written out as move counts, ``probability * degree`` into each class,
+    and compared with each state's neighbour count in each class ``c``,
+    ``(A 1_c)(x)``: one :class:`WalkOperator` pass per class.  The
+    placements passed to ``classify`` come from the digit array.  Raises
+    BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before anything
+    is built.
     """
     if params.state_count > LUMPABILITY_BUDGET:
         raise BudgetExceededError(
@@ -278,19 +336,22 @@ def is_exactly_lumpable(
         [ids.setdefault(classify(config), len(ids)) for config in placements],
         dtype=np.int32,
     )
-    written_out = []
-    for label in ids:  # in id order
-        row: list[int] = []
+    # counts[k, c]: the moves from a state of class k into class c
+    counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for label, k in ids.items():
         for other, p in row_of(label).items():
             if not p:
                 continue
             count = p * degree
-            if other not in ids or count < 0 or count.denominator != 1:
+            if other not in ids or not 0 < count <= degree or count.denominator != 1:
                 return False  # no state's neighbour counts can match
-            row += [ids[other]] * int(count)
-        if len(row) != degree:
+            counts[k, ids[other]] = int(count)
+        if counts[k].sum() != degree:
             return False
-        written_out.append(sorted(row))
-    observed = classes[neighbor_indices(params)]
-    observed.sort(axis=1)
-    return np.array_equal(observed, np.array(written_out, dtype=np.int32)[classes])
+    walk = WalkOperator(params, np.zeros(params.state_count, dtype=bool))
+    members = ((classes == c).astype(np.int64) for c in range(len(ids)))
+    # the operator is degree * I - A: A 1_c is degree 1_c minus its product
+    return all(
+        np.array_equal(degree * member - walk.times(member), counts[classes, c])
+        for c, member in enumerate(members)
+    )

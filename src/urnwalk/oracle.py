@@ -39,12 +39,12 @@ from .model import (
     TARGET_URN,
     Configuration,
     ModelParams,
+    WalkOperator,
     all_in_urn,
     as_integer,
     check_configuration,
     index_of,
     lumped_kernel,
-    neighbor_indices,
 )
 
 DEFAULT_EXACT_BUDGET = 4096
@@ -60,11 +60,11 @@ def _check_budget(params: ModelParams, budget: int, what: str) -> None:
 class AbsorbingSystem:
     """The integer linear system whose solution is a hitting quantity.
 
-    ``rows`` hold ``degree * I - A`` over the transient states in ascending
-    index order, ``A`` their 0/1 adjacency: ``degree`` on the diagonal and
-    -1 at each transient neighbour.  They are int64 CSR arrays, which the
-    integer solvers read as they are, at every size; ``rows[i]`` reads row
-    ``i`` as a ``{column: value}`` mapping.  The matrix is ``degree`` times
+    ``rows`` is the :class:`urnwalk.model.WalkOperator` of the absorbing
+    set: ``degree * I - A`` over the transient states in ascending index
+    order, ``A`` their 0/1 adjacency.  It stores no entry: the integer
+    solvers read it through its products, and ``rows[i]`` reads row ``i``
+    as a ``{column: value}`` mapping.  The matrix is ``degree`` times
     ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand sides
     count moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
     lists the absorbing state indices one move away from the i-th
@@ -77,7 +77,7 @@ class AbsorbingSystem:
 
     params: ModelParams
     transient_states: tuple[int, ...]
-    rows: linsolve.IntegerRows
+    rows: WalkOperator
     absorbing_edges: tuple[tuple[int, ...], ...]
 
     def position(self, state: int) -> int:
@@ -119,28 +119,12 @@ def build_absorbing_system(
         )
     is_absorbing = np.zeros(total, dtype=bool)
     is_absorbing[indices] = True
-    transients = np.flatnonzero(~is_absorbing)
-    # each state's position among the transient states, -1 when absorbing
-    position = np.where(is_absorbing, -1, np.cumsum(~is_absorbing) - 1)
-    moves = neighbor_indices(params)[transients]
-    # each row's columns are its transient neighbours, which are distinct,
-    # and its diagonal; sorted, the absorbing ones come first as -1 and go
-    diagonal = np.arange(len(transients))[:, None]
-    columns = np.concatenate((position[moves], diagonal), axis=1)
-    columns.sort(axis=1)
-    kept = columns >= 0
-    indptr = np.zeros(len(transients) + 1, dtype=np.int64)
-    np.cumsum(kept.sum(axis=1), out=indptr[1:])
-    data = np.where(columns == diagonal, params.degree, -1)[kept]
-    hits = is_absorbing[moves]
-    edges = [()] * len(transients)
-    for i in np.flatnonzero(hits.any(axis=1)).tolist():
-        edges[i] = tuple(moves[i][hits[i]].tolist())
+    rows = WalkOperator(params, is_absorbing)
     return AbsorbingSystem(
         params=params,
-        transient_states=tuple(transients.tolist()),
-        rows=linsolve.IntegerRows(indptr, columns[kept], data),
-        absorbing_edges=tuple(edges),
+        transient_states=tuple(rows.states.tolist()),
+        rows=rows,
+        absorbing_edges=rows.absorbing_edges(),
     )
 
 

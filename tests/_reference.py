@@ -3,29 +3,36 @@
 Deliberately separate code paths from the package: a Gauss-Jordan solver
 over plain Fraction lists, a Pascal-triangle binomial, a hitting-time
 computation that builds its state space with itertools, the one-move
-neighbour list of a placement (the reference for
-``urnwalk.model.neighbor_indices``), the absorbing system's rows as one
-dict per row (the builder the oracle's CSR arrays replaced, kept as their
-reference), and the Monte Carlo walk one replication at a time on its own
-numpy ``Generator`` (the loop the lockstep kernel of ``urnwalk.simulate``
-replaced, kept as its reference).  Slow and simple on purpose; apart from
-the input checks of ``neighbors`` and ``step`` and the adjacency that
-``absorbing_rows`` reads, they share no code with the package, so its
-results can be checked against them.  ``rows_times`` multiplies
-``{column: value}`` rows by a vector exactly, so a solve can be checked
-by its residual.
+neighbour list of a placement, the ``(states, degree)`` index adjacency
+``neighbor_indices`` built from it by index arithmetic (the table the
+walk operator of ``urnwalk.model`` replaced), the absorbing system's rows
+as one dict per row built from that table (the reference for the
+operator's rows and products), and the Monte Carlo walk one replication
+at a time on its own numpy ``Generator`` (the loop the lockstep kernel of
+``urnwalk.simulate`` replaced, kept as its reference).  Slow and simple on
+purpose; apart from the input checks of ``neighbors`` and ``step`` they
+share no code with the package, so its results can be checked against
+them.  ``rows_times`` multiplies ``{column: value}`` rows by a vector
+exactly, so a solve can be checked by its residual.
+
+``IntegerRows`` is a small square integer matrix as CSR arrays that
+offers the operator interface of ``urnwalk.linsolve``: the solvers' tests
+state systems of any shape and sign pattern with it, among them the
+non-symmetric and singular ones the certificate must refuse.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
 from urnwalk.errors import DomainError
-from urnwalk.model import check_configuration, neighbor_indices
+from urnwalk.model import check_configuration
 
 FIRST_BLOCK = 256
 MAX_BLOCK = 65_536
@@ -105,6 +112,24 @@ def neighbors(config, params):
     return out
 
 
+def neighbor_indices(params):
+    """The ``(states, degree)`` int64 adjacency over state indices.
+
+    Row ``g`` holds, in ascending order, the indices of the placements one
+    move away from state ``g``: moving ball ``i`` from urn digit ``d`` to
+    ``u`` shifts the index by ``(u - d) * urns**i``.
+    """
+    n, states = params.urns, params.state_count
+    powers = n ** np.arange(params.balls, dtype=np.int64)
+    digits = (np.arange(states, dtype=np.int64)[:, None] // powers % n)[:, :, None]
+    # each ball's n - 1 other digits, reached by adding 1..n-1 modulo n
+    adjacency = (digits + np.arange(1, n)) % n - digits
+    adjacency = adjacency * powers[:, None] + np.arange(states, dtype=np.int64)[:, None, None]
+    adjacency = adjacency.reshape(states, -1)
+    adjacency.sort(axis=1)
+    return adjacency
+
+
 def absorbing_rows(params, absorbing):
     """``degree * I - A`` over the transient states in ascending index order,
     one ``{column: value}`` dict per row, ``A`` their 0/1 adjacency."""
@@ -120,6 +145,65 @@ def absorbing_rows(params, absorbing):
         row[i] = params.degree
         rows.append(row)
     return rows
+
+
+class IntegerRows(Sequence):
+    """A square int64 matrix as CSR arrays, with the operator interface of
+    ``urnwalk.linsolve`` and read as a sequence of ``{column: value}`` rows.
+
+    ``indptr``, ``indices`` and ``data`` are 1-D numpy int64 arrays, with
+    each row's columns ascending.  Construction checks their types and
+    shapes (TypeError for a wrong type or dtype, ValueError for a wrong
+    shape) and makes them read-only, so that a malformed array cannot
+    reach a solver and the facts the solvers keep in ``_facts`` stay true.
+    ``bound`` is the largest absolute entry times the longest row's entry
+    count: it bounds every partial sum of a product per unit of ``max|x|``.
+    """
+
+    def __init__(self, indptr, indices, data):
+        arrays = {"indptr": indptr, "indices": indices, "data": data}
+        for name, array in arrays.items():
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64:
+                raise TypeError(f"IntegerRows {name} must be an int64 ndarray")
+            if array.ndim != 1:
+                raise ValueError(f"IntegerRows {name} must be 1-D")
+        if len(indptr) == 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise ValueError("IntegerRows indptr must start at 0 and never decrease")
+        if not indptr[-1] == len(indices) == len(data):
+            raise ValueError("IntegerRows indptr must end at len(indices) == len(data)")
+        if len(indices) and (indices.min() < 0 or indices.max() >= len(indptr) - 1):
+            raise ValueError("IntegerRows indices must be columns of the square matrix")
+        for array in arrays.values():
+            array.flags.writeable = False
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self._row_of = np.repeat(np.arange(len(self)), np.diff(indptr))
+        entries = list(zip(self._row_of.tolist(), indices.tolist(), data.tolist()))
+        self.symmetric = set(entries) == {(j, i, c) for i, j, c in entries}
+        self.diagonal = np.zeros(len(self), dtype=np.int64)
+        on_diagonal = self._row_of == indices
+        self.diagonal[indices[on_diagonal]] = data[on_diagonal]
+        longest = int(np.diff(indptr).max(initial=0))
+        self.bound = max((abs(c) for c in data.tolist()), default=0) * longest
+        self._facts = None
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]  # negative from the end; IndexError past it
+        start, stop = self.indptr[i : i + 2].tolist()
+        return dict(zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist()))
+
+    def times(self, x):
+        return self._product(self.data, x)
+
+    def magnitudes(self, x):
+        return self._product(np.abs(self.data), x)
+
+    def _product(self, data, x):
+        out = np.zeros(len(self), dtype=x.dtype)
+        np.add.at(out, self._row_of, data.astype(x.dtype) * x[self.indices])
+        return out
 
 
 def step(config, params, ball_index, urn_draw):

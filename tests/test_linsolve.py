@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from urnwalk import linsolve
 
-from _reference import gauss_jordan_solve, rows_times
+from _reference import IntegerRows, gauss_jordan_solve, rows_times
 
 
 def dense(rows):
@@ -19,12 +19,12 @@ def dense(rows):
 
 
 def integer_rows(rows):
-    """``{column: int}`` rows as ``linsolve.IntegerRows``, each row's columns ascending."""
+    """``{column: int}`` rows as the CSR operator ``IntegerRows``, each row's columns ascending."""
     indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
     entries = [(j, row[j]) for row in rows for j in sorted(row)]
     indices = np.array([j for j, _ in entries], dtype=np.int64)
     data = np.array([c for _, c in entries], dtype=np.int64)
-    return linsolve.IntegerRows(indptr, indices, data)
+    return IntegerRows(indptr, indices, data)
 
 
 def path_rows(size, diagonal):
@@ -87,8 +87,8 @@ MALFORMED = [
 
 
 class TestIntegerRowsInput:
-    """``IntegerRows`` takes three 1-D int64 ndarrays forming square CSR rows,
-    and keeps them read-only."""
+    """The CSR operator the generic solver tests run on takes three 1-D
+    int64 ndarrays forming square CSR rows, and keeps them read-only."""
 
     def test_float_data_rejected(self):
         # a 20-unknown path with 2.5 on the diagonal; the integer solvers
@@ -96,7 +96,7 @@ class TestIntegerRowsInput:
         arrays = path_arrays(20)
         arrays["data"] = np.where(arrays["data"] == 3, 2.5, -1.0)
         with pytest.raises(TypeError, match="data must be an int64 ndarray"):
-            linsolve.IntegerRows(**arrays)
+            IntegerRows(**arrays)
 
     @pytest.mark.parametrize(
         "name, value, error, message",
@@ -107,7 +107,7 @@ class TestIntegerRowsInput:
         arrays = path_arrays(3)
         arrays[name] = value
         with pytest.raises(error, match=message):
-            linsolve.IntegerRows(**arrays)
+            IntegerRows(**arrays)
 
     def test_arrays_are_read_only(self):
         # the facts the gate keeps on the rows stay true for their arrays
@@ -225,7 +225,7 @@ class TestWalkSystem:
     def test_dict_rows_are_rejected(self, solver):
         for size in (2, 20):
             rows = [{i: 3} for i in range(size)]
-            with pytest.raises(TypeError, match="takes IntegerRows, not list"):
+            with pytest.raises(TypeError, match="takes an integer operator, not list"):
                 solver(rows, [1] * size)
 
     def test_size_mismatch_rejected(self):
@@ -249,6 +249,47 @@ class TestWalkSystem:
             assert values.shape == (0,) and residual == 0.0
         else:
             assert isinstance(solved, linsolve.RationalVector) and list(solved) == []
+
+
+class TestExactProductOnTheWalk:
+    """``_exact_product`` runs the walk operator in int64 only while its
+    bound, ``2 n M`` per unit of ``max|x|``, keeps every value in range."""
+
+    def isolated_row(self):
+        # 2 urns, 3 balls, every neighbour of state 0 absorbed: one unknown,
+        # a row of degree 3 alone, yet the operator forms 2 * 3 * x on the way
+        from urnwalk.model import ModelParams, WalkOperator
+
+        params = ModelParams(2, 3)
+        mask = np.ones(params.state_count, dtype=bool)
+        mask[0] = False
+        return WalkOperator(params, mask), [{0: 3}]
+
+    @pytest.mark.parametrize(
+        "top, path",
+        [
+            (2**63 // 12, np.int64),  # the last value the int64 path takes
+            (2**63 // 12 + 1, object),  # just past the bound
+            # below 2**63 / 3 the row sum alone stays in range, but 6 x does not
+            (2**63 // 6 + 1, object),
+            (2**63 // 3 - 1, object),
+        ],
+        ids=["at-the-bound", "past-the-bound", "6x-overflows", "row-sum-in-range"],
+    )
+    def test_python_ints_past_the_bound(self, monkeypatch, top, path):
+        walk, rows = self.isolated_row()
+        seen = []
+        times = walk.times
+
+        def spy(x):
+            seen.append(x.dtype)
+            return times(x)
+
+        monkeypatch.setattr(walk, "times", spy)
+        for value in (top, -top):
+            product = linsolve._exact_product(walk, np.array([value], dtype=object))
+            assert product.tolist() == rows_times(rows, [Fraction(value)])
+        assert seen == [np.dtype(path)] * 2
 
 
 class TestBandedSystemAndFloatSolve:
@@ -280,17 +321,17 @@ class TestBandedSystemAndFloatSolve:
 CG_ROUND = linsolve._cg_round
 
 
-def partial_correction(approximate, residual):
+def partial_correction(rows, residual):
     """0.6 of CG's correction, claiming an accuracy of 2**-20: each round
     leaves 0.4 of the residual, scaled by 2**17, so it grows."""
-    return 0.6 * CG_ROUND(approximate, residual)[0], 2.0**-20
+    return 0.6 * CG_ROUND(rows, residual)[0], 2.0**-20
 
 
-def infinite_correction(approximate, residual):
+def infinite_correction(rows, residual):
     return np.full(len(residual), np.inf), 0.0
 
 
-def no_correction(approximate, residual):
+def no_correction(rows, residual):
     """No correction, claiming an accuracy of 2**-48: the residual comes
     back scaled by 2**45, unshrunk."""
     return np.zeros(len(residual)), 2.0**-48
@@ -310,8 +351,9 @@ class TestRefinementPath:
     @settings(max_examples=12, deadline=None)
     def test_recovers_known_solution(self, system):
         rows, rhs = system
-        facts = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
-        refined = linsolve._solve_refined(facts, np.array(rhs, dtype=object))
+        matrix = integer_rows(rows)
+        limit_bits = linsolve._certified(matrix, rhs, "solve_exact")
+        refined = linsolve._solve_refined(matrix, np.array(rhs, dtype=object), limit_bits)
         assert rows_times(rows, list(refined)) == rhs
         assert list(linsolve.solve_exact(integer_rows(rows), rhs)) == list(refined)
 
@@ -319,7 +361,7 @@ class TestRefinementPath:
         # a CG round that corrects nothing and claims no accuracy leaves no
         # positive k: refinement stalls and raises, as no other solver exists
         monkeypatch.setattr(
-            linsolve, "_cg_round", lambda approximate, residual: (np.zeros(len(residual)), 1.0)
+            linsolve, "_cg_round", lambda rows, residual: (np.zeros(len(residual)), 1.0)
         )
         rows = integer_rows(path_rows(70, lambda i: 3))  # symmetric, strictly dominant
         with pytest.raises(ValueError, match=r"refinement stalled \(no positive k was left\)"):
@@ -344,9 +386,8 @@ class TestRefinementPath:
         # the solution's denominator 267914296 needs more than the round
         # with scale 1: past a Hadamard bound of 0 bits, the next round stops
         rows, rhs = VECTOR_SYSTEMS["refined"]
-        facts = linsolve._certified(integer_rows(rows), rhs, "solve_exact")
         with pytest.raises(ValueError, match="refinement stalled.*the scale passed the Hadamard"):
-            linsolve._solve_refined(facts._replace(limit_bits=0), np.array(rhs, dtype=object))
+            linsolve._solve_refined(integer_rows(rows), np.array(rhs, dtype=object), 0)
 
     @given(sparse_dominant_system(1, 80, symmetric=True))
     @settings(max_examples=30, deadline=None)
@@ -381,8 +422,8 @@ class TestRefinementPath:
         cg.assert_not_called()
 
     def test_each_rows_certified_once(self):
-        # the gate keeps the facts, or the refusal, on the rows: later
-        # solves on the same rows, exact or float, certify nothing again
+        # the gate keeps its bound, or the refusal, on the operator: later
+        # solves on the same operator, exact or float, certify nothing again
         rows = path_rows(20, lambda i: 3)
         rhs = [i * i for i in range(20)]
         certified, uncertified = integer_rows(rows), integer_rows(nonsymmetric_rows(20))
@@ -420,8 +461,9 @@ class TestRefinementPath:
             two_block_rows(10),
             # certified, but a row's absolute sum reaches 2**62
             path_rows(20, lambda i: 2**62 - 2),
-            # certified, and every row sum is at most 2**61, but the largest
-            # entry, 2**61, times the longest row's 3 entries reaches 2**62
+            # certified, and every row sum is at most 2**61, but the product
+            # bound, the largest entry 2**61 times the longest row's 3
+            # entries, reaches 2**62
             [{0: 2**61}] + [{j + 1: c for j, c in r.items()} for r in path_rows(4, lambda i: 4)],
         ],
         ids=[

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnwalk import model, oracle
@@ -22,7 +22,7 @@ from urnwalk.model import (
 )
 from urnwalk.occupancy import build_occupancy_chain
 
-from _reference import neighbors
+from _reference import absorbing_rows, neighbor_indices, neighbors, rows_times
 
 
 @st.composite
@@ -216,7 +216,7 @@ class TestNeighbors:
     def test_index_adjacency_matches_neighbors(self, pc):
         params, config = pc
         expected = sorted(index_of(other, params) for other in neighbors(config, params))
-        adjacency = model.neighbor_indices(params)
+        adjacency = neighbor_indices(params)
         assert adjacency.shape == (params.state_count, params.degree)
         assert adjacency[index_of(config, params)].tolist() == expected
 
@@ -330,6 +330,34 @@ class TestLumpabilityCertifier:
             return row
 
         assert not is_exactly_lumpable(params, occupancy, perturbed)
+        # one move's mass, 1/degree, moved within a kernel row: each row still
+        # sums to one in whole moves, so only the states' neighbour counts
+        # can tell, on the occupancy bands and on the 2k classes alike
+        for urns, balls in ((3, 4), (4, 5)):
+            params = ModelParams(urns, balls)
+            step = Fraction(1, params.degree)
+            rows = band_rows(build_occupancy_chain(params))
+            kernel = lumped_kernel(params)
+
+            def moved_band(k):
+                row = rows(k)
+                if k == 1:
+                    row[1], row[2] = row[1] + step, row[2] - step  # stay, up
+                return row
+
+            def moved_class(label):
+                row = dict(kernel[label - 1])
+                if label == 2:
+                    row[1], row[2] = row[1] - step, row.get(2, 0) + step
+                return row
+
+            def classify(config):
+                return lump_class_of(config, params)
+
+            assert is_exactly_lumpable(params, occupancy, rows)
+            assert not is_exactly_lumpable(params, occupancy, moved_band)
+            assert is_exactly_lumpable(params, classify, lambda label: kernel[label - 1])
+            assert not is_exactly_lumpable(params, classify, moved_class)
 
     def test_non_lumpable_partition_is_rejected(self):
         # {target} against the rest: states next to the target send mass
@@ -349,9 +377,100 @@ class TestLumpabilityCertifier:
         def build(*args):
             raise AssertionError("built past the budget")
 
-        monkeypatch.setattr(model, "neighbor_indices", build)
+        monkeypatch.setattr(model, "WalkOperator", build)
         monkeypatch.setattr(model, "_digits", build)
         with pytest.raises(BudgetExceededError) as info:
             is_exactly_lumpable(ModelParams(6, 10), build, build)
         assert info.value.states == 6**10
 
+
+@st.composite
+def walk_cases(draw):
+    """A walk of at most 300 states, a set of absorbed states (none, a few,
+    or all, which leaves no unknowns) and an integer vector over the rest."""
+    params = draw(st.sampled_from(WALKS_UP_TO_300))
+    states = st.integers(0, params.state_count - 1)
+    absorbing = draw(
+        st.one_of(
+            st.frozensets(states, max_size=8),
+            st.just(frozenset(range(params.state_count))),
+        )
+    )
+    size = params.state_count - len(absorbing)
+    x = draw(st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size))
+    return params, absorbing, x
+
+
+WALKS_UP_TO_300 = [ModelParams(n, m) for n in range(2, 8) for m in range(1, 9) if n**m <= 300]
+
+
+def walk_operator(params, absorbing):
+    mask = np.zeros(params.state_count, dtype=bool)
+    mask[list(absorbing)] = True
+    return model.WalkOperator(params, mask)
+
+
+def matches_reference(params, absorbing, x):
+    """Whether the walk operator's rows and its int64, Python-int, float and
+    absolute-value products equal the dict-row reference on ``x``."""
+    walk = walk_operator(params, absorbing)
+    rows = absorbing_rows(params, absorbing)
+    want = rows_times(rows, [Fraction(v) for v in x])
+    magnitudes = rows_times([{j: abs(c) for j, c in row.items()} for row in rows], x)
+    exact = walk.times(np.array(x, dtype=object)).tolist()
+    return (
+        len(walk) == len(rows)
+        and list(walk) == rows
+        and walk.times(np.array(x, dtype=np.int64)).tolist() == want
+        and exact == want
+        and all(type(v) is int for v in exact)
+        # every value stays below 2**53, so the float product is exact too
+        and walk.times(np.array(x, dtype=np.float64)).tolist() == want
+        and walk.magnitudes(np.array(x, dtype=np.int64)).tolist() == magnitudes
+    )
+
+
+def skips_ball_one(axis_sums):
+    """A mutant of ``model._axis_sums`` that leaves ball 1's axis out."""
+
+    def mutant(full, urns, balls):
+        grid = full.reshape(-1, urns, 1)  # ball 1 is the least significant digit
+        left_out = np.broadcast_to(grid.sum(axis=1, keepdims=True), grid.shape)
+        return axis_sums(full, urns, balls) - left_out.reshape(-1)
+
+    return mutant
+
+
+class TestWalkOperator:
+    """The matrix-free walk operator against the rows built from the
+    reference adjacency table."""
+
+    @given(walk_cases())
+    @example((ModelParams(2, 1), frozenset({0, 1}), []))  # no unknowns
+    @example((ModelParams(3, 2), frozenset(), list(range(9))))  # nothing absorbed
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_products_match_the_reference(self, case):
+        assert matches_reference(*case)
+
+    @pytest.mark.parametrize("urns, balls", [(2, 4), (3, 3)])
+    def test_comparison_catches_an_operator_that_skips_an_axis(self, monkeypatch, urns, balls):
+        # two urns sum an axis through its flip, more urns through a sum
+        params = ModelParams(urns, balls)
+        case = (params, frozenset({0}), list(range(1, params.state_count)))
+        assert matches_reference(*case)
+        monkeypatch.setattr(model, "_axis_sums", skips_ball_one(model._axis_sums))
+        assert not matches_reference(*case)
+
+    def test_symmetric_with_a_positive_diagonal(self):
+        walk = walk_operator(ModelParams(3, 3), frozenset({4, 13}))
+        assert walk.symmetric
+        assert walk.diagonal.tolist() == [6] * 25
+        assert walk.bound == 18
+        dense = [[row.get(j, 0) for j in range(len(walk))] for row in walk]
+        assert dense == [list(column) for column in zip(*dense)]
+
+    def test_mask_must_cover_every_state(self):
+        params = ModelParams(2, 3)
+        for mask in (np.zeros(7, dtype=bool), np.zeros(8, dtype=np.int64)):
+            with pytest.raises(ValueError, match="boolean mask of 8 states"):
+                model.WalkOperator(params, mask)

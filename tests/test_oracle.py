@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,12 +26,12 @@ from urnwalk.model import (
     hamming_distance,
     index_of,
     lumped_kernel,
-    neighbor_indices,
 )
 
 from _reference import (
     absorbing_rows,
     gauss_jordan_solve,
+    neighbor_indices,
     neighbors,
     reference_hitting_time,
     rows_times,
@@ -346,13 +347,13 @@ class TestFiberQuantities:
         is_certified = linsolve._is_certified
 
         def spy(*args):
-            calls.append(args[0].shape)
+            calls.append(len(args[0]))
             return is_certified(*args)
 
         monkeypatch.setattr(linsolve, "_is_certified", spy)
         oracle._fiber_hitting_vector.cache_clear()
         fiber = oracle.target_fiber(params)
-        assert calls == [(78, 78)]
+        assert calls == [78]
         assert fiber.first_visit_probability == exact.first_visit_probability(params)
 
 
@@ -493,7 +494,8 @@ class TestAbsorbingSystem:
 
 
 class TestIntegerRows:
-    """The oracle's CSR arrays against the dict rows they replaced."""
+    """The oracle's walk operator against the dict rows built from the
+    reference adjacency table."""
 
     @given(absorbing_cases())
     @example((ModelParams(2, 1), frozenset({0, 1}), frozenset({1})))  # no unknowns
@@ -531,13 +533,16 @@ class TestIntegerRows:
             system.rows[3]
 
     def test_small_solve_loads_no_scipy(self):
-        # the lumped first-visit system is solved by elimination alone, so
-        # it imports no scipy, however many unknowns it has
+        # the lumped first-visit route solves nothing, and the exact and
+        # float solvers run on the walk operator with numpy alone: none of
+        # them imports scipy, however many unknowns it has
         code = (
             "import sys\n"
             "from urnwalk import oracle\n"
             "from urnwalk.model import ModelParams\n"
             "print(oracle.lumped_first_visit_probs(ModelParams(5, 12))[0])\n"
+            "print(oracle.expected_hitting_time(ModelParams(4, 6), (1,) * 6, (2,) * 6))\n"
+            "print(oracle.expected_hitting_time_float(ModelParams(3, 7), (1,) * 7, (2,) * 7)[0])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(urnwalk.__file__).resolve().parents[1])
@@ -545,6 +550,25 @@ class TestIntegerRows:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        first_visit, loaded = out.stdout.splitlines()
+        first_visit, exact_time, float_time, loaded = out.stdout.splitlines()
         assert Fraction(first_visit) == exact.first_visit_probability(ModelParams(5, 12))
+        assert Fraction(exact_time) == exact.full_transfer_time(ModelParams(4, 6))
+        expected = float(exact.full_transfer_time(ModelParams(3, 7)))
+        assert abs(float(float_time) - expected) <= 1e-9 * expected
         assert loaded == "[]"
+
+    def test_transfer_time_at_four_by_eight_stays_small(self):
+        # 65,536 states: the build holds a mask and the transient indices,
+        # and the solve a few vectors, where an adjacency table and its
+        # sparse matrices took more than twice this bound
+        params = ModelParams(4, 8)
+        tracemalloc.start()
+        try:
+            system = oracle.target_system(params, (2,) * 8, budget=params.state_count)
+            start = system.position(0)
+            value = system.hitting_time_vector()[start]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == exact.full_transfer_time(params)
+        assert peak < 48 * 2**20
