@@ -18,22 +18,21 @@ The solvers read the matrix only through an operator such as
 :class:`urnwalk.model.WalkOperator`: ``len(A)`` unknowns, ``A[i]`` row
 ``i`` as ``{column: value}`` (for readers), ``A.times(x)`` the product
 with a 1-D int64, float64 or Python-int vector in its dtype,
-``A.magnitudes(x)`` that of the matrix of absolute values, ``A.diagonal``,
-``A.symmetric``, ``A.bound`` (per unit of ``max|x|``, a bound on every
-value a product forms) and ``A._facts``, None until the gate keeps its
-verdict there.
+``A.magnitudes(x)`` and ``A.squares(x)`` those by the matrices of its
+entries' absolute values and squares, ``A.diagonal``, ``A.symmetric`` and
+``A.bound`` (per unit of ``max|x|``, a bound on every value ``times`` and
+``magnitudes`` form).
 
-Both pass one certificate gate: the matrix must be certified symmetric
-positive definite (symmetry, absolute row sums from the all-ones vector,
-and a search from the strict rows by products with 0/1 vectors), as the
-oracle's ``degree * I - A`` always is, with its product bound below
-``2**62``, and every right-hand side entry must lie below ``2**1000`` in
-absolute value; else they raise ValueError.  A system of no unknowns
-needs no gate, and solves to an empty vector.  CG runs on the residual
-scaled by a power of two, so its float arithmetic stays in range up to
-that bound.  The gate's verdict, with the Hadamard bound, is worked out
-once per operator.  A refinement that stalls raises ValueError too,
-naming the bound that stopped it.
+Both pass one certificate gate, worked out once per operator and kept
+while it lives: the matrix must be certified symmetric positive definite
+(symmetry, absolute row sums from the all-ones vector, and a search from
+the strict rows by products with 0/1 vectors), as the oracle's
+``degree * I - A`` always is, with its product bound below ``2**62``, and
+every right-hand side entry must lie below ``2**1000`` in absolute value,
+so that CG, run on the residual scaled by a power of two, stays in the
+float range.  Else they raise ValueError, as does a refinement that
+stalls, naming the bound that stopped it.  A system of no unknowns needs
+no gate, and solves to an empty vector.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -69,6 +69,8 @@ _FLOAT_BITS = 1000
 _REFINE_SPARE_BITS = 64
 # every refinement that stops without a verified solution names its reason
 _STALLED = "solve_exact: refinement stalled ({})"
+# the gate's verdict on each operator it has read, False or the scale bound
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class RationalVector(Sequence):
@@ -124,8 +126,8 @@ def solve_float(rows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
 
 def _certified(rows, rhs: Sequence[int], solver: str) -> int | None:
     """The certificate gate: the bound on the scale that refinement reads,
-    worked out on the operator's first gate and kept on it with its
-    refusal, ValueError when refused, or None for no unknowns."""
+    worked out on the operator's first gate and kept in ``_VERDICTS`` with
+    its refusal, ValueError when refused, or None for no unknowns."""
     if not callable(getattr(rows, "times", None)):
         raise TypeError(f"{solver} takes an integer operator, not {type(rows).__name__}")
     if len(rows) != len(rhs):
@@ -139,20 +141,21 @@ def _certified(rows, rhs: Sequence[int], solver: str) -> int | None:
             f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
             "in absolute value"
         )
-    if rows._facts is None:
-        rows._facts = False
-        if rows.bound < 2**62:  # then the absolute row sums fit in int64
-            sums = rows.magnitudes(np.ones(len(rows), dtype=np.int64))
-            if _is_certified(rows, sums):
-                # twice the Hadamard bound on log2 det(A), each row's 2-norm
-                # at most its absolute sum; denominators divide det(A)
-                rows._facts = _REFINE_SPARE_BITS + math.ceil(2 * np.log2(sums).sum())
-    if rows._facts is False:
+    if rows not in _VERDICTS:
+        # below 2**62 the absolute row sums fit in int64; the scale bound is
+        # twice the Hadamard bound on log2 det(A), from the rows' sums of
+        # squares, as denominators divide det(A)
+        _VERDICTS[rows] = (
+            rows.bound < 2**62
+            and _is_certified(rows, rows.magnitudes(np.ones(len(rows), dtype=np.int64)))
+            and _REFINE_SPARE_BITS + math.ceil(np.log2(rows.squares(np.ones(len(rows)))).sum())
+        )
+    if _VERDICTS[rows] is False:
         raise ValueError(
             f"{solver} needs a certified symmetric positive definite matrix "
             "whose product bound is below 2**62"
         )
-    return rows._facts
+    return _VERDICTS[rows]
 
 
 def _cg_round(rows, residual: np.ndarray) -> tuple[np.ndarray, float]:

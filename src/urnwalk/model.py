@@ -11,13 +11,11 @@ quantities computed elsewhere in the package concern the walk travelling
 from all-balls-in-urn-1 to all-balls-in-urn-2.
 
 This module owns the state-index encoding (:func:`index_of`,
-:func:`config_at` and the :class:`WalkOperator`, the package's only
-adjacency: the walk's generator applied to a vector over the placements,
-one array axis per ball, with no table of neighbours) and the one
-certifier of exact aggregation,
-:func:`is_exactly_lumpable`, which the occupancy chain and the 2k-class
-lumped chain are both checked by.  Each of those two keeps its own
-classification and its own kernel.
+:func:`config_at` and the :class:`WalkOperator`, the walk's generator
+applied to a vector over the placements, with no table of neighbours) and
+the one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
+the occupancy chain and the 2k-class lumped chain are both checked by.
+Each of those two keeps its own classification and its own kernel.
 
 Everything in this module is a pure function of immutable values and is
 safe for unrestricted concurrent use.
@@ -42,6 +40,11 @@ from .errors import (
 SOURCE_URN = 1
 TARGET_URN = 2
 LUMPABILITY_BUDGET = 100_000
+# Float products act on runs of balls of at most _RUN_STATES placements,
+# one BLAS call per run where sums take two numpy calls per ball (2x9: 13
+# against 68 us), in calls of at most _MATMUL_SIZE multiply-adds, under
+# which OpenBLAS stays on one thread (threaded calls took up to 16 ms).
+_RUN_STATES, _MATMUL_SIZE = 32, 2**18
 
 Configuration = tuple[int, ...]
 
@@ -190,14 +193,46 @@ def _moves(state: int, params: ModelParams) -> list[int]:
 
 
 def _axis_sums(full: np.ndarray, urns: int, balls: int) -> np.ndarray:
-    """``sum_b S_b full`` for a vector over all placements in index order:
+    """``sum_b S_b full`` for an array whose first axis runs over all
+    placements in index order (any further axes are carried along):
     ``S_b`` sums over ball b's axis, the ``urns`` placements that differ at
-    most in ball b; with two urns, the placement plus the axis's flip."""
-    total = balls * full if urns == 2 else np.zeros_like(full)
+    most in ball b."""
+    total = np.zeros_like(full)
     for ball in range(balls):
-        grid = full.reshape(-1, urns, urns**ball)  # axis 1 holds the ball's urn
+        grid = full.reshape(-1, urns, urns**ball, *full.shape[1:])  # axis 1: the ball's urn
         view = total.reshape(grid.shape)
-        view += grid[:, ::-1] if urns == 2 else grid.sum(axis=1, keepdims=True)
+        view += grid.sum(axis=1, keepdims=True)
+    return total
+
+
+def _ball_runs(params: ModelParams) -> list[tuple[int, np.ndarray]]:
+    """The balls cut into runs of at most ``_RUN_STATES`` placements (one
+    ball at least), as ``(urns**first ball, generator)``: the dense float64
+    ``n g I - sum_b S_b`` of the run's ``g`` balls alone.  The walk's
+    ``n M I - sum_b S_b`` is the sum of the runs' generators."""
+    n, m = params.urns, params.balls
+    size = max([1] + [g for g in range(1, m + 1) if n**g <= _RUN_STATES])
+    runs = []
+    for first in range(0, m, size):
+        count = min(size, m - first)
+        eye = np.eye(n**count)
+        runs.append((n**first, n * count * eye - _axis_sums(eye, n, count)))
+    return runs
+
+
+def _run_product(full: np.ndarray, runs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """``(n M I - sum_b S_b) full`` for a float64 vector over all
+    placements: each run's generator multiplies the run's axes, put last."""
+    total = np.zeros_like(full)
+    for low, generator in runs:
+        size = len(generator)
+        view = total.reshape(-1, size, low).transpose(0, 2, 1)
+        flat = full.reshape(-1, size, low).transpose(0, 2, 1).reshape(-1, size)
+        part = np.empty_like(flat)
+        rows = max(1, _MATMUL_SIZE // size**2)
+        for start in range(0, len(flat), rows):  # the generator is symmetric
+            np.matmul(flat[start : start + rows], generator, out=part[start : start + rows])
+        view += part.reshape(view.shape)
     return total
 
 
@@ -209,12 +244,13 @@ class WalkOperator(Sequence):
     0/1 adjacency ``A``, so this is ``degree * I - A`` over the transient
     states (``states``, ascending); ``P`` zeroes the absorbed entries.  No
     entry is stored.  Each ``S_b`` is symmetric and ``P`` diagonal, so the
-    operator is symmetric by construction.  ``times`` and ``magnitudes``
-    multiply a 1-D int64, float64 or Python-int vector, in its dtype, by
-    the operator and by its matrix of absolute values
-    ``P ((n - 2) M I + sum_b S_b) P``; no value they form exceeds
-    ``bound = 2 n M`` times ``max|x|``.  Indexing gives row ``i`` as
-    ``{column: value}``.  ``_facts`` belongs to :mod:`urnwalk.linsolve`.
+    operator is symmetric by construction.  ``times`` multiplies a 1-D
+    int64, float64 or Python-int vector by it, in its dtype (floats by the
+    runs of :func:`_ball_runs`); off-diagonal entries are 0 or -1, so the
+    products by the matrices of absolute values (``magnitudes``) and of
+    squares (``squares``) follow.  No value ``times`` and ``magnitudes``
+    form exceeds ``bound = 2 n M`` times ``max|x|``.  Indexing gives row
+    ``i`` as ``{column: value}``.
     """
 
     symmetric = True
@@ -227,7 +263,7 @@ class WalkOperator(Sequence):
         self._transient.flags.writeable = self.states.flags.writeable = False
         self.diagonal = np.full(len(self.states), params.degree, dtype=np.int64)
         self.bound = 2 * params.urns * params.balls
-        self._facts = None
+        self._runs = _ball_runs(params)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -239,15 +275,18 @@ class WalkOperator(Sequence):
         return row | {i: self.params.degree}
 
     def times(self, x: np.ndarray) -> np.ndarray:
-        return self.params.urns * self.params.balls * x - self._sums(x)
-
-    def magnitudes(self, x: np.ndarray) -> np.ndarray:
-        return (self.params.urns - 2) * self.params.balls * x + self._sums(x)
-
-    def _sums(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.params.state_count, dtype=x.dtype)
         full[self._transient] = x
-        return _axis_sums(full, self.params.urns, self.params.balls)[self._transient]
+        if x.dtype == np.float64:
+            return _run_product(full, self._runs)[self._transient]
+        n, m = self.params.urns, self.params.balls
+        return n * m * x - _axis_sums(full, n, m)[self._transient]
+
+    def magnitudes(self, x: np.ndarray) -> np.ndarray:
+        return 2 * self.params.degree * x - self.times(x)
+
+    def squares(self, x: np.ndarray) -> np.ndarray:
+        return (self.params.degree + 1) * self.params.degree * x - self.times(x)
 
     def absorbing_edges(self) -> tuple[tuple[int, ...], ...]:
         """Each transient state's absorbed neighbours' indices, ascending."""

@@ -155,7 +155,7 @@ class IntegerRows(Sequence):
     each row's columns ascending.  Construction checks their types and
     shapes (TypeError for a wrong type or dtype, ValueError for a wrong
     shape) and makes them read-only, so that a malformed array cannot
-    reach a solver and the facts the solvers keep in ``_facts`` stay true.
+    reach a solver and the verdict the solvers keep on it stays true.
     ``bound`` is the largest absolute entry times the longest row's entry
     count: it bounds every partial sum of a product per unit of ``max|x|``.
     """
@@ -184,7 +184,6 @@ class IntegerRows(Sequence):
         self.diagonal[indices[on_diagonal]] = data[on_diagonal]
         longest = int(np.diff(indptr).max(initial=0))
         self.bound = max((abs(c) for c in data.tolist()), default=0) * longest
-        self._facts = None
 
     def __len__(self):
         return len(self.indptr) - 1
@@ -199,6 +198,9 @@ class IntegerRows(Sequence):
 
     def magnitudes(self, x):
         return self._product(np.abs(self.data), x)
+
+    def squares(self, x):
+        return self._product(self.data.astype(x.dtype) ** 2, x)
 
     def _product(self, data, x):
         out = np.zeros(len(self), dtype=x.dtype)

@@ -411,12 +411,14 @@ def walk_operator(params, absorbing):
 
 
 def matches_reference(params, absorbing, x):
-    """Whether the walk operator's rows and its int64, Python-int, float and
-    absolute-value products equal the dict-row reference on ``x``."""
+    """Whether the walk operator's rows and its int64, Python-int, float,
+    absolute-value and squared-entry products equal the dict-row reference
+    on ``x``."""
     walk = walk_operator(params, absorbing)
     rows = absorbing_rows(params, absorbing)
     want = rows_times(rows, [Fraction(v) for v in x])
     magnitudes = rows_times([{j: abs(c) for j, c in row.items()} for row in rows], x)
+    squares = rows_times([{j: c * c for j, c in row.items()} for row in rows], x)
     exact = walk.times(np.array(x, dtype=object)).tolist()
     return (
         len(walk) == len(rows)
@@ -427,6 +429,8 @@ def matches_reference(params, absorbing, x):
         # every value stays below 2**53, so the float product is exact too
         and walk.times(np.array(x, dtype=np.float64)).tolist() == want
         and walk.magnitudes(np.array(x, dtype=np.int64)).tolist() == magnitudes
+        and walk.squares(np.array(x, dtype=np.int64)).tolist() == squares
+        and walk.squares(np.array(x, dtype=np.float64)).tolist() == squares
     )
 
 
@@ -434,9 +438,9 @@ def skips_ball_one(axis_sums):
     """A mutant of ``model._axis_sums`` that leaves ball 1's axis out."""
 
     def mutant(full, urns, balls):
-        grid = full.reshape(-1, urns, 1)  # ball 1 is the least significant digit
+        grid = full.reshape(-1, urns, *full.shape[1:])  # ball 1: the least significant digit
         left_out = np.broadcast_to(grid.sum(axis=1, keepdims=True), grid.shape)
-        return axis_sums(full, urns, balls) - left_out.reshape(-1)
+        return axis_sums(full, urns, balls) - left_out.reshape(full.shape)
 
     return mutant
 
@@ -452,14 +456,31 @@ class TestWalkOperator:
     def test_rows_and_products_match_the_reference(self, case):
         assert matches_reference(*case)
 
-    @pytest.mark.parametrize("urns, balls", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("urns, balls", [(2, 4), (3, 3), (2, 7)])
     def test_comparison_catches_an_operator_that_skips_an_axis(self, monkeypatch, urns, balls):
-        # two urns sum an axis through its flip, more urns through a sum
+        # integer products sum axis by axis; float ones multiply by run
+        # kernels built from the same sums (2x7: a run of 5 balls and one of 2)
         params = ModelParams(urns, balls)
         case = (params, frozenset({0}), list(range(1, params.state_count)))
         assert matches_reference(*case)
         monkeypatch.setattr(model, "_axis_sums", skips_ball_one(model._axis_sums))
         assert not matches_reference(*case)
+
+    @pytest.mark.parametrize("urns, balls", [(2, 9), (3, 5), (7, 2)])
+    def test_float_products_in_small_matrix_calls(self, monkeypatch, urns, balls):
+        # 49 multiply-adds a call: every run's rows split into several calls
+        monkeypatch.setattr(model, "_MATMUL_SIZE", 49)
+        params = ModelParams(urns, balls)
+        case = (params, frozenset({0, 5}), list(range(-2, params.state_count - 4)))
+        assert matches_reference(*case)
+
+    def test_runs_hold_at_most_32_placements(self):
+        runs = model._ball_runs
+        assert [(low, len(kernel)) for low, kernel in runs(ModelParams(2, 12))] == [
+            (1, 32), (32, 32), (1024, 4)
+        ]
+        assert [len(kernel) for _, kernel in runs(ModelParams(3, 7))] == [27, 27, 3]
+        assert [len(kernel) for _, kernel in runs(ModelParams(40, 2))] == [40, 40]
 
     def test_symmetric_with_a_positive_diagonal(self):
         walk = walk_operator(ModelParams(3, 3), frozenset({4, 13}))
