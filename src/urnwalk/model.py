@@ -11,9 +11,9 @@ quantities computed elsewhere in the package concern the walk travelling
 from all-balls-in-urn-1 to all-balls-in-urn-2.
 
 This module owns the state-index encoding (:func:`index_of`,
-:func:`config_at` and the :class:`WalkOperator`, the walk's generator
-applied to a vector over the placements, with no table of neighbours) and
-the one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
+:func:`config_at`, the walk's generator :class:`WalkOperator` and
+:func:`neighbour_counts` in a set, with no table of neighbours) and the
+one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
 the occupancy chain and the 2k-class lumped chain are both checked by.
 Each of those two keeps its own classification and its own kernel.
 
@@ -205,6 +205,20 @@ def _axis_sums(full: np.ndarray, urns: int, balls: int) -> np.ndarray:
     return total
 
 
+def _check_mask(params: ModelParams, mask: np.ndarray) -> None:
+    if mask.dtype != bool or mask.shape != (params.state_count,):
+        raise ValueError(f"need a boolean mask of {params.state_count} states")
+
+
+def neighbour_counts(params: ModelParams, inside: np.ndarray) -> np.ndarray:
+    """Each placement's int64 number of neighbours inside the boolean mask:
+    ``sum_b S_b 1 - M 1`` on its indicator ``1``, since each ``S_b`` of
+    :func:`_axis_sums` counts the placement itself once."""
+    _check_mask(params, inside)
+    indicator = inside.astype(np.int64)
+    return _axis_sums(indicator, params.urns, params.balls) - params.balls * indicator
+
+
 def _ball_runs(params: ModelParams) -> list[tuple[int, np.ndarray]]:
     """The balls cut into runs of at most ``_RUN_STATES`` placements (one
     ball at least), as ``(urns**first ball, generator)``: the dense float64
@@ -256,8 +270,7 @@ class WalkOperator(Sequence):
     symmetric = True
 
     def __init__(self, params: ModelParams, absorbing: np.ndarray) -> None:
-        if absorbing.dtype != bool or absorbing.shape != (params.state_count,):
-            raise ValueError(f"need a boolean mask of {params.state_count} states")
+        _check_mask(params, absorbing)
         self.params, self._transient = params, ~absorbing
         self.states = np.flatnonzero(self._transient)
         self._transient.flags.writeable = self.states.flags.writeable = False
@@ -287,16 +300,6 @@ class WalkOperator(Sequence):
 
     def squares(self, x: np.ndarray) -> np.ndarray:
         return (self.params.degree + 1) * self.params.degree * x - self.times(x)
-
-    def absorbing_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Each transient state's absorbed neighbours' indices, ascending."""
-        absorbed = (~self._transient).astype(np.int64)
-        near = _axis_sums(absorbed, self.params.urns, self.params.balls)[self._transient]
-        edges = [()] * len(self)
-        for i in np.flatnonzero(near).tolist():  # the rows with an absorbed neighbour
-            moves = _moves(int(self.states[i]), self.params)
-            edges[i] = tuple(sorted(s for s in moves if not self._transient[s]))
-        return tuple(edges)
 
 
 def lump_class_of(config: Configuration, params: ModelParams) -> int:
@@ -358,8 +361,8 @@ def is_exactly_lumpable(
     exactly when every state's one-step mass into each class equals its own
     class's row.  Every move has probability ``1 / degree``, so each row is
     written out as move counts, ``probability * degree`` into each class,
-    and compared with each state's neighbour count in each class ``c``,
-    ``(A 1_c)(x)``: one :class:`WalkOperator` pass per class.  The
+    and compared with each state's neighbour count in each class, one
+    :func:`neighbour_counts` pass per class.  The
     placements passed to ``classify`` come from the digit array.  Raises
     BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before anything
     is built.
@@ -387,10 +390,7 @@ def is_exactly_lumpable(
             counts[k, ids[other]] = int(count)
         if counts[k].sum() != degree:
             return False
-    walk = WalkOperator(params, np.zeros(params.state_count, dtype=bool))
-    members = ((classes == c).astype(np.int64) for c in range(len(ids)))
-    # the operator is degree * I - A: A 1_c is degree 1_c minus its product
     return all(
-        np.array_equal(degree * member - walk.times(member), counts[classes, c])
-        for c, member in enumerate(members)
+        np.array_equal(neighbour_counts(params, classes == c), counts[classes, c])
+        for c in range(len(ids))
     )

@@ -7,10 +7,11 @@ the absorbing system over the actual state space and solving it exactly;
 the first-visit probabilities of :func:`lumped_first_visit_probs` condition
 the walk on its 2k lump classes pair by pair, with no linear solver.
 Agreement with :mod:`urnwalk.exact` is therefore
-verification rather than circularity.  :func:`target_system` is the one
-builder of the walk absorbed at a single target, for the pair queries and
-the distance sweep of :mod:`urnwalk.checks`, which reads its solved vector
-in place.
+verification rather than circularity.  Right-hand sides count moves into
+a set by :func:`urnwalk.model.neighbour_counts` on its boolean mask.
+:func:`target_system` builds the walk absorbed at one target for the
+distance sweep of :mod:`urnwalk.checks`, which reads its solved vector in
+place; the pair queries build it after their own budget check.
 
 Exact solves are gated by a state budget, passed per call (default 4096
 states); every function here is a pure function of its arguments.  Beyond
@@ -45,6 +46,7 @@ from .model import (
     check_configuration,
     index_of,
     lumped_kernel,
+    neighbour_counts,
 )
 
 DEFAULT_EXACT_BUDGET = 4096
@@ -65,38 +67,56 @@ class AbsorbingSystem:
     order, ``A`` their 0/1 adjacency.  It stores no entry: the integer
     solvers read it through its products, and ``rows[i]`` reads row ``i``
     as a ``{column: value}`` mapping.  The matrix is ``degree`` times
-    ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand sides
-    count moves rather than weigh them by ``1 / degree``.  ``absorbing_edges[i]``
-    lists the absorbing state indices one move away from the i-th
-    transient state.  The walk's graph is connected, so every transient
-    state reaches a nonempty absorbing set and the system is uniquely
-    solvable; the chained-dominance certificate of
-    :func:`urnwalk.linsolve.solve_exact` starts its search from the rows
-    with an absorbing edge, the only strict ones.
+    ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand
+    sides count moves, such as :func:`urnwalk.model.neighbour_counts`.
+    The walk's graph is connected, so the system is uniquely solvable; the
+    chained-dominance certificate of :func:`urnwalk.linsolve.solve_exact`
+    starts its search from the rows with an absorbed neighbour, the only
+    strict ones.
     """
 
     params: ModelParams
-    transient_states: tuple[int, ...]
     rows: WalkOperator
-    absorbing_edges: tuple[tuple[int, ...], ...]
+
+    @property
+    def transient_states(self) -> tuple[int, ...]:
+        """The transient state indices, ascending, as ints."""
+        return tuple(self.rows.states.tolist())
 
     def position(self, state: int) -> int:
-        from bisect import bisect_left
-
-        i = bisect_left(self.transient_states, state)
-        if i == len(self.transient_states) or self.transient_states[i] != state:
+        states = self.rows.states
+        i = int(np.searchsorted(states, state))
+        if i == len(states) or states[i] != state:
             raise ValueError(f"state {state} is not transient")
         return i
 
     def hitting_time_vector(self) -> linsolve.RationalVector:
         """Expected steps to absorption from each transient state."""
-        rhs = [self.params.degree] * len(self.transient_states)
-        return linsolve.solve_exact(self.rows, rhs)
+        return linsolve.solve_exact(self.rows, [self.params.degree] * len(self.rows))
 
     def absorption_probability_vector(self, goal: frozenset[int]) -> linsolve.RationalVector:
-        """Probability of being absorbed inside ``goal`` from each transient state."""
-        rhs = [sum(1 for s in edges if s in goal) for edges in self.absorbing_edges]
-        return linsolve.solve_exact(self.rows, rhs)
+        """Probability of being absorbed inside ``goal`` from each transient
+        state.  ValidationError names a goal index that is no integer, out
+        of range or transient; bools and numpy ints are the ints they equal."""
+        inside = _state_mask(self.params, goal, "goal state index")
+        transient = self.rows.states[inside[self.rows.states]]
+        if len(transient):
+            raise ValidationError(f"goal state index {transient[0]} is transient")
+        rhs = neighbour_counts(self.params, inside)[self.rows.states]
+        return linsolve.solve_exact(self.rows, rhs.tolist())
+
+
+def _state_mask(params: ModelParams, indices, what: str) -> np.ndarray:
+    """The boolean mask of ``indices``; ValidationError names one that is no
+    integer or lies outside the state space."""
+    total = params.state_count
+    indices = [as_integer(s, what) for s in indices]
+    outside = sorted(s for s in indices if not 0 <= s < total)
+    if outside:
+        raise ValidationError(f"{what} {outside[0]} outside 0..{total - 1}")
+    mask = np.zeros(total, dtype=bool)
+    mask[indices] = True
+    return mask
 
 
 def build_absorbing_system(
@@ -108,24 +128,10 @@ def build_absorbing_system(
     index that is no integer or lies outside the state space, before
     anything is built.  Bools and numpy ints are the indices they equal.
     """
-    total = params.state_count
     if not absorbing:
         raise SingularSystemError("absorbing set is empty")
-    indices = [as_integer(s, "absorbing state index") for s in absorbing]
-    outside = sorted(s for s in indices if not 0 <= s < total)
-    if outside:
-        raise ValidationError(
-            f"absorbing state index {outside[0]} outside 0..{total - 1}"
-        )
-    is_absorbing = np.zeros(total, dtype=bool)
-    is_absorbing[indices] = True
-    rows = WalkOperator(params, is_absorbing)
-    return AbsorbingSystem(
-        params=params,
-        transient_states=tuple(rows.states.tolist()),
-        rows=rows,
-        absorbing_edges=rows.absorbing_edges(),
-    )
+    mask = _state_mask(params, absorbing, "absorbing state index")
+    return AbsorbingSystem(params, WalkOperator(params, mask))
 
 
 def target_system(
@@ -149,7 +155,7 @@ def _pair_system(
     if start == target:
         return None
     _check_budget(params, budget, what)
-    system = target_system(params, target, budget)
+    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
     return system, system.position(index_of(start, params))
 
 
@@ -184,14 +190,6 @@ def expected_hitting_time_float(
     system, row = pair
     values, residual = linsolve.solve_float(system.rows, [params.degree] * len(system.rows))
     return float(values[row]), residual
-
-
-def _fiber_indices(params: ModelParams) -> frozenset[int]:
-    """States whose first balls - 1 coordinates are all urn 2."""
-    front = (TARGET_URN,) * (params.balls - 1)
-    return frozenset(
-        index_of(front + (last,), params) for last in range(1, params.urns + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -230,17 +228,18 @@ def _fiber_hitting_vector(urns: int, balls: int) -> TargetFiber:
     if balls == 1:
         return TargetFiber(Fraction(0), Fraction(0), Fraction(1))
     params = ModelParams(urns=urns, balls=balls)
-    fiber = _fiber_indices(params)
+    front = (TARGET_URN,) * (balls - 1)
+    fiber = frozenset(index_of(front + (last,), params) for last in range(1, urns + 1))
     system = build_absorbing_system(params, fiber)
     times = system.hitting_time_vector()
     target = index_of(all_in_urn(params, TARGET_URN), params)
     probabilities = system.absorption_probability_vector(frozenset({target}))
     start = system.position(index_of(all_in_urn(params, SOURCE_URN), params))
-    # each move out of the fiber is a transient state's absorbing edge
-    # reversed, so every row's time counts once per absorbing edge; only
-    # the rows with one are read
-    edges = system.absorbing_edges
-    out = sum((times[i] * len(e) for i, e in enumerate(edges) if e), Fraction(0))
+    # each move out of the fiber is a transient state's move into it
+    # reversed, so every row's time counts once per fiber neighbour
+    moves_in = neighbour_counts(params, _state_mask(params, fiber, "fiber state index"))
+    weights = moves_in[system.rows.states].tolist()
+    out = Fraction(sum(t * w for t, w in zip(times.numerators, weights)), times.denominator)
     return TargetFiber(
         first_visit_probability=probabilities[start],
         time_to_fiber=times[start],

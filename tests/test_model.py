@@ -50,15 +50,19 @@ def step_probability(source, destination, params):
 
     With every state but ``source`` absorbing, the system has one row: its
     diagonal is the degree times one minus the self-loop probability, and
-    its absorbing edges list each state one move away, each with
-    probability 1/degree.
+    the chance of being absorbed at ``destination`` is the one-step
+    probability, which must be the reference adjacency's count of
+    ``destination`` over the degree.
     """
     a, b = index_of(source, params), index_of(destination, params)
     others = frozenset(range(params.state_count)) - {a}
     system = oracle.build_absorbing_system(params, others)
     if a == b:
         return 1 - Fraction(system.rows[0][0], params.degree)
-    return Fraction(system.absorbing_edges[0].count(b), params.degree)
+    probability = system.absorption_probability_vector(frozenset({b}))[0]
+    moves = neighbor_indices(params)[a].tolist()
+    assert probability == Fraction(moves.count(b), params.degree)
+    return probability
 
 
 class TestModelParams:
@@ -377,11 +381,23 @@ class TestLumpabilityCertifier:
         def build(*args):
             raise AssertionError("built past the budget")
 
-        monkeypatch.setattr(model, "WalkOperator", build)
+        monkeypatch.setattr(model, "neighbour_counts", build)
         monkeypatch.setattr(model, "_digits", build)
         with pytest.raises(BudgetExceededError) as info:
             is_exactly_lumpable(ModelParams(6, 10), build, build)
         assert info.value.states == 6**10
+
+    def test_counts_neighbours_without_a_walk_operator(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a walk operator")
+
+        monkeypatch.setattr(model, "WalkOperator", build)
+        params = ModelParams(urns=3, balls=4)
+        kernel = lumped_kernel(params)
+        assert is_exactly_lumpable(params, occupancy, band_rows(build_occupancy_chain(params)))
+        assert is_exactly_lumpable(
+            params, lambda config: lump_class_of(config, params), lambda c: kernel[c - 1]
+        )
 
 
 @st.composite
@@ -404,16 +420,28 @@ def walk_cases(draw):
 WALKS_UP_TO_300 = [ModelParams(n, m) for n in range(2, 8) for m in range(1, 9) if n**m <= 300]
 
 
-def walk_operator(params, absorbing):
+def state_mask(params, states):
     mask = np.zeros(params.state_count, dtype=bool)
-    mask[list(absorbing)] = True
-    return model.WalkOperator(params, mask)
+    mask[list(states)] = True
+    return mask
+
+
+def walk_operator(params, absorbing):
+    return model.WalkOperator(params, state_mask(params, absorbing))
+
+
+def counts_match_reference(params, inside):
+    """Whether each placement's ``neighbour_counts`` in the set ``inside``
+    is the reference adjacency's."""
+    counts = np.isin(neighbor_indices(params), list(inside)).sum(axis=1)
+    return model.neighbour_counts(params, state_mask(params, inside)).tolist() == counts.tolist()
 
 
 def matches_reference(params, absorbing, x):
     """Whether the walk operator's rows and its int64, Python-int, float,
     absolute-value and squared-entry products equal the dict-row reference
-    on ``x``."""
+    on ``x``, and the neighbour counts in the absorbed set the reference
+    adjacency's."""
     walk = walk_operator(params, absorbing)
     rows = absorbing_rows(params, absorbing)
     want = rows_times(rows, [Fraction(v) for v in x])
@@ -431,6 +459,7 @@ def matches_reference(params, absorbing, x):
         and walk.magnitudes(np.array(x, dtype=np.int64)).tolist() == magnitudes
         and walk.squares(np.array(x, dtype=np.int64)).tolist() == squares
         and walk.squares(np.array(x, dtype=np.float64)).tolist() == squares
+        and counts_match_reference(params, absorbing)
     )
 
 
@@ -446,8 +475,8 @@ def skips_ball_one(axis_sums):
 
 
 class TestWalkOperator:
-    """The matrix-free walk operator against the rows built from the
-    reference adjacency table."""
+    """The matrix-free walk operator and the neighbour counts against the
+    rows and counts built from the reference adjacency table."""
 
     @given(walk_cases())
     @example((ModelParams(2, 1), frozenset({0, 1}), []))  # no unknowns
@@ -465,6 +494,7 @@ class TestWalkOperator:
         assert matches_reference(*case)
         monkeypatch.setattr(model, "_axis_sums", skips_ball_one(model._axis_sums))
         assert not matches_reference(*case)
+        assert not counts_match_reference(params, frozenset({0}))
 
     @pytest.mark.parametrize("urns, balls", [(2, 9), (3, 5), (7, 2)])
     def test_float_products_in_small_matrix_calls(self, monkeypatch, urns, balls):
@@ -493,5 +523,6 @@ class TestWalkOperator:
     def test_mask_must_cover_every_state(self):
         params = ModelParams(2, 3)
         for mask in (np.zeros(7, dtype=bool), np.zeros(8, dtype=np.int64)):
-            with pytest.raises(ValueError, match="boolean mask of 8 states"):
-                model.WalkOperator(params, mask)
+            for build in (model.WalkOperator, model.neighbour_counts):
+                with pytest.raises(ValueError, match="boolean mask of 8 states"):
+                    build(params, mask)

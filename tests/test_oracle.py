@@ -45,6 +45,11 @@ def params_and_absorbing_set(draw):
     return params, draw(st.frozensets(states, min_size=1))
 
 
+def moves_into(params, states, goal):
+    """Each state's number of moves into ``goal``, by the reference adjacency."""
+    return np.isin(neighbor_indices(params)[list(states)], list(goal)).sum(axis=1).tolist()
+
+
 def neighbour_set(params, state):
     """The indices one move away from ``state``, by the reference neighbour list."""
     return frozenset(index_of(c, params) for c in neighbors(config_at(state, params), params))
@@ -220,7 +225,7 @@ class TestRefinedSolves:
             (system.hitting_time_vector(), [params.degree] * len(system.rows)),
             (
                 system.absorption_probability_vector(goal),
-                [sum(s in goal for s in e) for e in system.absorbing_edges],
+                moves_into(params, system.transient_states, goal),
             ),
         ):
             assert max(v.denominator for v in solved) > 10**6
@@ -472,7 +477,52 @@ class TestAbsorbingSystem:
             system = oracle.build_absorbing_system(params, frozenset(absorbing))
             assert system.transient_states == expected.transient_states
             assert list(system.rows) == list(expected.rows)
-            assert system.absorbing_edges == expected.absorbing_edges
+            for goal in ({True}, {np.int64(1)}):
+                probabilities = system.absorption_probability_vector(frozenset(goal))
+                assert rows_times(list(system.rows), probabilities) == moves_into(
+                    params, system.transient_states, {1}
+                )
+
+    @pytest.mark.parametrize(
+        "goal,error",
+        [
+            ({3}, "goal state index 3 is transient"),
+            ({7, 1}, "goal state index 1 is transient"),
+            ({True}, "goal state index 1 is transient"),
+            ({"x"}, "goal state index must be an integer, got 'x'"),
+            ({7, 1.5}, "goal state index must be an integer, got 1.5"),
+            ({7, 99}, "goal state index 99 outside 0..7"),
+            ({np.int64(-1)}, "goal state index -1 outside 0..7"),
+        ],
+    )
+    def test_goal_outside_the_absorbing_set_rejected(self, goal, error):
+        # 2x3 absorbed on {0, 7}: the states 1..6 are transient
+        system = oracle.build_absorbing_system(ModelParams(2, 3), frozenset({0, 7}))
+        with pytest.raises(ValidationError, match=error):
+            system.absorption_probability_vector(frozenset(goal))
+
+    @pytest.mark.parametrize("goal,equal", [({np.int64(7)}, {7}), ({False, np.uint8(7)}, {0, 7})])
+    def test_goal_indices_are_the_ints_they_equal(self, goal, equal):
+        system = oracle.build_absorbing_system(ModelParams(2, 3), frozenset({0, 7}))
+        got = system.absorption_probability_vector(frozenset(goal))
+        want = system.absorption_probability_vector(frozenset(equal))
+        assert (got.denominator, got.numerators) == (want.denominator, want.numerators)
+
+    def test_empty_goal_gives_zeros(self):
+        system = oracle.build_absorbing_system(ModelParams(2, 3), frozenset({0, 7}))
+        assert list(system.absorption_probability_vector(frozenset())) == [0] * 6
+
+    def test_transfer_system_at_four_by_eight_holds_little(self):
+        # 65,536 states: the system keeps the operator's mask, transient
+        # indices and diagonal, and no Python object per state
+        tracemalloc.start()
+        try:
+            system = oracle.target_system(ModelParams(4, 8), (2,) * 8, budget=4**8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(system.rows) == 4**8 - 1
+        assert held < 2 * 2**20
 
     @given(params_and_absorbing_set())
     @settings(max_examples=60, deadline=None)
@@ -482,15 +532,15 @@ class TestAbsorbingSystem:
         assert system.transient_states == tuple(
             g for g in range(params.state_count) if g not in absorbing
         )
-        for i, (g, row, edges) in enumerate(
-            zip(system.transient_states, system.rows, system.absorbing_edges)
-        ):
-            moves = [index_of(c, params) for c in neighbors(config_at(g, params), params)]
-            expected = {system.position(h): -1 for h in moves if h not in absorbing}
+        moves = neighbor_indices(params)[list(system.transient_states)].tolist()
+        for i, (row, near) in enumerate(zip(system.rows, moves)):
+            expected = {system.position(h): -1 for h in near if h not in absorbing}
             expected[i] = params.degree
             assert row == expected
             assert all(type(c) is int for c in row.values())
-            assert sorted(edges) == sorted(h for h in moves if h in absorbing)
+        # every row's moves into the absorbing set are the right-hand side
+        # under which the walk is absorbed there with probability 1
+        assert list(system.absorption_probability_vector(absorbing)) == [1] * len(moves)
 
 
 class TestIntegerRows:
