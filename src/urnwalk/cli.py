@@ -9,6 +9,9 @@ a table on a terminal and JSON lines when piped; ``--format`` overrides, and
 ``simulate`` also writes CSV.  Exact values are always printed losslessly as
 ``numerator/denominator`` next to their decimal approximation.
 
+The argument parser is built once per process (:func:`build_parser` is
+cached), so each :func:`main` call only parses.
+
 Exit codes: 0 success, 1 any check failure, 2 usage or validation error,
 3 resource or size error.  The state budget of ``oracle`` and ``verify``
 is resolved here alone (:func:`_budget`); the library takes it as an argument.
@@ -17,6 +20,7 @@ is resolved here alone (:func:`_budget`); the library takes it as an argument.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,7 +276,9 @@ def _budget_flag(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="urnwalk",
         description="Exact hitting times for the n-urn ball-transfer walk",
@@ -298,11 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="closed-form transfer time and increments")
     common(sp)
-    sp.set_defaults(handler=handle_exact)
 
     sp = sub.add_parser("general", help="hitting time between two placements")
     common(sp, pair=True)
-    sp.set_defaults(handler=handle_general)
 
     sp = sub.add_parser("verify", help="run the exact invariant suite")
     sp.add_argument("--max-urns", type=int, default=checks.DEFAULT_MAX_URNS)
@@ -312,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="state-count cap for oracle solves "
         f"(default: ${ENV_BUDGET} or {checks.DEFAULT_ORACLE_BUDGET})",
     )
-    sp.set_defaults(handler=handle_verify)
 
     sp = sub.add_parser("oracle", help="exact hitting time, solved over all states")
     common(sp, pair=True)
@@ -325,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--approx", action="store_true",
         help="allow the floating-point fallback beyond the exact budget",
     )
-    sp.set_defaults(handler=handle_oracle)
 
     sp = sub.add_parser("simulate", help="seeded Monte Carlo estimate")
     common(sp, pair=True)
@@ -333,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.set_defaults(handler=handle_simulate)
 
     # csv has one row shape, the simulate estimate's
     for name, sp in sub.choices.items():
@@ -355,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        report = args.handler(args)
+        # looked up per call: the cached parser holds no handler
+        report = globals()[f"handle_{args.command}"](args)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         sys.stdout.write(render(report, args.format, elapsed_ms))
     except BudgetExceededError as exc:

@@ -28,14 +28,17 @@ Main quantities, for ``n`` urns and ``M`` balls:
 The closed form of ``e[k]`` is ``(n-1)**(k+1) / C(M-1, k)`` times
 ``sum(C(M, j) / (n-1)**j for j in 0..k)``.  It is evaluated as
 ``(n-1) * t[k] / C(M-1, k)`` with the integer ``t[k] = (n-1) * t[k-1] + C(M, k)``
-(Horner's rule), so all M increments cost O(M) integer steps and one
-``Fraction`` each.  The forward recursion :func:`passage_increments` is a
-separate route; the checks compare the two, so neither calls the other.
+(Horner's rule).  Every ``C(M-1, k)`` divides ``lcm(1..M) / M``, so a sum of
+increments runs over that one common denominator in O(M) integer steps and
+makes one ``Fraction`` at the end; the transfer time's closed form likewise
+sums ``n**k / k`` by Horner's rule over ``lcm(1..M)``.  The forward recursion
+:func:`passage_increments` is a separate route and keeps its own sum; the
+checks compare the two, so neither calls the other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,10 +64,18 @@ __all__ = [
 
 
 def full_transfer_time(params: ModelParams) -> Fraction:
-    """Expected moves from all-in-urn-1 to all-in-urn-2, by the closed form."""
+    """Expected moves from all-in-urn-1 to all-in-urn-2, by the closed form.
+
+    The sum ``n**k / k`` runs over ``D = lcm(1..M)`` by Horner's rule, each
+    step one product by ``n`` and one quotient ``D // k``; the total becomes
+    one ``Fraction``.
+    """
     n, m = params.urns, params.balls
-    total = sum(Fraction(n**k, k) for k in range(1, m + 1))
-    return Fraction((n - 1) * m, n) * total
+    common = math.lcm(*range(1, m + 1))
+    total = 0  # ends as sum(n**(k-1) * D // k for k in 1..M)
+    for k in range(m, 0, -1):
+        total = total * n + common // k
+    return Fraction((n - 1) * m * total, common)
 
 
 def full_transfer_time_by_ball_induction(params: ModelParams) -> Fraction:
@@ -80,22 +91,26 @@ def full_transfer_time_by_ball_induction(params: ModelParams) -> Fraction:
     return s
 
 
-def _closed_form_increments(params: ModelParams, start: int = 0) -> Iterator[Fraction]:
-    """Yield the closed-form increments e[start], ..., e[M-1], in order.
+def _increment_sum(params: ModelParams, start: int, stop: int) -> Fraction:
+    """The closed-form increments e[start] + ... + e[stop-1], as one Fraction.
 
-    The binomials and the Horner sum ``t[k]`` advance by one integer step per
-    index; only the yielded terms become a ``Fraction``.
+    With ``r = n - 1`` and ``D = lcm(1..M) / M``, a multiple of every
+    ``C(M-1, k)``, each term is ``r * t[k] * q[k] / D`` with the integer
+    ``q[k] = D / C(M-1, k)``.  The binomial ``C(M, k)``, the Horner sum
+    ``t[k]`` and ``q[k] = q[k-1] * k / (M-k)`` advance by one small-integer
+    step per index, and only the total over ``D`` becomes a ``Fraction``.
     """
     r, m = params.urns - 1, params.balls
-    t = 0
-    c_m = c_m1 = 1  # C(M, k) and C(M-1, k)
-    for k in range(m):
+    common = math.lcm(*range(1, m + 1)) // m
+    t, c_m, q, total = 0, 1, common, 0  # t[k], C(M, k), D / C(M-1, k)
+    for k in range(stop):
         if k:
             c_m = c_m * (m - k + 1) // k
-            c_m1 = c_m1 * (m - k) // k
+            q = q * k // (m - k)
         t = r * t + c_m
         if k >= start:
-            yield Fraction(r * t, c_m1)
+            total += t * q
+    return Fraction(r * total, common)
 
 
 def passage_increment(params: ModelParams, k: int) -> Fraction:
@@ -104,7 +119,7 @@ def passage_increment(params: ModelParams, k: int) -> Fraction:
     k = as_integer(k, "increment index")
     if not 0 <= k <= m - 1:
         raise DomainError(f"increment index {k} outside 0..{m - 1}")
-    return next(_closed_form_increments(params, start=k))
+    return _increment_sum(params, k, k + 1)
 
 
 def passage_increments(params: ModelParams) -> list[Fraction]:
@@ -159,10 +174,12 @@ def general_hitting_time(query: HittingQuery) -> Fraction:
     """Expected hitting time between placements differing in L balls.
 
     Equals the sum of the top L passage increments; with L equal to the
-    ball count it collapses to :func:`full_transfer_time`.
+    ball count it collapses to :func:`full_transfer_time`.  The closed-form
+    increments are summed over one common denominator, ``lcm(1..M) / M``,
+    and the sum becomes one ``Fraction`` at the end.
     """
-    start = query.params.balls - query.hamming_distance
-    return sum(_closed_form_increments(query.params, start), Fraction(0))
+    balls = query.params.balls
+    return _increment_sum(query.params, balls - query.hamming_distance, balls)
 
 
 def transfer_time_terms(params: ModelParams) -> list[Fraction]:

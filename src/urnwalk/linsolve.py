@@ -288,18 +288,25 @@ def _reconstruct(
     Assumes every entry ``N_j / D`` is within ``error / D`` of a rational
     whose denominator is at most ``sqrt(D / (4 error))``; that rational is
     then the unique one so close, and continued fractions find it.  The
-    denominator starts at 1 and grows by the part each inconsistent entry
-    still needs.  None when no denominator within the bound fits.
+    denominator starts at 1 and grows by the part the first inconsistent
+    entry still needs.  An entry consistent with ``d`` stays so with every
+    multiple of ``d``, so each scan resumes at the last inconsistent entry
+    and stops at the next one.  None when no denominator within the bound fits.
     """
     bound = math.isqrt(scale // (4 * error))
-    den = 1
+    values = numerators.tolist()
+    den, j = 1, 0
     while den <= bound:
-        scaled = numerators * den
-        nearest = (2 * scaled + scale) // (2 * scale)
-        off = np.flatnonzero(np.abs(scaled - nearest * scale) > den * error)
-        if off.size == 0:
-            return den, nearest
-        entry = Fraction(int(scaled[off[0]]), scale).limit_denominator(bound // den)
+        # entry i is consistent when d * N_i lies within ``slack`` (at most
+        # D / 4) of a multiple of D, that is (d * N_i + slack) % D <= 2 * slack
+        slack, width = den * error, 2 * den * error
+        j = next(
+            (i for i in range(j, len(values)) if (den * values[i] + slack) % scale > width),
+            None,
+        )
+        if j is None:  # every d * N_i rounds to its multiple of D
+            return den, (den * numerators + slack) // scale
+        entry = Fraction(den * values[j], scale).limit_denominator(bound // den)
         if entry.denominator == 1:
             return None
         den *= entry.denominator

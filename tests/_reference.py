@@ -15,6 +15,12 @@ share no code with the package, so its results can be checked against
 them.  ``rows_times`` multiplies ``{column: value}`` rows by a vector
 exactly, so a solve can be checked by its residual.
 
+``reconstruct`` is the rational reconstruction that rescales and rounds
+every numerator for each trial denominator, the reference for
+``urnwalk.linsolve._reconstruct``.  ``transfer_time_sum`` is the transfer
+time's closed form as a plain sum of one ``Fraction`` per term, the
+reference for the package's sum over one common denominator.
+
 ``IntegerRows`` is a small square integer matrix as CSR arrays that
 offers the operator interface of ``urnwalk.linsolve``: the solvers' tests
 state systems of any shape and sign pattern with it, among them the
@@ -65,6 +71,30 @@ def rows_times(rows, x):
     den = math.lcm(1, *(v.denominator for v in x))
     scaled = [v.numerator * (den // v.denominator) for v in x]
     return [Fraction(sum(c * scaled[j] for j, c in row.items()), den) for row in rows]
+
+
+def transfer_time_sum(urns, balls):
+    """``(n-1)*M/n * sum(n**k / k for k in 1..M)``, one Fraction per term."""
+    total = sum(Fraction(urns**k, k) for k in range(1, balls + 1))
+    return Fraction((urns - 1) * balls, urns) * total
+
+
+def reconstruct(numerators, scale, error):
+    """A common denominator ``d`` and numerators ``n`` with ``n / d`` near
+    ``N / D``, or None; each trial denominator rescales every entry."""
+    bound = math.isqrt(scale // (4 * error))
+    den = 1
+    while den <= bound:
+        scaled = numerators * den
+        nearest = (2 * scaled + scale) // (2 * scale)
+        off = np.flatnonzero(np.abs(scaled - nearest * scale) > den * error)
+        if off.size == 0:
+            return den, nearest
+        entry = Fraction(int(scaled[off[0]]), scale).limit_denominator(bound // den)
+        if entry.denominator == 1:
+            return None
+        den *= entry.denominator
+    return None
 
 
 def pascal_binomial(n, m):

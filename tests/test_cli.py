@@ -536,3 +536,59 @@ def test_plain_value_error_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "handle_exact", handler)
     code, out, err = run_cli(capsys, "exact", "--urns", "5", "--balls", "3")
     assert (code, out, err) == (2, "", "error: not a number\n")
+
+
+class TestCachedParser:
+    """``build_parser`` is built once per process; no call leaks into the next."""
+
+    def spy(self, monkeypatch, name):
+        """Record the namespace each ``handle_<name>`` call gets."""
+        seen = []
+        handler = getattr(cli, f"handle_{name}")
+
+        def record(args):
+            seen.append(args)
+            return handler(args)
+
+        monkeypatch.setattr(cli, f"handle_{name}", record)
+        return seen
+
+    def fresh(self, capsys, *argv):
+        """The call's exit code and output on a newly built parser."""
+        cli.build_parser.cache_clear()
+        return run_cli(capsys, *argv)
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_pair_flag_does_not_carry_over(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, "oracle")
+        assert run_cli(capsys, "general", "--urns", "3", "--balls", "3", "--hamming", "2")[0] == 0
+        code, out, _ = run_cli(capsys, "oracle", "--urns", "3", "--balls", "2", "--format", "json")
+        assert code == 0
+        assert seen[0].hamming is None
+        assert parse_json(out)["params"]["to"] == "2,2"
+
+    def test_format_does_not_carry_over(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, "exact")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--urns", "2", "--balls", "2", "--reps", "10", "--format", "csv"
+        )
+        assert code == 0 and out.startswith(cli.SIMULATE_CSV_HEADER)
+        code, out, _ = run_cli(capsys, "exact", "--urns", "5", "--balls", "3")
+        assert code == 0
+        assert seen[0].format == "auto"
+        assert parse_json(out)["command"] == "exact"
+
+    def test_call_after_a_usage_error_matches_a_fresh_one(self, capsys):
+        argv = ("general", "--urns", "4", "--balls", "4", "--hamming", "2", "--format", "json")
+        want = self.fresh(capsys, *argv)
+        code, _, err = run_cli(capsys, "general", "--urns", "4", "--balls", "x")
+        assert code == 2 and "invalid int value" in err
+        assert run_cli(capsys, *argv) == want
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0 and out.startswith("usage: urnwalk")
+        code, out, _ = run_cli(capsys, "general", "--help")
+        assert code == 0 and "--hamming" in out

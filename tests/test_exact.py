@@ -14,6 +14,8 @@ from urnwalk.errors import (
 )
 from urnwalk.model import ModelParams
 
+from _reference import transfer_time_sum
+
 
 class TestFullTransferTime:
     def test_five_urns_three_balls(self):
@@ -263,9 +265,29 @@ class TestLinearTimeRoutes:
     def test_thousand_balls(self):
         params = ModelParams(5, 1000)
         recursion = exact.passage_increments(params)
-        assert list(exact._closed_form_increments(params)) == recursion
+        assert [exact.passage_increment(params, k) for k in range(1000)] == recursion
         chain = occupancy.build_occupancy_chain(params)
         assert occupancy.passage_increments_by_solve(chain) == recursion
         query = exact.HittingQuery(params=params, hamming_distance=1000)
         assert exact.general_hitting_time(query) == exact.full_transfer_time(params)
-        assert exact.passage_increment(params, 999) == recursion[999]
+
+
+class TestCommonDenominatorSums:
+    """The closed forms sum their terms over one common denominator; each
+    total still equals a sum of one Fraction per term."""
+
+    @pytest.mark.parametrize("balls", [300, 441, 442])
+    def test_general_is_the_recursions_suffix_sum(self, balls):
+        params = ModelParams(5, balls)
+        recursion = exact.passage_increments(params)
+        for distance in (1, balls // 2, balls):
+            query = exact.HittingQuery(params=params, hamming_distance=distance)
+            assert exact.general_hitting_time(query) == sum(
+                recursion[balls - distance :], Fraction(0)
+            )
+
+    @pytest.mark.parametrize("urns", range(2, 10))
+    def test_transfer_time_is_the_termwise_sum(self, urns):
+        for balls in (1, 2, 3, 17, 96, 211, 442, 500):
+            params = ModelParams(urns, balls)
+            assert exact.full_transfer_time(params) == transfer_time_sum(urns, balls)

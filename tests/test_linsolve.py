@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from urnwalk import linsolve
 
-from _reference import IntegerRows, gauss_jordan_solve, rows_times
+from _reference import IntegerRows, gauss_jordan_solve, reconstruct, rows_times
 
 
 def dense(rows):
@@ -574,3 +574,42 @@ class TestRationalVector:
         assert vector[np.int64(1)] == dense[1]
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             vector[1:3]
+
+
+def reconstruction_input(rng):
+    """``(numerators, scale, error)`` for ``_reconstruct``: noise, or entries
+    within ``error`` of ``scale`` times rationals over different divisors of
+    one denominator, so that the common denominator grows over several steps."""
+    size = rng.randint(1, 12)
+    scale = 2 ** rng.randint(0, 140) if rng.random() < 0.8 else rng.randint(1, 2**140)
+    error = rng.randint(1, 40)
+    if rng.random() < 0.25:
+        values = [rng.randint(-4 * scale, 4 * scale) for _ in range(size)]
+    else:
+        factors = [rng.choice([2, 3, 5, 7, 11, 13, 101, 65_537]) for _ in range(rng.randint(0, 4))]
+        values = []
+        for _ in range(size):
+            q = math.prod(rng.sample(factors, rng.randint(0, len(factors))))
+            p = rng.randint(-20 * q, 20 * q)
+            values.append(round(Fraction(p * scale, q)) + rng.randint(-error, error))
+    return np.array(values, dtype=object), scale, error
+
+
+class TestReconstruct:
+    def test_matches_the_rescaling_reference(self):
+        rng = random.Random(2024)
+        outcomes = {"none": 0, "integer": 0, "fraction": 0}
+        for _ in range(3000):
+            numerators, scale, error = reconstruction_input(rng)
+            want = reconstruct(numerators, scale, error)
+            got = linsolve._reconstruct(numerators, scale, error)
+            if want is None:
+                assert got is None
+                outcomes["none"] += 1
+                continue
+            assert got is not None
+            assert got[0] == want[0]
+            assert got[1].dtype == object and got[1].tolist() == want[1].tolist()
+            outcomes["integer" if want[0] == 1 else "fraction"] += 1
+        # the sample reaches every exit: None, an integer vector and a fraction
+        assert min(outcomes.values()) > 100
