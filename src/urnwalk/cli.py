@@ -43,6 +43,7 @@ from .model import (
     all_in_urn,
     distance_pair,
     format_configuration,
+    hamming_distance,
     parse_configuration,
 )
 
@@ -160,8 +161,9 @@ def _pair(args) -> tuple[ModelParams, Configuration, Configuration, dict]:
 
 
 def _formula(params: ModelParams, start, target) -> tuple[int, Fraction]:
-    """The pair's Hamming distance and its closed-form hitting time."""
-    query = exact.HittingQuery.from_configurations(params, start, target)
+    """The pair's Hamming distance and its closed-form hitting time, for
+    placements :func:`_pair` has already checked."""
+    query = exact.HittingQuery(params, hamming_distance(start, target))
     return query.hamming_distance, exact.general_hitting_time(query)
 
 

@@ -12,7 +12,11 @@ is updated exactly, so every round adds about ``k`` correct bits to a
 dyadic approximation ``N / D`` of the solution.  Continued fractions then
 recover one common denominator (Wan 2006, J. Symbolic Comput. 41;
 Saunders, Wood & Youse, ISSAC 2011).  :func:`solve_float` is its first CG
-round alone.
+round alone.  The right-hand side is a sequence of ints or a 1-D int64
+array.  Refinement carries it, the residual, each correction and the
+numerators as int64 arrays while a bound checked before each step proves
+that every value fits, and as Python ints past that bound; the solution
+is the same either way.
 
 The solvers read the matrix only through an operator such as
 :class:`urnwalk.model.WalkOperator`: ``len(A)`` unknowns, ``A[i]`` row
@@ -67,6 +71,10 @@ _FLOAT_BITS = 1000
 # Refinement gives up once the dyadic scale passes the Hadamard bound on
 # the determinant squared by this many spare bits.
 _REFINE_SPARE_BITS = 64
+# int64 holds every integer below 2**_INT64_BITS in absolute value.  Each
+# int64 step of refinement checks a bound against it before it runs, as
+# int64 wraps silently; lowered to 0, every step runs on Python ints.
+_INT64_BITS = 63
 # every refinement that stops without a verified solution names its reason
 _STALLED = "solve_exact: refinement stalled ({})"
 # the gate's verdict on each operator it has read, False or the scale bound
@@ -99,11 +107,11 @@ class RationalVector(Sequence):
         return (Fraction(n, den) for n in self.numerators)
 
 
-def solve_exact(rows, rhs: Sequence[int]) -> RationalVector:
+def solve_exact(rows, rhs: Sequence[int] | np.ndarray) -> RationalVector:
     """Exact solution of the square integer system ``rows @ x == rhs``, for
-    an operator ``rows`` as the module docstring describes, as the least
-    common denominator of its entries and their numerators
-    (:class:`RationalVector`).
+    an operator ``rows`` as the module docstring describes and a
+    right-hand side of ints or a 1-D int64 array, as the least common
+    denominator of its entries and their numerators (:class:`RationalVector`).
 
     Refinement solves it at every size; a system of no unknowns solves to
     an empty vector.  ValueError comes from the certificate gate, for a
@@ -113,30 +121,45 @@ def solve_exact(rows, rhs: Sequence[int]) -> RationalVector:
     limit_bits = _certified(rows, rhs, "solve_exact")
     if limit_bits is None:
         return RationalVector(1, ())
-    return _solve_refined(rows, np.array(rhs, dtype=object), limit_bits)
+    return _solve_refined(rows, _vector(rhs), limit_bits)
 
 
-def solve_float(rows, rhs: Sequence[int]) -> tuple[np.ndarray, float]:
+def solve_float(rows, rhs: Sequence[int] | np.ndarray) -> tuple[np.ndarray, float]:
     """The first CG round of :func:`solve_exact`'s refinement, as (solution,
     relative residual); ValueError for a matrix its certificate refuses."""
     if _certified(rows, rhs, "solve_float") is None:
         return np.zeros(0), 0.0
-    return _cg_round(rows, np.array(rhs, dtype=object))
+    return _cg_round(rows, _vector(rhs))
 
 
-def _certified(rows, rhs: Sequence[int], solver: str) -> int | None:
+def _is_int64(rhs) -> bool:
+    return isinstance(rhs, np.ndarray) and rhs.dtype == np.int64 and rhs.ndim == 1
+
+
+def _vector(rhs) -> np.ndarray:
+    """A right-hand side the gate passed, as an array: a 1-D int64 array as
+    it is, any other sequence as Python ints."""
+    return rhs if _is_int64(rhs) else np.array(rhs, dtype=object)
+
+
+def _certified(rows, rhs, solver: str) -> int | None:
     """The certificate gate: the bound on the scale that refinement reads,
     worked out on the operator's first gate and kept in ``_VERDICTS`` with
-    its refusal, ValueError when refused, or None for no unknowns."""
+    its refusal, ValueError when refused, or None for no unknowns.
+
+    A 1-D int64 array needs no check of its entries: each is an integer
+    below ``2**63``.  Any other right-hand side is checked entry by entry.
+    """
     if not callable(getattr(rows, "times", None)):
         raise TypeError(f"{solver} takes an integer operator, not {type(rows).__name__}")
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
-    if not all(isinstance(v, int) for v in rhs):
+    int64 = _is_int64(rhs)
+    if not (int64 or all(isinstance(v, int) for v in rhs)):
         raise TypeError(f"{solver} takes an integer right-hand side")
     if len(rows) == 0:
         return None
-    if max(map(abs, rhs)).bit_length() > _FLOAT_BITS:
+    if not int64 and max(map(abs, rhs)).bit_length() > _FLOAT_BITS:
         raise ValueError(
             f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
             "in absolute value"
@@ -220,13 +243,28 @@ def _is_certified(rows, sums: np.ndarray) -> bool:
     return bool(reached.all())
 
 
+def _norm(v: np.ndarray) -> int:
+    """``max|v|`` of a nonempty int64 or Python-int vector, as an int.  It
+    reads the minimum and the maximum, as int64 ``abs`` wraps at ``-2**63``."""
+    return max(-int(v.min()), int(v.max()))
+
+
+def _scaled(v: np.ndarray, factor: int, norm: int) -> np.ndarray:
+    """``factor * v`` for a positive ``factor`` and an int64 or Python-int
+    vector of ``max|v| == norm``: in int64 while ``factor * norm``, which
+    bounds every entry, is below ``2**63``, and with Python ints past it."""
+    if v.dtype == np.int64 and factor * max(norm, 1) < 2**_INT64_BITS:
+        return factor * v
+    return factor * v.astype(object)
+
+
 def _exact_product(rows, x: np.ndarray) -> np.ndarray:
-    """Exact ``A @ x`` for a vector of Python ints, as Python ints: in int64
-    while ``bound * max|x|``, which bounds every value the operator forms,
-    is below ``2**63``, and with Python ints past it."""
-    if rows.bound * int(np.abs(x).max()) < 2**63:
-        return rows.times(x.astype(np.int64)).astype(object)
-    return rows.times(x)
+    """Exact ``A @ x`` for an int64 or Python-int vector: in int64 while
+    ``bound * max|x|``, which bounds every value the operator forms, is
+    below ``2**63``, and with Python ints past it."""
+    if rows.bound * _norm(x) < 2**_INT64_BITS:
+        return rows.times(x.astype(np.int64, copy=False))
+    return rows.times(x.astype(object, copy=False))
 
 
 def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
@@ -240,15 +278,21 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
     ``A n == d b``.  Either is returned over its least common denominator.
     ValueError names the bound that stopped a refinement that got neither,
     among them the certificate's ``limit_bits`` on the scale.
+
+    ``b``, an int64 or Python-int vector, is read as it is.  ``r`` and ``x``
+    are int64 in a round whose ``k`` keeps ``2**k |r|`` and ``|A x|`` below
+    ``2**61``, and Python ints in any other; ``N`` is int64 until
+    ``2**k N + x`` could reach ``2**62``, and Python ints from then on.
+    int64 wraps silently, so each of these bounds is checked before the
+    step it covers.
     """
-    residual = rhs
-    numerators = np.zeros(len(rhs), dtype=object)
+    rhs_norm = _norm(rhs)
+    residual, norm = rhs, rhs_norm
+    numerators = np.zeros(len(rhs), dtype=np.int64)
     scale = 1
     while True:
-        norm = int(np.abs(residual).max())
         if norm == 0:
-            common = math.gcd(scale, *numerators.tolist())
-            return RationalVector(scale // common, (numerators // common).tolist())
+            return _reduced(numerators, scale)
         if norm.bit_length() > _FLOAT_BITS:
             raise ValueError(_STALLED.format(f"the residual passed 2**{_FLOAT_BITS}"))
         z, accuracy = _cg_round(rows, residual)
@@ -261,23 +305,49 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
         candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
         if candidate is not None:
             den, nums = candidate
-            if (_exact_product(rows, nums) == den * rhs).all():
+            if (_exact_product(rows, nums) == _scaled(rhs, den, rhs_norm)).all():
                 return RationalVector(den, nums.tolist())
 
         k_accurate = -math.frexp(max(accuracy, 2.0**-48))[1] - 2  # 2**k * accuracy <= 1/4
-        # below this k, 2**k r and A x stay within int64
-        k_int64 = 61 - math.frexp(norm + rows.bound * (z_max + 1))[1]
+        # |x| <= 2**k (int(z_max) + 1), so up to this k both 2**k |r| and
+        # |A x| <= bound |x| stay below 2**61
+        k_int64 = _INT64_BITS - 2 - (norm + rows.bound * (int(z_max) + 1)).bit_length()
         k = min(k_accurate, k_int64) if k_int64 > 0 else k_accurate
         k = min(k, 1022 - math.frexp(z_max)[1])  # 2**k z stays finite
         if k < 1:
             raise ValueError(_STALLED.format("no positive k was left"))
-        step = np.array([int(v) for v in np.rint(np.ldexp(z, k)).tolist()], dtype=object)
-        new = (residual << k) - _exact_product(rows, step)
-        if int(np.abs(new).max()) > norm << (k - 1):
+        scaled = np.rint(np.ldexp(z, k))
+        if k <= k_int64:  # |2**k r - A x| < 2**62
+            step = scaled.astype(np.int64)
+            new = (residual.astype(np.int64, copy=False) << k) - rows.times(step)
+        else:
+            step = np.array([int(v) for v in scaled.tolist()], dtype=object)
+            new = (residual.astype(object, copy=False) << k) - _exact_product(rows, step)
+        new_norm = _norm(new)
+        if new_norm > norm << (k - 1):
             raise ValueError(_STALLED.format("the residual shrank by less than half"))
-        residual = new
-        numerators = (numerators << k) + step
+        residual, norm = new, new_norm
+        # an int64 x is below 2**61, so 2**k N + x stays below 2**62 while
+        # 2**k N stays below 2**61
+        if (
+            step.dtype == numerators.dtype == np.int64
+            and _norm(numerators).bit_length() + k < _INT64_BITS - 1
+        ):
+            numerators = (numerators << k) + step
+        else:
+            numerators = (numerators.astype(object, copy=False) << k) + step
         scale <<= k
+
+
+def _reduced(numerators: np.ndarray, scale: int) -> RationalVector:
+    """``N / D`` over its least common denominator.  Its common factor
+    divides a nonzero ``N_i``, as ``A N == D b`` is not 0, so an int64
+    ``N`` divides by it in int64."""
+    if numerators.dtype == np.int64:
+        common = math.gcd(scale, int(np.gcd.reduce(numerators)))
+    else:
+        common = math.gcd(scale, *numerators.tolist())
+    return RationalVector(scale // common, (numerators // common).tolist())
 
 
 def _reconstruct(
@@ -291,22 +361,27 @@ def _reconstruct(
     denominator starts at 1 and grows by the part the first inconsistent
     entry still needs.  An entry consistent with ``d`` stays so with every
     multiple of ``d``, so each scan resumes at the last inconsistent entry
-    and stops at the next one.  None when no denominator within the bound fits.
+    and finds the next one.  None when no denominator within the bound
+    fits.  For an int64 ``N`` the scan and ``n`` are int64 while ``D`` and
+    ``d (|N| + 2 error)``, which bound every value they form, are below
+    ``2**63``; past that, and for Python-int ``N``, they run on Python ints.
     """
     bound = math.isqrt(scale // (4 * error))
-    values = numerators.tolist()
+    if bound == 0:
+        return None
+    norm = _norm(numerators)
     den, j = 1, 0
     while den <= bound:
         # entry i is consistent when d * N_i lies within ``slack`` (at most
         # D / 4) of a multiple of D, that is (d * N_i + slack) % D <= 2 * slack
         slack, width = den * error, 2 * den * error
-        j = next(
-            (i for i in range(j, len(values)) if (den * values[i] + slack) % scale > width),
-            None,
-        )
-        if j is None:  # every d * N_i rounds to its multiple of D
+        if max(scale, den * (norm + width)) >= 2**_INT64_BITS:
+            numerators = numerators.astype(object, copy=False)
+        off = np.flatnonzero((den * numerators[j:] + slack) % scale > width)
+        if not len(off):  # every d * N_i rounds to its multiple of D
             return den, (den * numerators + slack) // scale
-        entry = Fraction(den * values[j], scale).limit_denominator(bound // den)
+        j += int(off[0])
+        entry = Fraction(den * int(numerators[j]), scale).limit_denominator(bound // den)
         if entry.denominator == 1:
             return None
         den *= entry.denominator

@@ -23,6 +23,7 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
@@ -219,22 +220,27 @@ def neighbour_counts(params: ModelParams, inside: np.ndarray) -> np.ndarray:
     return _axis_sums(indicator, params.urns, params.balls) - params.balls * indicator
 
 
-def _ball_runs(params: ModelParams) -> list[tuple[int, np.ndarray]]:
+# The runs depend on (urns, balls) alone, so every operator of a walk
+# shares them; the cache keeps the last 32 walks' runs.
+@functools.lru_cache(maxsize=32)
+def _ball_runs(params: ModelParams) -> tuple[tuple[int, np.ndarray], ...]:
     """The balls cut into runs of at most ``_RUN_STATES`` placements (one
     ball at least), as ``(urns**first ball, generator)``: the dense float64
-    ``n g I - sum_b S_b`` of the run's ``g`` balls alone.  The walk's
-    ``n M I - sum_b S_b`` is the sum of the runs' generators."""
+    ``n g I - sum_b S_b`` of the run's ``g`` balls alone, read-only.  The
+    walk's ``n M I - sum_b S_b`` is the sum of the runs' generators."""
     n, m = params.urns, params.balls
     size = max([1] + [g for g in range(1, m + 1) if n**g <= _RUN_STATES])
     runs = []
     for first in range(0, m, size):
         count = min(size, m - first)
         eye = np.eye(n**count)
-        runs.append((n**first, n * count * eye - _axis_sums(eye, n, count)))
-    return runs
+        generator = n * count * eye - _axis_sums(eye, n, count)
+        generator.flags.writeable = False
+        runs.append((n**first, generator))
+    return tuple(runs)
 
 
-def _run_product(full: np.ndarray, runs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+def _run_product(full: np.ndarray, runs: tuple[tuple[int, np.ndarray], ...]) -> np.ndarray:
     """``(n M I - sum_b S_b) full`` for a float64 vector over all
     placements: each run's generator multiplies the run's axes, put last."""
     total = np.zeros_like(full)

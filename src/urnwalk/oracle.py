@@ -92,7 +92,7 @@ class AbsorbingSystem:
 
     def hitting_time_vector(self) -> linsolve.RationalVector:
         """Expected steps to absorption from each transient state."""
-        return linsolve.solve_exact(self.rows, [self.params.degree] * len(self.rows))
+        return linsolve.solve_exact(self.rows, _degrees(self))
 
     def absorption_probability_vector(self, goal: frozenset[int]) -> linsolve.RationalVector:
         """Probability of being absorbed inside ``goal`` from each transient
@@ -103,7 +103,12 @@ class AbsorbingSystem:
         if len(transient):
             raise ValidationError(f"goal state index {transient[0]} is transient")
         rhs = neighbour_counts(self.params, inside)[self.rows.states]
-        return linsolve.solve_exact(self.rows, rhs.tolist())
+        return linsolve.solve_exact(self.rows, rhs)
+
+
+def _degrees(system: AbsorbingSystem) -> np.ndarray:
+    """The hitting-time right-hand side: ``degree`` moves per transient state, int64."""
+    return np.full(len(system.rows), system.params.degree, dtype=np.int64)
 
 
 def _state_mask(params: ModelParams, indices, what: str) -> np.ndarray:
@@ -188,7 +193,7 @@ def expected_hitting_time_float(
     if pair is None:
         return 0.0, 0.0
     system, row = pair
-    values, residual = linsolve.solve_float(system.rows, [params.degree] * len(system.rows))
+    values, residual = linsolve.solve_float(system.rows, _degrees(system))
     return float(values[row]), residual
 
 

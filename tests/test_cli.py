@@ -3,7 +3,9 @@ import re
 import sys
 from fractions import Fraction
 
-from urnwalk import cli, exact
+import pytest
+
+from urnwalk import cli, exact, model
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,29 @@ class TestGeneralCommand:
         )
         assert code == 2
         assert "identical" in err
+
+    @pytest.mark.parametrize(
+        "pair, checks",
+        [(["--from", "1,2", "--to", "2,3"], 2), (["--hamming", "2"], 0)],
+        ids=["from-to", "hamming"],
+    )
+    def test_each_placement_checked_once(self, capsys, monkeypatch, pair, checks):
+        # parsing checks each placement; the canonical pair needs no check,
+        # and the formula's query reuses what the pair command resolved
+        calls = []
+        check = model.check_configuration
+
+        def spy(config, params):
+            calls.append(config)
+            return check(config, params)
+
+        for module in (model, exact):
+            monkeypatch.setattr(module, "check_configuration", spy)
+        code, out, _ = run_cli(
+            capsys, "general", "--urns", "3", "--balls", "2", *pair, "--format", "json"
+        )
+        assert code == 0 and len(calls) == checks
+        assert results_by_label(parse_json(out))["hamming_distance"]["value"] == 2
 
     def test_parse_failure(self, capsys):
         code, _, _ = run_cli(

@@ -253,7 +253,8 @@ class TestWalkSystem:
 
 class TestExactProductOnTheWalk:
     """``_exact_product`` runs the walk operator in int64 only while its
-    bound, ``2 n M`` per unit of ``max|x|``, keeps every value in range."""
+    bound, ``2 n M`` per unit of ``max|x|``, keeps every value in range,
+    for a vector of Python ints or of int64."""
 
     def isolated_row(self):
         # 2 urns, 3 balls, every neighbour of state 0 absorbed: one unknown,
@@ -287,9 +288,10 @@ class TestExactProductOnTheWalk:
 
         monkeypatch.setattr(walk, "times", spy)
         for value in (top, -top):
-            product = linsolve._exact_product(walk, np.array([value], dtype=object))
-            assert product.tolist() == rows_times(rows, [Fraction(value)])
-        assert seen == [np.dtype(path)] * 2
+            for dtype in (object, np.int64):
+                product = linsolve._exact_product(walk, np.array([value], dtype=dtype))
+                assert product.tolist() == rows_times(rows, [Fraction(value)])
+        assert seen == [np.dtype(path)] * 4
 
 
 class TestBandedSystemAndFloatSolve:
@@ -484,6 +486,165 @@ class TestRefinementPath:
         assert raised.traceback[-1].name == "_certified"
 
 
+def python_int_solve(rows, rhs):
+    """``solve_exact`` with the int64 width lowered to 0 bits: every step
+    of refinement runs on Python ints."""
+    with mock.patch.object(linsolve, "_INT64_BITS", 0):
+        return linsolve.solve_exact(rows, rhs)
+
+
+def numerator_kinds(monkeypatch):
+    """The dtype kind of the numerators each ``_reconstruct`` call is given,
+    in call order: "i" for int64, "O" for Python ints."""
+    kinds = []
+    reconstruct = linsolve._reconstruct
+
+    def spy(numerators, scale, error):
+        kinds.append(numerators.dtype.kind)
+        return reconstruct(numerators, scale, error)
+
+    monkeypatch.setattr(linsolve, "_reconstruct", spy)
+    return kinds
+
+
+@st.composite
+def absorbed_walks(draw):
+    """A walk of 3 to 128 states, an absorbed set that leaves unknowns, and
+    a goal state in it."""
+    from urnwalk.model import ModelParams
+
+    params = draw(
+        st.sampled_from(
+            [ModelParams(n, m) for n in range(2, 6) for m in range(1, 8) if 2 < n**m <= 128]
+        )
+    )
+    states = st.integers(0, params.state_count - 1)
+    absorbing = draw(st.frozensets(states, min_size=1, max_size=min(6, params.state_count - 1)))
+    return params, absorbing, draw(st.sampled_from(sorted(absorbing)))
+
+
+def vector(solution):
+    return solution.denominator, solution.numerators
+
+
+# a right-hand side entry on each side of the int64 bounds; 2**63 has no int64
+RHS_BOUNDARY = [2**62 - 1, 2**62, 2**63, -(2**63)]
+
+
+class TestInt64Refinement:
+    """Refinement carries ``b``, ``r``, ``x`` and ``N`` in int64 while its
+    bounds prove every value fits, and Python ints past them.  Either way it
+    returns the same ``RationalVector``."""
+
+    @given(absorbed_walks())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_solves_match_the_python_int_path(self, case):
+        from urnwalk import oracle
+
+        params, absorbing, goal = case
+        system = oracle.build_absorbing_system(params, absorbing)
+        times = system.hitting_time_vector()
+        probabilities = system.absorption_probability_vector(frozenset({goal}))
+        with mock.patch.object(linsolve, "_INT64_BITS", 0):
+            assert vector(system.hitting_time_vector()) == vector(times)
+            assert vector(system.absorption_probability_vector(frozenset({goal}))) == vector(
+                probabilities
+            )
+        assert all(type(n) is int for n in times.numerators + probabilities.numerators)
+
+    @pytest.mark.parametrize("top", RHS_BOUNDARY, ids=["2**62-1", "2**62", "2**63", "-(2**63)"])
+    def test_right_hand_side_at_the_int64_bounds(self, top):
+        from urnwalk.model import ModelParams, WalkOperator
+
+        walk = WalkOperator(ModelParams(2, 4), np.arange(16) == 0)  # 15 unknowns
+        for rows in (integer_rows(path_rows(20, lambda i: 3)), walk):
+            rhs = [top] + [(i * i) % 7 - 3 for i in range(len(rows) - 1)]
+            want = gauss_jordan_solve(dense(list(rows)), rhs)
+            solved = linsolve.solve_exact(rows, rhs)
+            assert list(solved) == want
+            assert vector(python_int_solve(rows, rhs)) == vector(solved)
+            values, residual = linsolve.solve_float(rows, rhs)
+            if top < 2**63:  # it fits int64: the array gives the same solutions
+                array = np.array(rhs, dtype=np.int64)
+                assert vector(linsolve.solve_exact(rows, array)) == vector(solved)
+                assert vector(python_int_solve(rows, array)) == vector(solved)
+                array_values, array_residual = linsolve.solve_float(rows, array)
+                assert np.array_equal(array_values, values) and array_residual == residual
+
+    def test_numerators_cross_2_to_the_62(self, monkeypatch):
+        # 2x6 absorbed at 4 states: three rounds, and the third's numerators
+        # are promoted to Python ints before the solution reduces
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams
+
+        kinds = numerator_kinds(monkeypatch)
+        system = oracle.build_absorbing_system(ModelParams(2, 6), frozenset({16, 19, 42, 43}))
+        times = system.hitting_time_vector()
+        assert kinds == ["i", "i", "O"]
+        rhs = [system.params.degree] * len(system.rows)
+        assert list(times) == gauss_jordan_solve(dense(list(system.rows)), rhs)
+        assert vector(python_int_solve(system.rows, rhs)) == vector(times)
+
+    def test_numerators_reach_2_to_the_62_three_bits_a_round(self, monkeypatch):
+        # CG's correction, claiming an accuracy of 2**-6: k is 3 in every
+        # round, so N grows by 3 bits a round, and bits(N) + k reaches 64, 62
+        # and 63 in the round that takes N from int64 to Python ints
+        monkeypatch.setattr(
+            linsolve, "_cg_round", lambda rows, residual: (CG_ROUND(rows, residual)[0], 2.0**-6)
+        )
+        kinds = numerator_kinds(monkeypatch)
+        rows = path_rows(20, lambda i: 3)
+        for top in (2**40, 2**50, 2**55):
+            kinds.clear()
+            rhs = [top + i * i for i in range(20)]
+            solved = linsolve.solve_exact(integer_rows(rows), rhs)
+            assert list(solved) == gauss_jordan_solve(dense(rows), rhs)
+            assert vector(python_int_solve(integer_rows(rows), rhs)) == vector(solved)
+            promoted = kinds.index("O")
+            assert promoted > 2 and set(kinds[:promoted]) == {"i"}
+
+    @pytest.mark.parametrize("seed", [2, 4, 9])
+    def test_seeded_2x9_absorbing_sets(self, monkeypatch, seed):
+        # four rounds each: int64 numerators for two, Python ints for two
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams, neighbour_counts
+
+        params = ModelParams(2, 9)
+        absorbing = sorted(random.Random(seed).sample(range(params.state_count), 4))
+        system = oracle.build_absorbing_system(params, frozenset(absorbing))
+        kinds = numerator_kinds(monkeypatch)
+        times = system.hitting_time_vector()
+        assert kinds == ["i", "i", "O", "O"]
+        inside = np.isin(np.arange(params.state_count), absorbing[:1])
+        counts = neighbour_counts(params, inside)[system.rows.states].tolist()
+        probabilities = system.absorption_probability_vector(frozenset(absorbing[:1]))
+        rows = list(system.rows)
+        assert rows_times(rows, list(times)) == [params.degree] * len(rows)
+        assert rows_times(rows, list(probabilities)) == counts
+        assert vector(python_int_solve(system.rows, counts)) == vector(probabilities)
+
+    @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
+    def test_right_hand_side_that_is_no_integer_vector_refused(self, solver):
+        rows = integer_rows(path_rows(4, lambda i: 3))
+        for rhs in (
+            np.ones(4),
+            [1, 2, 3.0, 4],
+            np.ones(4, dtype=np.int32),
+            np.ones((4, 1), dtype=np.int64),
+        ):
+            with pytest.raises(TypeError, match=f"{solver.__name__} takes an integer right-hand side"):
+                solver(rows, rhs)
+
+    def test_python_int_path_takes_no_int64_step(self, monkeypatch):
+        # lowered to 0 bits, the bound lets no numerators past the first,
+        # all-zero round stay int64
+        kinds = numerator_kinds(monkeypatch)
+        rows, rhs = VECTOR_SYSTEMS["refined"]
+        solved = python_int_solve(integer_rows(rows), rhs)
+        assert kinds[0] == "i" and set(kinds[1:]) == {"O"} and len(kinds) > 1
+        assert list(solved) == gauss_jordan_solve(dense(rows), rhs)
+
+
 class TestDenseFallback:
     """No solver falls back to elimination: ``solve_exact`` refuses a
     non-symmetric system, and refines a symmetric one of the same kind to
@@ -613,3 +774,22 @@ class TestReconstruct:
             outcomes["integer" if want[0] == 1 else "fraction"] += 1
         # the sample reaches every exit: None, an integer vector and a fraction
         assert min(outcomes.values()) > 100
+
+    def test_int64_numerators_match_python_ints(self):
+        # int64 N scan and divide in int64 while D and d (|N| + 2 error)
+        # stay below 2**63, and fall back to Python ints past that
+        rng = random.Random(2025)
+        kinds = {"i": 0, "O": 0}
+        for _ in range(3000):
+            numerators, scale, error = reconstruction_input(rng)
+            if max(map(abs, numerators)) >= 2**62:
+                continue
+            want = linsolve._reconstruct(numerators, scale, error)
+            got = linsolve._reconstruct(numerators.astype(np.int64), scale, error)
+            if want is None:
+                assert got is None
+                continue
+            assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+            kinds[got[1].dtype.kind] += 1
+        # the sample reaches both: 382 int64 and 63 Python-int results
+        assert min(kinds.values()) > 40

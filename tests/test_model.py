@@ -486,13 +486,22 @@ class TestWalkOperator:
         assert matches_reference(*case)
 
     @pytest.mark.parametrize("urns, balls", [(2, 4), (3, 3), (2, 7)])
-    def test_comparison_catches_an_operator_that_skips_an_axis(self, monkeypatch, urns, balls):
+    def test_comparison_catches_an_operator_that_skips_an_axis(
+        self, monkeypatch, request, urns, balls
+    ):
         # integer products sum axis by axis; float ones multiply by run
-        # kernels built from the same sums (2x7: a run of 5 balls and one of 2)
+        # kernels built from the same sums (2x7: a run of 5 balls and one of 2),
+        # which the cache keeps: it is emptied so that the mutant builds them,
+        # and again after, so that no later test reads the mutant's
         params = ModelParams(urns, balls)
         case = (params, frozenset({0}), list(range(1, params.state_count)))
         assert matches_reference(*case)
+        model._ball_runs.cache_clear()
+        request.addfinalizer(model._ball_runs.cache_clear)
         monkeypatch.setattr(model, "_axis_sums", skips_ball_one(model._axis_sums))
+        floats = walk_operator(params, frozenset({0})).times(np.array(case[2], dtype=np.float64))
+        want = rows_times(absorbing_rows(params, frozenset({0})), [Fraction(v) for v in case[2]])
+        assert floats.tolist() != want
         assert not matches_reference(*case)
         assert not counts_match_reference(params, frozenset({0}))
 
@@ -511,6 +520,16 @@ class TestWalkOperator:
         ]
         assert [len(kernel) for _, kernel in runs(ModelParams(3, 7))] == [27, 27, 3]
         assert [len(kernel) for _, kernel in runs(ModelParams(40, 2))] == [40, 40]
+
+    def test_operators_of_one_walk_share_read_only_runs(self):
+        params = ModelParams(2, 7)
+        first = walk_operator(params, frozenset({0}))
+        second = walk_operator(params, frozenset({5, 9}))
+        assert first._runs is second._runs is model._ball_runs(ModelParams(2, 7))
+        assert walk_operator(ModelParams(3, 4), frozenset({0}))._runs is not first._runs
+        for _, generator in first._runs:
+            with pytest.raises(ValueError, match="read-only"):
+                generator[0, 0] = 0.0
 
     def test_symmetric_with_a_positive_diagonal(self):
         walk = walk_operator(ModelParams(3, 3), frozenset({4, 13}))
