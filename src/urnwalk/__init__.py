@@ -31,7 +31,7 @@ from .exact import (
 from .model import (
     Configuration,
     ModelParams,
-    lump_class_of,
+    lump_classes,
     lumped_kernel,
     parse_configuration,
 )

@@ -9,8 +9,8 @@ for one, compares two sequences :mod:`urnwalk.exact` hands out.  Every
 comparison is exact equality of rationals.  A row runs its identity on every
 cell and names the first cell that fails.  Both aggregation rows go through
 the one certifier, :func:`urnwalk.model.is_exactly_lumpable`, each with its
-own classification and kernel.  ``verify`` and the acceptance tests are thin
-layers over these functions.
+own classification of the placement array and its own kernel.  ``verify``
+and the acceptance tests are thin layers over these functions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     config_at,
     hamming_distance,
     is_exactly_lumpable,
-    lump_class_of,
+    lump_classes,
     lumped_kernel,
 )
 
@@ -252,11 +252,7 @@ def lumping_exactness(cells: list[ModelParams]) -> CheckResult:
 
     def holds(params: ModelParams) -> bool:
         kernel = lumped_kernel(params)
-        return is_exactly_lumpable(
-            params,
-            lambda config: lump_class_of(config, params),
-            lambda label: kernel[label - 1],
-        )
+        return is_exactly_lumpable(params, lump_classes, lambda label: kernel[label - 1])
 
     return _sweep("lump-aggregation", cells, holds)
 

@@ -43,13 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IdenticalConfigurationsError
-from .model import (
-    Configuration,
-    ModelParams,
-    as_integer,
-    check_configuration,
-    hamming_distance,
-)
+from .model import ModelParams, as_integer
 
 __all__ = [
     "full_transfer_time",
@@ -160,14 +154,6 @@ class HittingQuery:
             raise DomainError(
                 f"distance {self.hamming_distance} outside 1..{self.params.balls}"
             )
-
-    @classmethod
-    def from_configurations(
-        cls, params: ModelParams, start: Configuration, target: Configuration
-    ) -> "HittingQuery":
-        start = check_configuration(start, params)
-        target = check_configuration(target, params)
-        return cls(params=params, hamming_distance=hamming_distance(start, target))
 
 
 def general_hitting_time(query: HittingQuery) -> Fraction:

@@ -15,7 +15,10 @@ This module owns the state-index encoding (:func:`index_of`,
 :func:`neighbour_counts` in a set, with no table of neighbours) and the
 one certifier of exact aggregation, :func:`is_exactly_lumpable`, which
 the occupancy chain and the 2k-class lumped chain are both checked by.
-Each of those two keeps its own classification and its own kernel.
+The certifier hands a classification the array of every placement in one
+call and takes back one integer label per state.  Each of the two chains
+keeps its own classification (:func:`lump_classes` is the 2k classes')
+and its own kernel.
 
 Everything in this module is a pure function of immutable values and is
 safe for unrestricted concurrent use.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,11 +181,11 @@ def hamming_distance(a: Configuration, b: Configuration) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def _digits(params: ModelParams) -> np.ndarray:
-    """The ``(states, balls)`` array of urn digits: entry ``[g, i]`` is
-    ``config_at(g, params)[i] - 1``."""
+def _placements(params: ModelParams) -> np.ndarray:
+    """The int64 ``(states, balls)`` array of urn numbers in index order:
+    row ``g`` is ``config_at(g, params)``."""
     powers = params.urns ** np.arange(params.balls, dtype=np.int64)
-    return np.arange(params.state_count, dtype=np.int64)[:, None] // powers % params.urns
+    return np.arange(params.state_count, dtype=np.int64)[:, None] // powers % params.urns + 1
 
 
 def _moves(state: int, params: ModelParams) -> list[int]:
@@ -308,17 +311,17 @@ class WalkOperator(Sequence):
         return (self.params.degree + 1) * self.params.degree * x - self.times(x)
 
 
-def lump_class_of(config: Configuration, params: ModelParams) -> int:
-    """Label of the one block of the 2k-class partition that holds the placement.
+def lump_classes(placements: np.ndarray) -> np.ndarray:
+    """The 2k-class label of each row of a ``(states, balls)`` array of urn
+    numbers, as int64.
 
     A placement with ``p`` of its first ``balls - 1`` balls in urn 2 belongs
     to class ``2p + 1`` when its last ball is elsewhere and to class
     ``2p + 2`` when its last ball is also in urn 2.  Labels run 1..2k and
     the blocks partition the whole state space.
     """
-    config = check_configuration(config, params)
-    prefix_twos = config[:-1].count(TARGET_URN)
-    return 2 * prefix_twos + (2 if config[-1] == TARGET_URN else 1)
+    in_target = placements == TARGET_URN
+    return 2 * in_target[:, :-1].sum(axis=1) + 1 + in_target[:, -1]
 
 
 def lumped_kernel(params: ModelParams) -> tuple[dict[int, Fraction], ...]:
@@ -355,35 +358,37 @@ def lumped_kernel(params: ModelParams) -> tuple[dict[int, Fraction], ...]:
 
 def is_exactly_lumpable(
     params: ModelParams,
-    classify: Callable[[Configuration], Hashable],
-    row_of: Callable[[Hashable], Mapping[Hashable, Fraction]],
+    classify: Callable[[np.ndarray], np.ndarray],
+    row_of: Callable[[int], Mapping[int, Fraction]],
 ) -> bool:
     """Whether the walk aggregates exactly onto a smaller chain.
 
-    ``classify`` maps each placement to its class label and ``row_of``
-    gives a class's kernel row as ``{label: probability}`` (zero entries
-    may be left out).  By the Kemeny-Snell criterion (*Finite Markov
-    Chains*, 1960, section 6.3) the classes lump the walk onto that kernel
-    exactly when every state's one-step mass into each class equals its own
-    class's row.  Every move has probability ``1 / degree``, so each row is
-    written out as move counts, ``probability * degree`` into each class,
-    and compared with each state's neighbour count in each class, one
-    :func:`neighbour_counts` pass per class.  The
-    placements passed to ``classify`` come from the digit array.  Raises
-    BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before anything
-    is built.
+    ``classify`` is called once, on the ``(states, balls)`` array of urn
+    numbers whose row ``g`` is the placement of state ``g``, and returns one
+    integer or bool class label per state; ``row_of`` gives a class's kernel
+    row as ``{label: probability}`` (zero entries may be left out).  By the
+    Kemeny-Snell criterion (*Finite Markov Chains*, 1960, section 6.3) the
+    classes lump the walk onto that kernel exactly when every state's
+    one-step mass into each class equals its own class's row.  Every move
+    has probability ``1 / degree``, so each row is written out as move
+    counts, ``probability * degree`` into each class, and compared with each
+    state's neighbour count in each class, one :func:`neighbour_counts`
+    pass per class.  Raises BudgetExceededError past ``LUMPABILITY_BUDGET``
+    states, before anything is built, and ValueError unless the labels are
+    a 1-D integer or bool array with one entry per state.
     """
     if params.state_count > LUMPABILITY_BUDGET:
         raise BudgetExceededError(
             params.state_count, LUMPABILITY_BUDGET, what="exhaustive lumpability check"
         )
+    labels = np.asarray(classify(_placements(params)))
+    if labels.shape != (params.state_count,) or labels.dtype.kind not in "biu":
+        raise ValueError(
+            f"need one integer or bool label for each of {params.state_count} states"
+        )
+    names, classes = np.unique(labels, return_inverse=True)
+    ids = {label: k for k, label in enumerate(names.tolist())}
     degree = params.degree
-    ids: dict[Hashable, int] = {}
-    placements = zip(*(_digits(params) + 1).T.tolist())  # one tuple per state, in index order
-    classes = np.array(
-        [ids.setdefault(classify(config), len(ids)) for config in placements],
-        dtype=np.int32,
-    )
     # counts[k, c]: the moves from a state of class k into class c
     counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
     for label, k in ids.items():

@@ -7,10 +7,11 @@ on {0, ..., M} that moves by at most one ball per step:
 * stay: (n-2)(M-k) / ((n-1)M) (another ball is picked, lands elsewhere),
 * up:   (M-k) / ((n-1)M) (another ball is picked, lands in urn 2).
 
-:func:`aggregation_matches_full_walk` certifies, state by state, that the
-full walk really does aggregate to these rates, through the certifier
+:func:`aggregation_matches_full_walk` certifies that the full walk really
+does aggregate to these rates, through the certifier
 :func:`urnwalk.model.is_exactly_lumpable` with this module's own
-classification (the urn-2 count) and kernel (the three bands).
+classification (the urn-2 count of every placement, in one array
+expression) and kernel (the three bands).
 
 The chain is stored as its three bands, each a tuple of M+1 exact rates
 indexed by the current occupancy, so building, validating and solving it
@@ -100,8 +101,8 @@ def stationary_distribution(chain: OccupancyChain) -> list[Fraction]:
 
 
 def aggregation_matches_full_walk(params: ModelParams) -> bool:
-    """Certify, state by state, that the urn-2 count lumps the full walk
-    exactly onto the three bands.
+    """Certify that the urn-2 count lumps the full walk exactly onto the
+    three bands.
 
     Raises BudgetExceededError past the certifier's state budget
     (:data:`~urnwalk.model.LUMPABILITY_BUDGET`).
@@ -109,6 +110,6 @@ def aggregation_matches_full_walk(params: ModelParams) -> bool:
     chain = build_occupancy_chain(params)
     return is_exactly_lumpable(
         params,
-        lambda config: config.count(TARGET_URN),
+        lambda placements: (placements == TARGET_URN).sum(axis=1),
         lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]},
     )

@@ -2,9 +2,11 @@
 
 Deliberately separate code paths from the package: a Gauss-Jordan solver
 over plain Fraction lists, a Pascal-triangle binomial, a hitting-time
-computation that builds its state space with itertools, the one-move
-neighbour list of a placement, the ``(states, degree)`` index adjacency
-``neighbor_indices`` built from it by index arithmetic (the table the
+computation that builds its state space with itertools, the 2k-class
+label of one placement (the rule ``urnwalk.model.lump_classes`` applies to
+an array of them), the one-move neighbour list of a placement, the
+``(states, degree)`` index adjacency ``neighbor_indices`` built from it by
+index arithmetic (the table the
 walk operator of ``urnwalk.model`` replaced), the absorbing system's rows
 as one dict per row built from that table (the reference for the
 operator's rows and products), and the Monte Carlo walk one replication
@@ -140,6 +142,12 @@ def neighbors(config, params):
             if urn != current:
                 out.append(prefix + (urn,) + suffix)
     return out
+
+
+def lump_class(config):
+    """The 2k-class label of one placement: ``2p + 1`` with ``p`` of its
+    front balls in urn 2, plus one more when its last ball is in urn 2 too."""
+    return 2 * config[:-1].count(2) + (2 if config[-1] == 2 else 1)
 
 
 def neighbor_indices(params):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from urnwalk import checks, exact, occupancy, oracle
 from urnwalk.errors import (
-    ConfigurationError,
     DomainError,
     IdenticalConfigurationsError,
     ValidationError,
@@ -102,10 +101,6 @@ class TestGeneralHittingTime:
     def test_zero_distance_rejected(self):
         with pytest.raises(IdenticalConfigurationsError):
             exact.HittingQuery(params=ModelParams(5, 3), hamming_distance=0)
-        with pytest.raises(IdenticalConfigurationsError):
-            exact.HittingQuery.from_configurations(
-                ModelParams(5, 3), (1, 2, 3), (1, 2, 3)
-            )
 
     def test_distance_beyond_balls_rejected(self):
         with pytest.raises(DomainError):
@@ -126,24 +121,6 @@ class TestGeneralHittingTime:
         assert exact.general_hitting_time(query) == exact.general_hitting_time(
             exact.HittingQuery(params=params, hamming_distance=equal)
         )
-
-    def test_from_configurations(self):
-        query = exact.HittingQuery.from_configurations(
-            ModelParams(5, 3), (1, 1, 1), (1, 1, 2)
-        )
-        assert query.hamming_distance == 1
-
-    def test_from_configurations_reads_any_sequence(self):
-        params = ModelParams(3, 2)
-        with pytest.raises(IdenticalConfigurationsError):
-            exact.HittingQuery.from_configurations(params, [1, 2], (np.int64(1), 2))
-        query = exact.HittingQuery.from_configurations(params, [True, 2], (1, np.uint8(3)))
-        assert query == exact.HittingQuery(params=params, hamming_distance=1)
-
-    @pytest.mark.parametrize("start,target", [(5, (2, 2)), ((1, 1), None)])
-    def test_from_configurations_rejects_a_placement_that_is_no_sequence(self, start, target):
-        with pytest.raises(ConfigurationError, match="placement must be a sequence"):
-            exact.HittingQuery.from_configurations(ModelParams(3, 2), start, target)
 
     def test_collapse_to_transfer_time_on_grid(self):
         for urns in range(2, 9):

@@ -16,13 +16,14 @@ from urnwalk.model import (
     hamming_distance,
     index_of,
     is_exactly_lumpable,
-    lump_class_of,
+    lump_classes,
     lumped_kernel,
     parse_configuration,
 )
-from urnwalk.occupancy import build_occupancy_chain
+from urnwalk import occupancy as occupancy_module
+from urnwalk.occupancy import aggregation_matches_full_walk, build_occupancy_chain
 
-from _reference import absorbing_rows, neighbor_indices, neighbors, rows_times
+from _reference import absorbing_rows, lump_class, neighbor_indices, neighbors, rows_times
 
 
 @st.composite
@@ -139,7 +140,8 @@ class TestConfigurationIO:
         assert placement == equal
         assert type(placement) is tuple and all(type(v) is int for v in placement)
         assert index_of(config, params) == index_of(equal, params)
-        assert lump_class_of(config, params) == lump_class_of(equal, params)
+        labels = [lump_classes(np.array([placement])).tolist() for placement in (config, equal)]
+        assert labels[0] == labels[1]
 
     @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "1", None])
     def test_non_integer_entries_rejected(self, entry):
@@ -151,7 +153,7 @@ class TestConfigurationIO:
     )
     def test_placement_that_is_no_sequence_rejected(self, config):
         params = ModelParams(urns=3, balls=2)
-        for check in (check_configuration, index_of, lump_class_of):
+        for check in (check_configuration, index_of):
             with pytest.raises(ConfigurationError, match="placement must be a sequence"):
                 check(config, params)
 
@@ -261,28 +263,47 @@ class TestTransitionProbability:
         )
 
 
+def reference_placements(params):
+    """Every placement in index order, ball 1 changing fastest."""
+    urns = range(1, params.urns + 1)
+    return [config[::-1] for config in itertools.product(urns, repeat=params.balls)]
+
+
 class TestLumpClasses:
     def test_all_source(self):
-        params = ModelParams(urns=3, balls=4)
-        assert lump_class_of((1, 1, 1, 1), params) == 1
+        assert lump_classes(np.array([(1, 1, 1, 1)])).tolist() == [1]
 
     def test_all_target(self):
-        params = ModelParams(urns=3, balls=4)
-        assert lump_class_of((2, 2, 2, 2), params) == 8
+        assert lump_classes(np.array([(2, 2, 2, 2)])).tolist() == [8]
 
     def test_mixed(self):
-        params = ModelParams(urns=4, balls=3)
-        assert lump_class_of((2, 1, 2), params) == 4
+        assert lump_classes(np.array([(2, 1, 2), (2, 2, 1), (3, 4, 1)])).tolist() == [4, 5, 1]
 
     def test_classes_partition_state_space(self):
-        params = ModelParams(urns=3, balls=3)
-        by_class = {}
-        for config in itertools.product((1, 2, 3), repeat=3):
-            label = lump_class_of(config, params)
-            assert type(label) is int
-            by_class.setdefault(label, []).append(config)
-        assert set(by_class) == set(range(1, 7))
-        assert sum(len(v) for v in by_class.values()) == 27
+        labels = lump_classes(model._placements(ModelParams(urns=3, balls=3)))
+        assert labels.dtype == np.int64 and labels.shape == (27,)
+        assert set(labels.tolist()) == set(range(1, 7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6))
+    def test_classifiers_match_the_per_placement_rules(self, urns, balls):
+        # lump_classes and the occupancy row's urn-2 count, on every
+        # placement of the walk, against one-placement-at-a-time references
+        params = ModelParams(urns, balls)
+        configs = reference_placements(params)
+        placements = model._placements(params)
+        assert placements.tolist() == [list(config) for config in configs]
+        assert lump_classes(placements).tolist() == [lump_class(c) for c in configs]
+        seen = []
+
+        def spy(params, classify, row_of):
+            seen.append(classify(placements).tolist())
+            return True
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(occupancy_module, "is_exactly_lumpable", spy)
+            aggregation_matches_full_walk(params)
+        assert seen == [[config.count(2) for config in configs]]
 
 
 class TestLumpedKernel:
@@ -302,15 +323,11 @@ class TestLumpedKernel:
     def test_matches_aggregated_full_kernel(self):
         params = ModelParams(urns=3, balls=2)
         kernel = lumped_kernel(params)
-        assert is_exactly_lumpable(
-            params,
-            lambda config: lump_class_of(config, params),
-            lambda label: kernel[label - 1],
-        )
+        assert is_exactly_lumpable(params, lump_classes, lambda label: kernel[label - 1])
 
 
-def occupancy(config):
-    return config.count(2)
+def occupancy(placements):
+    return (placements == 2).sum(axis=1)
 
 
 def band_rows(chain):
@@ -336,8 +353,9 @@ class TestLumpabilityCertifier:
         assert not is_exactly_lumpable(params, occupancy, perturbed)
         # one move's mass, 1/degree, moved within a kernel row: each row still
         # sums to one in whole moves, so only the states' neighbour counts
-        # can tell, on the occupancy bands and on the 2k classes alike
-        for urns, balls in ((3, 4), (4, 5)):
+        # can tell, on the occupancy bands and on the 2k classes alike; the
+        # last three walks (up to 65,536 states) sit at the budget's edge
+        for urns, balls in ((3, 4), (4, 5), (2, 16), (3, 10), (4, 8)):
             params = ModelParams(urns, balls)
             step = Fraction(1, params.degree)
             rows = band_rows(build_occupancy_chain(params))
@@ -355,13 +373,10 @@ class TestLumpabilityCertifier:
                     row[1], row[2] = row[1] - step, row.get(2, 0) + step
                 return row
 
-            def classify(config):
-                return lump_class_of(config, params)
-
             assert is_exactly_lumpable(params, occupancy, rows)
             assert not is_exactly_lumpable(params, occupancy, moved_band)
-            assert is_exactly_lumpable(params, classify, lambda label: kernel[label - 1])
-            assert not is_exactly_lumpable(params, classify, moved_class)
+            assert is_exactly_lumpable(params, lump_classes, lambda label: kernel[label - 1])
+            assert not is_exactly_lumpable(params, lump_classes, moved_class)
 
     def test_non_lumpable_partition_is_rejected(self):
         # {target} against the rest: states next to the target send mass
@@ -373,7 +388,7 @@ class TestLumpabilityCertifier:
         for rest_row in rows_of_the_rest:
             assert not is_exactly_lumpable(
                 params,
-                lambda config: config == target,
+                lambda placements: (placements == target).all(axis=1),
                 lambda label: {False: Fraction(1)} if label else rest_row,
             )
 
@@ -382,7 +397,7 @@ class TestLumpabilityCertifier:
             raise AssertionError("built past the budget")
 
         monkeypatch.setattr(model, "neighbour_counts", build)
-        monkeypatch.setattr(model, "_digits", build)
+        monkeypatch.setattr(model, "_placements", build)
         with pytest.raises(BudgetExceededError) as info:
             is_exactly_lumpable(ModelParams(6, 10), build, build)
         assert info.value.states == 6**10
@@ -395,9 +410,35 @@ class TestLumpabilityCertifier:
         params = ModelParams(urns=3, balls=4)
         kernel = lumped_kernel(params)
         assert is_exactly_lumpable(params, occupancy, band_rows(build_occupancy_chain(params)))
-        assert is_exactly_lumpable(
-            params, lambda config: lump_class_of(config, params), lambda c: kernel[c - 1]
-        )
+        assert is_exactly_lumpable(params, lump_classes, lambda c: kernel[c - 1])
+
+    def test_classify_is_called_once_on_every_placement(self):
+        params = ModelParams(urns=3, balls=4)
+        kernel = lumped_kernel(params)
+        calls = []
+
+        def spy(placements):
+            calls.append(placements.tolist())
+            return lump_classes(placements)
+
+        assert is_exactly_lumpable(params, spy, lambda c: kernel[c - 1])
+        assert calls == [[list(config) for config in reference_placements(params)]]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            lambda p: lump_classes(p)[:-1],  # one label short
+            lambda p: lump_classes(p)[:, None],  # 2-D
+            lambda p: lump_classes(p).astype(float),
+            lambda p: lump_classes(p).astype(object),
+        ],
+        ids=["length", "2-D", "float", "object"],
+    )
+    def test_refuses_labels_that_are_no_integer_vector(self, labels):
+        params = ModelParams(urns=3, balls=4)
+        kernel = lumped_kernel(params)
+        with pytest.raises(ValueError, match="one integer or bool label for each of 81"):
+            is_exactly_lumpable(params, labels, lambda c: kernel[c - 1])
 
 
 @st.composite
