@@ -4,13 +4,15 @@ Each function certifies one family of identities over a parameter grid by
 comparing values produced through genuinely different routes (closed form,
 recursion, exact linear solve, exhaustive aggregation).  The route modules
 only compute; every identity is asserted here, so a failed identity is a FAIL
-row naming its cell, never an exception that ends the run.  The sum identity,
-for one, compares two sequences :mod:`urnwalk.exact` hands out.  Every
-comparison is exact equality of rationals.  A row runs its identity on every
-cell and names the first cell that fails.  Both aggregation rows go through
-the one certifier, :func:`urnwalk.model.is_exactly_lumpable`, each with its
-own classification of the placement array and its own kernel.  ``verify``
-and the acceptance tests are thin layers over these functions.
+row naming its cell, never an exception that ends the run.  So is an exact
+solve that :mod:`urnwalk.linsolve` refuses or gives up on with ValueError.
+The sum identity, for one, compares two sequences :mod:`urnwalk.exact` hands
+out.  Every comparison is exact equality of rationals.  A row runs its
+identity on every cell and names the first cell that fails.  Both
+aggregation rows go through the one certifier,
+:func:`urnwalk.model.is_exactly_lumpable`, each with its own classification
+of the placement array and its own kernel.  ``verify`` and the acceptance
+tests are thin layers over these functions.
 """
 
 from __future__ import annotations
@@ -82,6 +84,19 @@ def _sweep(
     )
 
 
+def _solved(holds: Callable[[ModelParams], bool]) -> Callable[[ModelParams], bool]:
+    """``holds`` for a row of exact solves, with a cell whose solve raises
+    ValueError failed like any other cell the identity does not hold on."""
+
+    def guarded(params: ModelParams) -> bool:
+        try:
+            return holds(params)
+        except ValueError:
+            return False
+
+    return guarded
+
+
 def formula_route_agreement(cells: list[ModelParams]) -> CheckResult:
     """Closed form, ball-count induction, and summed increments all agree."""
 
@@ -151,7 +166,7 @@ def oracle_transfer_agreement(cells: list[ModelParams], budget: int) -> CheckRes
         )
         return solved == exact.full_transfer_time(params)
 
-    return _sweep("oracle-transfer", cells, holds)
+    return _sweep("oracle-transfer", cells, _solved(holds))
 
 
 def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
@@ -203,7 +218,7 @@ def oracle_distance_agreement(cells: list[ModelParams], budget: int) -> CheckRes
         pairs += checked
         return agreed
 
-    row = _sweep("oracle-distance", cells, holds)
+    row = _sweep("oracle-distance", cells, _solved(holds))
     return replace(row, detail=f"{row.detail}, {pairs} pairs")
 
 
@@ -226,7 +241,7 @@ def first_visit_triple_agreement(cells: list[ModelParams], budget: int) -> Check
         )
 
     used = [params for params in cells if params.balls >= 2]
-    return _sweep("first-visit-triple", used, holds)
+    return _sweep("first-visit-triple", used, _solved(holds))
 
 
 def fiber_checks(cells: list[ModelParams], budget: int) -> CheckResult:
@@ -244,7 +259,7 @@ def fiber_checks(cells: list[ModelParams], budget: int) -> CheckResult:
         return fiber.time_to_fiber == want_segment and fiber.mean_return_gap == n ** (k - 1)
 
     used = [params for params in cells if params.balls >= 2]
-    return _sweep("fiber-checks", used, holds)
+    return _sweep("fiber-checks", used, _solved(holds))
 
 
 def lumping_exactness(cells: list[ModelParams]) -> CheckResult:

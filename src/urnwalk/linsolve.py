@@ -21,22 +21,20 @@ is the same either way.
 The solvers read the matrix only through an operator such as
 :class:`urnwalk.model.WalkOperator`: ``len(A)`` unknowns, ``A[i]`` row
 ``i`` as ``{column: value}`` (for readers), ``A.times(x)`` the product
-with a 1-D int64, float64 or Python-int vector in its dtype,
-``A.magnitudes(x)`` and ``A.squares(x)`` those by the matrices of its
-entries' absolute values and squares, ``A.diagonal``, ``A.symmetric`` and
-``A.bound`` (per unit of ``max|x|``, a bound on every value ``times`` and
-``magnitudes`` form).
+with a 1-D int64, float64 or Python-int vector in its dtype, ``A.bound``
+(per unit of ``max|x|``, a bound on every value ``times`` forms) and
+``A.certificate``, the operator's own verdict on itself: False unless the
+matrix is symmetric positive definite, else ``ceil(log2)`` of the Hadamard
+bound on its determinant squared, worked out once while it lives.  The
+walk operator knows its verdict by construction, with no search.
 
-Both pass one certificate gate, worked out once per operator and kept
-while it lives: the matrix must be certified symmetric positive definite
-(symmetry, absolute row sums from the all-ones vector, and a search from
-the strict rows by products with 0/1 vectors), as the oracle's
-``degree * I - A`` always is, with its product bound below ``2**62``, and
-every right-hand side entry must lie below ``2**1000`` in absolute value,
-so that CG, run on the residual scaled by a power of two, stays in the
-float range.  Else they raise ValueError, as does a refinement that
-stalls, naming the bound that stopped it.  A system of no unknowns needs
-no gate, and solves to an empty vector.
+Both pass one certificate gate: the operator's verdict must not be False,
+its product bound must lie below ``2**62``, and every right-hand side
+entry must lie below ``2**1000`` in absolute value, so that CG, run on the
+residual scaled by a power of two, stays in the float range.  Else they
+raise ValueError, as does a refinement that stalls, naming the bound that
+stopped it.  A system of no unknowns needs no gate, and solves to an
+empty vector.
 
 Refinement accepts a candidate ``y = n / d`` only through the exact integer
 check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -77,8 +74,6 @@ _REFINE_SPARE_BITS = 64
 _INT64_BITS = 63
 # every refinement that stops without a verified solution names its reason
 _STALLED = "solve_exact: refinement stalled ({})"
-# the gate's verdict on each operator it has read, False or the scale bound
-_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class RationalVector(Sequence):
@@ -144,8 +139,8 @@ def _vector(rhs) -> np.ndarray:
 
 def _certified(rows, rhs, solver: str) -> int | None:
     """The certificate gate: the bound on the scale that refinement reads,
-    worked out on the operator's first gate and kept in ``_VERDICTS`` with
-    its refusal, ValueError when refused, or None for no unknowns.
+    from the operator's verdict, ValueError when refused, or None for no
+    unknowns.
 
     A 1-D int64 array needs no check of its entries: each is an integer
     below ``2**63``.  Any other right-hand side is checked entry by entry.
@@ -164,21 +159,14 @@ def _certified(rows, rhs, solver: str) -> int | None:
             f"{solver} takes right-hand side entries below 2**{_FLOAT_BITS} "
             "in absolute value"
         )
-    if rows not in _VERDICTS:
-        # below 2**62 the absolute row sums fit in int64; the scale bound is
-        # twice the Hadamard bound on log2 det(A), from the rows' sums of
-        # squares, as denominators divide det(A)
-        _VERDICTS[rows] = (
-            rows.bound < 2**62
-            and _is_certified(rows, rows.magnitudes(np.ones(len(rows), dtype=np.int64)))
-            and _REFINE_SPARE_BITS + math.ceil(np.log2(rows.squares(np.ones(len(rows)))).sum())
-        )
-    if _VERDICTS[rows] is False:
+    if not rows.bound < 2**62 or rows.certificate is False:
         raise ValueError(
             f"{solver} needs a certified symmetric positive definite matrix "
             "whose product bound is below 2**62"
         )
-    return _VERDICTS[rows]
+    # the Hadamard bound on log2 det(A)**2 bounds the scale, as denominators
+    # divide det(A)
+    return _REFINE_SPARE_BITS + rows.certificate
 
 
 def _cg_round(rows, residual: np.ndarray) -> tuple[np.ndarray, float]:
@@ -214,33 +202,6 @@ def _cg_round(rows, residual: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 # refinement path
 # ---------------------------------------------------------------------------
-
-
-def _is_certified(rows, sums: np.ndarray) -> bool:
-    """Symmetry and weakly chained diagonal dominance with a positive diagonal,
-    given ``sums``, the absolute row sums.
-
-    Every row has ``a_ii >= sum |a_ij|`` over ``j != i``, and through
-    nonzero entries reaches a row where the inequality is strict.  Such a
-    matrix is nonsingular (Shivakumar & Chew 1974); when it is also
-    symmetric it is positive definite, so CG converges on it.  The search
-    grows the set of rows reached from the strict rows by one product of
-    ``|A|`` with the 0/1 frontier per step; by symmetry, row ``i`` has a
-    nonzero entry in a reached column exactly when a reached row has one
-    in column ``i``.
-    """
-    if not rows.symmetric:
-        return False
-    diagonal = rows.diagonal
-    off = sums - np.abs(diagonal)
-    if (diagonal <= 0).any() or (diagonal < off).any():
-        return False
-    reached = diagonal > off
-    frontier = reached
-    while frontier.any():
-        frontier = (rows.magnitudes(frontier.astype(np.int64)) > 0) & ~reached
-        reached = reached | frontier
-    return bool(reached.all())
 
 
 def _norm(v: np.ndarray) -> int:

@@ -266,24 +266,18 @@ class WalkOperator(Sequence):
     With ``S_b`` as in :func:`_axis_sums`, ``sum_b S_b`` is ``M I`` plus the
     0/1 adjacency ``A``, so this is ``degree * I - A`` over the transient
     states (``states``, ascending); ``P`` zeroes the absorbed entries.  No
-    entry is stored.  Each ``S_b`` is symmetric and ``P`` diagonal, so the
-    operator is symmetric by construction.  ``times`` multiplies a 1-D
-    int64, float64 or Python-int vector by it, in its dtype (floats by the
-    runs of :func:`_ball_runs`); off-diagonal entries are 0 or -1, so the
-    products by the matrices of absolute values (``magnitudes``) and of
-    squares (``squares``) follow.  No value ``times`` and ``magnitudes``
-    form exceeds ``bound = 2 n M`` times ``max|x|``.  Indexing gives row
-    ``i`` as ``{column: value}``.
+    entry is stored.  ``times`` multiplies a 1-D int64, float64 or
+    Python-int vector by it, in its dtype (floats by the runs of
+    :func:`_ball_runs`); no value it forms exceeds ``bound = 2 n M`` times
+    ``max|x|``.  ``certificate`` is the solvers' verdict on it.  Indexing
+    gives row ``i`` as ``{column: value}``.
     """
-
-    symmetric = True
 
     def __init__(self, params: ModelParams, absorbing: np.ndarray) -> None:
         _check_mask(params, absorbing)
         self.params, self._transient = params, ~absorbing
         self.states = np.flatnonzero(self._transient)
         self._transient.flags.writeable = self.states.flags.writeable = False
-        self.diagonal = np.full(len(self.states), params.degree, dtype=np.int64)
         self.bound = 2 * params.urns * params.balls
         self._runs = _ball_runs(params)
 
@@ -304,11 +298,26 @@ class WalkOperator(Sequence):
         n, m = self.params.urns, self.params.balls
         return n * m * x - _axis_sums(full, n, m)[self._transient]
 
-    def magnitudes(self, x: np.ndarray) -> np.ndarray:
-        return 2 * self.params.degree * x - self.times(x)
-
-    def squares(self, x: np.ndarray) -> np.ndarray:
-        return (self.params.degree + 1) * self.params.degree * x - self.times(x)
+    @functools.cached_property
+    def certificate(self) -> int | bool:
+        """The solvers' verdict, worked out once: False when nothing is
+        absorbed, as ``degree * I - A`` then has the all-ones vector in its
+        kernel.  Else the operator is symmetric positive definite by
+        construction: each ``S_b`` is symmetric and ``P`` diagonal, every
+        row is weakly dominant, and as the walk's graph is connected, every
+        row reaches through transient neighbours one with an absorbed
+        neighbour, where dominance is strict (Shivakumar & Chew 1974).  The
+        verdict is then ``ceil(log2)`` of the Hadamard bound on ``det**2``,
+        the product of the rows' sums of squares: row ``i``, with ``a_i``
+        absorbed neighbours, holds ``degree`` and ``degree - a_i`` entries
+        -1, so its sum is ``degree**2 + degree - a_i``.
+        """
+        absorbing = ~self._transient
+        if not absorbing.any():
+            return False
+        d = self.params.degree
+        absorbed = neighbour_counts(self.params, absorbing)[self.states]
+        return int(np.ceil(np.log2(d * d + d - absorbed).sum()))
 
 
 def lump_classes(placements: np.ndarray) -> np.ndarray:

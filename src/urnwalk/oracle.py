@@ -69,10 +69,10 @@ class AbsorbingSystem:
     as a ``{column: value}`` mapping.  The matrix is ``degree`` times
     ``I - Q`` (``Q`` the substochastic transient kernel), so right-hand
     sides count moves, such as :func:`urnwalk.model.neighbour_counts`.
-    The walk's graph is connected, so the system is uniquely solvable; the
-    chained-dominance certificate of :func:`urnwalk.linsolve.solve_exact`
-    starts its search from the rows with an absorbed neighbour, the only
-    strict ones.
+    The walk's graph is connected, so with a nonempty absorbing set the
+    system is symmetric positive definite and uniquely solvable; the
+    operator's ``certificate`` says so, with no search, to the gate of
+    :func:`urnwalk.linsolve.solve_exact`.
     """
 
     params: ModelParams

@@ -26,11 +26,14 @@ reference for the package's sum over one common denominator.
 ``IntegerRows`` is a small square integer matrix as CSR arrays that
 offers the operator interface of ``urnwalk.linsolve``: the solvers' tests
 state systems of any shape and sign pattern with it, among them the
-non-symmetric and singular ones the certificate must refuse.
+non-symmetric and singular ones the certificate must refuse.  Its
+verdict is the generic certificate search, the one the walk operator's
+own verdict replaced and the reference for it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -185,6 +188,15 @@ def absorbing_rows(params, absorbing):
     return rows
 
 
+def integer_rows(rows):
+    """``{column: int}`` rows as the CSR operator ``IntegerRows``, each row's columns ascending."""
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    entries = [(j, row[j]) for row in rows for j in sorted(row)]
+    indices = np.array([j for j, _ in entries], dtype=np.int64)
+    data = np.array([c for _, c in entries], dtype=np.int64)
+    return IntegerRows(indptr, indices, data)
+
+
 class IntegerRows(Sequence):
     """A square int64 matrix as CSR arrays, with the operator interface of
     ``urnwalk.linsolve`` and read as a sequence of ``{column: value}`` rows.
@@ -193,9 +205,9 @@ class IntegerRows(Sequence):
     each row's columns ascending.  Construction checks their types and
     shapes (TypeError for a wrong type or dtype, ValueError for a wrong
     shape) and makes them read-only, so that a malformed array cannot
-    reach a solver and the verdict the solvers keep on it stays true.
-    ``bound`` is the largest absolute entry times the longest row's entry
-    count: it bounds every partial sum of a product per unit of ``max|x|``.
+    reach a solver and the verdict kept on it stays true.  ``bound`` is
+    the largest absolute entry times the longest row's entry count: it
+    bounds every partial sum of a product per unit of ``max|x|``.
     """
 
     def __init__(self, indptr, indices, data):
@@ -215,11 +227,6 @@ class IntegerRows(Sequence):
             array.flags.writeable = False
         self.indptr, self.indices, self.data = indptr, indices, data
         self._row_of = np.repeat(np.arange(len(self)), np.diff(indptr))
-        entries = list(zip(self._row_of.tolist(), indices.tolist(), data.tolist()))
-        self.symmetric = set(entries) == {(j, i, c) for i, j, c in entries}
-        self.diagonal = np.zeros(len(self), dtype=np.int64)
-        on_diagonal = self._row_of == indices
-        self.diagonal[indices[on_diagonal]] = data[on_diagonal]
         longest = int(np.diff(indptr).max(initial=0))
         self.bound = max((abs(c) for c in data.tolist()), default=0) * longest
 
@@ -234,11 +241,42 @@ class IntegerRows(Sequence):
     def times(self, x):
         return self._product(self.data, x)
 
-    def magnitudes(self, x):
-        return self._product(np.abs(self.data), x)
+    @functools.cached_property
+    def certificate(self):
+        """False when the matrix is not symmetric and weakly chained
+        diagonally dominant with a positive diagonal, or when its product
+        bound reaches ``2**62``, past which its int64 row sums could wrap;
+        else ``ceil(log2)`` of the Hadamard bound on ``det**2``, from the
+        rows' sums of squares.
 
-    def squares(self, x):
-        return self._product(self.data.astype(x.dtype) ** 2, x)
+        Every row has ``a_ii >= sum |a_ij|`` over ``j != i``, and through
+        nonzero entries reaches a row where the inequality is strict.  Such
+        a matrix is nonsingular (Shivakumar & Chew 1974); when it is also
+        symmetric it is positive definite.  The search grows the set of
+        rows reached from the strict rows by one product of ``|A|`` with
+        the 0/1 frontier per step; by symmetry, row ``i`` has a nonzero
+        entry in a reached column exactly when a reached row has one in
+        column ``i``.
+        """
+        entries = list(zip(self._row_of.tolist(), self.indices.tolist(), self.data.tolist()))
+        if self.bound >= 2**62 or set(entries) != {(j, i, c) for i, j, c in entries}:
+            return False
+        magnitudes = np.abs(self.data)
+        diagonal = np.zeros(len(self), dtype=np.int64)
+        on_diagonal = self._row_of == self.indices
+        diagonal[self.indices[on_diagonal]] = self.data[on_diagonal]
+        off = self._product(magnitudes, np.ones(len(self), dtype=np.int64)) - np.abs(diagonal)
+        if (diagonal <= 0).any() or (diagonal < off).any():
+            return False
+        reached = diagonal > off
+        frontier = reached
+        while frontier.any():
+            frontier = (self._product(magnitudes, frontier.astype(np.int64)) > 0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
+            return False
+        squares = self._product(self.data.astype(np.float64) ** 2, np.ones(len(self)))
+        return math.ceil(np.log2(squares).sum())
 
     def _product(self, data, x):
         out = np.zeros(len(self), dtype=x.dtype)

@@ -364,6 +364,33 @@ class TestVerifyCommand:
         assert rows["fiber-checks"]["passed"] is True
         assert "first failure ModelParams(urns=3, balls=2)" in rows["first-visit-triple"]["detail"]
 
+    def test_unsolvable_cells_fail_their_rows(self, capsys, monkeypatch, request):
+        # a walk that leaves the last ball's axis out once it has three
+        # balls: refinement stalls on some cells, 4x3 among them, as the
+        # float products no longer match the exact ones, and gives wrong
+        # values on others.  Either fails its cell; the run goes on.
+        from urnwalk import oracle
+
+        axis_sums = model._axis_sums
+        monkeypatch.setattr(
+            model,
+            "_axis_sums",
+            # the first M - 1 balls' axes are the same at M - 1 balls
+            lambda full, urns, balls: axis_sums(full, urns, balls - (balls >= 3)),
+        )
+        for cache in (model._ball_runs, oracle._fiber_hitting_vector):
+            cache.cache_clear()
+            request.addfinalizer(cache.cache_clear)
+        params = model.ModelParams(4, 3)
+        with pytest.raises(ValueError, match="refinement stalled"):
+            oracle.expected_hitting_time(params, (1, 1, 1), (2, 2, 2))
+        code, out, err = run_cli(capsys, "verify", "--max-urns", "4", "--max-balls", "3")
+        assert (code, err) == (1, "")
+        rows = {row["name"]: row for row in parse_json(out)["checks"]}
+        for name in ("oracle-transfer", "oracle-distance", "first-visit-triple", "fiber-checks"):
+            assert rows[name]["passed"] is False
+            assert ", first failure ModelParams(urns=2, balls=3)" in rows[name]["detail"]
+
 
 class TestBudgetValidation:
     def test_nonpositive_env_budget_rejected(self, capsys, monkeypatch):

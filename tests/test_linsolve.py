@@ -10,21 +10,12 @@ from hypothesis import strategies as st
 
 from urnwalk import linsolve
 
-from _reference import IntegerRows, gauss_jordan_solve, reconstruct, rows_times
+from _reference import IntegerRows, gauss_jordan_solve, integer_rows, reconstruct, rows_times
 
 
 def dense(rows):
     """``{column: value}`` rows as a dense list of rows, for ``gauss_jordan_solve``."""
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
-
-
-def integer_rows(rows):
-    """``{column: int}`` rows as the CSR operator ``IntegerRows``, each row's columns ascending."""
-    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
-    entries = [(j, row[j]) for row in rows for j in sorted(row)]
-    indices = np.array([j for j, _ in entries], dtype=np.int64)
-    data = np.array([c for _, c in entries], dtype=np.int64)
-    return IntegerRows(indptr, indices, data)
 
 
 def path_rows(size, diagonal):
@@ -424,19 +415,21 @@ class TestRefinementPath:
         cg.assert_not_called()
 
     def test_each_rows_certified_once(self):
-        # the gate keeps its bound, or the refusal, on the operator: later
-        # solves on the same operator, exact or float, certify nothing again
+        # the operator keeps its verdict, or its refusal: later solves on
+        # the same operator, exact or float, certify nothing again
         rows = path_rows(20, lambda i: 3)
         rhs = [i * i for i in range(20)]
         certified, uncertified = integer_rows(rows), integer_rows(nonsymmetric_rows(20))
-        with mock.patch.object(linsolve, "_is_certified", wraps=linsolve._is_certified) as spy:
+        verdict = IntegerRows.__dict__["certificate"]  # the cached property
+        with mock.patch.object(verdict, "func", wraps=verdict.func) as spy:
             solution = linsolve.solve_exact(certified, rhs)
             values, _ = linsolve.solve_float(certified, rhs)
             assert spy.call_count == 1
             for solver in (linsolve.solve_exact, linsolve.solve_float):
                 with pytest.raises(ValueError, match=f"{solver.__name__} needs a certified"):
                     solver(uncertified, rhs)
-            assert spy.call_count == 2
+            assert [call.args[0] for call in spy.call_args_list] == [certified, uncertified]
+        assert uncertified.certificate is False
         assert rows_times(rows, solution) == rhs
         assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
 

@@ -22,6 +22,7 @@ from urnwalk.errors import (
 )
 from urnwalk.model import (
     ModelParams,
+    WalkOperator,
     config_at,
     hamming_distance,
     index_of,
@@ -346,16 +347,16 @@ class TestFiberQuantities:
 
     def test_fiber_system_certified_once(self, monkeypatch):
         # the hitting and absorption solves read one system, 78 unknowns,
-        # whose rows keep the certificate of the first
+        # whose operator works out its verdict for the first and keeps it
         params = ModelParams(3, 4)
-        calls = []
-        is_certified = linsolve._is_certified
+        verdict = WalkOperator.__dict__["certificate"]
+        certificate, calls = verdict.func, []
 
-        def spy(*args):
-            calls.append(len(args[0]))
-            return is_certified(*args)
+        def spy(rows):
+            calls.append(len(rows))
+            return certificate(rows)
 
-        monkeypatch.setattr(linsolve, "_is_certified", spy)
+        monkeypatch.setattr(verdict, "func", spy)
         oracle._fiber_hitting_vector.cache_clear()
         fiber = oracle.target_fiber(params)
         assert calls == [78]
