@@ -24,9 +24,9 @@ The solvers read the matrix only through an operator such as
 with a 1-D int64, float64 or Python-int vector in its dtype, ``A.bound``
 (per unit of ``max|x|``, a bound on every value ``times`` forms) and
 ``A.certificate``, the operator's own verdict on itself: False unless the
-matrix is symmetric positive definite, else ``ceil(log2)`` of the Hadamard
-bound on its determinant squared, worked out once while it lives.  The
-walk operator knows its verdict by construction, with no search.
+matrix is symmetric positive definite, else ``ceil(log2)`` of a Hadamard
+bound on its determinant squared.  The walk operator knows its verdict by
+construction, in closed form from its size, with no pass over its states.
 
 Both pass one certificate gate: the operator's verdict must not be False,
 its product bound must lie below ``2**62``, and every right-hand side

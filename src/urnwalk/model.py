@@ -27,6 +27,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -269,8 +270,9 @@ class WalkOperator(Sequence):
     entry is stored.  ``times`` multiplies a 1-D int64, float64 or
     Python-int vector by it, in its dtype (floats by the runs of
     :func:`_ball_runs`); no value it forms exceeds ``bound = 2 n M`` times
-    ``max|x|``.  ``certificate`` is the solvers' verdict on it.  Indexing
-    gives row ``i`` as ``{column: value}``.
+    ``max|x|``.  ``certificate``, the solvers' verdict on it, depends on
+    ``params`` and ``len(states)`` alone.  Indexing gives row ``i`` as
+    ``{column: value}``.
     """
 
     def __init__(self, params: ModelParams, absorbing: np.ndarray) -> None:
@@ -280,6 +282,25 @@ class WalkOperator(Sequence):
         self._transient.flags.writeable = self.states.flags.writeable = False
         self.bound = 2 * params.urns * params.balls
         self._runs = _ball_runs(params)
+
+    @property
+    def certificate(self) -> int | bool:
+        """The solvers' verdict, from the operator's shape alone: False when
+        nothing is absorbed, as ``degree * I - A`` then has the all-ones
+        vector in its kernel.  Else the operator is symmetric positive
+        definite by construction: each ``S_b`` is symmetric and ``P``
+        diagonal, every row is weakly dominant, and as the walk's graph is
+        connected, every row reaches through transient neighbours one with
+        an absorbed neighbour, where dominance is strict (Shivakumar & Chew
+        1974).  The verdict is then ``ceil(log2)`` of a Hadamard bound on
+        ``det**2``: row ``i``, with ``a_i`` absorbed neighbours, holds
+        ``degree`` and ``degree - a_i`` entries -1, so its sum of squares,
+        ``degree**2 + degree - a_i``, is at most ``degree**2 + degree``.
+        """
+        if len(self.states) == self.params.state_count:
+            return False
+        d = self.params.degree
+        return math.ceil(len(self.states) * math.log2(d * d + d))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -297,27 +318,6 @@ class WalkOperator(Sequence):
             return _run_product(full, self._runs)[self._transient]
         n, m = self.params.urns, self.params.balls
         return n * m * x - _axis_sums(full, n, m)[self._transient]
-
-    @functools.cached_property
-    def certificate(self) -> int | bool:
-        """The solvers' verdict, worked out once: False when nothing is
-        absorbed, as ``degree * I - A`` then has the all-ones vector in its
-        kernel.  Else the operator is symmetric positive definite by
-        construction: each ``S_b`` is symmetric and ``P`` diagonal, every
-        row is weakly dominant, and as the walk's graph is connected, every
-        row reaches through transient neighbours one with an absorbed
-        neighbour, where dominance is strict (Shivakumar & Chew 1974).  The
-        verdict is then ``ceil(log2)`` of the Hadamard bound on ``det**2``,
-        the product of the rows' sums of squares: row ``i``, with ``a_i``
-        absorbed neighbours, holds ``degree`` and ``degree - a_i`` entries
-        -1, so its sum is ``degree**2 + degree - a_i``.
-        """
-        absorbing = ~self._transient
-        if not absorbing.any():
-            return False
-        d = self.params.degree
-        absorbed = neighbour_counts(self.params, absorbing)[self.states]
-        return int(np.ceil(np.log2(d * d + d - absorbed).sum()))
 
 
 def lump_classes(placements: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ from .model import (
     WalkOperator,
     all_in_urn,
     as_integer,
-    check_configuration,
     index_of,
     lumped_kernel,
     neighbour_counts,
@@ -71,8 +70,8 @@ class AbsorbingSystem:
     sides count moves, such as :func:`urnwalk.model.neighbour_counts`.
     The walk's graph is connected, so with a nonempty absorbing set the
     system is symmetric positive definite and uniquely solvable; the
-    operator's ``certificate`` says so, with no search, to the gate of
-    :func:`urnwalk.linsolve.solve_exact`.
+    operator's ``certificate`` says so, in closed form from its size, to
+    the gate of :func:`urnwalk.linsolve.solve_exact`.
     """
 
     params: ModelParams
@@ -155,13 +154,12 @@ def _pair_system(
 ) -> tuple[AbsorbingSystem, int] | None:
     """The target's absorbing system and the start's row in it; None for an
     identical pair, which returns before the budget is checked."""
-    start = check_configuration(start, params)
-    target = check_configuration(target, params)
-    if start == target:
+    start_index, target_index = index_of(start, params), index_of(target, params)
+    if start_index == target_index:
         return None
     _check_budget(params, budget, what)
-    system = build_absorbing_system(params, frozenset({index_of(target, params)}))
-    return system, system.position(index_of(start, params))
+    system = build_absorbing_system(params, frozenset({target_index}))
+    return system, system.position(start_index)
 
 
 def expected_hitting_time(

@@ -433,6 +433,14 @@ class TestRefinementPath:
         assert rows_times(rows, solution) == rhs
         assert np.allclose(values, [float(x) for x in solution], rtol=1e-12)
 
+    def test_verdict_of_zero_bits_passes_the_gate(self):
+        # the gate refuses False by identity, not the 0 it equals
+        rows = integer_rows([{0: 1}])
+        assert rows.certificate == 0 and rows.certificate is not False
+        assert list(linsolve.solve_exact(rows, [3])) == [3]
+        values, residual = linsolve.solve_float(rows, [3])
+        assert values.tolist() == [3.0] and residual == 0.0
+
     def test_singular_symmetric_system_detected(self):
         size = 70
         rows = laplacian_rows(size)

@@ -525,18 +525,27 @@ def refused(solver, rows):
     return False
 
 
+def closed_form_bits(params, unknowns):
+    """``ceil(unknowns * log2(degree**2 + degree))``, in exact integers."""
+    d = params.degree
+    return ((d * d + d) ** unknowns - 1).bit_length()
+
+
 def verdict_matches_reference(make_operator, params, mask):
-    """Whether the verdict of ``make_operator(params, mask)`` is the generic
-    certificate search's on the reference rows, False for False, and every
-    refused operator is refused by both solvers at their gate."""
+    """Whether the verdict of ``make_operator(params, mask)`` is False exactly
+    when nothing is absorbed and when the generic certificate search's on
+    the reference rows is, and otherwise the closed form, which bounds
+    every row's sum of squares by ``degree**2 + degree`` and so is at least
+    the search's bit count; and whether every refused operator is refused
+    by both solvers at their gate."""
     walk = make_operator(params, mask)
     want = integer_rows(absorbing_rows(params, np.flatnonzero(mask).tolist())).certificate
     got = walk.certificate
-    if (got is False) is not (want is False) or got != want:
+    if not (got is False) == (want is False) == (not mask.any()):
         return False
-    return want is not False or (
-        refused(linsolve.solve_exact, walk) and refused(linsolve.solve_float, walk)
-    )
+    if want is not False:
+        return got == closed_form_bits(params, len(walk)) >= want
+    return refused(linsolve.solve_exact, walk) and refused(linsolve.solve_float, walk)
 
 
 class ClaimsEveryVerdict(model.WalkOperator):
@@ -565,7 +574,7 @@ class TestWalkOperatorVerdict:
     @example((ModelParams(2, 1), np.zeros(2, dtype=bool)))  # nothing absorbed
     @example((ModelParams(3, 2), np.zeros(9, dtype=bool)))
     @example((ModelParams(2, 1), np.ones(2, dtype=bool)))  # no unknowns
-    @example((ModelParams(2, 1), np.array([True, False])))  # a bit count of 0
+    @example((ModelParams(2, 1), np.array([True, False])))  # 1 bit; the search's 0
     @settings(max_examples=60, deadline=None)
     def test_verdict_matches_the_search(self, case):
         assert verdict_matches_reference(model.WalkOperator, *case)

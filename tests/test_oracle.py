@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import urnwalk
-from urnwalk import checks, exact, linsolve, oracle
+from urnwalk import checks, exact, linsolve, model, oracle
 from urnwalk.errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -22,7 +22,6 @@ from urnwalk.errors import (
 )
 from urnwalk.model import (
     ModelParams,
-    WalkOperator,
     config_at,
     hamming_distance,
     index_of,
@@ -347,19 +346,21 @@ class TestFiberQuantities:
 
     def test_fiber_system_certified_once(self, monkeypatch):
         # the hitting and absorption solves read one system, 78 unknowns,
-        # whose operator works out its verdict for the first and keeps it
+        # whose verdict is a closed form of its size: the fiber's only
+        # neighbour-count passes are the absorption right-hand side's (the
+        # target) and the return-gap weights' (the 3 fiber states)
         params = ModelParams(3, 4)
-        verdict = WalkOperator.__dict__["certificate"]
-        certificate, calls = verdict.func, []
+        counts, passes = model.neighbour_counts, []
 
-        def spy(rows):
-            calls.append(len(rows))
-            return certificate(rows)
+        def spy(params, inside):
+            passes.append(int(inside.sum()))
+            return counts(params, inside)
 
-        monkeypatch.setattr(verdict, "func", spy)
+        monkeypatch.setattr(model, "neighbour_counts", spy)
+        monkeypatch.setattr(oracle, "neighbour_counts", spy)
         oracle._fiber_hitting_vector.cache_clear()
         fiber = oracle.target_fiber(params)
-        assert calls == [78]
+        assert passes == [1, 3]
         assert fiber.first_visit_probability == exact.first_visit_probability(params)
 
 
