@@ -20,7 +20,10 @@ only source of draws in this module:
 
 - Philox4x64-10 (Salmon et al., SC'11) of the counters 1, 2, ... under the
   key (seed, r), with its 64x64 -> 128-bit products formed from 32-bit
-  limbs;
+  limbs in preallocated arrays.  The counters' three zero words make most
+  of rounds 0 and 1 constant: round 0 multiplies one row of counters, and
+  round 1 one full array and one scalar, so a block pays about 8.5 full
+  rounds, not 10;
 - each output word split into its 32-bit halves, low half first, and each
   half ``x`` turned into a draw by Lemire's bounded method (ACM TOMACS
   29(1), 2019): ``x`` is kept iff ``(x * span) mod 2**32`` is at least
@@ -38,14 +41,16 @@ below span / 2**32) are drawn as ``span`` before any walk: that is ball
 number ``balls``, a scratch cell past the balls whose goal no urn matches,
 so a rejected half takes no step.  Each row is then walked in lockstep,
 or, once ``_TAIL`` or fewer rows walk, one at a time in the scalar loop;
-both walkers return the column of each row's first arrival.  One
-accounting turns that column into the row's step count, less its rejected
-halves, and applies the step cap to it.  Rows that hit or reach the cap
-leave the batch at block boundaries, in whole groups of ``_ROW_GRAIN``.
-A plan splits into at most one chunk per batch.  A chunk walks its batches
-one after another and adds each batch's exact integer sums to its totals as
-soon as it is walked, so a process holds one batch's step counts, whatever
-the replication count.
+both walkers return the column of each row's first arrival.  The lockstep
+walker's column loop only moves balls; it sums each row's mismatch count
+once per block, after the loop, from the change each step made to it.
+One accounting turns the arrival column into the row's step count, less
+its rejected halves, and applies the step cap to it.  Rows that hit or
+reach the cap leave the batch at block boundaries, in whole groups of
+``_ROW_GRAIN``.  A plan splits into at most one chunk per batch.  A chunk
+walks its batches one after another and adds each batch's exact integer
+sums to its totals as soon as it is walked, so a process holds one batch's
+step counts, whatever the replication count.
 
 ``tests/_reference.py`` keeps the per-replication loop on numpy's own
 generator that this kernel replaced.  The tests check the kernel against
@@ -155,56 +160,101 @@ class HittingEstimate:
     seed: int
 
 
-def _mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of ``a * multiplier``, from 32-bit limbs.
+def _mulhilo(
+    a: np.ndarray,
+    multiplier: int,
+    high: np.ndarray,
+    low: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write the high and low words of ``a * multiplier`` to ``high`` and ``low``.
 
+    The product is formed from 32-bit limbs in the caller's arrays: ``low``
+    and ``scratch`` hold partial products until ``low`` takes the low word,
+    and the one array allocated is ``high * m_lo``.  ``a`` is left as it is.
     No partial sum overflows: ``(2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64``.
     """
     m_lo = np.uint64(multiplier & 0xFFFFFFFF)
     m_hi = np.uint64(multiplier >> 32)
-    a_lo = a & _LOW32
-    a_hi = a >> _SHIFT32
-    cross = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
-    upper = a_lo * m_hi + (cross & _LOW32)
-    high = a_hi * m_hi + (cross >> _SHIFT32) + (upper >> _SHIFT32)
-    return high, a * np.uint64(multiplier)
+    np.bitwise_and(a, _LOW32, out=scratch)  # a_lo
+    np.right_shift(a, _SHIFT32, out=high)  # a_hi
+    cross = high * m_lo
+    np.multiply(scratch, m_lo, out=low)
+    low >>= _SHIFT32
+    cross += low  # a_hi * m_lo + (a_lo * m_lo >> 32)
+    high *= m_hi
+    scratch *= m_hi
+    np.bitwise_and(cross, _LOW32, out=low)
+    scratch += low  # upper = a_lo * m_hi + (cross & _LOW32)
+    cross >>= _SHIFT32
+    high += cross
+    scratch >>= _SHIFT32
+    high += scratch  # a_hi * m_hi + (cross >> 32) + (upper >> 32)
+    np.multiply(a, np.uint64(multiplier), out=low)
 
 
-def _philox_words(seeds, reps, counters) -> np.ndarray:
+def _philox_words(seed: int, reps, counters) -> np.ndarray:
     """Philox4x64-10 of the counters ``(c, 0, 0, 0)`` under keys ``(seed, rep)``.
 
-    The three arguments broadcast against each other; the result has their
-    broadcast shape plus a last axis of the four output words, in the order
-    ``Philox.random_raw`` emits them.
+    ``reps`` is a column of key words and ``counters`` a row; the result is
+    ``(len(reps), len(counters), 4)``, the last axis the four output words
+    in the order ``Philox.random_raw`` emits them.
+
+    Rounds 0 and 1 skip what the zero counter words make constant.  Round 0
+    multiplies the counter row alone and leaves ``c0 = seed``, the same for
+    every stream, so round 1's first product is one scalar product.  Rounds
+    2-9 rotate seven preallocated ``(rows, width)`` arrays, products and
+    xors in place.
     """
-    # arrays even for scalar keys: array sums wrap silently, numpy scalars warn
-    k0 = np.array(seeds, dtype=np.uint64, ndmin=1)
-    k1 = np.array(reps, dtype=np.uint64, ndmin=1)
-    c0 = np.asarray(counters, dtype=np.uint64)
-    shape = np.broadcast_shapes(k0.shape, k1.shape, c0.shape)
-    c0 = np.broadcast_to(c0, shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    for round_ in range(_PHILOX_ROUNDS):
-        if round_:
-            k0 = k0 + np.uint64(_PHILOX_WEYL[0])
-            k1 = k1 + np.uint64(_PHILOX_WEYL[1])
-        hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    m0, m1 = _PHILOX_MULTIPLIERS
+    seed = int(seed)
+    row = np.asarray(counters, dtype=np.uint64).reshape(-1)
+    # arrays even for one stream: array sums wrap silently, numpy scalars warn
+    k1 = np.asarray(reps, dtype=np.uint64).reshape(-1, 1)
+    k0 = [
+        np.uint64((seed + r * _PHILOX_WEYL[0]) % _SEED_LIMIT)
+        for r in range(_PHILOX_ROUNDS)
+    ]
+    c2, c0, c1, scratch, c3, x, y = (
+        np.empty((len(k1), len(row)), dtype=np.uint64) for _ in range(7)
+    )
+    # round 0: (c, 0, 0, 0) -> (seed, 0, hi(c * m0) ^ rep, lo(c * m0))
+    hi, lo = np.empty_like(row), np.empty_like(row)
+    _mulhilo(row, m0, hi, lo, np.empty_like(row))
+    np.bitwise_xor(hi, k1, out=c2)
+    # round 1: c0 = seed and c1 = 0, so only c2 takes a full-shape product
+    k1 = k1 + np.uint64(_PHILOX_WEYL[1])
+    hi0, lo0 = divmod(seed * m0, _SEED_LIMIT)
+    _mulhilo(c2, m1, c0, c1, scratch)
+    c0 ^= k0[1]
+    np.bitwise_xor(lo ^ np.uint64(hi0), k1, out=c2)
+    c3.fill(lo0)
+    for key in k0[2:]:
+        k1 += np.uint64(_PHILOX_WEYL[1])
+        _mulhilo(c0, m0, x, y, scratch)
+        x ^= c3
+        x ^= k1
+        _mulhilo(c2, m1, c0, c3, scratch)
+        c0 ^= c1
+        c0 ^= key
+        c0, c1, c2, c3, x, y = c0, c3, x, y, c1, c2
     return np.stack((c0, c1, c2, c3), axis=-1)
 
 
-def _bounded_draws(seeds, reps, counters, span: int) -> tuple[np.ndarray, np.ndarray]:
+def _bounded_draws(
+    seed: int, reps, counters, span: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Lemire draws in ``[0, span)`` from the Philox words of ``counters``.
 
-    The arguments broadcast to ``(rows, k)``: one row per stream, ``k``
-    consecutive counters.  Returns ``(draws, kept)``, both ``(rows, 8 * k)``:
+    One row per stream, keyed by ``seed`` and a word of the column ``reps``,
+    over the row of ``k`` consecutive ``counters``.  Returns
+    ``(draws, kept)``, both ``(rows, 8 * k)``:
     one entry per 32-bit half in stream order (each word low half first),
     the draw as uint32 and whether Lemire's rejection test keeps it.  The
     kept draws of counters 1, 2, ..., in order, are the values of
     ``Generator(Philox(key=(seed, rep))).integers(0, span)``.
     """
-    words = _philox_words(seeds, reps, counters)
+    words = _philox_words(seed, reps, counters)
     # little-endian 32-bit view: each word's low half comes first
     halves = words.astype("<u8", copy=False).view("<u4").reshape(words.shape[0], -1)
     # uint32 products wrap: they are (x * span) mod 2**32
@@ -252,26 +302,43 @@ def _walk_block(
     ``place`` (rows, cells) and ``mismatches`` (rows,) are updated in
     place.  Returns, per row, the column after which it first sat at
     ``goal``, or -1.
+
+    The column loop only moves balls: it gathers each row's current urn,
+    turns the drawn alternative into the destination in place and scatters
+    it.  The mismatch count is then summed once for the block, column by
+    column, from the change each step makes to it.
     """
     rows, balls = place.shape
-    cols = draws.shape[1]
-    ball, urn_draw = np.divmod(np.ascontiguousarray(draws.T), alternatives)
-    urn_draw = urn_draw.astype(place.dtype)
-    urn_draw += 1
-    wanted = goal[ball]
-    cell = ball + np.arange(rows) * balls
+    # column-major, and a copy even when draws.T is contiguous, as the
+    # alternatives are worked out in place; a floor division by the scalar
+    # is far cheaper than numpy's divmod, and intp indices than uint32 ones
+    urn_draw = draws.T.copy()
+    ball = urn_draw // alternatives
+    urn_draw -= ball * alternatives
+    moved = urn_draw.astype(place.dtype)
+    moved += 1
+    del urn_draw
+    cell = ball.astype(np.intp)
     del ball
+    wanted = goal[cell]
+    cell += np.arange(0, rows * balls, balls)
     flat = place.reshape(-1)
-    arrived = np.empty((cols, rows), dtype=bool)
-    for j in range(cols):
-        at = cell[j]
-        current = flat[at]
-        draw = urn_draw[j]
-        destination = draw + (draw >= current)
+    left = np.empty_like(moved)
+    for at, current, destination in zip(cell, left, moved):
+        # every cell is in range, and the scatter checks it: a clipping take
+        # writes straight to its output, where a raising one buffers
+        flat.take(at, out=current, mode="clip")
+        destination += destination >= current
         flat[at] = destination
-        mismatches += current == wanted[j]
-        mismatches -= destination == wanted[j]
-        np.equal(mismatches, 0, out=arrived[j])
+    # +1 where a step leaves the goal urn of its ball, -1 where it enters it
+    change = (left == wanted).view(np.int8) - (moved == wanted).view(np.int8)
+    del cell, left, moved, wanted
+    path = np.empty(change.shape, dtype=mismatches.dtype)
+    np.add(mismatches, change[0], out=path[0])
+    for before, step, after in zip(path, change[1:], path[1:]):
+        np.add(before, step, out=after)
+    mismatches[:] = path[-1]
+    arrived = path == 0
     return np.where(arrived.any(axis=0), arrived.argmax(axis=0), -1)
 
 

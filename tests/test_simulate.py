@@ -325,6 +325,28 @@ class TestLockstepKernel:
             raw = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
             assert words[row].reshape(-1).tolist() == raw.random_raw(20).tolist()
 
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    @pytest.mark.parametrize("rep", (0, 2**64 - 1))
+    @pytest.mark.parametrize("first", (1, 2**32 - 2))
+    def test_philox_words_at_edge_keys(self, seed, rep, first):
+        # the key words at both ends of their range, where a key plus its
+        # Weyl constant wraps, over a row of 4096 counters and a column of
+        # 4096 streams, and counters that cross 2**32: the shortcut of
+        # rounds 0 and 1 and the buffer rotation of the later rounds must
+        # give Philox's own words in every case
+        def raw_words(key, counter, count):
+            key = np.array([seed, key], dtype=np.uint64)
+            return np.random.Philox(key=key, counter=counter - 1).random_raw(count)
+
+        words = simulate._philox_words(seed, [[rep]], np.arange(first, first + 4096))
+        assert words.shape == (1, 4096, 4)
+        assert np.array_equal(words.reshape(-1), raw_words(rep, first, 4 * 4096))
+        reps = (rep + 0x9E3779B97F4A7C15 * np.arange(4096, dtype=np.uint64))[:, None]
+        words = simulate._philox_words(seed, reps, [first])
+        assert words.shape == (4096, 1, 4)
+        want = [raw_words(key, first, 4) for key in reps[:, 0]]
+        assert np.array_equal(words.reshape(4096, 4), want)
+
     @pytest.mark.parametrize("span", REJECTION_SPANS)
     def test_draws_match_numpy_across_blocks(self, span):
         # consecutive counter blocks per row, against numpy drawing the same
@@ -439,6 +461,59 @@ class TestLockstepKernel:
             column = simulate._walk_scalar(alternatives, goal.tolist(), config, row)
             assert column == block[i]
             assert config == place[i].tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 70),
+        st.sampled_from((2, 3, 4, 5, 6, 128)),
+        st.integers(1, 4),
+        st.sampled_from((0.0, 0.05, 0.3)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_walkers_agree_on_random_blocks(self, rows, cols, urns, balls, lost, seed):
+        # random placements and draws, some of them rejected halves drawn as
+        # span: the lockstep walker, which sums each row's mismatch count
+        # once after its column loop, must agree with the scalar one on the
+        # first arrival, the placements and the mismatch count it leaves
+        rng = np.random.default_rng(seed)
+        alternatives, span = urns - 1, balls * (urns - 1)
+        dtype = np.min_scalar_type(urns)
+        target = rng.integers(1, urns + 1, size=balls)
+        goal = np.array((*target, 0), dtype=dtype)
+        starts = rng.integers(1, urns + 1, size=(rows, balls))
+        # a walking row is never at its goal when a block starts
+        at_goal = (starts == target).all(axis=1)
+        starts[at_goal, 0] = target[0] % urns + 1
+        draws = rng.integers(0, span, size=(rows, cols), dtype=np.uint32)
+        draws[rng.random((rows, cols)) < lost] = span
+        # row 0 enters the goal in column 0, leaves it and enters it again
+        # in column 2: its first arrival is column 0
+        away = starts[0, 0] = target[0] % urns + 1
+        starts[0, 1:] = target[1:]
+        enter = target[0] - 1 - (target[0] > away)
+        leave = away - 1 - (away > target[0])
+        draws[0, :3] = (enter, leave, enter)[:cols]
+
+        place = np.hstack((starts, np.ones((rows, 1), dtype=int))).astype(dtype)
+        mismatches = (starts != target).sum(axis=1).astype(np.int32)
+        first = simulate._walk_block(place, mismatches, draws, alternatives, goal)
+
+        for i, row in enumerate(draws.tolist()):
+            config, arrival, done = [*starts[i].tolist(), 1], -1, 0
+            while done < cols:
+                # the scalar walker stops at an arrival: walk the rest on
+                column = simulate._walk_scalar(
+                    alternatives, goal.tolist(), config, row[done:]
+                )
+                if column < 0:
+                    break
+                arrival = done + column if arrival < 0 else arrival
+                done += column + 1
+            assert first[i] == arrival
+            assert place[i].tolist() == config
+            assert mismatches[i] == sum(a != b for a, b in zip(config, target))
+        assert first[0] == 0
 
     @pytest.mark.parametrize("tail", (0, 48, 1000))
     def test_caps_past_int64(self, tail):
@@ -603,6 +678,22 @@ class TestRun:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**16
+
+    def test_full_batch_peak_memory(self):
+        # the kernel's preallocated Philox arrays and column-major walk
+        # arrays must not raise the memory one full batch takes: the traced
+        # peak of one 8,192-replication batch at 4x4 was 1,867,723 bytes
+        # (numpy 2.4.6) while every Philox round allocated its products anew
+        plan = distance_plan(ModelParams(4, 4), 4, simulate._BATCH, 211)
+        simulate._batch_steps(plan, 0, 64)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            steps = simulate._batch_steps(plan, 0, simulate._BATCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps >= 0).all()
+        assert peak <= 1.10 * 1_867_723
 
     def test_never_builds_numpys_generator(self):
         # every draw comes from the module's own Philox/Lemire emulation, in
