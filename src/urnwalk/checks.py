@@ -22,14 +22,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import exact, occupancy, oracle
 from .model import (
     SOURCE_URN,
     TARGET_URN,
     ModelParams,
     all_in_urn,
+    _placements,
     config_at,
-    hamming_distance,
     is_exactly_lumpable,
     lump_classes,
     lumped_kernel,
@@ -174,39 +176,47 @@ def distance_agreement(params: ModelParams, budget: int) -> tuple[bool, int]:
 
     Targets are taken in state-index order, each contributing one exact
     solve of its :func:`urnwalk.oracle.target_system`, read in place for
-    every other start in index order.  Per distance the check covers
-    ``PAIRS_PER_CLASS`` distinct (start, target) pairs, or every existing
-    pair when fewer exist.  A placement is decoded only when it is read, so
-    the first target's budget check comes before any other, and reading
-    stops once every distance's quota is full.  Returns (all pairs agreed,
-    pairs checked).
+    other starts.  Per distance the check covers ``PAIRS_PER_CLASS``
+    distinct (start, target) pairs, or every existing pair when fewer
+    exist: the first transient starts at that distance, in index order,
+    that earlier targets left to read.  Each start's distance comes from
+    the placement array, built only once the first target has passed its
+    budget check, and each pair is compared in integers, as
+    ``numerator * E.denominator == E.numerator * denominator`` against
+    the formula's ``E``.  No target is decoded after every quota is full.
+    Returns (all pairs agreed, pairs checked).
     """
     n, m = params.urns, params.balls
     expected = {
         L: exact.general_hitting_time(exact.HittingQuery(params, L))
         for L in range(1, m + 1)
     }
-    quota = {
+    # the pairs each distance still needs
+    left = {
         L: min(PAIRS_PER_CLASS, params.state_count * math.comb(m, L) * (n - 1) ** L)
         for L in expected
     }
-    counts = dict.fromkeys(expected, 0)
-    left = sum(quota.values())
+    wanted = sum(left.values())
     agreed = True
+    placements = None
     for index in range(params.state_count):
-        if not left:
+        if not any(left.values()):
             break
         target = config_at(index, params)
         system = oracle.target_system(params, target, budget=budget)
-        for state, value in zip(system.transient_states, system.hitting_time_vector()):
-            L = hamming_distance(config_at(state, params), target)
-            if counts[L] < quota[L]:
-                counts[L] += 1
-                left -= 1
-                agreed &= value == expected[L]
-                if not left:
-                    break
-    return agreed and not left, sum(counts.values())
+        if placements is None:
+            placements = _placements(params)
+        states = system.rows.states
+        distances = (placements[states] != placements[index]).sum(axis=1)
+        times = system.hitting_time_vector()
+        for L, value in expected.items():
+            read = np.flatnonzero(distances == L)[: left[L]].tolist()
+            left[L] -= len(read)
+            scaled = value.numerator * times.denominator
+            for i in read:
+                agreed &= times.numerators[i] * value.denominator == scaled
+    missing = sum(left.values())
+    return agreed and not missing, wanted - missing
 
 
 def oracle_distance_agreement(cells: list[ModelParams], budget: int) -> CheckResult:
@@ -277,15 +287,16 @@ def occupancy_aggregation(cells: list[ModelParams]) -> CheckResult:
 
 
 def occupancy_route_agreement(cells: list[ModelParams]) -> CheckResult:
-    """Occupancy-chain solve equals the formulas; detailed balance holds."""
+    """Occupancy-chain solve equals the formulas; detailed balance holds,
+    in integers: the reversing weights times the move counts."""
 
     def holds(params: ModelParams) -> bool:
         chain = occupancy.build_occupancy_chain(params)
         if occupancy.passage_increments_by_solve(chain) != exact.passage_increments(params):
             return False
-        pi = occupancy.stationary_distribution(chain)
+        weights = occupancy.stationary_distribution(chain)
         return all(
-            pi[k] * chain.up[k] == pi[k + 1] * chain.down[k + 1]
+            weights[k] * chain.up[k] == weights[k + 1] * chain.down[k + 1]
             for k in range(params.balls)
         )
 

@@ -66,7 +66,9 @@ class RunReport:
 
 def _entry(label: str, value) -> dict:
     """A result as printed: a ``Fraction`` as ``rational`` and ``decimal``
-    (None past the float range), anything else as ``value``."""
+    (None past the float range), anything else as ``value``.  A rational
+    past the interpreter's int-to-str digit limit needs the limit lifted,
+    as :func:`render` does."""
     if not isinstance(value, Fraction):
         return {"label": label, "value": value}
     try:
@@ -75,19 +77,9 @@ def _entry(label: str, value) -> dict:
         decimal = None
     return {
         "label": label,
-        "rational": f"{_digits(value.numerator)}/{_digits(value.denominator)}",
+        "rational": f"{value.numerator}/{value.denominator}",
         "decimal": decimal,
     }
-
-
-def _digits(value: int) -> str:
-    """``str(value)`` at any size, past the interpreter's int-to-str digit limit."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def render(report: RunReport, fmt: str, elapsed_ms: int) -> str:
@@ -97,7 +89,12 @@ def render(report: RunReport, fmt: str, elapsed_ms: int) -> str:
     if fmt == "csv":
         row = [repr(report.results[label]) for label in SIMULATE_CSV_HEADER.split(",")]
         return SIMULATE_CSV_HEADER + "\n" + ",".join(row) + "\n"
-    entries = [_entry(label, value) for label, value in report.results.items()]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # every rational in full, at any size
+    try:
+        entries = [_entry(label, value) for label, value in report.results.items()]
+    finally:
+        sys.set_int_max_str_digits(limit)
     ok = all(passed for _, passed, _ in report.checks)
     if fmt == "json":
         payload = {

@@ -201,12 +201,12 @@ def _axis_sums(full: np.ndarray, urns: int, balls: int) -> np.ndarray:
     """``sum_b S_b full`` for an array whose first axis runs over all
     placements in index order (any further axes are carried along):
     ``S_b`` sums over ball b's axis, the ``urns`` placements that differ at
-    most in ball b."""
+    most in ball b.  The sums are formed in ``full``'s dtype."""
     total = np.zeros_like(full)
     for ball in range(balls):
         grid = full.reshape(-1, urns, urns**ball, *full.shape[1:])  # axis 1: the ball's urn
         view = total.reshape(grid.shape)
-        view += grid.sum(axis=1, keepdims=True)
+        view += grid.sum(axis=1, keepdims=True, dtype=full.dtype)
     return total
 
 
@@ -381,10 +381,13 @@ def is_exactly_lumpable(
     one-step mass into each class equals its own class's row.  Every move
     has probability ``1 / degree``, so each row is written out as move
     counts, ``probability * degree`` into each class, and compared with each
-    state's neighbour count in each class, one :func:`neighbour_counts`
-    pass per class.  Raises BudgetExceededError past ``LUMPABILITY_BUDGET``
-    states, before anything is built, and ValueError unless the labels are
-    a 1-D integer or bool array with one entry per state.
+    state's neighbour count in each class, every class at once: one
+    :func:`_axis_sums` pass over the ``(states, classes)`` class-indicator
+    matrix, in the narrowest unsigned dtype that holds ``urns * balls``,
+    the largest sum the pass forms.  Raises BudgetExceededError past
+    ``LUMPABILITY_BUDGET`` states, before anything is built, and ValueError
+    unless the labels are a 1-D integer or bool array with one entry per
+    state.
     """
     if params.state_count > LUMPABILITY_BUDGET:
         raise BudgetExceededError(
@@ -410,7 +413,12 @@ def is_exactly_lumpable(
             counts[k, ids[other]] = int(count)
         if counts[k].sum() != degree:
             return False
-    return all(
-        np.array_equal(neighbour_counts(params, classes == c), counts[classes, c])
-        for c in range(len(ids))
+    # Each S_b counts a state once among its ball's placements, so over all
+    # balls each state also counts M times in its own class; no sum then
+    # exceeds n M.
+    dtype = np.min_scalar_type(params.urns * params.balls)
+    expected = (counts + params.balls * np.eye(len(ids), dtype=np.int64)).astype(dtype)
+    indicator = np.eye(len(ids), dtype=dtype)[classes]
+    return np.array_equal(
+        _axis_sums(indicator, params.urns, params.balls), expected[classes]
     )

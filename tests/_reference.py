@@ -23,6 +23,12 @@ every numerator for each trial denominator, the reference for
 time's closed form as a plain sum of one ``Fraction`` per term, the
 reference for the package's sum over one common denominator.
 
+``lumpable_by_class`` is the Kemeny-Snell certifier with one
+``urnwalk.model.neighbour_counts`` pass per class, the reference for
+``urnwalk.model.is_exactly_lumpable``'s one pass over the class-indicator
+matrix; it reads the package's placement array and neighbour counts,
+which the tests check against ``neighbors`` on their own.
+
 ``IntegerRows`` is a small square integer matrix as CSR arrays that
 offers the operator interface of ``urnwalk.linsolve``: the solvers' tests
 state systems of any shape and sign pattern with it, among them the
@@ -42,6 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from urnwalk import model
 from urnwalk.errors import DomainError
 from urnwalk.model import check_configuration
 
@@ -151,6 +158,31 @@ def lump_class(config):
     """The 2k-class label of one placement: ``2p + 1`` with ``p`` of its
     front balls in urn 2, plus one more when its last ball is in urn 2 too."""
     return 2 * config[:-1].count(2) + (2 if config[-1] == 2 else 1)
+
+
+def lumpable_by_class(params, classify, row_of):
+    """``is_exactly_lumpable``'s verdict, one ``neighbour_counts`` pass per
+    class: each row written out as move counts into each class, compared
+    with every state's neighbour count in that class."""
+    labels = np.asarray(classify(model._placements(params)))
+    names, classes = np.unique(labels, return_inverse=True)
+    ids = {label: k for k, label in enumerate(names.tolist())}
+    degree = params.degree
+    counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for label, k in ids.items():
+        for other, p in row_of(label).items():
+            if not p:
+                continue
+            count = p * degree
+            if other not in ids or not 0 < count <= degree or count.denominator != 1:
+                return False
+            counts[k, ids[other]] = int(count)
+        if counts[k].sum() != degree:
+            return False
+    return all(
+        np.array_equal(model.neighbour_counts(params, classes == c), counts[classes, c])
+        for c in range(len(ids))
+    )
 
 
 def neighbor_indices(params):

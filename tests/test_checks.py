@@ -1,4 +1,5 @@
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -7,7 +8,8 @@ import pytest
 
 from urnwalk import checks, cli, exact, oracle
 from urnwalk.errors import BudgetExceededError
-from urnwalk.model import ModelParams, config_at, hamming_distance
+from urnwalk.linsolve import RationalVector
+from urnwalk.model import ModelParams, config_at, hamming_distance, index_of
 
 # the pairs each cell checks and their count, at a budget of 1024
 DISTANCE_AGREEMENT = {
@@ -20,6 +22,44 @@ DISTANCE_AGREEMENT = {
 CELLS = pytest.mark.parametrize(
     "cell", sorted(DISTANCE_AGREEMENT), ids="{0[0]}x{0[1]}".format
 )
+
+
+DEFAULT_DISTANCE_CELLS = checks.grid_cells(
+    checks.DEFAULT_MAX_URNS,
+    checks.DEFAULT_MAX_BALLS,
+    state_limit=min(512, checks.DEFAULT_ORACLE_BUDGET),
+)
+
+
+def reference_distance_pairs(params):
+    """The (target, start) index pairs the distance sweep reads, sorted:
+    targets and starts in index order, each start decoded and its distance
+    counted on its own, ``PAIRS_PER_CLASS`` pairs a distance, until every
+    distance has them or the targets run out."""
+    pairs, counts = [], dict.fromkeys(range(1, params.balls + 1), 0)
+    for target in range(params.state_count):
+        if min(counts.values()) == checks.PAIRS_PER_CLASS:
+            break
+        for start in range(params.state_count):
+            distance = hamming_distance(config_at(start, params), config_at(target, params))
+            if start != target and counts[distance] < checks.PAIRS_PER_CLASS:
+                counts[distance] += 1
+                pairs.append((target, start))
+    return sorted(pairs)
+
+
+class RecordingNumerators(Sequence):
+    """Zero numerators that report each position read."""
+
+    def __init__(self, record, size):
+        self.record, self.size = record, size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        self.record(i)
+        return 0
 
 
 class TestDistanceAgreement:
@@ -39,15 +79,38 @@ class TestDistanceAgreement:
                 return system
             # state 1 is the first start checked at distance 1 from state 0
             assert hamming_distance(config_at(1, params), target) == 1
-            times = list(system.hitting_time_vector())
-            times[system.position(1)] += 1
-            return SimpleNamespace(
-                transient_states=system.transient_states, hitting_time_vector=lambda: times
-            )
+            times = system.hitting_time_vector()
+            numerators = list(times.numerators)
+            numerators[system.position(1)] += times.denominator  # one step more
+            wrong = RationalVector(times.denominator, numerators)
+            return SimpleNamespace(rows=system.rows, hitting_time_vector=lambda: wrong)
 
         monkeypatch.setattr(oracle, "target_system", off_by_one)
         _, count = DISTANCE_AGREEMENT[cell]
         assert checks.distance_agreement(params, budget=1024) == (False, count)
+
+    @pytest.mark.parametrize(
+        "cell", DEFAULT_DISTANCE_CELLS, ids=lambda params: f"{params.urns}x{params.balls}"
+    )
+    def test_reads_the_pairs_of_a_per_state_reference(self, cell, monkeypatch):
+        # every numerator read is recorded as its (target, start) pair; the
+        # solves are left out, so no pair agrees
+        read = []
+        build = oracle.target_system
+
+        def recording(params, target, budget):
+            system = build(params, target, budget=budget)
+            states, target_index = system.rows.states.tolist(), index_of(target, params)
+            numerators = RecordingNumerators(
+                lambda i: read.append((target_index, states[i])), len(states)
+            )
+            vector = SimpleNamespace(denominator=1, numerators=numerators)
+            return SimpleNamespace(rows=system.rows, hitting_time_vector=lambda: vector)
+
+        monkeypatch.setattr(oracle, "target_system", recording)
+        _, count = checks.distance_agreement(cell, budget=checks.DEFAULT_ORACLE_BUDGET)
+        pairs = reference_distance_pairs(cell)
+        assert sorted(read) == pairs and count == len(pairs)
 
     def test_budget_refused_before_any_build(self):
         with mock.patch.object(

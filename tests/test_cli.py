@@ -123,6 +123,20 @@ class TestPastDigitLimit:
                 sys.set_int_max_str_digits(limit)
         assert parsed == exact.full_transfer_time(ModelParams(5, 7000))
 
+    def test_render_lifts_the_limit_once_and_restores_it(self, monkeypatch):
+        limits, set_limit = [], sys.set_int_max_str_digits
+        before = sys.get_int_max_str_digits()
+
+        def spy(limit):
+            limits.append(limit)
+            set_limit(limit)
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", spy)
+        results = {f"x{k}": Fraction(k, k + 1) for k in range(1, 6)}
+        out = cli.render(cli.RunReport("exact", {}, results), "json", 0)
+        assert limits == [0, before] and sys.get_int_max_str_digits() == before
+        assert '"rational":"5/6"' in out
+
 
 class TestGeneralCommand:
     def test_pair(self, capsys):

@@ -236,7 +236,7 @@ class TestLinearTimeRoutes:
         assert [exact.passage_increment(params, k) for k in range(balls)] == recursion
         chain = occupancy.build_occupancy_chain(params)
         for row in zip(chain.down, chain.stay, chain.up):
-            assert sum(row, Fraction(0)) == 1
+            assert sum(Fraction(count, params.degree) for count in row) == 1
         assert occupancy.passage_increments_by_solve(chain) == recursion
 
     def test_thousand_balls(self):

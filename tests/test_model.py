@@ -27,6 +27,7 @@ from _reference import (
     absorbing_rows,
     integer_rows,
     lump_class,
+    lumpable_by_class,
     neighbor_indices,
     neighbors,
     rows_times,
@@ -338,7 +339,56 @@ def occupancy(placements):
 
 
 def band_rows(chain):
-    return lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]}
+    degree = chain.params.degree
+    return lambda k: {
+        k - 1: Fraction(chain.down[k], degree),
+        k: Fraction(chain.stay[k], degree),
+        k + 1: Fraction(chain.up[k], degree),
+    }
+
+
+@st.composite
+def labelled_kernels(draw):
+    """A walk of at most 300 states, an int or bool labelling of its
+    placements (one class up to one per state; random, or one of the
+    lumpable occupancy, 2k-class, last-ball and one-per-state labellings)
+    and the kernel read off each class's first state, with one move's
+    mass moved within one row half of the time."""
+    params = draw(st.sampled_from(WALKS_UP_TO_300))
+    states, placements = params.state_count, model._placements(params)
+    in_target = placements == 2
+    kind = draw(st.sampled_from(["int", "occupancy", "2k", "every state", "bool", "last"]))
+    if kind == "int":
+        size = draw(st.integers(1, states))
+        labels = st.lists(st.integers(0, size - 1), min_size=states, max_size=states)
+        labels = np.array(draw(labels))
+    elif kind == "occupancy":
+        labels = in_target.sum(axis=1)
+    elif kind == "2k":
+        labels = lump_classes(placements)
+    elif kind == "every state":
+        labels = np.arange(states)
+    elif kind == "bool":
+        labels = np.array(draw(st.lists(st.booleans(), min_size=states, max_size=states)))
+    else:
+        labels = in_target[:, -1]
+    if labels.dtype != bool:  # any distinct integers name the classes
+        labels = labels * draw(st.sampled_from([1, -1, 7])) + draw(st.integers(-5, 5))
+    step = Fraction(1, params.degree)
+    adjacency = neighbor_indices(params)
+    names, first = np.unique(labels, return_index=True)
+    rows = {}
+    for label, state in zip(names.tolist(), first.tolist()):
+        row = rows[label] = {}
+        for other in labels[adjacency[state]].tolist():
+            row[other] = row.get(other, 0) + step
+    if len(names) > 1 and draw(st.booleans()):
+        row = rows[draw(st.sampled_from(names.tolist()))]
+        source = draw(st.sampled_from(sorted(row)))
+        destination = draw(st.sampled_from([x for x in names.tolist() if x != source]))
+        row[source] -= step
+        row[destination] = row.get(destination, 0) + step
+    return params, labels, rows
 
 
 class TestLumpabilityCertifier:
@@ -400,11 +450,15 @@ class TestLumpabilityCertifier:
             )
 
     def test_budget_guard_builds_nothing(self, monkeypatch):
-        def build(*args):
+        def build(*args, **kwargs):
             raise AssertionError("built past the budget")
 
-        monkeypatch.setattr(model, "neighbour_counts", build)
-        monkeypatch.setattr(model, "_placements", build)
+        for name in ("neighbour_counts", "_placements", "_axis_sums"):
+            monkeypatch.setattr(model, name, build)
+        # the labels, their classes, the move counts, the indicator matrix
+        # and the expected counts
+        for name in ("asarray", "unique", "zeros", "eye"):
+            monkeypatch.setattr(model.np, name, build)
         with pytest.raises(BudgetExceededError) as info:
             is_exactly_lumpable(ModelParams(6, 10), build, build)
         assert info.value.states == 6**10
@@ -430,6 +484,15 @@ class TestLumpabilityCertifier:
 
         assert is_exactly_lumpable(params, spy, lambda c: kernel[c - 1])
         assert calls == [[list(config) for config in reference_placements(params)]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(labelled_kernels())
+    def test_one_pass_verdict_matches_the_per_class_reference(self, case):
+        params, labels, rows = case
+        verdict = is_exactly_lumpable(params, lambda placements: labels, rows.__getitem__)
+        assert verdict == lumpable_by_class(
+            params, lambda placements: labels, rows.__getitem__
+        )
 
     @pytest.mark.parametrize(
         "labels",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from urnwalk import exact, occupancy, oracle
@@ -11,7 +12,12 @@ class TestKernel:
     def test_three_urns_two_balls_middle_row(self):
         chain = occupancy.build_occupancy_chain(ModelParams(3, 2))
         row = (chain.down[1], chain.stay[1], chain.up[1])
-        assert row == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert row == (2, 1, 1)
+        assert tuple(Fraction(count, chain.params.degree) for count in row) == (
+            Fraction(1, 2),
+            Fraction(1, 4),
+            Fraction(1, 4),
+        )
 
     def test_two_urns_has_no_self_loops(self):
         chain = occupancy.build_occupancy_chain(ModelParams(2, 4))
@@ -21,33 +27,39 @@ class TestKernel:
     def test_large_chain_row_sums(self):
         chain = occupancy.build_occupancy_chain(ModelParams(6, 10))
         for row in zip(chain.down, chain.stay, chain.up):
-            assert sum(row, Fraction(0)) == 1
+            assert sum(Fraction(count, chain.params.degree) for count in row) == 1
 
     def test_top_state_reflects(self):
         chain = occupancy.build_occupancy_chain(ModelParams(4, 3))
-        assert chain.down[3] == 1
+        assert Fraction(chain.down[3], chain.params.degree) == 1
         assert chain.stay[3] == 0
 
     def test_bands_are_validated(self):
+        # moves out of degree 4: down (0, 2, 4), stay (2, 1, 0), up (2, 1, 0)
         good = occupancy.build_occupancy_chain(ModelParams(3, 2))
-        half, zero = Fraction(1, 2), Fraction(0)
         bad_bands = [
-            # a row that sums to 5/4
-            (good.down, good.stay, (half, half, zero)),
-            # a negative rate, with the row still summing to 1
-            (
-                good.down,
-                (Fraction(-1, 4),) + good.stay[1:],
-                (Fraction(5, 4),) + good.up[1:],
-            ),
-            # a band one rate short
+            # a row that counts 5 moves out of 4
+            (good.down, good.stay, (2, 2, 0)),
+            # a negative count, with the row still counting 4 moves
+            (good.down, (-1,) + good.stay[1:], (5,) + good.up[1:]),
+            # a band one count short
             (good.down[:2], good.stay, good.up),
             # a move below occupancy 0
-            ((half,) + good.down[1:], (zero,) + good.stay[1:], good.up),
+            ((2,) + good.down[1:], (0,) + good.stay[1:], good.up),
+            # a count that is no integer, with the row still counting 4 moves
+            (good.down, (2, 1.5, 0), (2, 0.5, 0)),
         ]
         for down, stay, up in bad_bands:
             with pytest.raises(ValidationError):
                 occupancy.OccupancyChain(good.params, down, stay, up)
+
+    def test_counts_are_stored_as_ints(self):
+        good = occupancy.build_occupancy_chain(ModelParams(3, 2))
+        chain = occupancy.OccupancyChain(
+            good.params, np.array(good.down), (2, True, False), good.up
+        )
+        assert chain == good
+        assert {type(count) for band in (chain.down, chain.stay) for count in band} == {int}
 
 
 class TestPassageIncrementsBySolve:
@@ -78,10 +90,10 @@ class TestStationaryDistribution:
     @pytest.mark.parametrize("urns,balls", [(2, 3), (3, 4), (5, 3), (6, 5)])
     def test_detailed_balance(self, urns, balls):
         chain = occupancy.build_occupancy_chain(ModelParams(urns, balls))
-        pi = occupancy.stationary_distribution(chain)
-        assert sum(pi, Fraction(0)) == 1
+        weights = occupancy.stationary_distribution(chain)
+        assert sum(weights) == urns**balls
         for k in range(balls):
-            assert pi[k] * chain.up[k] == pi[k + 1] * chain.down[k + 1]
+            assert weights[k] * chain.up[k] == weights[k + 1] * chain.down[k + 1]
 
 
 class TestAggregation:
