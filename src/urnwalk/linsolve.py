@@ -11,7 +11,9 @@ correction is scaled by ``2**k`` and rounded to integers, and the residual
 is updated exactly, so every round adds about ``k`` correct bits to a
 dyadic approximation ``N / D`` of the solution.  Continued fractions then
 recover one common denominator (Wan 2006, J. Symbolic Comput. 41;
-Saunders, Wood & Youse, ISSAC 2011).  :func:`solve_float` is its first CG
+Saunders, Wood & Youse, ISSAC 2011).  They are tried right after each
+step, with the error of ``N / D`` estimated from the CG round just run, so
+no round is run only to measure it.  :func:`solve_float` is its first CG
 round alone.  The right-hand side is a sequence of ints or a 1-D int64
 array.  Refinement carries it, the residual, each correction and the
 numerators as int64 arrays while a bound checked before each step proves
@@ -36,12 +38,13 @@ raise ValueError, as does a refinement that stalls, naming the bound that
 stopped it.  A system of no unknowns needs no gate, and solves to an
 empty vector.
 
-Refinement accepts a candidate ``y = n / d`` only through the exact integer
-check ``A n == d b`` on a certified, hence nonsingular, matrix, so a verified
-candidate is the unique solution; a dyadic ``N / D`` whose exactly updated
-residual reaches 0 satisfies that check by construction.  Refinement is
-deterministic: CG runs the same floating-point operations on the same
-input.
+An estimated error may be wrong, so what continued fractions give is only
+a candidate.  Refinement accepts a candidate ``y = n / d`` only through the
+exact integer check ``A n == d b`` on a certified, hence nonsingular,
+matrix, so a verified candidate is the unique solution; a dyadic ``N / D``
+whose exactly updated residual reaches 0 satisfies that check by
+construction.  Refinement is deterministic: CG runs the same
+floating-point operations on the same input.
 """
 
 from __future__ import annotations
@@ -235,10 +238,19 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
     ``A z ~ r`` by CG, picks ``k`` from the accuracy CG reached, and moves
     ``N, D, r`` to ``2**k N + x, 2**k D, 2**k r - A x`` for ``x = round(2**k z)``.
     Once ``r`` is 0 the invariant makes ``N / D`` the solution.  Before that,
-    a candidate ``n / d`` is accepted only through the exact gate
-    ``A n == d b``.  Either is returned over its least common denominator.
-    ValueError names the bound that stopped a refinement that got neither,
-    among them the certificate's ``limit_bits`` on the scale.
+    right after each step, a candidate ``n / d`` is reconstructed from the
+    new ``N / D`` and accepted only through the exact gate ``A n == d b``.
+    Either is returned over its least common denominator.  ValueError names
+    the bound that stopped a refinement that got neither, among them the
+    certificate's ``limit_bits`` on the scale.
+
+    Reconstruction needs a bound on ``max|N - D x|``, which is ``max|A^-1 r|``
+    for the new ``r``: only the next round's CG measures it.  So the candidate
+    after a step is sized by an estimate from the round just run
+    (:func:`_estimated_error`), and stays a candidate until the gate passes
+    it.  A rejected or missing one falls through to the next round.  Should
+    that round measure more error than the estimate allowed, it tries the
+    same ``N / D`` once more with the measured error before its own step.
 
     ``b``, an int64 or Python-int vector, is read as it is.  ``r`` and ``x``
     are int64 in a round whose ``k`` keeps ``2**k |r|`` and ``|A x|`` below
@@ -251,6 +263,7 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
     residual, norm = rhs, rhs_norm
     numerators = np.zeros(len(rhs), dtype=np.int64)
     scale = 1
+    tried = 0  # the error the candidate from this N / D was sized by; 0 for none
     while True:
         if norm == 0:
             return _reduced(numerators, scale)
@@ -262,12 +275,13 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
             raise ValueError(_STALLED.format("CG returned a non-finite correction"))
         if scale.bit_length() > limit_bits + int(z_max).bit_length():
             raise ValueError(_STALLED.format("the scale passed the Hadamard bound"))
-        # x - N / D == A^-1 r / D, and z ~ A^-1 r
-        candidate = _reconstruct(numerators, scale, 2 * int(z_max) + 2)
-        if candidate is not None:
-            den, nums = candidate
-            if (_exact_product(rows, nums) == _scaled(rhs, den, rhs_norm)).all():
-                return RationalVector(den, nums.tolist())
+        # x - N / D == A^-1 r / D, and z ~ A^-1 r, so this round measures the
+        # error of N / D; a candidate the last step sized smaller is retried
+        measured = 2 * int(z_max) + 2
+        if 0 < tried < measured:
+            solution = _verified(rows, rhs, rhs_norm, numerators, scale, measured)
+            if solution is not None:
+                return solution
 
         k_accurate = -math.frexp(max(accuracy, 2.0**-48))[1] - 2  # 2**k * accuracy <= 1/4
         # |x| <= 2**k (int(z_max) + 1), so up to this k both 2**k |r| and
@@ -277,6 +291,7 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
         k = min(k, 1022 - math.frexp(z_max)[1])  # 2**k z stays finite
         if k < 1:
             raise ValueError(_STALLED.format("no positive k was left"))
+        tried = _estimated_error(accuracy, norm, k)
         scaled = np.rint(np.ldexp(z, k))
         if k <= k_int64:  # |2**k r - A x| < 2**62
             step = scaled.astype(np.int64)
@@ -298,6 +313,40 @@ def _solve_refined(rows, rhs: np.ndarray, limit_bits: int) -> RationalVector:
         else:
             numerators = (numerators.astype(object, copy=False) << k) + step
         scale <<= k
+        if norm:
+            solution = _verified(rows, rhs, rhs_norm, numerators, scale, tried)
+            if solution is not None:
+                return solution
+
+
+def _estimated_error(accuracy: float, norm: int, k: int) -> int:
+    """An estimate of ``2 max|N - D x| + 2`` after a step of ``k`` bits from a
+    CG round whose relative residual on ``max|r| == norm`` was ``accuracy``.
+
+    After the step, ``N - D x`` is ``(x - 2**k z) + 2**k (z - A^-1 r)``: the
+    rounding, at most 1/2, and CG's forward error scaled by ``2**k``.  That
+    forward error is ``A^-1 s`` for CG's residual ``s = r - A z``, of
+    ``max|s| == accuracy * max(1, norm)``, and it is estimated as ``max|s|``
+    itself, as if ``A^-1`` did not enlarge ``s``.  That is no bound, since
+    ``A^-1`` enlarges a residual along eigenvectors of small eigenvalues; it
+    only sizes a candidate, which the gate then checks.
+    """
+    forward = Fraction(accuracy) * max(1, norm)
+    return 2 * math.ceil(forward * 2**k + Fraction(1, 2)) + 2
+
+
+def _verified(
+    rows, rhs: np.ndarray, rhs_norm: int, numerators: np.ndarray, scale: int, error: int
+) -> RationalVector | None:
+    """The candidate that :func:`_reconstruct` finds near ``N / D`` for
+    ``error``, if it passes the exact gate ``A n == d b``; else None."""
+    candidate = _reconstruct(numerators, scale, error)
+    if candidate is None:
+        return None
+    den, nums = candidate
+    if (_exact_product(rows, nums) == _scaled(rhs, den, rhs_norm)).all():
+        return RationalVector(den, nums.tolist())
+    return None
 
 
 def _reduced(numerators: np.ndarray, scale: int) -> RationalVector:
@@ -311,39 +360,62 @@ def _reduced(numerators: np.ndarray, scale: int) -> RationalVector:
     return RationalVector(scale // common, (numerators // common).tolist())
 
 
+# _reconstruct scans this many entries first, then each next chunk this
+# many times as many as the last
+_FIRST_CHUNK = 8
+_CHUNK_GROWTH = 4
+
+
 def _reconstruct(
     numerators: np.ndarray, scale: int, error: int
 ) -> tuple[int, np.ndarray] | None:
-    """A common denominator ``d`` and numerators ``n`` with ``n / d`` near ``N / D``.
+    """A candidate common denominator ``d`` and numerators ``n`` with ``n / d``
+    near ``N / D``.
 
-    Assumes every entry ``N_j / D`` is within ``error / D`` of a rational
-    whose denominator is at most ``sqrt(D / (4 error))``; that rational is
-    then the unique one so close, and continued fractions find it.  The
+    If every entry ``N_j / D`` is within ``error / D`` of a rational whose
+    denominator is at most ``sqrt(D / (4 error))``, that rational is the
+    unique one so close, continued fractions find it, and ``d`` is the least
+    common denominator.  ``error`` is the caller's estimate, so the result is
+    only a candidate: nothing here checks it against the system.  One that
+    solves it met the condition, as each ``n_j / d`` is within ``error / D``
+    of ``N_j / D`` and ``d`` within the bound, so it is over the least common
+    denominator.  The
     denominator starts at 1 and grows by the part the first inconsistent
     entry still needs.  An entry consistent with ``d`` stays so with every
-    multiple of ``d``, so each scan resumes at the last inconsistent entry
-    and finds the next one.  None when no denominator within the bound
-    fits.  For an int64 ``N`` the scan and ``n`` are int64 while ``D`` and
-    ``d (|N| + 2 error)``, which bound every value they form, are below
-    ``2**63``; past that, and for Python-int ``N``, they run on Python ints.
+    multiple of ``d``, so the scan resumes at the last inconsistent entry.
+    It reads the entries in chunks, ``_FIRST_CHUNK`` and then
+    ``_CHUNK_GROWTH`` times larger each time one is consistent throughout:
+    an attempt that cannot succeed stops after a few entries, and one that
+    succeeds reads the vector about once.  None when no denominator within
+    the bound fits.  For an int64 ``N`` the scan and ``n`` are int64 while
+    ``D`` and ``d (|N| + 2 error)``, which bound every value they form, are
+    below ``2**63``; past that, and for Python-int ``N``, they run on Python
+    ints.
     """
     bound = math.isqrt(scale // (4 * error))
     if bound == 0:
         return None
-    norm = _norm(numerators)
-    den, j = 1, 0
-    while den <= bound:
+    # the bound below keeps int64 numerators int64; Python ints need no norm
+    norm = _norm(numerators) if numerators.dtype == np.int64 else 0
+    den, j, chunk = 1, 0, _FIRST_CHUNK
+    while True:
         # entry i is consistent when d * N_i lies within ``slack`` (at most
         # D / 4) of a multiple of D, that is (d * N_i + slack) % D <= 2 * slack
         slack, width = den * error, 2 * den * error
         if max(scale, den * (norm + width)) >= 2**_INT64_BITS:
             numerators = numerators.astype(object, copy=False)
-        off = np.flatnonzero((den * numerators[j:] + slack) % scale > width)
-        if not len(off):  # every d * N_i rounds to its multiple of D
+        if j == len(numerators):  # every d * N_i rounds to its multiple of D
             return den, (den * numerators + slack) // scale
+        part = numerators[j : j + chunk]
+        off = np.flatnonzero((den * part + slack) % scale > width)
+        if not len(off):
+            j += len(part)
+            chunk *= _CHUNK_GROWTH
+            continue
         j += int(off[0])
+        # den * N_j / D's nearest fraction over at most bound / den; den
+        # times its denominator stays within the bound
         entry = Fraction(den * int(numerators[j]), scale).limit_denominator(bound // den)
         if entry.denominator == 1:
             return None
         den *= entry.denominator
-    return None

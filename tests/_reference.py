@@ -19,7 +19,11 @@ exactly, so a solve can be checked by its residual.
 
 ``reconstruct`` is the rational reconstruction that rescales and rounds
 every numerator for each trial denominator, the reference for
-``urnwalk.linsolve._reconstruct``.  ``transfer_time_sum`` is the transfer
+``urnwalk.linsolve._reconstruct``.  ``single_scan_reconstruct`` is the
+scan that ``_reconstruct`` replaced: for each trial denominator it tests
+every remaining numerator at once, where ``_reconstruct`` reads them in
+growing chunks; it is the reference for the chunks' result and for the
+int64 bounds they share.  ``transfer_time_sum`` is the transfer
 time's closed form as a plain sum of one ``Fraction`` per term, the
 reference for the package's sum over one common denominator.
 
@@ -103,6 +107,31 @@ def reconstruct(numerators, scale, error):
         if off.size == 0:
             return den, nearest
         entry = Fraction(int(scaled[off[0]]), scale).limit_denominator(bound // den)
+        if entry.denominator == 1:
+            return None
+        den *= entry.denominator
+    return None
+
+
+def single_scan_reconstruct(numerators, scale, error):
+    """``(d, n)`` or None as ``urnwalk.linsolve._reconstruct`` finds it,
+    each trial denominator scanning every remaining entry at once; int64
+    numerators scan in int64 while ``D`` and ``d (|N| + 2 error)`` are
+    below ``2**63``, and as Python ints past that."""
+    bound = math.isqrt(scale // (4 * error))
+    if bound == 0:
+        return None
+    norm = max(-int(numerators.min()), int(numerators.max()))
+    den, j = 1, 0
+    while den <= bound:
+        slack, width = den * error, 2 * den * error
+        if max(scale, den * (norm + width)) >= 2**63:
+            numerators = numerators.astype(object, copy=False)
+        off = np.flatnonzero((den * numerators[j:] + slack) % scale > width)
+        if not len(off):
+            return den, (den * numerators + slack) // scale
+        j += int(off[0])
+        entry = Fraction(den * int(numerators[j]), scale).limit_denominator(bound // den)
         if entry.denominator == 1:
             return None
         den *= entry.denominator

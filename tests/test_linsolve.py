@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from urnwalk import linsolve
 
-from _reference import IntegerRows, gauss_jordan_solve, integer_rows, reconstruct, rows_times
+from _reference import (
+    IntegerRows,
+    gauss_jordan_solve,
+    integer_rows,
+    reconstruct,
+    rows_times,
+    single_scan_reconstruct,
+)
 
 
 def dense(rows):
@@ -494,18 +501,41 @@ def python_int_solve(rows, rhs):
         return linsolve.solve_exact(rows, rhs)
 
 
-def numerator_kinds(monkeypatch):
-    """The dtype kind of the numerators each ``_reconstruct`` call is given,
-    in call order: "i" for int64, "O" for Python ints."""
-    kinds = []
+def reconstruct_calls(monkeypatch):
+    """Each ``_reconstruct`` call, in call order, as ``(kind, scale, error)``:
+    the dtype kind of its numerators, "i" for int64 and "O" for Python ints,
+    the dyadic scale ``D`` and the error it was given.  Refinement tries a
+    candidate after each step, so each new scale is one step."""
+    calls = []
     reconstruct = linsolve._reconstruct
 
     def spy(numerators, scale, error):
-        kinds.append(numerators.dtype.kind)
+        calls.append((numerators.dtype.kind, scale, error))
         return reconstruct(numerators, scale, error)
 
     monkeypatch.setattr(linsolve, "_reconstruct", spy)
-    return kinds
+    return calls
+
+
+def kinds(calls):
+    return [kind for kind, _, _ in calls]
+
+
+def cg_rounds(monkeypatch):
+    """A one-item list that counts the ``_cg_round`` calls."""
+    count = [0]
+
+    def spy(rows, residual):
+        count[0] += 1
+        return CG_ROUND(rows, residual)
+
+    monkeypatch.setattr(linsolve, "_cg_round", spy)
+    return count
+
+
+def least_terms(solution):
+    """Whether a solution is over the least common denominator of its entries."""
+    return math.gcd(solution.denominator, *solution.numerators) == 1
 
 
 @st.composite
@@ -552,6 +582,7 @@ class TestInt64Refinement:
                 probabilities
             )
         assert all(type(n) is int for n in times.numerators + probabilities.numerators)
+        assert least_terms(times) and least_terms(probabilities)
 
     @pytest.mark.parametrize("top", RHS_BOUNDARY, ids=["2**62-1", "2**62", "2**63", "-(2**63)"])
     def test_right_hand_side_at_the_int64_bounds(self, top):
@@ -573,15 +604,15 @@ class TestInt64Refinement:
                 assert np.array_equal(array_values, values) and array_residual == residual
 
     def test_numerators_cross_2_to_the_62(self, monkeypatch):
-        # 2x6 absorbed at 4 states: three rounds, and the third's numerators
-        # are promoted to Python ints before the solution reduces
+        # 2x6 absorbed at 4 states: two rounds, and the second step promotes
+        # the numerators to Python ints before their candidate is accepted
         from urnwalk import oracle
         from urnwalk.model import ModelParams
 
-        kinds = numerator_kinds(monkeypatch)
+        calls = reconstruct_calls(monkeypatch)
         system = oracle.build_absorbing_system(ModelParams(2, 6), frozenset({16, 19, 42, 43}))
         times = system.hitting_time_vector()
-        assert kinds == ["i", "i", "O"]
+        assert kinds(calls) == ["i", "O"]
         rhs = [system.params.degree] * len(system.rows)
         assert list(times) == gauss_jordan_solve(dense(list(system.rows)), rhs)
         assert vector(python_int_solve(system.rows, rhs)) == vector(times)
@@ -589,33 +620,35 @@ class TestInt64Refinement:
     def test_numerators_reach_2_to_the_62_three_bits_a_round(self, monkeypatch):
         # CG's correction, claiming an accuracy of 2**-6: k is 3 in every
         # round, so N grows by 3 bits a round, and bits(N) + k reaches 64, 62
-        # and 63 in the round that takes N from int64 to Python ints
+        # and 63 in the round that takes N from int64 to Python ints.  At
+        # least two steps keep N in int64 before it.
         monkeypatch.setattr(
             linsolve, "_cg_round", lambda rows, residual: (CG_ROUND(rows, residual)[0], 2.0**-6)
         )
-        kinds = numerator_kinds(monkeypatch)
+        calls = reconstruct_calls(monkeypatch)
         rows = path_rows(20, lambda i: 3)
         for top in (2**40, 2**50, 2**55):
-            kinds.clear()
+            calls.clear()
             rhs = [top + i * i for i in range(20)]
             solved = linsolve.solve_exact(integer_rows(rows), rhs)
             assert list(solved) == gauss_jordan_solve(dense(rows), rhs)
             assert vector(python_int_solve(integer_rows(rows), rhs)) == vector(solved)
-            promoted = kinds.index("O")
-            assert promoted > 2 and set(kinds[:promoted]) == {"i"}
+            promoted = kinds(calls).index("O")
+            assert promoted > 1 and set(kinds(calls)[:promoted]) == {"i"}
 
     @pytest.mark.parametrize("seed", [2, 4, 9])
     def test_seeded_2x9_absorbing_sets(self, monkeypatch, seed):
-        # four rounds each: int64 numerators for two, Python ints for two
+        # three rounds each: int64 numerators after the first step, Python
+        # ints after the second and the third
         from urnwalk import oracle
         from urnwalk.model import ModelParams, neighbour_counts
 
         params = ModelParams(2, 9)
         absorbing = sorted(random.Random(seed).sample(range(params.state_count), 4))
         system = oracle.build_absorbing_system(params, frozenset(absorbing))
-        kinds = numerator_kinds(monkeypatch)
+        calls = reconstruct_calls(monkeypatch)
         times = system.hitting_time_vector()
-        assert kinds == ["i", "i", "O", "O"]
+        assert kinds(calls) == ["i", "O", "O"]
         inside = np.isin(np.arange(params.state_count), absorbing[:1])
         counts = neighbour_counts(params, inside)[system.rows.states].tolist()
         probabilities = system.absorption_probability_vector(frozenset(absorbing[:1]))
@@ -623,6 +656,7 @@ class TestInt64Refinement:
         assert rows_times(rows, list(times)) == [params.degree] * len(rows)
         assert rows_times(rows, list(probabilities)) == counts
         assert vector(python_int_solve(system.rows, counts)) == vector(probabilities)
+        assert least_terms(times) and least_terms(probabilities)
 
     @pytest.mark.parametrize("solver", [linsolve.solve_exact, linsolve.solve_float])
     def test_right_hand_side_that_is_no_integer_vector_refused(self, solver):
@@ -637,13 +671,78 @@ class TestInt64Refinement:
                 solver(rows, rhs)
 
     def test_python_int_path_takes_no_int64_step(self, monkeypatch):
-        # lowered to 0 bits, the bound lets no numerators past the first,
-        # all-zero round stay int64
-        kinds = numerator_kinds(monkeypatch)
+        # lowered to 0 bits, the bound promotes the all-zero int64 numerators
+        # at the first step: every candidate is tried on Python ints
+        calls = reconstruct_calls(monkeypatch)
         rows, rhs = VECTOR_SYSTEMS["refined"]
         solved = python_int_solve(integer_rows(rows), rhs)
-        assert kinds[0] == "i" and set(kinds[1:]) == {"O"} and len(kinds) > 1
+        assert set(kinds(calls)) == {"O"} and len(calls) > 1
         assert list(solved) == gauss_jordan_solve(dense(rows), rhs)
+
+
+class TestRoundStructure:
+    """Refinement tries a candidate right after each step, with an error
+    estimated from the CG round just run, so no round's correction is
+    discarded; only the exact gate ``A n == d b`` accepts a candidate."""
+
+    @pytest.mark.parametrize("seed", [2, 4, 9])
+    def test_seeded_2x9_sets_discard_no_cg_round(self, monkeypatch, seed):
+        # one CG round per step, three of each: the candidate after the
+        # third step passes the gate, with no fourth round run to size it
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams
+
+        params = ModelParams(2, 9)
+        absorbing = sorted(random.Random(seed).sample(range(params.state_count), 4))
+        system = oracle.build_absorbing_system(params, frozenset(absorbing))
+        rounds = cg_rounds(monkeypatch)
+        calls = reconstruct_calls(monkeypatch)
+        for solve in (
+            system.hitting_time_vector,
+            lambda: system.absorption_probability_vector(frozenset(absorbing[:1])),
+        ):
+            rounds[0] = 0
+            calls.clear()
+            assert least_terms(solve())
+            steps = len({scale for _, scale, _ in calls})
+            assert rounds[0] == steps == len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "urns, start, target",
+        [(4, (3, 4, 4, 3, 3, 2), (2, 2, 1, 3, 4, 3)), (3, (2, 1, 2, 3, 1, 1, 3), (1, 2, 3, 1, 3, 1, 1))],
+        ids=["4x6", "3x7"],
+    )
+    def test_oracle_pairs_take_one_cg_round(self, monkeypatch, urns, start, target):
+        # the candidate after the first step is the solution: the second
+        # round, which only sized its error, is gone
+        from urnwalk import exact, oracle
+        from urnwalk.model import ModelParams, hamming_distance
+
+        params = ModelParams(urns, len(start))
+        rounds = cg_rounds(monkeypatch)
+        value = oracle.expected_hitting_time(params, start, target)
+        assert rounds[0] == 1
+        query = exact.HittingQuery(params, hamming_distance(start, target))
+        assert value == exact.general_hitting_time(query)
+
+    @pytest.mark.parametrize("size, top", [(5, 2**40), (20, 2**900)], ids=["5", "20"])
+    def test_error_estimate_far_too_small(self, monkeypatch, size, top):
+        # an estimate of 1 where the float correction of entries near ``top``
+        # leaves N / D further off: the candidate tried after the last step
+        # finds nothing, the next CG round measures the error, and the
+        # retry with it passes the gate
+        rows = integer_rows(path_rows(size, lambda i: 3))
+        rhs = [top + i * i for i in range(size)]
+        want = linsolve.solve_exact(rows, rhs)
+        monkeypatch.setattr(linsolve, "_estimated_error", lambda *args: 1)
+        calls = reconstruct_calls(monkeypatch)
+        with mock.patch.object(linsolve, "_reduced", wraps=linsolve._reduced) as reduced:
+            solved = linsolve.solve_exact(rows, rhs)
+        reduced.assert_not_called()
+        assert vector(solved) == vector(want) and least_terms(solved)
+        assert list(solved) == gauss_jordan_solve(dense(list(rows)), rhs)
+        (_, before, tried), (_, scale, measured) = calls[-2:]
+        assert before == scale and tried == 1 < measured
 
 
 class TestDenseFallback:
@@ -757,7 +856,52 @@ def reconstruction_input(rng):
     return np.array(values, dtype=object), scale, error
 
 
+@st.composite
+def chunk_scan_input(draw):
+    """``(numerators, scale, error)`` for ``_reconstruct``, of up to 300
+    entries, so that a scan reads up to four chunks: noise, or entries near
+    ``scale`` times rationals whose denominators take each of a few factors
+    at a drawn rate, so that a factor may first appear in any chunk; at a
+    dyadic or any scale on either side of ``2**63``."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = draw(st.integers(1, 300))
+    bits = draw(st.integers(0, 140))
+    scale = 2**bits if draw(st.booleans()) else rng.randint(2**bits, 2 ** (bits + 1))
+    error = draw(st.integers(1, 40))
+    if draw(st.integers(0, 3)) == 0:
+        values = [rng.randint(-4 * scale, 4 * scale) for _ in range(size)]
+    else:
+        factors = [rng.choice([2, 3, 5, 7, 11, 13, 101, 65_537]) for _ in range(rng.randint(0, 4))]
+        rate = draw(st.sampled_from([0.5, 0.05, 0.01]))
+        values = []
+        for _ in range(size):
+            q = math.prod(f for f in factors if rng.random() < rate)
+            p = rng.randint(-20 * q, 20 * q)
+            # p * scale / q rounded, then moved by up to the error
+            values.append((2 * p * scale + q) // (2 * q) + rng.randint(-error, error))
+    return np.array(values, dtype=object), scale, error
+
+
 class TestReconstruct:
+    @given(chunk_scan_input())
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_match_the_single_scan(self, case):
+        # the chunked scan finds what one scan of every remaining entry
+        # finds, in the same dtype, for Python-int numerators and, where
+        # they fit, int64 ones
+        numerators, scale, error = case
+        inputs = [numerators]
+        if max(map(abs, numerators)) < 2**62:
+            inputs.append(numerators.astype(np.int64))
+        for given_numerators in inputs:
+            want = single_scan_reconstruct(given_numerators, scale, error)
+            got = linsolve._reconstruct(given_numerators, scale, error)
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None and got[0] == want[0]
+            assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+
     def test_matches_the_rescaling_reference(self):
         rng = random.Random(2024)
         outcomes = {"none": 0, "integer": 0, "fraction": 0}
