@@ -273,7 +273,8 @@ def fiber_checks(cells: list[ModelParams], budget: int) -> CheckResult:
 
 
 def lumping_exactness(cells: list[ModelParams]) -> CheckResult:
-    """The 2k classes lump the full walk exactly onto :func:`lumped_kernel`."""
+    """The 2k classes lump the full walk exactly onto :func:`lumped_kernel`'s
+    integer move counts out of ``degree``."""
 
     def holds(params: ModelParams) -> bool:
         kernel = lumped_kernel(params)

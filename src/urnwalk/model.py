@@ -18,7 +18,7 @@ the occupancy chain and the 2k-class lumped chain are both checked by.
 The certifier hands a classification the array of every placement in one
 call and takes back one integer label per state.  Each of the two chains
 keeps its own classification (:func:`lump_classes` is the 2k classes')
-and its own kernel.
+and its own kernel, in integer move counts out of ``degree``.
 
 Everything in this module is a pure function of immutable values and is
 safe for unrestricted concurrent use.
@@ -31,7 +31,6 @@ import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -333,61 +332,60 @@ def lump_classes(placements: np.ndarray) -> np.ndarray:
     return 2 * in_target[:, :-1].sum(axis=1) + 1 + in_target[:, -1]
 
 
-def lumped_kernel(params: ModelParams) -> tuple[dict[int, Fraction], ...]:
+def lumped_kernel(params: ModelParams) -> tuple[dict[int, int], ...]:
     """Kernel of the walk observed through the 2k classes, as sparse rows.
 
-    Row m-1 maps each class label reachable from class m to its
-    probability; zero entries are left out.  That is the ``row_of``
-    mapping of :func:`is_exactly_lumpable`, which certifies the
-    aggregation (and so that every row is stochastic) in the checks.
+    Row m-1 maps each class label reachable from class m to its integer
+    move count out of ``degree``; zero entries are left out.  That is the
+    ``row_of`` mapping of :func:`is_exactly_lumpable`, which certifies the
+    aggregation (and so that every row sums to ``degree``) in the checks.
     """
     k, n = params.balls, params.urns
-    rows: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(2 * k))
+    rows: tuple[dict[int, int], ...] = tuple({} for _ in range(2 * k))
 
-    def at(row_class: int, col_class: int, value: Fraction) -> None:
-        if value:  # each (row, column) pair is set at most once
-            rows[row_class - 1][col_class] = value
+    def at(row_class: int, col_class: int, count: int) -> None:
+        if count:  # each (row, column) pair is set at most once
+            rows[row_class - 1][col_class] = count
 
     for i in range(1, k + 1):
         odd, even = 2 * i - 1, 2 * i
         # last ball leaves / enters urn 2
-        at(even, even - 1, Fraction(1, k))
-        at(odd, odd + 1, Fraction(1, k * (n - 1)))
+        at(even, even - 1, n - 1)
+        at(odd, odd + 1, 1)
         # one of the i-1 front balls leaves urn 2
-        at(even, even - 2, Fraction(i - 1, k))
-        at(odd, odd - 2, Fraction(i - 1, k))
+        at(even, even - 2, (i - 1) * (n - 1))
+        at(odd, odd - 2, (i - 1) * (n - 1))
         # one of the k-i non-target front balls enters urn 2
-        at(even, even + 2, Fraction(k - i, k * (n - 1)))
-        at(odd, odd + 2, Fraction(k - i, k * (n - 1)))
+        at(even, even + 2, k - i)
+        at(odd, odd + 2, k - i)
         # moves that stay outside urn 2 keep the class
-        at(even, even, Fraction((k - i) * (n - 2), k * (n - 1)))
-        at(odd, odd, Fraction((k - i + 1) * (n - 2), k * (n - 1)))
+        at(even, even, (k - i) * (n - 2))
+        at(odd, odd, (k - i + 1) * (n - 2))
     return rows
 
 
 def is_exactly_lumpable(
     params: ModelParams,
     classify: Callable[[np.ndarray], np.ndarray],
-    row_of: Callable[[int], Mapping[int, Fraction]],
+    row_of: Callable[[int], Mapping[int, int]],
 ) -> bool:
     """Whether the walk aggregates exactly onto a smaller chain.
 
     ``classify`` is called once, on the ``(states, balls)`` array of urn
     numbers whose row ``g`` is the placement of state ``g``, and returns one
     integer or bool class label per state; ``row_of`` gives a class's kernel
-    row as ``{label: probability}`` (zero entries may be left out).  By the
+    row as ``{label: count}``, how many of the ``degree`` equally likely
+    moves lead into each class (zero entries may be left out).  By the
     Kemeny-Snell criterion (*Finite Markov Chains*, 1960, section 6.3) the
     classes lump the walk onto that kernel exactly when every state's
-    one-step mass into each class equals its own class's row.  Every move
-    has probability ``1 / degree``, so each row is written out as move
-    counts, ``probability * degree`` into each class, and compared with each
-    state's neighbour count in each class, every class at once: one
-    :func:`_axis_sums` pass over the ``(states, classes)`` class-indicator
-    matrix, in the narrowest unsigned dtype that holds ``urns * balls``,
-    the largest sum the pass forms.  Raises BudgetExceededError past
-    ``LUMPABILITY_BUDGET`` states, before anything is built, and ValueError
-    unless the labels are a 1-D integer or bool array with one entry per
-    state.
+    neighbour count in each class equals its own class's row, checked for
+    every class at once: one :func:`_axis_sums` pass over the ``(states,
+    classes)`` class-indicator matrix, in the narrowest unsigned dtype that
+    holds ``urns * balls``, the largest sum the pass forms.  A count that
+    is no int (bools and numpy ints are the ints they equal) returns False.
+    Raises BudgetExceededError past ``LUMPABILITY_BUDGET`` states, before
+    anything is built, and ValueError unless the labels are a 1-D integer
+    or bool array with one entry per state.
     """
     if params.state_count > LUMPABILITY_BUDGET:
         raise BudgetExceededError(
@@ -404,13 +402,13 @@ def is_exactly_lumpable(
     # counts[k, c]: the moves from a state of class k into class c
     counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
     for label, k in ids.items():
-        for other, p in row_of(label).items():
-            if not p:
+        for other, count in row_of(label).items():
+            if not count:
                 continue
-            count = p * degree
-            if other not in ids or not 0 < count <= degree or count.denominator != 1:
+            integral = isinstance(count, (int, np.integer))
+            if other not in ids or not integral or not 0 < count <= degree:
                 return False  # no state's neighbour counts can match
-            counts[k, ids[other]] = int(count)
+            counts[k, ids[other]] = count
         if counts[k].sum() != degree:
             return False
     # Each S_b counts a state once among its ball's placements, so over all

@@ -13,7 +13,7 @@ the chain the same way).  :func:`aggregation_matches_full_walk` certifies
 that the full walk really does aggregate to these rates, through the
 certifier :func:`urnwalk.model.is_exactly_lumpable` with this module's own
 classification (the urn-2 count of every placement, in one array
-expression) and kernel (the three bands over ``degree``).
+expression) and kernel (the three bands, as they are).
 
 The chain is stored as its three bands, each a tuple of M+1 integer move
 counts indexed by the current occupancy, so building and validating it
@@ -113,18 +113,15 @@ def stationary_distribution(chain: OccupancyChain) -> list[int]:
 
 def aggregation_matches_full_walk(params: ModelParams) -> bool:
     """Certify that the urn-2 count lumps the full walk exactly onto the
-    three bands.
+    three bands, whose integer move counts out of ``degree`` are the
+    certifier's kernel rows as they are.
 
     Raises BudgetExceededError past the certifier's state budget
     (:data:`~urnwalk.model.LUMPABILITY_BUDGET`).
     """
-    chain, degree = build_occupancy_chain(params), params.degree
+    chain = build_occupancy_chain(params)
     return is_exactly_lumpable(
         params,
         lambda placements: (placements == TARGET_URN).sum(axis=1),
-        lambda k: {
-            k - 1: Fraction(chain.down[k], degree),
-            k: Fraction(chain.stay[k], degree),
-            k + 1: Fraction(chain.up[k], degree),
-        },
+        lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]},
     )

@@ -260,38 +260,39 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
     pair by pair, by the first-passage recursion of quasi-birth-death
     chains (Latouche & Ramaswami, *Introduction to Matrix Analytic Methods
     in Stochastic Modeling*, SIAM 1999).  With ``L_i``, ``D_i`` and
-    ``U_i`` the kernel's 2x2 blocks within pair i, down one pair and up
-    one, ``G_i = (I - L_i - D_i G_{i-1})^-1 U_i`` gives the class in which
-    the walk from pair i first enters pair i+1.  Multiplied back from the
-    fiber, pair k, where class 2k scores 1 and class 2k-1 scores 0, they
-    give the off-fiber classes; the two fiber classes follow by one-step
-    conditioning.  An entry more than one pair away raises DomainError,
-    and a pair the walk never leaves SingularSystemError.  The identities
-    these values obey are asserted by
-    :func:`urnwalk.checks.first_visit_triple_agreement`, not here.
+    ``U_i`` the kernel's 2x2 blocks of integer move counts within pair i,
+    down one pair and up one, ``G_i = (D I - L_i - D_i G_{i-1})^-1 U_i``
+    for ``D = degree`` gives the class in which the walk from pair i first
+    enters pair i+1.  Multiplied back from the fiber, pair k, where class
+    2k scores 1 and class 2k-1 scores 0, they give the off-fiber classes;
+    the two fiber classes follow by one-step conditioning, over ``D``.  An
+    entry more than one pair away raises DomainError, and a pair the walk
+    never leaves SingularSystemError.  The identities these values obey are
+    asserted by :func:`urnwalk.checks.first_visit_triple_agreement`, not
+    here.
     """
     k = params.balls
     if k < 2:
         raise DomainError("lumped first-visit analysis needs at least 2 balls")
-    zero = Fraction(0)
-    # blocks[i][d][a][b]: from class 2i+1+a to class 2(i+d)+1+b, pairs from 0
-    blocks = [{d: [[zero, zero], [zero, zero]] for d in (-1, 0, 1)} for _ in range(k)]
+    zero, degree = Fraction(0), params.degree
+    # blocks[i][d][a][b]: moves from class 2i+1+a to 2(i+d)+1+b, pairs from 0
+    blocks = [{d: [[0, 0], [0, 0]] for d in (-1, 0, 1)} for _ in range(k)]
     for m, kernel_row in enumerate(lumped_kernel(params)):
         i, a = divmod(m, 2)
-        for label, q in kernel_row.items():
+        for label, count in kernel_row.items():
             j, b = divmod(label - 1, 2)
             if not (0 <= j < k and abs(j - i) <= 1):
                 raise DomainError(
                     f"lumped class {m + 1} moves to class {label}, "
                     "outside its pair and the pairs beside it"
                 )
-            blocks[i][j - i][a][b] = q
+            blocks[i][j - i][a][b] = count
     passages = []
     passage = [[zero, zero], [zero, zero]]  # no pair lies below pair 1
     for i, block in enumerate(blocks[:-1], start=1):
         below = _times(block[-1], passage)
         (s00, s01), (s10, s11) = (
-            [(a == b) - block[0][a][b] - below[a][b] for b in (0, 1)] for a in (0, 1)
+            [degree * (a == b) - block[0][a][b] - below[a][b] for b in (0, 1)] for a in (0, 1)
         )
         det = s00 * s11 - s01 * s10
         if not det:
@@ -306,8 +307,8 @@ def lumped_first_visit_probs(params: ModelParams) -> list[Fraction]:
         probs[:0] = column
     # the fiber's rows, [D_k L_k], on pair k-1's values and the scores
     down, within = blocks[-1][-1], blocks[-1][0]
-    probs += _times([d + w for d, w in zip(down, within)], probs[-2:] + scores)
-    return [value for value, in probs]
+    fiber = _times([d + w for d, w in zip(down, within)], probs[-2:] + scores)
+    return [value for value, in probs] + [value / degree for value, in fiber]
 
 
 def _times(left: list[list[Fraction]], right: list[list[Fraction]]) -> list[list[Fraction]]:

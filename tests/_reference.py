@@ -191,21 +191,24 @@ def lump_class(config):
 
 def lumpable_by_class(params, classify, row_of):
     """``is_exactly_lumpable``'s verdict, one ``neighbour_counts`` pass per
-    class: each row written out as move counts into each class, compared
-    with every state's neighbour count in that class."""
+    class: each row's move counts into each class, compared with every
+    state's neighbour count in that class."""
     labels = np.asarray(classify(model._placements(params)))
     names, classes = np.unique(labels, return_inverse=True)
     ids = {label: k for k, label in enumerate(names.tolist())}
     degree = params.degree
     counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
     for label, k in ids.items():
-        for other, p in row_of(label).items():
-            if not p:
+        for other, count in row_of(label).items():
+            if not count:
                 continue
-            count = p * degree
-            if other not in ids or not 0 < count <= degree or count.denominator != 1:
+            try:
+                count = operator.index(count)
+            except TypeError:
                 return False
-            counts[k, ids[other]] = int(count)
+            if other not in ids or not 0 < count <= degree:
+                return False
+            counts[k, ids[other]] = count
         if counts[k].sum() != degree:
             return False
     return all(

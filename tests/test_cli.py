@@ -353,16 +353,15 @@ class TestVerifyCommand:
 
 
     def test_wrong_lumped_kernel_fails_its_rows(self, capsys, monkeypatch):
-        # stochastic but not the walk's kernel: at three or more urns,
-        # 1/100 of class 1's self-mass moves to class 3
+        # rows still sum to the degree but are not the walk's kernel: at
+        # three or more urns, one of class 1's self-moves goes to class 3
         from urnwalk import model, oracle
 
         def wrong_kernel(params):
             rows = model.lumped_kernel(params)
             if params.urns >= 3:
-                moved = rows[0][1] / 100
-                rows[0][1] -= moved
-                rows[0][3] = rows[0].get(3, 0) + moved
+                rows[0][1] -= 1
+                rows[0][3] = rows[0].get(3, 0) + 1
             return rows
 
         monkeypatch.setattr(oracle, "lumped_kernel", wrong_kernel)

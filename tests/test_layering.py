@@ -4,7 +4,8 @@
 oracle adds the linear solver, and only ``checks`` (and the CLI above it)
 brings the routes together.  A route that imported another could no longer
 check it.  Nothing imports the CLI, and only the CLI reads the environment:
-every library result is a function of its arguments.
+every library result is a function of its arguments.  The model's kernels
+are integer move counts, and it imports nothing from ``fractions``.
 """
 
 import ast
@@ -47,6 +48,33 @@ def package_imports(source: str) -> set[str]:
                 if parts[0] == "urnwalk" and len(parts) > 1:
                     found.add(parts[1])
     return found
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the modules ``source`` imports anywhere, by
+    ``import`` or by an absolute ``from``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+def test_model_imports_nothing_from_fractions():
+    source = Path(urnwalk.__file__).with_name("model.py").read_text()
+    assert "fractions" not in absolute_imports(source)
+
+
+def test_absolute_imports_are_seen():
+    source = (
+        "import os.path, numpy as np\n"
+        "from . import errors\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+    )
+    assert absolute_imports(source) == {"os", "numpy", "fractions"}
 
 
 ENVIRONMENT = ("environ", "getenv")

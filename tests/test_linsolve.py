@@ -744,6 +744,18 @@ class TestRoundStructure:
         (_, before, tried), (_, scale, measured) = calls[-2:]
         assert before == scale and tried == 1 < measured
 
+    def test_error_estimate_on_hand_computed_values(self):
+        # 2 ceil(accuracy max(1, norm) 2**k + 1/2) + 2, in exact arithmetic
+        cases = [
+            ((2.0**-30, 2**10, 25), 68),  # 2**-20 2**25 == 32
+            ((0.75, 3, 2), 22),  # 2.25 * 4 == 9
+            ((2.0**-10, 0, 10), 6),  # a zero residual counts as one
+            ((0.0, 2**20, 40), 4),  # the rounding alone
+            ((2.0**-60, 2**61, 1000), 2**1002 + 4),  # 2 2**1000, past the floats
+        ]
+        for args, want in cases:
+            assert linsolve._estimated_error(*args) == want
+
 
 class TestDenseFallback:
     """No solver falls back to elimination: ``solve_exact`` refuses a

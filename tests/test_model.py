@@ -316,17 +316,20 @@ class TestLumpClasses:
 
 class TestLumpedKernel:
     def test_row_sums_enforced(self):
-        kernel = lumped_kernel(ModelParams(urns=4, balls=4))
+        params = ModelParams(urns=4, balls=4)
+        kernel = lumped_kernel(params)
         assert len(kernel) == 8
         for row in kernel:
-            assert sum(row.values(), Fraction(0)) == 1
+            assert all(type(count) is int for count in row.values())
+            assert sum(row.values()) == params.degree
             assert all(row.values())  # zero entries are left out
 
     @pytest.mark.parametrize("urns,balls", [(3, 2), (4, 4), (2, 5), (6, 3)])
     def test_bottom_rate(self, urns, balls):
         kernel = lumped_kernel(ModelParams(urns=urns, balls=balls))
         size = 2 * balls
-        assert kernel[size - 1][size - 2] == Fraction(balls - 1, balls)
+        # (balls - 1) / balls of the degree (urns - 1) * balls
+        assert kernel[size - 1][size - 2] == (balls - 1) * (urns - 1)
 
     def test_matches_aggregated_full_kernel(self):
         params = ModelParams(urns=3, balls=2)
@@ -339,12 +342,7 @@ def occupancy(placements):
 
 
 def band_rows(chain):
-    degree = chain.params.degree
-    return lambda k: {
-        k - 1: Fraction(chain.down[k], degree),
-        k: Fraction(chain.stay[k], degree),
-        k + 1: Fraction(chain.up[k], degree),
-    }
+    return lambda k: {k - 1: chain.down[k], k: chain.stay[k], k + 1: chain.up[k]}
 
 
 @st.composite
@@ -352,8 +350,8 @@ def labelled_kernels(draw):
     """A walk of at most 300 states, an int or bool labelling of its
     placements (one class up to one per state; random, or one of the
     lumpable occupancy, 2k-class, last-ball and one-per-state labellings)
-    and the kernel read off each class's first state, with one move's
-    mass moved within one row half of the time."""
+    and the kernel of move counts read off each class's first state, with
+    one count moved within one row half of the time."""
     params = draw(st.sampled_from(WALKS_UP_TO_300))
     states, placements = params.state_count, model._placements(params)
     in_target = placements == 2
@@ -374,20 +372,19 @@ def labelled_kernels(draw):
         labels = in_target[:, -1]
     if labels.dtype != bool:  # any distinct integers name the classes
         labels = labels * draw(st.sampled_from([1, -1, 7])) + draw(st.integers(-5, 5))
-    step = Fraction(1, params.degree)
     adjacency = neighbor_indices(params)
     names, first = np.unique(labels, return_index=True)
     rows = {}
     for label, state in zip(names.tolist(), first.tolist()):
         row = rows[label] = {}
         for other in labels[adjacency[state]].tolist():
-            row[other] = row.get(other, 0) + step
+            row[other] = row.get(other, 0) + 1
     if len(names) > 1 and draw(st.booleans()):
         row = rows[draw(st.sampled_from(names.tolist()))]
         source = draw(st.sampled_from(sorted(row)))
         destination = draw(st.sampled_from([x for x in names.tolist() if x != source]))
-        row[source] -= step
-        row[destination] = row.get(destination, 0) + step
+        row[source] -= 1
+        row[destination] = row.get(destination, 0) + 1
     return params, labels, rows
 
 
@@ -401,33 +398,36 @@ class TestLumpabilityCertifier:
         params = ModelParams(urns=3, balls=3)
         rows = band_rows(build_occupancy_chain(params))
 
-        def perturbed(k):
-            row = rows(k)
-            if k == 1:
-                row[2] += Fraction(1, 100)  # up[1]
-            return row
+        # up[1] off by a whole move, or by part of one: a count that is no
+        # integer is refused, not raised on
+        for change in (1, Fraction(1, 2), 0.5, 1.0):
 
-        assert not is_exactly_lumpable(params, occupancy, perturbed)
-        # one move's mass, 1/degree, moved within a kernel row: each row still
-        # sums to one in whole moves, so only the states' neighbour counts
-        # can tell, on the occupancy bands and on the 2k classes alike; the
-        # last three walks (up to 65,536 states) sit at the budget's edge
+            def perturbed(k):
+                row = rows(k)
+                if k == 1:
+                    row[2] += change  # up[1]
+                return row
+
+            assert not is_exactly_lumpable(params, occupancy, perturbed)
+        # one count moved within a kernel row: each row still sums to the
+        # degree, so only the states' neighbour counts can tell, on the
+        # occupancy bands and on the 2k classes alike; the last three walks
+        # (up to 65,536 states) sit at the budget's edge
         for urns, balls in ((3, 4), (4, 5), (2, 16), (3, 10), (4, 8)):
             params = ModelParams(urns, balls)
-            step = Fraction(1, params.degree)
             rows = band_rows(build_occupancy_chain(params))
             kernel = lumped_kernel(params)
 
             def moved_band(k):
                 row = rows(k)
                 if k == 1:
-                    row[1], row[2] = row[1] + step, row[2] - step  # stay, up
+                    row[1], row[2] = row[1] + 1, row[2] - 1  # stay, up
                 return row
 
             def moved_class(label):
                 row = dict(kernel[label - 1])
                 if label == 2:
-                    row[1], row[2] = row[1] - step, row.get(2, 0) + step
+                    row[1], row[2] = row[1] - 1, row.get(2, 0) + 1
                 return row
 
             assert is_exactly_lumpable(params, occupancy, rows)
@@ -435,18 +435,29 @@ class TestLumpabilityCertifier:
             assert is_exactly_lumpable(params, lump_classes, lambda label: kernel[label - 1])
             assert not is_exactly_lumpable(params, lump_classes, moved_class)
 
+    def test_bool_and_numpy_counts_are_the_ints_they_equal(self):
+        params = ModelParams(urns=3, balls=3)
+        kernel = lumped_kernel(params)
+        rows = band_rows(build_occupancy_chain(params))
+
+        def as_numpy(row):  # counts of 1 as True, the others as uint8
+            return {c: np.uint8(n) if n > 1 else bool(n) for c, n in row.items()}
+
+        assert any(count == 1 for row in kernel for count in row.values())  # a True
+        assert is_exactly_lumpable(params, lump_classes, lambda c: as_numpy(kernel[c - 1]))
+        assert is_exactly_lumpable(params, occupancy, lambda k: as_numpy(rows(k)))
+
     def test_non_lumpable_partition_is_rejected(self):
-        # {target} against the rest: states next to the target send mass
-        # 1/degree into it, the others none, so no row fits the rest.
+        # {target} against the rest: states next to the target send one
+        # move into it, the others none, so no row fits the rest.
         params = ModelParams(urns=3, balls=2)
-        target = (2, 2)
-        step = Fraction(1, params.degree)
-        rows_of_the_rest = ({False: 1}, {False: 1 - step, True: step})
+        target, degree = (2, 2), params.degree
+        rows_of_the_rest = ({False: degree}, {False: degree - 1, True: 1})
         for rest_row in rows_of_the_rest:
             assert not is_exactly_lumpable(
                 params,
                 lambda placements: (placements == target).all(axis=1),
-                lambda label: {False: Fraction(1)} if label else rest_row,
+                lambda label: {False: degree} if label else rest_row,
             )
 
     def test_budget_guard_builds_nothing(self, monkeypatch):

@@ -8,11 +8,12 @@ now fails for it too.  A mutant that no row catches is a finding, and
 stays in the catalogue.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from urnwalk import checks, exact, model, oracle
+from urnwalk import checks, exact, model, occupancy, oracle
 from urnwalk.model import ModelParams
 
 
@@ -28,6 +29,24 @@ def wrong_where(function, where, change):
 
 def at(urns, balls):
     return lambda params: params == ModelParams(urns, balls)
+
+
+def count_moved(rows, label, source, destination):
+    """The lumped kernel ``rows`` with one of class ``label``'s move counts
+    moved from ``source`` to ``destination``: every row still sums to the
+    degree."""
+    rows = [dict(row) for row in rows]
+    row = rows[label - 1]
+    row[source] -= 1
+    row[destination] = row.get(destination, 0) + 1
+    return tuple(rows)
+
+
+def stay_to_up(chain, k):
+    """The occupancy chain with one of ``stay[k]``'s moves counted in ``up[k]``."""
+    stay, up = list(chain.stay), list(chain.up)
+    stay[k], up[k] = stay[k] - 1, up[k] + 1
+    return replace(chain, stay=tuple(stay), up=tuple(up))
 
 
 MUTANTS = {
@@ -64,6 +83,20 @@ MUTANTS = {
             f, at(3, 4), lambda p: [p[0] - Fraction(1, 100), p[1] + Fraction(1, 100), *p[2:]]
         ),
         {"first-visit-triple"},
+    ),
+    "lumped-count-moved-3x4": (
+        checks,
+        "lumped_kernel",
+        # class 2's move into class 1 counted as one that keeps the class
+        lambda f: wrong_where(f, at(3, 4), lambda rows: count_moved(rows, 2, 1, 2)),
+        {"lump-aggregation"},
+    ),
+    "occupancy-stay-counted-up-3x4": (
+        occupancy,
+        "build_occupancy_chain",
+        # OccupancyChain accepts it: row 1 still sums to the degree
+        lambda f: wrong_where(f, at(3, 4), lambda chain: stay_to_up(chain, 1)),
+        {"occupancy-routes", "occupancy-aggregation"},
     ),
     "axis-sums-skip-a-ball": (
         model,

@@ -402,22 +402,25 @@ class TestLumpedFirstVisitProbs:
 
     @pytest.mark.parametrize("urns", range(2, 9))
     def test_matches_elimination_on_the_first_visit_system(self, urns):
-        # the 2k-2 off-fiber classes as unknowns of I - Q, solved by the
-        # reference Gauss-Jordan; the fiber classes by one-step conditioning
+        # the 2k-2 off-fiber classes as unknowns of degree * I - Q in move
+        # counts, solved by the reference Gauss-Jordan; the fiber classes by
+        # one-step conditioning, over the degree
         for balls in range(2, 15):
-            kernel = lumped_kernel(ModelParams(urns, balls))
+            params = ModelParams(urns, balls)
+            kernel, degree = lumped_kernel(params), params.degree
             off_fiber, target = 2 * balls - 2, 2 * balls
             matrix = [
-                [(m == j) - kernel[m].get(j + 1, 0) for j in range(off_fiber)]
+                [degree * (m == j) - kernel[m].get(j + 1, 0) for j in range(off_fiber)]
                 for m in range(off_fiber)
             ]
             rhs = [row.get(target, 0) for row in kernel[:off_fiber]]
             probs = gauss_jordan_solve(matrix, rhs)
             probs += [
-                row.get(target, 0) + sum(row.get(j + 1, 0) * probs[j] for j in range(off_fiber))
+                (row.get(target, 0) + sum(row.get(j + 1, 0) * probs[j] for j in range(off_fiber)))
+                / degree
                 for row in kernel[off_fiber:]
             ]
-            assert oracle.lumped_first_visit_probs(ModelParams(urns, balls)) == probs
+            assert oracle.lumped_first_visit_probs(params) == probs
 
     def test_entry_two_pairs_away_refused(self, monkeypatch):
         # class 1 moving straight to class 5 skips pair 2
@@ -436,7 +439,7 @@ class TestLumpedFirstVisitProbs:
             rows = lumped_kernel(params)
             rows[0].clear()
             rows[1].clear()
-            rows[0][2] = rows[1][1] = Fraction(1)
+            rows[0][2] = rows[1][1] = params.degree
             return rows
 
         monkeypatch.setattr(oracle, "lumped_kernel", closed_kernel)
