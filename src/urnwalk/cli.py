@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import checks, exact, oracle, simulate
+from . import checks, exact, model, oracle, simulate
 from .errors import (
     BudgetExceededError,
     SimulationTruncatedError,
@@ -44,7 +44,7 @@ from .model import (
     distance_pair,
     format_configuration,
     hamming_distance,
-    parse_configuration,
+    parse_urn_indices,
 )
 
 SCHEMA_VERSION = 1
@@ -137,7 +137,10 @@ def _pair(args) -> tuple[ModelParams, Configuration, Configuration, dict]:
     """The model, start and target of a pair command, and their four params.
 
     The pair is ``--hamming``'s canonical one, else ``--from``/``--to``, each
-    defaulting to all balls in the source (target) urn.
+    defaulting to all balls in the source (target) urn.  A placement given
+    as text is parsed here but not checked: ``oracle`` and ``simulate`` hand
+    the pair to a library call that checks each placement, once, and
+    ``general``, whose formula takes only a distance, checks them itself.
     """
     params = ModelParams(urns=args.urns, balls=args.balls)
     if args.hamming is not None:
@@ -146,7 +149,7 @@ def _pair(args) -> tuple[ModelParams, Configuration, Configuration, dict]:
         start, target = distance_pair(params, args.hamming)
     else:
         start, target = (
-            all_in_urn(params, urn) if text is None else parse_configuration(text, params)
+            all_in_urn(params, urn) if text is None else parse_urn_indices(text)
             for text, urn in ((args.start, SOURCE_URN), (args.target, TARGET_URN))
         )
     return params, start, target, {
@@ -159,7 +162,7 @@ def _pair(args) -> tuple[ModelParams, Configuration, Configuration, dict]:
 
 def _formula(params: ModelParams, start, target) -> tuple[int, Fraction]:
     """The pair's Hamming distance and its closed-form hitting time, for
-    placements :func:`_pair` has already checked."""
+    placements already checked."""
     query = exact.HittingQuery(params, hamming_distance(start, target))
     return query.hamming_distance, exact.general_hitting_time(query)
 
@@ -174,6 +177,8 @@ def handle_exact(args) -> RunReport:
 
 def handle_general(args) -> RunReport:
     params, start, target, pair = _pair(args)
+    if args.hamming is None:  # the canonical pair needs no check
+        start, target = (model.check_configuration(c, params) for c in (start, target))
     distance, value = _formula(params, start, target)
     return RunReport(
         "general", pair, {"hamming_distance": distance, "hitting_time": value}
@@ -208,12 +213,13 @@ def handle_verify(args) -> RunReport:
 def handle_oracle(args) -> RunReport:
     params, start, target, pair = _pair(args)
     budget = _budget(args.budget, oracle.DEFAULT_EXACT_BUDGET)
-    _, formula = _formula(params, start, target)
     report = RunReport("oracle", {**pair, "budget": budget}, {"states": params.state_count})
+    # the oracle checks the placements, so the formula is taken after it
     if params.state_count > budget and args.approx:
         value, residual = oracle.expected_hitting_time_float(params, start, target)
         report.results["oracle_hitting_time_approx"] = value
         report.results["solver_residual"] = residual
+        _, formula = _formula(params, start, target)
         matches = abs(value - float(formula)) <= FLOAT_COMPARE_RTOL * max(
             1.0, abs(float(formula))
         )
@@ -221,6 +227,7 @@ def handle_oracle(args) -> RunReport:
     else:
         value = oracle.expected_hitting_time(params, start, target, budget=budget)
         report.results["oracle_hitting_time"] = value
+        _, formula = _formula(params, start, target)
         check = ("matches-formula", value == formula, "exact equality")
     report.results["formula_hitting_time"] = formula
     report.checks.append(check)

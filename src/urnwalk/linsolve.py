@@ -183,12 +183,15 @@ def _cg_round(rows, residual: np.ndarray) -> tuple[np.ndarray, float]:
     in [1/2, 1), so its dot products cannot overflow; the scaling is exact,
     and ``z`` is scaled back.  It stops once its residual's 2-norm is
     ``_CG_RTOL`` times ``r``'s, or after ``2 * len(r)`` steps, and the
-    residual reports the accuracy CG actually got.
+    residual reports the accuracy CG actually got.  It holds five vectors,
+    the scaled ``r``, ``z``, CG's residual and direction and one work
+    vector, and updates them in place: past those, the operator's products
+    are all it allocates.
     """
     b = residual.astype(np.float64)
-    exponent = math.frexp(float(np.abs(b).max()))[1]
-    b = np.ldexp(b, -exponent)
-    z = np.zeros_like(b)
+    z, work = np.zeros_like(b), np.empty_like(b)
+    exponent = math.frexp(float(np.abs(b, out=work).max()))[1]
+    np.ldexp(b, -exponent, out=b)
     r, p = b.copy(), b.copy()
     rr = r @ r
     stop = (_CG_RTOL**2) * rr
@@ -197,12 +200,15 @@ def _cg_round(rows, residual: np.ndarray) -> tuple[np.ndarray, float]:
             break
         q = rows.times(p)
         alpha = rr / (p @ q)
-        z += alpha * p
-        r -= alpha * q
+        z += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
         rr, previous = r @ r, rr
-        p = r + (rr / previous) * p
-    scale = max(math.ldexp(1.0, -exponent), float(np.abs(b).max()))  # max(1, |r|inf), scaled
-    return np.ldexp(z, exponent), float(np.abs(b - rows.times(z)).max()) / scale
+        p *= rr / previous
+        p += r
+    # max(1, |r|inf), scaled
+    scale = max(math.ldexp(1.0, -exponent), float(np.abs(b, out=work).max()))
+    np.abs(np.subtract(b, rows.times(z), out=work), out=work)
+    return np.ldexp(z, exponent, out=z), float(work.max()) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,12 @@ SOURCE_URN = 1
 TARGET_URN = 2
 LUMPABILITY_BUDGET = 100_000
 # Float products act on runs of balls of at most _RUN_STATES placements,
-# one BLAS call per run where sums take two numpy calls per ball (2x9: 13
-# against 68 us), in calls of at most _MATMUL_SIZE multiply-adds, under
-# which OpenBLAS stays on one thread (threaded calls took up to 16 ms).
+# each run's generator multiplying the vector where it lies, where sums
+# take two numpy calls per ball (2x9: 9 against 55 us a product).  16 was
+# slower at 3x5, 5x5 and 5x7, 64 and 128 at 4x8 and 4x10.  No BLAS call
+# passes _MATMUL_SIZE multiply-adds, under which OpenBLAS stays on one
+# thread: unchunked, a 4x10 product took 13 ms of wall-clock time and 26 ms
+# of CPU time, against 8.4 ms of each.
 _RUN_STATES, _MATMUL_SIZE = 32, 2**18
 
 Configuration = tuple[int, ...]
@@ -137,14 +140,19 @@ def distance_pair(
     return start, target
 
 
-def parse_configuration(text: str, params: ModelParams) -> Configuration:
-    """Parse a comma-separated list of 1-based urn indices, e.g. "1,1,2"."""
-    parts = [piece.strip() for piece in text.split(",")]
+def parse_urn_indices(text: str) -> Configuration:
+    """The comma-separated urn indices of ``text``, e.g. "1,1,2", as a tuple
+    of ints, not yet checked against a model."""
     try:
-        config = tuple(int(piece) for piece in parts)
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ConfigurationError(f"cannot parse placement {text!r}") from None
-    return check_configuration(config, params)
+
+
+def parse_configuration(text: str, params: ModelParams) -> Configuration:
+    """Parse a comma-separated list of 1-based urn indices, e.g. "1,1,2",
+    and check it as a placement of ``params``."""
+    return check_configuration(parse_urn_indices(text), params)
 
 
 def format_configuration(config: Configuration) -> str:
@@ -243,19 +251,38 @@ def _ball_runs(params: ModelParams) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(runs)
 
 
+def _run_blocks(batch: int, size: int, low: int) -> list[tuple[slice, slice]]:
+    """``(rows, cols)`` slices cutting a ``(batch, size, low)`` grid into
+    blocks whose product with a ``size x size`` generator takes at most
+    ``_MATMUL_SIZE`` multiply-adds: whole rows while one row takes no more,
+    else one row at a time, cut along its columns (one column at least)."""
+    row = size * size * low
+    if row <= _MATMUL_SIZE:
+        step = _MATMUL_SIZE // row
+        return [(slice(b, b + step), slice(None)) for b in range(0, batch, step)]
+    step = max(1, _MATMUL_SIZE // (size * size))
+    columns = range(0, low, step)
+    return [(slice(b, b + 1), slice(c, c + step)) for b in range(batch) for c in columns]
+
+
 def _run_product(full: np.ndarray, runs: tuple[tuple[int, np.ndarray], ...]) -> np.ndarray:
     """``(n M I - sum_b S_b) full`` for a float64 vector over all
-    placements: each run's generator multiplies the run's axes, put last."""
-    total = np.zeros_like(full)
-    for low, generator in runs:
-        size = len(generator)
-        view = total.reshape(-1, size, low).transpose(0, 2, 1)
-        flat = full.reshape(-1, size, low).transpose(0, 2, 1).reshape(-1, size)
-        part = np.empty_like(flat)
-        rows = max(1, _MATMUL_SIZE // size**2)
-        for start in range(0, len(flat), rows):  # the generator is symmetric
-            np.matmul(flat[start : start + rows], generator, out=part[start : start + rows])
-        view += part.reshape(view.shape)
+    placements: each run's generator multiplies the run's axis of ``full``
+    where it lies, and no copy of ``full`` is made.  The first run holds the
+    lowest balls, whose axis is the last: the rows of a ``(-1, size)`` view
+    times its generator, which is symmetric, write the total.  Each later
+    run's generator times the middle axis of a ``(batch, size, low)`` view
+    is added to it, in the blocks of :func:`_run_blocks`."""
+    (_, first), *rest = runs
+    total = np.empty_like(full)
+    lines, into = full.reshape(-1, len(first)), total.reshape(-1, len(first))
+    for rows, _ in _run_blocks(len(lines), len(first), 1):
+        np.matmul(lines[rows], first, out=into[rows])
+    for low, generator in rest:
+        grid = full.reshape(-1, len(generator), low)
+        into = total.reshape(grid.shape)
+        for rows, cols in _run_blocks(*grid.shape):
+            into[rows, :, cols] += np.matmul(generator, grid[rows, :, cols])
     return total
 
 

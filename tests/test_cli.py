@@ -2,6 +2,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -233,6 +234,19 @@ class TestOracleCommand:
             results_by_label(parse_json(out))["oracle_hitting_time"]["rational"]
             == "142/1"
         )
+
+    @pytest.mark.parametrize(
+        "pair", [["--from", "1,2", "--to", "2,3"], []], ids=["from-to", "default"]
+    )
+    def test_each_placement_checked_once(self, capsys, pair):
+        # the command parses a placement, and the oracle checks it, once
+        check = model.check_configuration
+        with mock.patch.object(model, "check_configuration", wraps=check) as spy:
+            code, out, _ = run_cli(
+                capsys, "oracle", "--urns", "3", "--balls", "2", *pair, "--format", "json"
+            )
+        assert code == 0 and spy.call_count == 2
+        assert parse_json(out)["checks"][0]["passed"] is True
 
     def test_size_error(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -316,6 +317,55 @@ class TestBandedSystemAndFloatSolve:
         values, residual = linsolve.solve_float(rows, [1, 2])
         assert residual < 1e-12
         assert abs(values[0] - 1 / 11) < 1e-12
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCGRound:
+    """One CG round holds a fixed number of vectors, whatever its number of
+    steps."""
+
+    def test_round_holds_five_vectors_of_its_own(self):
+        # the operator's products land in one buffer it made beforehand, so
+        # all the round traces is its own: the scaled r, z, CG's residual
+        # and direction and one work vector.  A loop that made alpha * p,
+        # alpha * q and a new p each step peaked at seven.
+        size = 2**16
+
+        class Diagonal:
+            def __init__(self):
+                self.diagonal, self.out = 2.0 + np.arange(size) % 7, np.empty(size)
+
+            def times(self, x):
+                return np.multiply(self.diagonal, x, out=self.out)
+
+        rows, rhs = Diagonal(), np.arange(size, dtype=np.int64) % 11 + 1
+        (z, accuracy), peak = traced_peak(lambda: linsolve._cg_round(rows, rhs))
+        assert accuracy < 1e-14 and np.allclose(z * rows.diagonal, rhs, rtol=1e-14)
+        assert peak < 5.5 * size * 8
+
+    def test_4x9_round_peaks_below_ten_vectors(self):
+        # 262,143 unknowns, 2 MiB a float vector.  Beside the round's five
+        # and the last product, each product holds its input's full-length
+        # copy, its output and the result gathered from it: nine.  The round
+        # peaked at 11 while each run's product made a transposed copy.
+        from urnwalk import oracle
+        from urnwalk.model import ModelParams
+
+        params = ModelParams(4, 9)
+        system = oracle.target_system(params, (2,) * 9, budget=params.state_count)
+        rhs = np.full(len(system.rows), params.degree, dtype=np.int64)
+        system.rows.times(np.zeros(len(rhs)))  # the walk's runs are built and cached
+        (z, accuracy), peak = traced_peak(lambda: linsolve._cg_round(system.rows, rhs))
+        assert accuracy < 1e-9 and z.min() > 0
+        assert peak < 10 * params.state_count * 8
 
 
 CG_ROUND = linsolve._cg_round

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -700,6 +701,61 @@ class TestWalkOperator:
         params = ModelParams(urns, balls)
         case = (params, frozenset({0, 5}), list(range(-2, params.state_count - 4)))
         assert matches_reference(*case)
+
+    @pytest.mark.parametrize(
+        "urns, balls, budget",
+        [
+            (2, 9, 49),  # one row a call, then one column a call
+            (3, 5, 300),  # one row a call, then three columns a call
+            (6, 4, 300),  # 8 rows a call, then batches of one, then 8 columns
+            (4, 8, None),  # 1,024 rows, batches of 64 and of 4, then 1,024 columns
+        ],
+    )
+    def test_float_products_equal_the_integer_sums(self, monkeypatch, urns, balls, budget):
+        # integer values times entries of at most 2 n M stay far below
+        # 2**53, so every float the product forms is exact, whatever the
+        # order BLAS sums in
+        if budget is not None:
+            monkeypatch.setattr(model, "_MATMUL_SIZE", budget)
+        params = ModelParams(urns, balls)
+        values = np.random.default_rng(balls).integers(-(2**20), 2**20, params.state_count)
+        want = urns * balls * values - model._axis_sums(values, urns, balls)
+        got = model._run_product(values.astype(np.float64), model._ball_runs(params))
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @given(
+        st.integers(1, 12), st.integers(1, 9), st.integers(1, 40), st.integers(1, 3000)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_cover_the_grid_once_within_the_budget(self, batch, size, low, budget):
+        # a block of one row and one column alone may pass the budget
+        with mock.patch.object(model, "_MATMUL_SIZE", budget):
+            blocks = model._run_blocks(batch, size, low)
+        seen = np.zeros((batch, low), dtype=np.int64)
+        for rows, cols in blocks:
+            seen[rows, cols] += 1
+            block = seen[rows, cols]
+            assert block.size * size * size <= max(budget, size * size)
+        assert (seen == 1).all()
+
+    def test_matmul_calls_stay_within_the_budget(self, monkeypatch):
+        # every multiply goes through np.matmul, each call at most
+        # _MATMUL_SIZE multiply-adds, so that OpenBLAS keeps to one thread
+        params = ModelParams(4, 8)
+        runs = model._ball_runs(params)
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            batch = np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), dtype=int)
+            calls.append(int(batch) * a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        full = np.arange(params.state_count, dtype=np.float64)
+        model._run_product(full, runs)
+        assert max(calls) <= model._MATMUL_SIZE
+        assert sum(calls) == sum(len(g) * params.state_count for _, g in runs)
 
     def test_runs_hold_at_most_32_placements(self):
         runs = model._ball_runs
